@@ -191,21 +191,6 @@ def gaussian_sigma(delays, rates, sigma_m, curves=ROBUST_CURVES):
     )
 
 
-def jacobian_sigma(delays, rates, sigma_m, curves=ROBUST_CURVES):
-    """Same covariance via the matrix route J^-1 diag(s^2) J^-T.
-
-    Kept as an independent algebraic path; tests pin its agreement with
-    gaussian_sigma to 1e-12.
-    """
-    jac = _jacobian(delays, rates, curves)
-    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    if det == 0.0 or not np.isfinite(det):
-        raise UninformativeDesign("singular Jacobian")
-    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
-    cov = inv @ np.diag([sigma_m[0] ** 2, sigma_m[1] ** 2]) @ inv.T
-    return cov
-
-
 def cost(delays, rates, sigma_m, timing, curves=ROBUST_CURVES):
     """Time-normalized combined fractional sensitivity of one delay pair.
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signals import ROBUST_PROTOCOL, expected_counts, expected_difference
+from .signals import ROBUST_PROTOCOL, expected_difference, expected_signals
 
 __all__ = [
     "EstimationError",
@@ -34,7 +34,6 @@ __all__ = [
     "reciprocal_mode",
     "measurement_estimate",
     "sigma_m_from_expectations",
-    "expected_measurement",
     "BiasStudyRow",
     "BiasStudyResult",
     "bias_study",
@@ -140,21 +139,6 @@ def sigma_m_from_expectations(e1_tau, e2_tau, e1_zero, e2_zero):
     return m, sigma_m
 
 
-def expected_measurement(measurement, tau, rates, params):
-    """(m, sigma_m) for a measurement at the given delays, noise-free.
-
-    Evaluates the four expected signals and propagates shot noise through
-    the ratio; used for protocol ranking and design-time predictions.
-    """
-    meas = measurement.oriented(params)
-    args = (rates, params)
-    e1t = expected_counts(meas.first[0], meas.first[1], tau, *args)
-    e2t = expected_counts(meas.second[0], meas.second[1], tau, *args)
-    e10 = expected_counts(meas.first[0], meas.first[1], 0.0, *args)
-    e20 = expected_counts(meas.second[0], meas.second[1], 0.0, *args)
-    return sigma_m_from_expectations(e1t, e2t, e10, e20)
-
-
 @dataclass(frozen=True)
 class BiasStudyRow:
     repetitions: int
@@ -233,10 +217,7 @@ def bias_study(
         r = int(r)
         params_r = replace(params, repetitions_R=r)
         meas = measurement.oriented(params_r)
-        mean_1t = expected_counts(meas.first[0], meas.first[1], tau, rates, params_r)
-        mean_2t = expected_counts(meas.second[0], meas.second[1], tau, rates, params_r)
-        mean_10 = expected_counts(meas.first[0], meas.first[1], 0.0, rates, params_r)
-        mean_20 = expected_counts(meas.second[0], meas.second[1], 0.0, rates, params_r)
+        mean_1t, mean_2t, mean_10, mean_20 = expected_signals(meas, tau, rates, [params_r])[0]
         delta_true = float(expected_difference(meas, 0.0, rates, params_r))
         z_true = 1.0 / delta_true
         m_true = float(expected_difference(meas, tau, rates, params_r)) / delta_true

@@ -48,8 +48,7 @@ from .signals import (
     ProtocolSpec,
     ROBUST_PROTOCOL,
     SignalParams,
-    SignalSample,
-    expected_counts,
+    expected_signals,
     sample_signals,
 )
 
@@ -264,14 +263,8 @@ def _selection_curves(protocol):
 
 def _expectation_signals(measurement, tau, rates, params):
     """Noiseless stand-in for sample_signals: counts equal expectations."""
-    (p1, r1), (p2, r2) = measurement.first, measurement.second
-    samples = []
-    for (prep, read), t in (((p1, r1), tau), ((p2, r2), tau), ((p1, r1), 0.0), ((p2, r2), 0.0)):
-        mean = float(expected_counts(prep, read, t, rates, params))
-        samples.append(
-            SignalSample(counts=mean, expectation=mean, tau=t, prep=prep, read=read)
-        )
-    return FourSignals(*samples)
+    means = expected_signals(measurement, tau, rates, [params])[0].tolist()
+    return FourSignals.of(measurement, tau, means, means)
 
 
 def _branch_durations(timing, delays):
@@ -431,14 +424,7 @@ class _Aggregate:
             self.expectations[k] += sample.expectation
 
     def four_signals(self):
-        (p1, r1), (p2, r2) = self.measurement.first, self.measurement.second
-        labels = [(p1, r1), (p2, r2), (p1, r1), (p2, r2)]
-        taus = [self.tau, self.tau, 0.0, 0.0]
-        samples = [
-            SignalSample(counts=c, expectation=e, tau=t, prep=lab[0], read=lab[1])
-            for c, e, t, lab in zip(self.counts, self.expectations, taus, labels)
-        ]
-        return FourSignals(*samples)
+        return FourSignals.of(self.measurement, self.tau, self.counts, self.expectations)
 
 
 def run_nap(config, stop_sigma=None, max_physical_s=None):

@@ -17,13 +17,17 @@ The simulator draws Poisson counts around the expected values.  With static
 parameters all repetitions collapse into a single draw (sums of independent
 Poissons are Poisson); under a drift schedule the four signals are drawn
 interleaved in blocks of repetitions, mirroring how the pulse sequencer
-interleaves them in hardware, which is what makes slow drift cancel.
+interleaves them in hardware, which is what makes slow drift cancel.  All
+blocks are evaluated together: the propagator once per delay (tau and 0),
+the four expected counts of every block in one stacked computation, and the
+counts in one Poisson draw over the (blocks, 4) means.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -44,6 +48,7 @@ __all__ = [
     "collection_vector",
     "expected_counts",
     "expected_difference",
+    "expected_signals",
     "sample_signals",
     "drift_schedule",
 ]
@@ -53,6 +58,7 @@ STATES = ("-", "0", "+")
 STATE_INDEX = {"-": 0, "0": 1, "+": 2}
 
 _DRIFTABLE = ("f0", "contrast_C", "alpha", "eta_plus", "eta_minus", "background")
+_STACKED_FIELDS = ("f0", "contrast_C", "alpha", "eta_plus", "eta_minus", "repetitions_R")
 
 
 @dataclass(frozen=True)
@@ -100,35 +106,45 @@ class SignalParams:
 
 
 def pulse_matrix(label, params):
-    """Population transfer matrix of pi pulse `label` ('0' means no pulse)."""
+    """Population transfer matrix of pi pulse `label` ('0' means no pulse).
+
+    Array-valued pulse errors give one matrix per element, stacked C-ordered.
+    """
     if label == "0":
         return np.eye(3)
-    if label == "+":
-        e = params.eta_plus
-        return np.array([[1.0, 0.0, 0.0], [0.0, e, 1.0 - e], [0.0, 1.0 - e, e]])
-    if label == "-":
-        e = params.eta_minus
-        return np.array([[e, 1.0 - e, 0.0], [1.0 - e, e, 0.0], [0.0, 0.0, 1.0]])
-    raise ValueError(f"unknown state label {label!r}")
+    if label not in _PERFECT_FLIPS:
+        raise ValueError(f"unknown state label {label!r}")
+    flip = _PERFECT_FLIPS[label]
+    e = np.asarray(params.eta_plus if label == "+" else params.eta_minus)[..., None, None]
+    # Entries e and 1 - e exactly: 0 + e * 1 and 1 + e * (-1).
+    return flip + e * (np.eye(3) - flip)
+
+
+_PERFECT_FLIPS = {"+": np.eye(3)[[0, 2, 1]], "-": np.eye(3)[[1, 0, 2]]}
 
 
 def prep_vector(params):
     """Populations after optical pumping: alpha in |0>, remainder split evenly."""
     half = (1.0 - params.alpha) / 2.0
-    return np.array([half, params.alpha, half])
+    return np.stack([half, params.alpha, half], axis=-1)
 
 
 def collection_vector(params):
     """Expected photons per readout conditioned on the pre-readout state."""
     dim = params.f0 * (1.0 - params.contrast_C)
-    return np.array([dim, params.f0, dim])
+    return np.stack([dim, params.f0, dim], axis=-1)
 
 
 @dataclass(frozen=True)
 class SignalSample:
-    """One recorded signal: a photon sum over R repetitions and its mean."""
+    """One recorded signal: a photon sum over R repetitions and its mean.
 
-    counts: int
+    `counts` is an int when drawn by sample_signals, and a float where it is
+    an expectation (noiseless runs) or a sum accumulated in floats (the
+    fixed-sweep aggregates).
+    """
+
+    counts: int | float
     expectation: float
     tau: float
     prep: str
@@ -256,20 +272,22 @@ def expected_difference(measurement, tau, rates, params):
     return first - second
 
 
-def drift_schedule(params, t, drifts):
+def drift_schedule(params, t, drifts, **fixed):
     """Instantaneous SignalParams at wall-clock time t (seconds).
 
     `drifts` maps field names (f0, contrast_C, alpha, eta_plus, eta_minus,
     background) to callables of t returning the drifted value; missing fields
-    stay constant.  Values violating the parameter invariants raise, same as
-    direct construction.
+    stay constant.  `fixed` sets further fields (such as a block's
+    repetitions_R) in the same replace.  Values violating the parameter
+    invariants raise, same as direct construction.
     """
-    if not drifts:
+    drifts = drifts or {}
+    if not drifts and not fixed:
         return params
     unknown = set(drifts) - set(_DRIFTABLE)
     if unknown:
         raise ValueError(f"cannot drift unknown fields: {sorted(unknown)}")
-    return replace(params, **{name: fn(t) for name, fn in drifts.items()})
+    return replace(params, **fixed, **{name: fn(t) for name, fn in drifts.items()})
 
 
 @dataclass(frozen=True)
@@ -284,15 +302,42 @@ class FourSignals:
     def as_tuple(self):
         return (self.first_tau, self.second_tau, self.first_zero, self.second_zero)
 
+    @classmethod
+    def of(cls, measurement, tau, counts, expectations):
+        """Assemble from per-signal values given in field order."""
+        preps, reads = zip(*(measurement.first, measurement.second) * 2)
+        return cls(*map(SignalSample, counts, expectations, (tau, tau, 0.0, 0.0), preps, reads))
 
-def _signal_means(measurement, tau, rates, params):
-    (p1, r1), (p2, r2) = measurement.first, measurement.second
-    return (
-        expected_counts(p1, r1, tau, rates, params),
-        expected_counts(p2, r2, tau, rates, params),
-        expected_counts(p1, r1, 0.0, rates, params),
-        expected_counts(p2, r2, 0.0, rates, params),
+
+def expected_signals(measurement, tau, rates, blocks):
+    """Expected photon sums of a measurement's four signals, one row per block.
+
+    `blocks` is a sequence of SignalParams, each with its own repetitions_R.
+    Returns shape (len(blocks), 4), columns in FourSignals order: first and
+    second signal at tau, then at tau = 0.  The propagator is evaluated once
+    per delay; the blocks' prep/collection vectors and pulse matrices are
+    stacked and combined with batched matmul, which reproduces each scalar
+    expected_counts call bit for bit.
+    """
+    # Per-block arrays of the numeric fields; the pulse, prep and collection
+    # builders take them in place of a SignalParams and return stacks.
+    stacked = SimpleNamespace(
+        **{name: np.array([getattr(p, name) for p in blocks]) for name in _STACKED_FIELDS}
     )
+    pumped = prep_vector(stacked)[:, :, None]
+    yields = collection_vector(stacked)[:, None, :]
+    chains = [
+        ((pulse_matrix(prep, stacked) @ pumped)[:, :, 0], yields @ pulse_matrix(read, stacked))
+        for prep, read in (measurement.first, measurement.second)
+    ]
+    columns = []
+    for t in (tau, 0.0):
+        entries = propagator(t, rates).entries
+        background = np.array([p.background_at(t) for p in blocks], dtype=float)
+        for start, finish in chains:
+            bare = finish @ np.einsum("ij,bj->bi", entries, start)[:, :, None]
+            columns.append(stacked.repetitions_R * (bare[:, 0, 0] + background))
+    return np.stack(columns, axis=-1)
 
 
 def sample_signals(
@@ -313,36 +358,31 @@ def sample_signals(
     `block_reps` repetitions, spread evenly over [t_start, t_start +
     duration_s]; all four signals within a block share the same instantaneous
     parameters, which is the interleaving that cancels slow drift.
-    """
-    total_r = params.repetitions_R
-    if drifts is None:
-        means = _signal_means(measurement, tau, rates, params)
-        if any(mean < 0.0 for mean in means):
-            raise ValueError("negative expected counts (check the background function)")
-        counts = [int(rng.poisson(mean)) for mean in means]
-        expectations = list(means)
-    else:
-        n_blocks = math.ceil(total_r / block_reps)
-        counts = [0, 0, 0, 0]
-        expectations = [0.0, 0.0, 0.0, 0.0]
-        done = 0
-        for b in range(n_blocks):
-            reps = min(block_reps, total_r - done)
-            done += reps
-            t_block = t_start + (b + 0.5) / n_blocks * duration_s
-            params_b = replace(drift_schedule(params, t_block, drifts), repetitions_R=reps)
-            means = _signal_means(measurement, tau, rates, params_b)
-            for k, mean in enumerate(means):
-                if mean < 0.0:
-                    raise ValueError("negative expected counts under drift")
-                counts[k] += int(rng.poisson(mean))
-                expectations[k] += mean
 
-    (p1, r1), (p2, r2) = measurement.first, measurement.second
-    labels = [(p1, r1), (p2, r2), (p1, r1), (p2, r2)]
-    taus = [tau, tau, 0.0, 0.0]
-    samples = [
-        SignalSample(counts=c, expectation=float(e), tau=t, prep=lab[0], read=lab[1])
-        for c, e, t, lab in zip(counts, expectations, taus, labels)
-    ]
-    return FourSignals(*samples)
+    Each block's drifted SignalParams is validated; `expected_signals` then
+    evaluates all blocks at once, and one Poisson draw over the (blocks, 4)
+    means consumes the generator in block-major order.  Static parameters
+    are the one-block case.
+    """
+    if drifts is None:
+        times, blocks = [None], [params]
+    else:
+        total_r = params.repetitions_R
+        n_blocks = math.ceil(total_r / block_reps)
+        times = [t_start + (b + 0.5) / n_blocks * duration_s for b in range(n_blocks)]
+        reps = [min(block_reps, total_r - b * block_reps) for b in range(n_blocks)]
+        blocks = [drift_schedule(params, t, drifts, repetitions_R=r) for t, r in zip(times, reps)]
+    means = expected_signals(measurement, tau, rates, blocks)
+    negative = np.argwhere(means < 0.0)
+    if negative.size:
+        b, k = negative[0]
+        prep, read = (measurement.first, measurement.second)[k % 2]
+        when = "" if times[b] is None else f" in the block at t = {times[b]:.6g} s"
+        raise ValueError(
+            f"negative expected counts for signal ({prep}, {read}) at tau = "
+            f"{tau if k < 2 else 0.0} ms{when} (check the background function)"
+        )
+    counts = rng.poisson(means).sum(axis=0)
+    # cumsum adds the blocks in order, as a running per-block total would.
+    expectations = np.cumsum(means, axis=0)[-1]
+    return FourSignals.of(measurement, tau, counts.tolist(), expectations.tolist())

@@ -3,13 +3,23 @@
 Everything here is deliberately written the slow, obvious way (dense matrix
 exponentials, literal matrix chains, central finite differences) so that the
 package's closed-form fast paths are checked against code that shares none
-of their algebra.
+of their algebra.  `jacobian_sigma` and `expected_measurement` are the
+matrix-route covariance and the four-count shot-noise prediction that the
+closed-form design sigma is checked against.  `looped_sample_signals` is
+the blocked Poisson sampler as first written, one block at a time, kept so
+that the stacked sampler can be required to reproduce it bit for bit.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 from scipy.linalg import expm
 
+from spinrelax.design import ROBUST_CURVES, UninformativeDesign, _jacobian
+from spinrelax.estimator import sigma_m_from_expectations
 from spinrelax.rates import model_m
+from spinrelax.signals import FourSignals, SignalSample, drift_schedule, expected_counts
 
 # Basis order (-, 0, +) -> indices (0, 1, 2).
 
@@ -83,3 +93,90 @@ def brute_expected_counts(
         ),
     )
     return repetitions * (chain + background)
+
+
+def jacobian_sigma(delays, rates, sigma_m, curves=ROBUST_CURVES):
+    """Design covariance of the rates via the matrix route J^-1 diag(s^2) J^-T.
+
+    An independent algebraic path; tests pin its agreement with
+    design.gaussian_sigma to 1e-12.
+    """
+    jac = _jacobian(delays, rates, curves)
+    det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
+    if det == 0.0 or not np.isfinite(det):
+        raise UninformativeDesign("singular Jacobian")
+    inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
+    cov = inv @ np.diag([sigma_m[0] ** 2, sigma_m[1] ** 2]) @ inv.T
+    return cov
+
+
+def expected_measurement(measurement, tau, rates, params):
+    """(m, sigma_m) for a measurement at the given delays, noise-free.
+
+    Evaluates the four expected signals and propagates shot noise through
+    the ratio; vectorized over tau.
+    """
+    meas = measurement.oriented(params)
+    args = (rates, params)
+    e1t = expected_counts(meas.first[0], meas.first[1], tau, *args)
+    e2t = expected_counts(meas.second[0], meas.second[1], tau, *args)
+    e10 = expected_counts(meas.first[0], meas.first[1], 0.0, *args)
+    e20 = expected_counts(meas.second[0], meas.second[1], 0.0, *args)
+    return sigma_m_from_expectations(e1t, e2t, e10, e20)
+
+
+def _signal_means(measurement, tau, rates, params):
+    (p1, r1), (p2, r2) = measurement.first, measurement.second
+    return (
+        expected_counts(p1, r1, tau, rates, params),
+        expected_counts(p2, r2, tau, rates, params),
+        expected_counts(p1, r1, 0.0, rates, params),
+        expected_counts(p2, r2, 0.0, rates, params),
+    )
+
+
+def looped_sample_signals(
+    measurement,
+    tau,
+    rates,
+    params,
+    rng,
+    drifts=None,
+    t_start=0.0,
+    duration_s=0.0,
+    block_reps=1000,
+):
+    """Block-by-block sampler: four scalar expected_counts calls and four
+    scalar Poisson draws per block, in block-major order."""
+    total_r = params.repetitions_R
+    if drifts is None:
+        means = _signal_means(measurement, tau, rates, params)
+        if any(mean < 0.0 for mean in means):
+            raise ValueError("negative expected counts (check the background function)")
+        counts = [int(rng.poisson(mean)) for mean in means]
+        expectations = list(means)
+    else:
+        n_blocks = math.ceil(total_r / block_reps)
+        counts = [0, 0, 0, 0]
+        expectations = [0.0, 0.0, 0.0, 0.0]
+        done = 0
+        for b in range(n_blocks):
+            reps = min(block_reps, total_r - done)
+            done += reps
+            t_block = t_start + (b + 0.5) / n_blocks * duration_s
+            params_b = replace(drift_schedule(params, t_block, drifts), repetitions_R=reps)
+            means = _signal_means(measurement, tau, rates, params_b)
+            for k, mean in enumerate(means):
+                if mean < 0.0:
+                    raise ValueError("negative expected counts under drift")
+                counts[k] += int(rng.poisson(mean))
+                expectations[k] += mean
+
+    (p1, r1), (p2, r2) = measurement.first, measurement.second
+    labels = [(p1, r1), (p2, r2), (p1, r1), (p2, r2)]
+    taus = [tau, tau, 0.0, 0.0]
+    samples = [
+        SignalSample(counts=c, expectation=float(e), tau=t, prep=lab[0], read=lab[1])
+        for c, e, t, lab in zip(counts, expectations, taus, labels)
+    ]
+    return FourSignals(*samples)

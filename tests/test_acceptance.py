@@ -29,10 +29,9 @@ from spinrelax.design import (
     approx_cost_surface,
     cost_surface,
     gaussian_sigma,
-    jacobian_sigma,
     nob_select_delays,
 )
-from spinrelax.estimator import bias_study, expected_measurement
+from spinrelax.estimator import bias_study
 from spinrelax.experiments import (
     ExperimentConfig,
     replicate_seeds,
@@ -50,7 +49,7 @@ from spinrelax.signals import (
     expected_difference,
 )
 
-from oracles import expm_propagator, fd_model_gradient
+from oracles import expected_measurement, expm_propagator, fd_model_gradient, jacobian_sigma
 
 TRUTH = RatePair(1.0, 3.0)
 

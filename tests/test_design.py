@@ -14,11 +14,10 @@ from spinrelax.design import (
     cost,
     cost_surface,
     gaussian_sigma,
-    jacobian_sigma,
     nob_select_delays,
     pf_select_delays,
 )
-from spinrelax.estimator import expected_measurement
+from oracles import expected_measurement, jacobian_sigma
 from spinrelax.posterior import MeasurementPair, PosteriorGrid, bayes_update, moments
 from spinrelax.rates import RatePair, model_m
 from spinrelax.signals import ROBUST_PROTOCOL, SignalParams

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from oracles import brute_expected_counts
+from oracles import brute_expected_counts, looped_sample_signals
+from spinrelax.design import DelayGrid
 from spinrelax.rates import RatePair, model_m, model_m_optimal
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
@@ -283,6 +284,87 @@ class TestSampling:
                 drifts={"alpha": lambda t: 0.2},
                 duration_s=1.0,
             )
+
+
+# Every drift stays inside the parameter domain over t in [1, 6] s.
+SAMPLER_DRIFTS = {
+    "static": None,
+    "empty": {},
+    "alpha": {"alpha": lambda t: 0.8 - 0.02 * t},
+    "f0": {"f0": lambda t: 0.02 * (1.0 + 0.5 * t)},
+    "eta": {"eta_plus": lambda t: 0.05 + 0.01 * t, "eta_minus": lambda t: 0.1 - 0.01 * t},
+    "background": {"background": lambda t: 0.01 * t},
+    "callable-background": {"background": lambda t: (lambda tau: 0.001 * t + 0.002 * tau)},
+}
+
+
+class TestStackedSampler:
+    """sample_signals against the block-by-block loop: identical counts,
+    expectations and generator state, not merely close."""
+
+    @staticmethod
+    def assert_same_as_loop(measurement, tau, params, seed=11, **kwargs):
+        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+        rates = RatePair(1.0, 3.0)
+        got = sample_signals(measurement, tau, rates, params, rng_new, **kwargs)
+        want = looped_sample_signals(measurement, tau, rates, params, rng_old, **kwargs)
+        assert got == want
+        for sample in got.as_tuple():
+            assert type(sample.counts) is int and type(sample.expectation) is float
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @pytest.mark.parametrize("block_reps", [1000, 997, 10**5])
+    @pytest.mark.parametrize("drift", sorted(SAMPLER_DRIFTS))
+    def test_matches_block_loop(self, drift, block_reps):
+        taus = DelayGrid.default().taus
+        params_list = (
+            SignalParams(repetitions_R=20000),
+            SignalParams(background=lambda tau: 0.002 + 0.001 * tau, repetitions_R=19997),
+        )
+        for protocol in (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL):
+            for meas in (protocol.plus, protocol.minus):
+                for oriented in (meas, Measurement(meas.second, meas.first)):
+                    for params in params_list:
+                        for tau in (float(taus[0]), float(taus[-1])):
+                            self.assert_same_as_loop(
+                                oriented,
+                                tau,
+                                params,
+                                drifts=SAMPLER_DRIFTS[drift],
+                                t_start=1.0,
+                                duration_s=5.0,
+                                block_reps=block_reps,
+                            )
+
+    def test_matches_block_loop_at_full_size(self):
+        # 1000 blocks at the default R, as in a drifting adaptive run.
+        meas = ROBUST_PROTOCOL.plus.oriented(FIG_PARAMS)
+        self.assert_same_as_loop(
+            meas, 0.4, FIG_PARAMS, drifts=SAMPLER_DRIFTS["alpha"], t_start=1.0, duration_s=5.0
+        )
+        self.assert_same_as_loop(meas, 0.4, FIG_PARAMS)
+
+    def test_negative_background_names_signal_delay_and_block(self):
+        meas = ROBUST_PROTOCOL.plus
+        # Negative at tau > 0 from the third of four blocks on (t = 11, 13, 15, 17 s).
+        drifts = {"background": lambda t: (lambda tau: -1.0 if t > 14 and tau > 0 else 0.0)}
+        params = SignalParams(repetitions_R=4000)
+        with pytest.raises(
+            ValueError, match=r"signal \(\+, 0\) at tau = 0\.4 ms in the block at t = 15 s"
+        ):
+            sample_signals(
+                meas,
+                0.4,
+                RatePair(1.0, 3.0),
+                params,
+                np.random.default_rng(1),
+                drifts=drifts,
+                t_start=10.0,
+                duration_s=8.0,
+            )
+        static = SignalParams(background=lambda tau: -1.0)
+        with pytest.raises(ValueError, match=r"signal \(\+, 0\) at tau = 0\.4 ms \(check"):
+            sample_signals(meas, 0.4, RatePair(1.0, 3.0), static, np.random.default_rng(1))
 
 
 class TestDriftSchedule:
