@@ -88,31 +88,19 @@ class RunManifest:
 # config assembly
 
 
-def _signal_param_defaults(params):
-    return {
-        "f0": params.f0,
-        "contrast_C": params.contrast_C,
-        "alpha": params.alpha,
-        "eta_plus": params.eta_plus,
-        "eta_minus": params.eta_minus,
-        "background": params.background,
-        "repetitions_R": params.repetitions_R,
-    }
+# ExperimentConfig fields exposed, with their defaults, in the run section.
+_RUN_FIELDS = (
+    "optimizer", "iterations", "seed", "noiseless", "particle_count", "selector_overhead_s"
+)
 
 
 def _simulate_skeleton():
+    fields = dataclasses.fields(ExperimentConfig)
+    run = {f.name: f.default for f in fields if f.name in _RUN_FIELDS}
     return {
         "rates": {"gamma_plus_per_ms": None, "gamma_minus_per_ms": None},
-        "run": {
-            "optimizer": "nob",
-            "iterations": 30,
-            "replicates": 1,
-            "seed": 0,
-            "noiseless": False,
-            "particle_count": 20000,
-            "selector_overhead_s": 0.0,
-        },
-        "params": _signal_param_defaults(SignalParams()),
+        "run": {**run, "replicates": 1},
+        "params": dataclasses.asdict(SignalParams()),
         "timing": {"overhead_T0_s": 0.0, "per_shot_s": 0.0},
         "prior": {
             "lo_per_ms": DEFAULT_BOUNDS[0],
@@ -126,7 +114,7 @@ def _simulate_skeleton():
 def _ranking_skeleton():
     return {
         "rates": {"gamma_plus_per_ms": 1.0, "gamma_minus_per_ms": 3.0},
-        "params": _signal_param_defaults(IDEAL_RANKING_PARAMS),
+        "params": dataclasses.asdict(IDEAL_RANKING_PARAMS),
         "ranking": {"ratio_lo": None, "ratio_hi": None, "ratio_points": None},
     }
 
@@ -134,7 +122,7 @@ def _ranking_skeleton():
 def _bias_skeleton():
     return {
         "rates": {"gamma_plus_per_ms": 1.0, "gamma_minus_per_ms": 3.0},
-        "params": _signal_param_defaults(SignalParams()),
+        "params": dataclasses.asdict(SignalParams()),
         "bias": {
             "tau_ms": 0.4,
             "r_values": [10**3, 10**4, 10**5, 10**6, 10**7],
@@ -146,7 +134,7 @@ def _bias_skeleton():
 
 def _speedup_skeleton():
     return {
-        "params": _signal_param_defaults(SignalParams(repetitions_R=10**5)),
+        "params": dataclasses.asdict(SignalParams(repetitions_R=10**5)),
         "speedup": {
             "rate_lo_per_ms": 0.05,
             "rate_hi_per_ms": 100.0,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .signals import ROBUST_PROTOCOL, expected_difference, expected_signals
+from .signals import ROBUST_PROTOCOL, expected_signals
 
 __all__ = [
     "EstimationError",
@@ -218,9 +218,9 @@ def bias_study(
         params_r = replace(params, repetitions_R=r)
         meas = measurement.oriented(params_r)
         mean_1t, mean_2t, mean_10, mean_20 = expected_signals(meas, tau, rates, [params_r])[0]
-        delta_true = float(expected_difference(meas, 0.0, rates, params_r))
+        delta_true = float(mean_10 - mean_20)
         z_true = 1.0 / delta_true
-        m_true = float(expected_difference(meas, tau, rates, params_r)) / delta_true
+        m_true = float(mean_1t - mean_2t) / delta_true
 
         s1t = rng.poisson(mean_1t, size=replicates)
         s2t = rng.poisson(mean_2t, size=replicates)

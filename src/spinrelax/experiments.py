@@ -24,7 +24,6 @@ from .design import (
     DelayGrid,
     DelayPair,
     ParticleCloud,
-    ROBUST_CURVES,
     TimingModel,
     nob_select_delays,
     pf_select_delays,
@@ -248,19 +247,6 @@ class RunRecord:
         }
 
 
-def _branch_model(protocol):
-    """Likelihood model callable for the protocol; None = closed robust form."""
-    if protocol == ROBUST_PROTOCOL:
-        return None
-    return measurement_curves(protocol).value
-
-
-def _selection_curves(protocol):
-    if protocol == ROBUST_PROTOCOL:
-        return ROBUST_CURVES
-    return measurement_curves(protocol)
-
-
 def _expectation_signals(measurement, tau, rates, params):
     """Noiseless stand-in for sample_signals: counts equal expectations."""
     means = expected_signals(measurement, tau, rates, [params])[0].tolist()
@@ -330,8 +316,7 @@ def run_adaptive(config):
     rng = np.random.default_rng(config.seed)
     timing = config.resolved_timing()
     grid_spec = config.resolved_delay_grid()
-    curves = _selection_curves(config.protocol)
-    model = _branch_model(config.protocol)
+    curves = measurement_curves(config.protocol)
     posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
     plus = config.protocol.plus.oriented(config.params)
     minus = config.protocol.minus.oriented(config.params)
@@ -361,7 +346,7 @@ def run_adaptive(config):
         flagged = False
         try:
             pair = _estimate_pair(four_plus, four_minus, delays)
-            posterior = regrid(bayes_update(posterior, pair, model=model), config.grid_size)
+            posterior = regrid(bayes_update(posterior, pair, model=curves.value), config.grid_size)
         except (EstimationError, UpdateRejected):
             flagged = True
             flagged_count += 1
@@ -442,7 +427,7 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
         raise ValueError("run_nap needs optimizer 'nap'")
     rng = np.random.default_rng(config.seed)
     timing = config.resolved_timing()
-    model = _branch_model(config.protocol)
+    curves = measurement_curves(config.protocol)
     plus = config.protocol.plus.oriented(config.params)
     minus = config.protocol.minus.oriented(config.params)
     pairs = config.nap_delay_pairs()
@@ -503,7 +488,7 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
                     agg_minus.four_signals(),
                     DelayPair(tau_plus=agg_plus.tau, tau_minus=agg_minus.tau),
                 )
-                rebuilt = regrid(bayes_update(rebuilt, pair, model=model), config.grid_size)
+                rebuilt = regrid(bayes_update(rebuilt, pair, model=curves.value), config.grid_size)
             except (EstimationError, UpdateRejected):
                 flagged_count += 1
         posterior = rebuilt

@@ -29,6 +29,13 @@ P_aa - P_cd = 1 - P_m0 - P_mp - P_0p independently of which level is
 bright.  Those three classes stay separate (their pulse sequences
 differ); the census reports the collapse instead of merging them.
 
+Two classes have a closed form: the bright |0> signal against the transfer
+signal of one branch, keys ("0", ("+", "0")) and ("0", ("-", "0")),
+normalize to rates.model_m of that branch whatever the contrast, pumping
+and pulse errors.  measurement_curves serves a slot of either class from
+model_m / model_gradient and every other slot from its propagator entries,
+so the robust protocol needs no special case anywhere.
+
 Ranking evaluates, for every independent protocol, the shot-noise
 uncertainty of M from expected photon counts, minimizes the
 time-normalized sensitivity cost over a delay grid, and reports each
@@ -45,14 +52,14 @@ import numpy as np
 
 from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, cost_surface
 from .estimator import sigma_m_from_expectations
-from .rates import propagator_entries
+from .rates import model_gradient, model_m, propagator_entries
 from .signals import (
     STATE_INDEX,
     STATES,
     Measurement,
     ProtocolSpec,
     SignalParams,
-    expected_counts,
+    expected_signals,
 )
 
 __all__ = [
@@ -127,18 +134,37 @@ def _model_gradient(measurement, tau, rates):
     return d_plus, d_minus
 
 
+# Measurement classes whose normalized model is rates.model_m of a branch:
+# the bright |0> signal against the transfer signal of that branch.
+_CLOSED_FORM_CLASSES = {("0", ("+", "0")): "+", ("0", ("-", "0")): "-"}
+
+
+def _slot_curves(measurement):
+    """(value, gradient) callables of (tau, rates) for one measurement."""
+    branch = _CLOSED_FORM_CLASSES.get(_measurement_class_key(measurement))
+    if branch is not None:
+        return (
+            lambda tau, rates: model_m(tau, rates, branch),
+            lambda tau, rates: model_gradient(tau, rates, branch),
+        )
+    return (
+        lambda tau, rates: measurement_model_value(measurement, tau, rates),
+        lambda tau, rates: _model_gradient(measurement, tau, rates),
+    )
+
+
 def measurement_curves(protocol):
-    """BranchCurves adapter: slot "+" is the first measurement of the pair."""
+    """BranchCurves adapter: slot "+" is the first measurement of the pair.
 
-    def value(tau, rates, branch):
-        meas = protocol.plus if branch == "+" else protocol.minus
-        return measurement_model_value(meas, tau, rates)
-
-    def gradient(tau, rates, branch):
-        meas = protocol.plus if branch == "+" else protocol.minus
-        return _model_gradient(meas, tau, rates)
-
-    return BranchCurves(value=value, gradient=gradient)
+    A slot whose measurement class is in _CLOSED_FORM_CLASSES uses the
+    closed form model_m / model_gradient of that class's branch; any other
+    slot uses the propagator-entry difference and its complex-step gradient.
+    """
+    slots = {"+": _slot_curves(protocol.plus), "-": _slot_curves(protocol.minus)}
+    return BranchCurves(
+        value=lambda tau, rates, branch: slots[branch][0](tau, rates),
+        gradient=lambda tau, rates, branch: slots[branch][1](tau, rates),
+    )
 
 
 def enumerate_measurements():
@@ -257,16 +283,17 @@ def enumerate_protocols():
     return protocols
 
 
+def _bright_first_expectations(measurement, tau, rates, params):
+    """Expected (bright at tau, dark at tau, bright at 0, dark at 0) counts."""
+    bright, dark = _oriented_signals(measurement)
+    counts = expected_signals(Measurement(bright, dark), tau, rates, [params])
+    return np.moveaxis(counts[..., 0, :], -1, 0)
+
+
 def _normalized_expectation(measurement, tau, rates, params):
     """Normalized measurement from full expected counts (any parameters)."""
-    bright, dark = _oriented_signals(measurement)
-    num = expected_counts(bright[0], bright[1], tau, rates, params) - expected_counts(
-        dark[0], dark[1], tau, rates, params
-    )
-    den = expected_counts(bright[0], bright[1], 0.0, rates, params) - expected_counts(
-        dark[0], dark[1], 0.0, rates, params
-    )
-    return num / den
+    e1t, e2t, e10, e20 = _bright_first_expectations(measurement, tau, rates, params)
+    return (e1t - e2t) / (e10 - e20)
 
 
 def _eta_insensitive(measurement):
@@ -374,14 +401,9 @@ OPTIMAL_LABEL = "(+0,++),(-0,--)"
 
 
 def _sigma_callable(measurement, rates, params):
-    bright, dark = _oriented_signals(measurement)
-
     def sigma(taus):
-        e1t = expected_counts(bright[0], bright[1], taus, rates, params)
-        e2t = expected_counts(dark[0], dark[1], taus, rates, params)
-        e10 = expected_counts(bright[0], bright[1], 0.0, rates, params)
-        e20 = expected_counts(dark[0], dark[1], 0.0, rates, params)
-        _, s = sigma_m_from_expectations(e1t, e2t, e10, e20)
+        expectations = _bright_first_expectations(measurement, taus, rates, params)
+        _, s = sigma_m_from_expectations(*expectations)
         return s
 
     return sigma

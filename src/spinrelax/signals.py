@@ -18,9 +18,11 @@ parameters all repetitions collapse into a single draw (sums of independent
 Poissons are Poisson); under a drift schedule the four signals are drawn
 interleaved in blocks of repetitions, mirroring how the pulse sequencer
 interleaves them in hardware, which is what makes slow drift cancel.  All
-blocks are evaluated together: the propagator once per delay (tau and 0),
-the four expected counts of every block in one stacked computation, and the
-counts in one Poisson draw over the (blocks, 4) means.
+blocks are evaluated together: the propagator once per delay, the four
+expected counts of every block in one stacked computation, and the counts
+in one Poisson draw over the (blocks, 4) means.  `expected_signals` is the
+one place that builds a measurement's four expected counts; it also takes
+delay arrays, for the protocol ranking and census.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .rates import RatePair, model_m, propagator
+from .rates import RatePair, propagator
 
 __all__ = [
     "STATES",
@@ -47,7 +49,6 @@ __all__ = [
     "prep_vector",
     "collection_vector",
     "expected_counts",
-    "expected_difference",
     "expected_signals",
     "sample_signals",
     "drift_schedule",
@@ -190,8 +191,7 @@ class Measurement:
     def oriented(self, params):
         """Order the pair so the expected tau = 0 difference is positive."""
         anchor = RatePair(1.0, 1.0)  # tau = 0 expectations do not involve rates
-        first = expected_counts(self.first[0], self.first[1], 0.0, anchor, params)
-        second = expected_counts(self.second[0], self.second[1], 0.0, anchor, params)
+        first, second = expected_signals(self, 0.0, anchor, [params])[0, 2:]
         if first >= second:
             return self
         return Measurement(self.second, self.first)
@@ -226,14 +226,6 @@ OPTIMAL_PROTOCOL = ProtocolSpec(
     minus=Measurement(("-", "0"), ("-", "-")),
 )
 
-_ROBUST_MEASUREMENTS = {
-    frozenset({("+", "0"), ("0", "0")}): "+",
-    frozenset({("0", "+"), ("0", "0")}): "+",
-    frozenset({("-", "0"), ("0", "0")}): "-",
-    frozenset({("0", "-"), ("0", "0")}): "-",
-}
-
-
 def expected_counts(prep, read, tau, rates, params):
     """Expected photon sum of signal S_{prep,read}(tau); vectorized over tau."""
     entries = propagator(tau, rates).entries
@@ -241,35 +233,6 @@ def expected_counts(prep, read, tau, rates, params):
     finish = collection_vector(params) @ pulse_matrix(read, params)
     bare = np.einsum("...ij,j->...i", entries, start) @ finish
     return params.repetitions_R * (bare + params.background_at(tau))
-
-
-def expected_difference(measurement, tau, rates, params):
-    """Expected (first - second) signal difference; backgrounds cancel.
-
-    For the drift-insensitive pairs this takes the closed form
-    R * C * f0 * (3 alpha - 1)/2 * (1 - eta_b) * model_m(tau); the generic
-    two-evaluation path is used for everything else, and the two agree.
-    """
-    branch = _ROBUST_MEASUREMENTS.get(frozenset({measurement.first, measurement.second}))
-    if branch is not None:
-        eta = params.eta_plus if branch == "+" else params.eta_minus
-        scale = (
-            params.repetitions_R
-            * params.contrast_C
-            * params.f0
-            * (3.0 * params.alpha - 1.0)
-            / 2.0
-            * (1.0 - eta)
-        )
-        value = scale * model_m(tau, rates, branch)
-        # The closed form is for (self-reverting minus transfer); flip if the
-        # caller stored the pair the other way around.
-        if measurement.first[0] != measurement.first[1]:
-            value = -value
-        return value
-    first = expected_counts(measurement.first[0], measurement.first[1], tau, rates, params)
-    second = expected_counts(measurement.second[0], measurement.second[1], tau, rates, params)
-    return first - second
 
 
 def drift_schedule(params, t, drifts, **fixed):
@@ -310,14 +273,17 @@ class FourSignals:
 
 
 def expected_signals(measurement, tau, rates, blocks):
-    """Expected photon sums of a measurement's four signals, one row per block.
+    """Expected photon sums of a measurement's four signals, per delay and block.
 
-    `blocks` is a sequence of SignalParams, each with its own repetitions_R.
-    Returns shape (len(blocks), 4), columns in FourSignals order: first and
-    second signal at tau, then at tau = 0.  The propagator is evaluated once
-    per delay; the blocks' prep/collection vectors and pulse matrices are
-    stacked and combined with batched matmul, which reproduces each scalar
-    expected_counts call bit for bit.
+    `tau` is a delay or an array of delays (ms); `blocks` is a sequence of
+    SignalParams, each with its own repetitions_R.  Returns shape
+    tau.shape + (len(blocks), 4), so a scalar delay gives (blocks, 4);
+    columns in FourSignals order: first and second signal at tau, then at
+    tau = 0, whose values broadcast along the delay axes.  Over a delay
+    array, the blocks' backgrounds must be all constants or all callables.
+    The propagator is evaluated once per delay; the blocks' prep/collection
+    vectors and pulse matrices are stacked and combined with batched matmul,
+    which reproduces each scalar expected_counts call bit for bit.
     """
     # Per-block arrays of the numeric fields; the pulse, prep and collection
     # builders take them in place of a SignalParams and return stacks.
@@ -331,13 +297,15 @@ def expected_signals(measurement, tau, rates, blocks):
         for prep, read in (measurement.first, measurement.second)
     ]
     columns = []
-    for t in (tau, 0.0):
-        entries = propagator(t, rates).entries
+    # exp(K * 0) is the identity exactly, as propagator() pins it.
+    for t, entries in ((tau, propagator(tau, rates).entries), (0.0, np.eye(3))):
+        # One row per block, moved to the last axis beside the delay axes.
         background = np.array([p.background_at(t) for p in blocks], dtype=float)
+        background = np.moveaxis(background, 0, -1)
         for start, finish in chains:
-            bare = finish @ np.einsum("ij,bj->bi", entries, start)[:, :, None]
-            columns.append(stacked.repetitions_R * (bare[:, 0, 0] + background))
-    return np.stack(columns, axis=-1)
+            bare = finish @ np.einsum("...ij,bj->...bi", entries, start)[..., None]
+            columns.append(stacked.repetitions_R * (bare[..., 0, 0] + background))
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
 def sample_signals(

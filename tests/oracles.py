@@ -5,9 +5,13 @@ exponentials, literal matrix chains, central finite differences) so that the
 package's closed-form fast paths are checked against code that shares none
 of their algebra.  `jacobian_sigma` and `expected_measurement` are the
 matrix-route covariance and the four-count shot-noise prediction that the
-closed-form design sigma is checked against.  `looped_sample_signals` is
-the blocked Poisson sampler as first written, one block at a time, kept so
-that the stacked sampler can be required to reproduce it bit for bit.
+closed-form design sigma is checked against.  `expected_difference` holds
+the drift-insensitive pair's closed-form signal difference,
+R C f0 (3 alpha - 1)/2 (1 - eta) model_m, that the package's generic
+four-count path (`signals.expected_signals`) is compared against.
+`looped_sample_signals` is the blocked Poisson sampler as first written,
+one block at a time, kept so that the stacked sampler can be required to
+reproduce it bit for bit.
 """
 
 import math
@@ -123,6 +127,43 @@ def expected_measurement(measurement, tau, rates, params):
     e10 = expected_counts(meas.first[0], meas.first[1], 0.0, *args)
     e20 = expected_counts(meas.second[0], meas.second[1], 0.0, *args)
     return sigma_m_from_expectations(e1t, e2t, e10, e20)
+
+
+_ROBUST_MEASUREMENTS = {
+    frozenset({("+", "0"), ("0", "0")}): "+",
+    frozenset({("0", "+"), ("0", "0")}): "+",
+    frozenset({("-", "0"), ("0", "0")}): "-",
+    frozenset({("0", "-"), ("0", "0")}): "-",
+}
+
+
+def expected_difference(measurement, tau, rates, params):
+    """Expected (first - second) signal difference; backgrounds cancel.
+
+    For the drift-insensitive pairs this takes the closed form
+    R * C * f0 * (3 alpha - 1)/2 * (1 - eta_b) * model_m(tau); every other
+    pair is the difference of two expected_counts evaluations.
+    """
+    branch = _ROBUST_MEASUREMENTS.get(frozenset({measurement.first, measurement.second}))
+    if branch is not None:
+        eta = params.eta_plus if branch == "+" else params.eta_minus
+        scale = (
+            params.repetitions_R
+            * params.contrast_C
+            * params.f0
+            * (3.0 * params.alpha - 1.0)
+            / 2.0
+            * (1.0 - eta)
+        )
+        value = scale * model_m(tau, rates, branch)
+        # The closed form is for (self-reverting minus transfer); flip if the
+        # caller stored the pair the other way around.
+        if measurement.first[0] != measurement.first[1]:
+            value = -value
+        return value
+    first = expected_counts(measurement.first[0], measurement.first[1], tau, rates, params)
+    second = expected_counts(measurement.second[0], measurement.second[1], tau, rates, params)
+    return first - second
 
 
 def _signal_means(measurement, tau, rates, params):

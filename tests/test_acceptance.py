@@ -46,10 +46,15 @@ from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
     SignalParams,
-    expected_difference,
 )
 
-from oracles import expected_measurement, expm_propagator, fd_model_gradient, jacobian_sigma
+from oracles import (
+    expected_difference,
+    expected_measurement,
+    expm_propagator,
+    fd_model_gradient,
+    jacobian_sigma,
+)
 
 TRUTH = RatePair(1.0, 3.0)
 

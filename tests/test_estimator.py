@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from oracles import expected_difference
 from spinrelax.estimator import (
     BiasStudyResult,
     EstimationError,
@@ -20,7 +21,6 @@ from spinrelax.signals import (
     FourSignals,
     SignalParams,
     SignalSample,
-    expected_difference,
     sample_signals,
 )
 

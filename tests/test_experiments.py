@@ -20,8 +20,9 @@ from spinrelax.experiments import (
     time_to_reach,
 )
 from spinrelax.posterior import PosteriorMoments, initial_grid
+from spinrelax.protocols import IDEAL_RANKING_PARAMS
 from spinrelax.rates import RatePair
-from spinrelax.signals import SignalParams
+from spinrelax.signals import OPTIMAL_PROTOCOL, SignalParams
 
 TRUTH = RatePair(1.0, 3.0)
 
@@ -67,6 +68,20 @@ class TestAdaptiveRun:
         assert abs(rec.final.mean_plus - TRUTH.gamma_plus) < cell
         assert abs(rec.final.mean_minus - TRUTH.gamma_minus) < cell
         assert abs(rec.final.mean_plus - TRUTH.gamma_plus) < 0.5 * rec.final.sigma_plus
+        assert rec.flagged_count == 0
+
+    def test_noiseless_optimal_protocol_converges(self):
+        # A protocol outside the closed-form classes: selection and updates
+        # run on its propagator-entry model, exact under ideal parameters.
+        cfg = fig_defaults(
+            protocol=OPTIMAL_PROTOCOL, params=IDEAL_RANKING_PARAMS, iterations=5, noiseless=True
+        )
+        rec = run_adaptive(cfg)
+        cell = (cfg.prior_bounds[1] - cfg.prior_bounds[0]) / (cfg.grid_size - 1)
+        assert abs(rec.final.mean_plus - TRUTH.gamma_plus) < cell
+        assert abs(rec.final.mean_minus - TRUTH.gamma_minus) < cell
+        assert abs(rec.final.mean_plus - TRUTH.gamma_plus) < 0.5 * rec.final.sigma_plus
+        assert abs(rec.final.mean_minus - TRUTH.gamma_minus) < 0.5 * rec.final.sigma_minus
         assert rec.flagged_count == 0
 
     def test_noisy_run_near_truth(self):

@@ -15,6 +15,7 @@ from spinrelax.protocols import (
     census,
     enumerate_measurements,
     enumerate_protocols,
+    measurement_curves,
     measurement_model_value,
     minimal_cost,
     rank_protocols,
@@ -23,7 +24,15 @@ from spinrelax.protocols import (
     valid_protocol_count,
 )
 from spinrelax.protocols import _function_classes  # white box: dedup internals
-from spinrelax.signals import Measurement, SignalParams, expected_counts
+from spinrelax.protocols import _model_gradient, _probe_lattice
+from spinrelax.rates import model_gradient, model_m
+from spinrelax.signals import (
+    ROBUST_PROTOCOL,
+    Measurement,
+    ProtocolSpec,
+    SignalParams,
+    expected_counts,
+)
 
 RATES = (1.0, 3.0)
 
@@ -193,6 +202,47 @@ class TestEtaCensus:
         a = normalized_expectation(optimal.plus, taus, RATES, base)
         b = normalized_expectation(optimal.plus, taus, RATES, bumped)
         assert np.max(np.abs(a - b)) > 1e-3
+
+
+class TestMeasurementCurves:
+    def test_robust_protocol_uses_closed_form(self):
+        curves = measurement_curves(ROBUST_PROTOCOL)
+        taus, gps, gms = _probe_lattice(9)
+        for branch in "+-":
+            value = curves.value(taus, (gps, gms), branch)
+            assert np.array_equal(value, model_m(taus, (gps, gms), branch))
+            got = curves.gradient(taus, (gps, gms), branch)
+            want = model_gradient(taus, (gps, gms), branch)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_closed_form_classes_match_entry_model(self):
+        # Independent key: a dark signal moving population between |0> and
+        # one branch level, against the bright |0> signal, is that branch's
+        # model_m.  Every other measurement keeps its entry difference.
+        taus, gps, gms = _probe_lattice(9)
+        closed = 0
+        for m in enumerate_measurements():
+            bright = m.first if m.first[0] == m.first[1] else m.second
+            dark = m.second if bright is m.first else m.first
+            branch = None
+            if bright == ("0", "0") and "0" in dark:
+                branch = dark[0] if dark[1] == "0" else dark[1]
+            closed += branch is not None
+            curves = measurement_curves(ProtocolSpec(plus=m, minus=m))
+            entry_value = measurement_model_value(m, taus, (gps, gms))
+            entry_gradient = _model_gradient(m, taus, (gps, gms))
+            for slot in "+-":
+                value = curves.value(taus, (gps, gms), slot)
+                gradient = curves.gradient(taus, (gps, gms), slot)
+                if branch is None:
+                    assert np.array_equal(value, entry_value)
+                    continue
+                assert np.array_equal(value, model_m(taus, (gps, gms), branch))
+                assert np.max(np.abs(value - entry_value)) < 1e-12
+                for g, w in zip(gradient, entry_gradient):
+                    assert np.max(np.abs(g - w)) < 1e-12
+        assert closed == 8
 
 
 @pytest.fixture(scope="module")

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_expected_counts, looped_sample_signals
+from oracles import brute_expected_counts, expected_difference, looped_sample_signals
 from spinrelax.design import DelayGrid
 from spinrelax.rates import RatePair, model_m, model_m_optimal
 from spinrelax.signals import (
@@ -14,7 +16,7 @@ from spinrelax.signals import (
     SignalParams,
     drift_schedule,
     expected_counts,
-    expected_difference,
+    expected_signals,
     pulse_matrix,
     sample_signals,
 )
@@ -186,6 +188,92 @@ class TestExpectedDifference:
                 )
                 want = model_m_optimal(tau, rates, eta, branch)
                 assert abs(ratio - want) < 1e-12
+
+
+# Members of the two closed-form measurement classes, both signal orders,
+# with the branch whose model_m their normalized difference equals.
+CLOSED_FORM_MEMBERS = [
+    (branch, Measurement(a, b))
+    for branch in "+-"
+    for dark in ((branch, "0"), ("0", branch))
+    for a, b in ((dark, ("0", "0")), (("0", "0"), dark))
+]
+
+
+class TestExpectedSignals:
+    def test_delay_array_equals_scalar_calls(self):
+        rates = RatePair(0.7, 2.9)
+        constant = [
+            SignalParams(repetitions_R=1000),
+            SignalParams(
+                f0=0.05, alpha=0.6, eta_plus=0.2, eta_minus=0.1, background=0.01, repetitions_R=7
+            ),
+        ]
+        sloped = [
+            SignalParams(background=lambda tau: 0.002 + 0.001 * tau),
+            SignalParams(alpha=0.9, background=lambda tau: 0.01 * tau, repetitions_R=999),
+        ]
+        grid = DelayGrid.default().taus
+        taus = np.array([[0.0, grid[0], 0.4], [1.3, grid[-1], 10.0]])
+        for protocol in (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL):
+            for meas in (protocol.plus, protocol.minus):
+                for oriented in (meas, Measurement(meas.second, meas.first)):
+                    for chosen in (constant, sloped, sloped[:1]):
+                        got = expected_signals(oriented, taus, rates, chosen)
+                        assert got.shape == taus.shape + (len(chosen), 4)
+                        for idx in np.ndindex(taus.shape):
+                            want = expected_signals(oriented, float(taus[idx]), rates, chosen)
+                            assert want.shape == (len(chosen), 4)
+                            assert np.array_equal(got[idx], want)
+                        # The tau = 0 columns do not depend on the delay.
+                        assert np.all(got[..., 2:] == got[0, 0, :, 2:])
+
+    def test_scalar_delay_matches_expected_counts(self):
+        rates = RatePair(1.0, 3.0)
+        params = SignalParams(background=lambda tau: 0.003 * tau)
+        for meas in (OPTIMAL_PROTOCOL.plus, ROBUST_PROTOCOL.minus):
+            got = expected_signals(meas, 0.8, rates, [params])[0]
+            signals = (meas.first, meas.second) * 2
+            for k, ((prep, read), tau) in enumerate(zip(signals, (0.8, 0.8, 0.0, 0.0))):
+                assert got[k] == expected_counts(prep, read, tau, rates, params)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        member=st.sampled_from(CLOSED_FORM_MEMBERS),
+        f0=st.floats(min_value=1e-3, max_value=1.0),
+        contrast=st.floats(min_value=0.0, max_value=0.99),
+        alpha=st.floats(min_value=0.34, max_value=1.0),
+        eta_plus=st.floats(min_value=0.0, max_value=0.49),
+        eta_minus=st.floats(min_value=0.0, max_value=0.49),
+        background=st.tuples(
+            st.floats(min_value=0.0, max_value=0.1), st.floats(min_value=0.0, max_value=0.1)
+        ),
+        repetitions=st.integers(min_value=1, max_value=10**7),
+        gp=st.floats(min_value=0.05, max_value=50.0),
+        gm=st.floats(min_value=0.05, max_value=50.0),
+        tau=st.floats(min_value=1e-3, max_value=10.0),
+    )
+    def test_closed_form_pairs_are_drift_insensitive(
+        self, member, f0, contrast, alpha, eta_plus, eta_minus, background, repetitions, gp, gm, tau
+    ):
+        # The robust identity on the generic four-count path: the tau
+        # difference is model_m times the tau = 0 difference, whatever the
+        # photon yields, pumping, pulse errors and background.
+        branch, meas = member
+        offset, slope = background
+        params = SignalParams(
+            f0=f0,
+            contrast_C=contrast,
+            alpha=alpha,
+            eta_plus=eta_plus,
+            eta_minus=eta_minus,
+            background=lambda t: offset + slope * t,
+            repetitions_R=repetitions,
+        )
+        rates = RatePair(gp, gm)
+        e1t, e2t, e10, e20 = expected_signals(meas, tau, rates, [params])[0]
+        deviation = (e1t - e2t) - model_m(tau, rates, branch) * (e10 - e20)
+        assert abs(deviation) <= 1e-13 * (e1t + e2t + e10 + e20)
 
 
 class TestMeasurementSpec:
