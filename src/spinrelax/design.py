@@ -119,16 +119,18 @@ class TimingModel:
         if self.overhead_T0 < 0.0 or self.per_shot_time < 0.0:
             raise ValueError("times must be nonnegative")
 
+    def delay_seconds(self, tau_plus, tau_minus):
+        """Seconds of one iteration spent in relaxation delays (ms)."""
+        return 2.0 * self.repetitions_R * (np.asarray(tau_plus) + np.asarray(tau_minus)) * 1e-3
+
     def duration_seconds(self, tau_plus, tau_minus):
         """Seconds for one iteration at the given delays (ms)."""
-        delay_ms = 2.0 * self.repetitions_R * (np.asarray(tau_plus) + np.asarray(tau_minus))
-        return delay_ms * 1e-3 + 8.0 * self.repetitions_R * self.per_shot_time + self.overhead_T0
+        fixed = 8.0 * self.repetitions_R * self.per_shot_time
+        return self.delay_seconds(tau_plus, tau_minus) + fixed + self.overhead_T0
 
     def duty_cycle(self, tau_plus, tau_minus):
         """Fraction of the iteration spent relaxing at the chosen delays."""
-        total = self.duration_seconds(tau_plus, tau_minus)
-        delay_s = 2.0 * self.repetitions_R * (tau_plus + tau_minus) * 1e-3
-        return delay_s / total
+        return self.delay_seconds(tau_plus, tau_minus) / self.duration_seconds(tau_plus, tau_minus)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ Delays are milliseconds, rates 1/ms, wall-clock seconds throughout.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +84,7 @@ class ExperimentConfig:
     increasing, pair lists are taken in the given acquisition order.
     `drifts` maps SignalParams field names to callables of wall-clock
     seconds.  `selector_overhead_s` is the deterministic per-iteration CPU
-    charge recorded in the run; set `record_live_cpu` to log measured
-    selection wall-clock instead (at the price of nondeterministic records).
+    charge recorded in the run.
     """
 
     true_rates: RatePair
@@ -104,7 +102,6 @@ class ExperimentConfig:
     drifts: object = None
     particle_count: int = 20000
     selector_overhead_s: float = 0.0
-    record_live_cpu: bool = False
 
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
@@ -253,14 +250,6 @@ def _expectation_signals(measurement, tau, rates, params):
     return FourSignals.of(measurement, tau, means, means)
 
 
-def _branch_durations(timing, delays):
-    """Split one iteration's duration between the two branch acquisitions."""
-    half_fixed = 4.0 * timing.repetitions_R * timing.per_shot_time + timing.overhead_T0 / 2.0
-    d_plus = 2.0 * timing.repetitions_R * delays.tau_plus * 1e-3 + half_fixed
-    d_minus = 2.0 * timing.repetitions_R * delays.tau_minus * 1e-3 + half_fixed
-    return d_plus, d_minus
-
-
 def _acquire_four(config, measurement, tau, rng, t_start, duration_s):
     if config.noiseless:
         return _expectation_signals(measurement, tau, config.true_rates, config.params)
@@ -276,20 +265,6 @@ def _acquire_four(config, measurement, tau, rng, t_start, duration_s):
     )
 
 
-def _acquire_pair(config, plus, minus, delays, rng, t_start, timing):
-    """Sample both branches, then estimate.
-
-    Sampling happens for both branches before any estimation so the random
-    stream advances identically whether or not an estimate fails.
-    """
-    d_plus, d_minus = _branch_durations(timing, delays)
-    four_plus = _acquire_four(config, plus, delays.tau_plus, rng, t_start, d_plus)
-    four_minus = _acquire_four(
-        config, minus, delays.tau_minus, rng, t_start + d_plus, d_minus
-    )
-    return four_plus, four_minus
-
-
 def _estimate_pair(four_plus, four_minus, delays):
     est_plus = measurement_estimate(four_plus)
     est_minus = measurement_estimate(four_minus)
@@ -303,13 +278,97 @@ def _estimate_pair(four_plus, four_minus, delays):
     )
 
 
+class _Ledger:
+    """Clocks and records of one run, shared by both runners.
+
+    `t_physical` sums acquisition durations and `t_delay` their relaxation
+    delays; `t_total` adds the selector CPU charged on top, per acquisition
+    through `log` or, in a fixed-sweep run, once per posterior rebuild.  The
+    runner keeps `flagged_count`: flagged iterations of an adaptive run,
+    unusable aggregates per sweep of a fixed-sweep run.
+    """
+
+    def __init__(self, timing):
+        self.timing = timing
+        self.records = []
+        self.trace = []
+        self.t_total = 0.0
+        self.t_physical = 0.0
+        self.t_delay = 0.0
+        self.flagged_count = 0
+
+    def acquire(self, config, plus, minus, delays, rng):
+        """Sample both branches back to back from the current physical time.
+
+        Each branch takes its own delays plus half the fixed time.  Sampling
+        happens for both branches before any estimation so the random stream
+        advances identically whether or not an estimate fails.
+        """
+        timing, start = self.timing, self.t_physical
+        half_fixed = 4.0 * timing.repetitions_R * timing.per_shot_time + timing.overhead_T0 / 2.0
+        d_plus = 2.0 * timing.repetitions_R * delays.tau_plus * 1e-3 + half_fixed
+        d_minus = 2.0 * timing.repetitions_R * delays.tau_minus * 1e-3 + half_fixed
+        four_plus = _acquire_four(config, plus, delays.tau_plus, rng, start, d_plus)
+        four_minus = _acquire_four(config, minus, delays.tau_minus, rng, start + d_plus, d_minus)
+        return four_plus, four_minus
+
+    def log(self, delays, pair, flagged, state, cpu=0.0):
+        """Advance the clocks by one acquisition and record it with `state`."""
+        duration = float(self.timing.duration_seconds(delays.tau_plus, delays.tau_minus))
+        self.t_physical += duration
+        self.t_total += duration + cpu
+        self.t_delay += float(self.timing.delay_seconds(delays.tau_plus, delays.tau_minus))
+        self.records.append(
+            IterationRecord(
+                index=len(self.records),
+                delays=delays,
+                measurement=pair,
+                flagged=flagged,
+                mean_plus=state.mean_plus,
+                mean_minus=state.mean_minus,
+                sigma_plus=state.sigma_plus,
+                sigma_minus=state.sigma_minus,
+                duration_s=duration,
+                cpu_overhead_s=cpu,
+                cumulative_time_s=self.t_total,
+                cumulative_physical_s=self.t_physical,
+            )
+        )
+
+    def mark(self, state):
+        """Trace the posterior width of a completed update at both clocks."""
+        self.trace.append(
+            TracePoint(
+                time_s=self.t_total,
+                physical_s=self.t_physical,
+                sigma_plus=state.sigma_plus,
+                sigma_minus=state.sigma_minus,
+            )
+        )
+
+    def run_record(self, optimizer, posterior):
+        return RunRecord(
+            optimizer=optimizer,
+            iterations=tuple(self.records),
+            trace_points=tuple(self.trace),
+            final=moments(posterior),
+            posterior=posterior,
+            total_time_s=self.t_total,
+            total_physical_s=self.t_physical,
+            delay_time_s=self.t_delay,
+            flagged_count=self.flagged_count,
+        )
+
+
 def run_adaptive(config):
     """Adaptive estimation run; returns the full per-iteration RunRecord.
 
     Each iteration selects delays from the current posterior, acquires the
     four signals of both branches, folds the ratio estimates into the
     posterior, and regrids.  A failed estimate or rejected update flags the
-    iteration and leaves the posterior unchanged.
+    iteration and leaves the posterior unchanged.  A drift schedule that
+    leaves the SignalParams domain aborts the run with a ValueError naming
+    the block time and the violated field.
     """
     if config.optimizer not in ("nob", "pf"):
         raise ValueError("run_adaptive needs optimizer 'nob' or 'pf'")
@@ -321,27 +380,16 @@ def run_adaptive(config):
     plus = config.protocol.plus.oriented(config.params)
     minus = config.protocol.minus.oriented(config.params)
 
-    records = []
-    trace = []
-    t_total = 0.0
-    t_physical = 0.0
-    t_delay = 0.0
-    flagged_count = 0
-    for n in range(config.iterations):
-        started = time.perf_counter()
+    ledger = _Ledger(timing)
+    for _ in range(config.iterations):
         current = moments(posterior)
         if config.optimizer == "nob":
             delays = nob_select_delays(current, timing, grid_spec, curves)
         else:
             cloud = ParticleCloud.from_grid(posterior, config.particle_count, rng)
             delays = pf_select_delays(cloud, timing, grid_spec, curves)
-        measured = time.perf_counter() - started
-        cpu = measured if config.record_live_cpu else config.selector_overhead_s
 
-        duration = float(timing.duration_seconds(delays.tau_plus, delays.tau_minus))
-        four_plus, four_minus = _acquire_pair(
-            config, plus, minus, delays, rng, t_physical, timing
-        )
+        four_plus, four_minus = ledger.acquire(config, plus, minus, delays, rng)
         pair = None
         flagged = False
         try:
@@ -349,49 +397,13 @@ def run_adaptive(config):
             posterior = regrid(bayes_update(posterior, pair, model=curves.value), config.grid_size)
         except (EstimationError, UpdateRejected):
             flagged = True
-            flagged_count += 1
+            ledger.flagged_count += 1
 
-        t_physical += duration
-        t_total += duration + cpu
-        t_delay += 2.0 * timing.repetitions_R * (delays.tau_plus + delays.tau_minus) * 1e-3
         state = moments(posterior)
-        records.append(
-            IterationRecord(
-                index=n,
-                delays=delays,
-                measurement=pair,
-                flagged=flagged,
-                mean_plus=state.mean_plus,
-                mean_minus=state.mean_minus,
-                sigma_plus=state.sigma_plus,
-                sigma_minus=state.sigma_minus,
-                duration_s=duration,
-                cpu_overhead_s=cpu,
-                cumulative_time_s=t_total,
-                cumulative_physical_s=t_physical,
-            )
-        )
+        ledger.log(delays, pair, flagged, state, cpu=config.selector_overhead_s)
         if not flagged:
-            trace.append(
-                TracePoint(
-                    time_s=t_total,
-                    physical_s=t_physical,
-                    sigma_plus=state.sigma_plus,
-                    sigma_minus=state.sigma_minus,
-                )
-            )
-
-    return RunRecord(
-        optimizer=config.optimizer,
-        iterations=tuple(records),
-        trace_points=tuple(trace),
-        final=moments(posterior),
-        posterior=posterior,
-        total_time_s=t_total,
-        total_physical_s=t_physical,
-        delay_time_s=t_delay,
-        flagged_count=flagged_count,
-    )
+            ledger.mark(state)
+    return ledger.run_record(config.optimizer, posterior)
 
 
 class _Aggregate:
@@ -426,7 +438,6 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     if config.optimizer != "nap":
         raise ValueError("run_nap needs optimizer 'nap'")
     rng = np.random.default_rng(config.seed)
-    timing = config.resolved_timing()
     curves = measurement_curves(config.protocol)
     plus = config.protocol.plus.oriented(config.params)
     minus = config.protocol.minus.oriented(config.params)
@@ -436,50 +447,19 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     ]
 
     posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
-    records = []
-    trace = []
-    t_total = 0.0
-    t_physical = 0.0
-    t_delay = 0.0
-    flagged_count = 0
-    probe_index = 0
+    ledger = _Ledger(config.resolved_timing())
     state = moments(posterior)
-    for sweep in range(config.iterations):
+    for _ in range(config.iterations):
         for (agg_plus, agg_minus), delays in zip(aggregates, pairs):
-            four_plus, four_minus = _acquire_pair(
-                config, plus, minus, delays, rng, t_physical, timing
-            )
+            four_plus, four_minus = ledger.acquire(config, plus, minus, delays, rng)
             agg_plus.add(four_plus)
             agg_minus.add(four_minus)
-            duration = float(timing.duration_seconds(delays.tau_plus, delays.tau_minus))
-            t_physical += duration
-            t_total += duration
-            t_delay += (
-                2.0 * timing.repetitions_R * (delays.tau_plus + delays.tau_minus) * 1e-3
-            )
             try:
                 probe = _estimate_pair(four_plus, four_minus, delays)
             except EstimationError:
                 probe = None
-            records.append(
-                IterationRecord(
-                    index=probe_index,
-                    delays=delays,
-                    measurement=probe,
-                    flagged=probe is None,
-                    mean_plus=state.mean_plus,
-                    mean_minus=state.mean_minus,
-                    sigma_plus=state.sigma_plus,
-                    sigma_minus=state.sigma_minus,
-                    duration_s=duration,
-                    cpu_overhead_s=0.0,
-                    cumulative_time_s=t_total,
-                    cumulative_physical_s=t_physical,
-                )
-            )
-            probe_index += 1
+            ledger.log(delays, probe, probe is None, state)
 
-        started = time.perf_counter()
         rebuilt = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
         for agg_plus, agg_minus in aggregates:
             try:
@@ -490,37 +470,18 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
                 )
                 rebuilt = regrid(bayes_update(rebuilt, pair, model=curves.value), config.grid_size)
             except (EstimationError, UpdateRejected):
-                flagged_count += 1
+                ledger.flagged_count += 1
         posterior = rebuilt
-        cpu = time.perf_counter() - started if config.record_live_cpu else config.selector_overhead_s
-        t_total += cpu
+        ledger.t_total += config.selector_overhead_s
         state = moments(posterior)
-        trace.append(
-            TracePoint(
-                time_s=t_total,
-                physical_s=t_physical,
-                sigma_plus=state.sigma_plus,
-                sigma_minus=state.sigma_minus,
-            )
-        )
+        ledger.mark(state)
         if stop_sigma is not None and (
             state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
         ):
             break
-        if max_physical_s is not None and t_physical >= max_physical_s:
+        if max_physical_s is not None and ledger.t_physical >= max_physical_s:
             break
-
-    return RunRecord(
-        optimizer=config.optimizer,
-        iterations=tuple(records),
-        trace_points=tuple(trace),
-        final=moments(posterior),
-        posterior=posterior,
-        total_time_s=t_total,
-        total_physical_s=t_physical,
-        delay_time_s=t_delay,
-        flagged_count=flagged_count,
-    )
+    return ledger.run_record(config.optimizer, posterior)
 
 
 def replicate_seeds(base_seed, count):

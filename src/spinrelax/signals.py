@@ -242,7 +242,7 @@ def drift_schedule(params, t, drifts, **fixed):
     background) to callables of t returning the drifted value; missing fields
     stay constant.  `fixed` sets further fields (such as a block's
     repetitions_R) in the same replace.  Values violating the parameter
-    invariants raise, same as direct construction.
+    invariants raise a ValueError naming the time t and the violated field.
     """
     drifts = drifts or {}
     if not drifts and not fixed:
@@ -250,7 +250,11 @@ def drift_schedule(params, t, drifts, **fixed):
     unknown = set(drifts) - set(_DRIFTABLE)
     if unknown:
         raise ValueError(f"cannot drift unknown fields: {sorted(unknown)}")
-    return replace(params, **fixed, **{name: fn(t) for name, fn in drifts.items()})
+    values = {name: fn(t) for name, fn in drifts.items()}
+    try:
+        return replace(params, **fixed, **values)
+    except ValueError as exc:
+        raise ValueError(f"drift schedule at t = {t:.6g} s: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,8 @@ class TestTimingModel:
         t = TimingModel(repetitions_R=1000, overhead_T0=2.5, per_shot_time=1e-6)
         base = 2.0 * 1000 * 0.3 * 1e-3
         assert t.duration_seconds(0.1, 0.2) == pytest.approx(base + 8e-3 + 2.5, rel=1e-12)
+        # The delay part alone, in the operation order every clock relies on.
+        assert t.delay_seconds(0.1, 0.2) == 2.0 * 1000 * (0.1 + 0.2) * 1e-3
 
     def test_duty_cycle(self):
         t = TimingModel(repetitions_R=1000, overhead_T0=0.0)

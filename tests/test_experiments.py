@@ -109,10 +109,6 @@ class TestAdaptiveRun:
         assert all(r.cpu_overhead_s == 0.3 for r in rec.iterations)
         assert rec.total_time_s == pytest.approx(rec.total_physical_s + 4 * 0.3)
 
-    def test_live_cpu_recording(self):
-        rec = run_adaptive(fig_defaults(iterations=2, seed=5, record_live_cpu=True))
-        assert all(r.cpu_overhead_s > 0.0 for r in rec.iterations)
-
     def test_estimator_failure_flags_and_continues(self):
         dark = SignalParams(f0=1e-12, repetitions_R=10)
         cfg = fig_defaults(iterations=3, params=dark, seed=2)
@@ -157,6 +153,14 @@ class TestAdaptiveRun:
         assert abs(rec.final.mean_plus - TRUTH.gamma_plus) < 4.0 * rec.final.sigma_plus
         assert abs(rec.final.mean_minus - TRUTH.gamma_minus) < 4.0 * rec.final.sigma_minus
 
+    def test_drift_out_of_domain_aborts_naming_time_and_field(self):
+        # alpha reaches 1/3 at t = 155.6 s, inside an acquisition block.
+        drifts = {"alpha": lambda t: 0.8 - 0.6 * min(t / 200.0, 1.0)}
+        with pytest.raises(
+            ValueError, match=r"^drift schedule at t = 155\.\d+ s: alpha must lie in \(1/3, 1\]$"
+        ):
+            run_adaptive(fig_defaults(iterations=30, seed=0, drifts=drifts))
+
 
 class TestNapRun:
     def test_zero_sweeps_returns_prior(self):
@@ -184,6 +188,14 @@ class TestNapRun:
         np.testing.assert_array_equal(
             nap.posterior.gamma_minus_axis, adaptive.posterior.gamma_minus_axis
         )
+        # Both runners keep their clocks through the same ledger.
+        clocks = ("duration_s", "cumulative_time_s", "cumulative_physical_s", "cpu_overhead_s")
+        for a, b in zip(adaptive.iterations, nap.iterations, strict=True):
+            assert [getattr(b, c) for c in clocks] == [getattr(a, c) for c in clocks]
+        assert nap.total_time_s == adaptive.total_time_s
+        assert nap.total_physical_s == adaptive.total_physical_s
+        assert nap.delay_time_s == adaptive.delay_time_s
+        assert nap.trace_points[-1] == adaptive.trace_points[-1]
 
     def test_overhead_shifts_cumulative_times_exactly(self):
         base = fig_defaults(
