@@ -22,10 +22,12 @@ sensitivity
 
 where T is the wall-clock duration of the iteration.  When both branches
 share a common sigma_M it cancels out of the argmin, leaving a sigma-free
-approximate cost that can be scanned cheaply over a log delay grid; that
-scan is the deterministic optimizer used between iterations.  A stochastic
-particle-cloud optimizer with a variance-proxy utility is provided as an
-alternative.
+approximate cost.  Both costs separate into 1-D tables over a log delay
+grid, so the deterministic optimizer used between iterations takes an
+exact bounded argmin: it skips grid blocks that cannot hold the minimum
+and returns np.argmin's cell, ties going to the smallest tau_plus, then
+tau_minus.  A stochastic particle-cloud optimizer with a variance-proxy
+utility is provided as an alternative.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -47,7 +49,6 @@ __all__ = [
     "BranchCurves",
     "ROBUST_CURVES",
     "gaussian_sigma",
-    "cost",
     "cost_surface",
     "approx_cost_surface",
     "nob_select_delays",
@@ -193,21 +194,6 @@ def gaussian_sigma(delays, rates, sigma_m, curves=ROBUST_CURVES):
     )
 
 
-def cost(delays, rates, sigma_m, timing, curves=ROBUST_CURVES):
-    """Time-normalized combined fractional sensitivity of one delay pair.
-
-    An uninformative design costs infinity.
-    """
-    try:
-        approx = gaussian_sigma(delays, rates, sigma_m, curves)
-    except UninformativeDesign:
-        return float("inf")
-    gp, gm = _rate_values(rates)
-    fractional = (approx.sigma_gamma_plus / gp) ** 2 + (approx.sigma_gamma_minus / gm) ** 2
-    t = timing.duration_seconds(delays.tau_plus, delays.tau_minus)
-    return float(np.sqrt(fractional) * np.sqrt(t))
-
-
 def _rate_values(rates):
     if hasattr(rates, "gamma_plus"):
         return float(rates.gamma_plus), float(rates.gamma_minus)
@@ -233,6 +219,51 @@ def _sigma_arrays(sigma_m, taus):
     return out
 
 
+def _cost_terms(grid, rates, sigma_m, timing, curves):
+    """cost_surface's cell function and its (a, b, c, d) tables, gradients over sigma_M."""
+    taus = grid.taus
+    (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
+    s_plus, s_minus = _sigma_arrays(sigma_m, taus)
+    gp, gm = _rate_values(rates)
+    pp, pm = g_pp / s_plus, g_pm / s_plus
+    mp, mm = g_mp / s_minus, g_mm / s_minus
+
+    def cells(r, c):
+        # Curvature coefficients separate into a tau_plus term and a
+        # tau_minus term, so any cell is built from 1-D table entries.
+        a_plus = pp[r] ** 2 + mp[c] ** 2
+        a_minus = pm[r] ** 2 + mm[c] ** 2
+        # Information determinant in the cancellation-free factored form
+        # det J^2 / (s+^2 s-^2); see gaussian_sigma.
+        det_j = g_pp[r] * g_mm[c] - g_pm[r] * g_mp[c]
+        det = (det_j / (s_plus[r] * s_minus[c])) ** 2
+        t = timing.duration_seconds(taus[r], taus[c])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fractional = (a_minus / gp**2 + a_plus / gm**2) / det
+            value = np.sqrt(fractional) * np.sqrt(t)
+        return np.where((det == 0.0) | ~np.isfinite(fractional), np.inf, value)
+
+    return cells, (pp, pm, mp, mm)
+
+
+def _approx_terms(grid, rates, timing, curves):
+    """approx_cost_surface's cell function and its (a, b, c, d) tables, the gradients."""
+    taus = grid.taus
+    (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
+    gp, gm = _rate_values(rates)
+    plus = gm**2 * g_pm**2 + gp**2 * g_pp**2
+    minus = gm**2 * g_mm**2 + gp**2 * g_mp**2
+
+    def cells(r, c):
+        det = g_pp[r] * g_mm[c] - g_pm[r] * g_mp[c]
+        t = timing.duration_seconds(taus[r], taus[c])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            value = np.sqrt(t * (plus[r] + minus[c])) / (gp * gm * np.abs(det))
+        return np.where(det == 0.0, np.inf, value)
+
+    return cells, (g_pp, g_pm, g_mp, g_mm)
+
+
 def cost_surface(grid, rates, sigma_m, timing, curves=ROBUST_CURVES):
     """Full cost over the delay grid; [i, j] = (tau_plus_i, tau_minus_j).
 
@@ -240,24 +271,9 @@ def cost_surface(grid, rates, sigma_m, timing, curves=ROBUST_CURVES):
     shot-noise uncertainties that vary with tau are supported.  Cells whose
     information matrix is singular get infinite cost.
     """
-    taus = grid.taus
-    (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
-    s_plus, s_minus = _sigma_arrays(sigma_m, taus)
-    # Curvature coefficients separate into a tau_plus term and a tau_minus
-    # term, so the 2-D surface is built from 1-D tables by broadcasting.
-    a_plus = (g_pp / s_plus)[:, None] ** 2 + (g_mp / s_minus)[None, :] ** 2
-    a_minus = (g_pm / s_plus)[:, None] ** 2 + (g_mm / s_minus)[None, :] ** 2
-    # Information determinant in the cancellation-free factored form
-    # det J^2 / (s+^2 s-^2); see gaussian_sigma.
-    det_j = g_pp[:, None] * g_mm[None, :] - g_pm[:, None] * g_mp[None, :]
-    det = (det_j / (s_plus[:, None] * s_minus[None, :])) ** 2
-    gp, gm = _rate_values(rates)
-    t = timing.duration_seconds(taus[:, None], taus[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        fractional = (a_minus / gp**2 + a_plus / gm**2) / det
-        surface = np.sqrt(fractional) * np.sqrt(t)
-    surface[(det == 0.0) | ~np.isfinite(fractional)] = np.inf
-    return surface
+    cells, _ = _cost_terms(grid, rates, sigma_m, timing, curves)
+    index = np.arange(grid.taus.size)
+    return cells(*np.ix_(index, index))
 
 
 def approx_cost_surface(grid, rates, timing, curves=ROBUST_CURVES):
@@ -271,41 +287,82 @@ def approx_cost_surface(grid, rates, timing, curves=ROBUST_CURVES):
 
     with the understanding that the plus-branch gradients are evaluated at
     tau_plus and the minus-branch ones at tau_minus.  Everything separates
-    into 1-D tables, making the 2-D scan cheap.
+    into 1-D tables.
+    """
+    cells, _ = _approx_terms(grid, rates, timing, curves)
+    index = np.arange(grid.taus.size)
+    return cells(*np.ix_(index, index))
+
+
+# _bounded_argmin's block edge (the last block is clipped) and probe stride.
+_BLOCK = 20
+_PROBE = 10
+
+
+def _bounded_argmin(grid, rates, timing, cells, tables):
+    """np.argmin's (i, j, value) over the whole grid, bit for bit, by branch and bound.
+
+    For tables (a, b, c, d), up to rounding,
+
+        cells(r, c)^2 = t(r, c) (plus[r] + minus[c]) / (a[r] d[c] - b[r] c[c])^2,
+        plus = b^2/G+^2 + a^2/G-^2,  minus = d^2/G+^2 + c^2/G-^2,
+
+    with the duration t increasing in both delays.  So t at a block's first
+    delays, the minima of plus and minus, and max|a| max|d| + max|b| max|c|
+    bound a block from below (Land and Doig 1960).  Blocks bounded above the
+    best probe cell are skipped; the rest are evaluated in one cells call.
+    Every block is evaluated when a bound table is not finite, G+ G- <= 0,
+    or no probe cell is finite.
     """
     taus = grid.taus
-    (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
+    n = taus.size
+    starts = np.arange(0, n, _BLOCK)
+    keep = np.ones((starts.size, starts.size), dtype=bool)
     gp, gm = _rate_values(rates)
-    det = g_pp[:, None] * g_mm[None, :] - g_pm[:, None] * g_mp[None, :]
-    bracket = (gm**2 * g_pm**2 + gp**2 * g_pp**2)[:, None] + (
-        gm**2 * g_mm**2 + gp**2 * g_mp**2
-    )[None, :]
-    t = timing.duration_seconds(taus[:, None], taus[None, :])
+    a, b, c, d = tables
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        surface = np.sqrt(t * bracket) / (gp * gm * np.abs(det))
-    surface[det == 0.0] = np.inf
-    return surface
-
-
-def _argmin_pair(surface, grid):
-    """First minimum in row-major order: smallest tau_plus, then tau_minus."""
-    flat = np.argmin(surface)
-    i, j = np.unravel_index(flat, surface.shape)
-    return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j]))
+        plus, minus = b**2 / gp**2 + a**2 / gm**2, d**2 / gp**2 + c**2 / gm**2
+    if gp * gm > 0.0 and all(np.isfinite(x).all() for x in (plus, minus, *tables)):
+        probe = np.arange(0, n, _PROBE)
+        upper = cells(*np.ix_(probe, probe)).min()
+        if np.isfinite(upper):
+            plus, minus = (np.minimum.reduceat(x, starts) for x in (plus, minus))
+            a, b, c, d = (np.maximum.reduceat(np.abs(x), starts) for x in tables)
+            t = timing.duration_seconds(*np.ix_(taus[starts], taus[starts]))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                bound = np.sqrt(t * np.add.outer(plus, minus)) / (
+                    np.multiply.outer(a, d) + np.multiply.outer(b, c)
+                )
+            # The slack covers rounding in the cells and in the bound; a NaN
+            # bound keeps its block.
+            keep = ~(bound * (1.0 - 1e-9) > upper)
+    block_rows, block_cols = np.nonzero(keep)
+    offsets = np.arange(_BLOCK)
+    row = np.minimum(starts[block_rows, None] + offsets, n - 1)[:, :, None]
+    col = np.minimum(starts[block_cols, None] + offsets, n - 1)[:, None, :]
+    values = cells(row, col)
+    # A NaN minimum makes every NaN cell a hit, as in np.argmin.
+    hits = (values == values.min()) | np.isnan(values)
+    flat = np.where(hits, row * n + col, n * n)
+    k = np.argmin(flat)
+    i, j = divmod(int(flat.flat[k]), n)
+    return i, j, float(values.flat[k])
 
 
 def nob_select_delays(rates, timing, grid=None, curves=ROBUST_CURVES):
-    """Deterministic optimizer: argmin of the sigma-free approximate cost.
+    """Deterministic optimizer: exact bounded argmin of approx_cost_surface.
 
-    `rates` may be posterior moments (mean_plus/mean_minus), a RatePair, or
-    a plain (gamma_plus, gamma_minus) tuple.
+    Returns np.argmin's cell of the full surface, ties going to the smallest
+    tau_plus, then tau_minus.  `rates` may be posterior moments
+    (mean_plus/mean_minus), a RatePair, or a plain (gamma_plus, gamma_minus)
+    tuple.
     """
     if grid is None:
         grid = DelayGrid.default()
     if hasattr(rates, "mean_plus"):
         rates = (rates.mean_plus, rates.mean_minus)
-    surface = approx_cost_surface(grid, rates, timing, curves)
-    return _argmin_pair(surface, grid)
+    i, j, _ = _bounded_argmin(grid, rates, timing, *_approx_terms(grid, rates, timing, curves))
+    return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j]))
 
 
 @dataclass(frozen=True, eq=False)

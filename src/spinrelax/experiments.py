@@ -46,7 +46,8 @@ from .signals import (
     ProtocolSpec,
     ROBUST_PROTOCOL,
     SignalParams,
-    expected_signals,
+    _block_means,
+    _check_drift_fields,
     sample_signals,
 )
 
@@ -121,6 +122,7 @@ class ExperimentConfig:
                     raise ValueError("scalar nap_delays must be positive and strictly increasing")
         if self.selector_overhead_s < 0.0:
             raise ValueError("selector_overhead_s must be nonnegative")
+        _check_drift_fields(self.drifts)
 
     def resolved_timing(self):
         if self.timing is not None:
@@ -244,25 +246,13 @@ class RunRecord:
         }
 
 
-def _expectation_signals(measurement, tau, rates, params):
-    """Noiseless stand-in for sample_signals: counts equal expectations."""
-    means = expected_signals(measurement, tau, rates, [params])[0].tolist()
-    return FourSignals.of(measurement, tau, means, means)
-
-
 def _acquire_four(config, measurement, tau, rng, t_start, duration_s):
+    """One acquisition's four signals; a noiseless run takes the expectations as counts."""
+    args = (measurement, tau, config.true_rates, config.params)
     if config.noiseless:
-        return _expectation_signals(measurement, tau, config.true_rates, config.params)
-    return sample_signals(
-        measurement,
-        tau,
-        config.true_rates,
-        config.params,
-        rng,
-        drifts=config.drifts,
-        t_start=t_start,
-        duration_s=duration_s,
-    )
+        expectations = _block_means(*args, config.drifts, t_start, duration_s)[1].tolist()
+        return FourSignals.of(measurement, tau, expectations, expectations)
+    return sample_signals(*args, rng, config.drifts, t_start, duration_s)
 
 
 def _estimate_pair(four_plus, four_minus, delays):

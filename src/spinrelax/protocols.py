@@ -50,7 +50,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, cost_surface
+from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, _bounded_argmin, _cost_terms
 from .estimator import sigma_m_from_expectations
 from .rates import model_gradient, model_m, propagator_entries
 from .signals import (
@@ -410,7 +410,12 @@ def _sigma_callable(measurement, rates, params):
 
 
 def minimal_cost(protocol, rates, params=None, timing=None, grid=None):
-    """Lowest achievable cost and its delay pair for one protocol."""
+    """Lowest achievable cost and its delay pair for one protocol.
+
+    An exact bounded argmin of cost_surface, sigma_M being the protocol's
+    shot noise per delay: the cell and value of np.argmin over the full
+    surface, ties going to the smallest tau_plus, then tau_minus.
+    """
     if params is None:
         params = IDEAL_RANKING_PARAMS
     if timing is None:
@@ -422,13 +427,9 @@ def minimal_cost(protocol, rates, params=None, timing=None, grid=None):
         _sigma_callable(protocol.plus, rates, params),
         _sigma_callable(protocol.minus, rates, params),
     )
-    surface = cost_surface(grid, rates, sigma_m, timing, curves)
-    flat = np.argmin(surface)
-    i, j = np.unravel_index(flat, surface.shape)
-    return (
-        DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j])),
-        float(surface[i, j]),
-    )
+    terms = _cost_terms(grid, rates, sigma_m, timing, curves)
+    i, j, value = _bounded_argmin(grid, rates, timing, *terms)
+    return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j])), value
 
 
 def rank_protocols(rates, params=None, timing=None, grid=None):

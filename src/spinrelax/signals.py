@@ -235,6 +235,12 @@ def expected_counts(prep, read, tau, rates, params):
     return params.repetitions_R * (bare + params.background_at(tau))
 
 
+def _check_drift_fields(drifts):
+    unknown = set(drifts or {}) - set(_DRIFTABLE)
+    if unknown:
+        raise ValueError(f"cannot drift unknown fields: {sorted(unknown)}")
+
+
 def drift_schedule(params, t, drifts, **fixed):
     """Instantaneous SignalParams at wall-clock time t (seconds).
 
@@ -247,9 +253,7 @@ def drift_schedule(params, t, drifts, **fixed):
     drifts = drifts or {}
     if not drifts and not fixed:
         return params
-    unknown = set(drifts) - set(_DRIFTABLE)
-    if unknown:
-        raise ValueError(f"cannot drift unknown fields: {sorted(unknown)}")
+    _check_drift_fields(drifts)
     values = {name: fn(t) for name, fn in drifts.items()}
     try:
         return replace(params, **fixed, **values)
@@ -336,6 +340,15 @@ def sample_signals(
     means consumes the generator in block-major order.  Static parameters
     are the one-block case.
     """
+    means, expectations = _block_means(
+        measurement, tau, rates, params, drifts, t_start, duration_s, block_reps
+    )
+    counts = rng.poisson(means).sum(axis=0)
+    return FourSignals.of(measurement, tau, counts.tolist(), expectations.tolist())
+
+
+def _block_means(measurement, tau, rates, params, drifts, t_start, duration_s, block_reps=1000):
+    """sample_signals' (blocks, 4) expected counts, checked nonnegative, and their totals."""
     if drifts is None:
         times, blocks = [None], [params]
     else:
@@ -354,7 +367,5 @@ def sample_signals(
             f"negative expected counts for signal ({prep}, {read}) at tau = "
             f"{tau if k < 2 else 0.0} ms{when} (check the background function)"
         )
-    counts = rng.poisson(means).sum(axis=0)
     # cumsum adds the blocks in order, as a running per-block total would.
-    expectations = np.cumsum(means, axis=0)[-1]
-    return FourSignals.of(measurement, tau, counts.tolist(), expectations.tolist())
+    return means, np.cumsum(means, axis=0)[-1]

@@ -11,7 +11,9 @@ R C f0 (3 alpha - 1)/2 (1 - eta) model_m, that the package's generic
 four-count path (`signals.expected_signals`) is compared against.
 `looped_sample_signals` is the blocked Poisson sampler as first written,
 one block at a time, kept so that the stacked sampler can be required to
-reproduce it bit for bit.
+reproduce it bit for bit.  `cost` is the scalar cost of one delay pair
+through `design.gaussian_sigma`, and `exhaustive_argmin` the plain
+np.argmin over a full surface that the bounded delay selection must match.
 """
 
 import math
@@ -20,7 +22,13 @@ from dataclasses import replace
 import numpy as np
 from scipy.linalg import expm
 
-from spinrelax.design import ROBUST_CURVES, UninformativeDesign, _jacobian
+from spinrelax.design import (
+    ROBUST_CURVES,
+    UninformativeDesign,
+    _jacobian,
+    _rate_values,
+    gaussian_sigma,
+)
 from spinrelax.estimator import sigma_m_from_expectations
 from spinrelax.rates import model_m
 from spinrelax.signals import FourSignals, SignalSample, drift_schedule, expected_counts
@@ -112,6 +120,28 @@ def jacobian_sigma(delays, rates, sigma_m, curves=ROBUST_CURVES):
     inv = np.array([[jac[1, 1], -jac[0, 1]], [-jac[1, 0], jac[0, 0]]]) / det
     cov = inv @ np.diag([sigma_m[0] ** 2, sigma_m[1] ** 2]) @ inv.T
     return cov
+
+
+def cost(delays, rates, sigma_m, timing, curves=ROBUST_CURVES):
+    """Time-normalized combined fractional sensitivity of one delay pair.
+
+    An uninformative design costs infinity.
+    """
+    try:
+        approx = gaussian_sigma(delays, rates, sigma_m, curves)
+    except UninformativeDesign:
+        return float("inf")
+    gp, gm = _rate_values(rates)
+    fractional = (approx.sigma_gamma_plus / gp) ** 2 + (approx.sigma_gamma_minus / gm) ** 2
+    t = timing.duration_seconds(delays.tau_plus, delays.tau_minus)
+    return float(np.sqrt(fractional) * np.sqrt(t))
+
+
+def exhaustive_argmin(surface):
+    """(i, j, value) of np.argmin over a whole surface: the first minimum in
+    row-major order (smallest tau_plus, then tau_minus), or the first NaN."""
+    i, j = np.unravel_index(np.argmin(surface), surface.shape)
+    return int(i), int(j), float(surface[i, j])
 
 
 def expected_measurement(measurement, tau, rates, params):

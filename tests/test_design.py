@@ -2,25 +2,36 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinrelax.design import (
+    ROBUST_CURVES,
     BranchCurves,
     DelayGrid,
     DelayPair,
     ParticleCloud,
     TimingModel,
     UninformativeDesign,
+    _approx_terms,
+    _bounded_argmin,
+    _cost_terms,
     approx_cost_surface,
-    cost,
     cost_surface,
     gaussian_sigma,
     nob_select_delays,
     pf_select_delays,
 )
-from oracles import expected_measurement, jacobian_sigma
+from oracles import cost, exhaustive_argmin, expected_measurement, jacobian_sigma
 from spinrelax.posterior import MeasurementPair, PosteriorGrid, bayes_update, moments
-from spinrelax.rates import RatePair, model_m
-from spinrelax.signals import ROBUST_PROTOCOL, SignalParams
+from spinrelax.protocols import (
+    IDEAL_RANKING_PARAMS,
+    _sigma_callable,
+    measurement_curves,
+    minimal_cost,
+)
+from spinrelax.rates import RatePair, model_gradient, model_m
+from spinrelax.signals import OPTIMAL_PROTOCOL, ROBUST_PROTOCOL, SignalParams
 
 RATES = RatePair(1.0, 3.0)
 TIMING = TimingModel(repetitions_R=10**6)
@@ -223,6 +234,129 @@ class TestSurfaces:
             TIMING,
         )
         assert surface[i, j] == pytest.approx(scalar, rel=1e-12)
+
+
+GRID_KINDS = {
+    "default": DelayGrid.default,
+    "wide": DelayGrid.wide,
+    "bounds": lambda size: DelayGrid.from_bounds(0.01, 20.0, size),
+    # Short delays only: slow rates put the minimum on the last row and column.
+    "short": lambda size: DelayGrid.from_bounds(1e-3, 0.05, size),
+}
+# Gradient components exchanged: the cross terms b, c dominate the determinant.
+SWAPPED_CURVES = BranchCurves(
+    value=model_m, gradient=lambda tau, rates, branch: model_gradient(tau, rates, branch)[::-1]
+)
+TIMINGS = (TIMING, TimingModel(repetitions_R=10**4, overhead_T0=0.5, per_shot_time=1e-6))
+
+
+def kernel_and_exhaustive(grid, rates, timing, curves=ROBUST_CURVES, sigma_m=None):
+    """Bounded argmin and np.argmin over the public surface, both as (i, j, value).
+
+    sigma_m None selects the sigma-free approximate cost.
+    """
+    if sigma_m is None:
+        terms = _approx_terms(grid, rates, timing, curves)
+        surface = approx_cost_surface(grid, rates, timing, curves)
+    else:
+        terms = _cost_terms(grid, rates, sigma_m, timing, curves)
+        surface = cost_surface(grid, rates, sigma_m, timing, curves)
+    got = _bounded_argmin(grid, rates, timing, *terms)
+    want = exhaustive_argmin(surface)
+    # repr tells NaN, -0.0 and every float bit pattern apart.
+    assert got[:2] == want[:2] and repr(got[2]) == repr(want[2])
+    return got, surface
+
+
+class TestBoundedArgmin:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(sorted(GRID_KINDS)),
+        size=st.one_of(
+            st.integers(2, 25), st.integers(26, 300), st.sampled_from([997, 1000, 1013])
+        ),
+        log_rates=st.tuples(*[st.floats(np.log(0.06), np.log(90.0))] * 2),
+        curves_kind=st.sampled_from(["closed form", "complex step", "swapped"]),
+        sigma=st.sampled_from(["approx", "scalar", "callable"]),
+        scalars=st.tuples(*[st.floats(1e-3, 1.0)] * 2),
+        timing=st.sampled_from(TIMINGS),
+    )
+    def test_matches_exhaustive_argmin(
+        self, kind, size, log_rates, curves_kind, sigma, scalars, timing
+    ):
+        grid = GRID_KINDS[kind](size)
+        rates = tuple(np.exp(log_rates))
+        # The robust protocol's curves are the closed form; the optimal
+        # protocol's are propagator entries with complex-step gradients.
+        protocol = OPTIMAL_PROTOCOL if curves_kind == "complex step" else ROBUST_PROTOCOL
+        curves = {
+            "closed form": ROBUST_CURVES,
+            "complex step": measurement_curves(OPTIMAL_PROTOCOL),
+            "swapped": SWAPPED_CURVES,
+        }[curves_kind]
+        sigma_m = {
+            "approx": None,
+            "scalar": scalars,
+            "callable": tuple(
+                _sigma_callable(m, rates, IDEAL_RANKING_PARAMS) for m in (protocol.plus, protocol.minus)
+            ),
+        }[sigma]
+        kernel_and_exhaustive(grid, rates, timing, curves, sigma_m)
+
+    @pytest.mark.parametrize("sigma_m", [None, (0.03, 0.03)])
+    def test_symmetric_tie_takes_row_major_first(self, sigma_m):
+        # Both slots measure the plus branch: det is antisymmetric, so the
+        # diagonal is singular and at rates (2, 2) every cost has its mirror.
+        mirrored = BranchCurves(
+            value=model_m, gradient=lambda tau, rates, branch: model_gradient(tau, rates, "+")
+        )
+        grid = DelayGrid.default(size=137)
+        (i, j, _), surface = kernel_and_exhaustive(grid, (2.0, 2.0), TIMING, mirrored, sigma_m)
+        assert np.count_nonzero(surface == surface[i, j]) == 2
+        assert surface[j, i] == surface[i, j] and i < j
+
+    @pytest.mark.parametrize("sigma_m", [None, (0.03, 0.03)])
+    def test_all_infinite_surface_gives_first_cell(self, sigma_m):
+        flat = BranchCurves(
+            value=model_m,
+            gradient=lambda tau, rates, branch: (np.ones_like(tau), np.ones_like(tau)),
+        )
+        got, surface = kernel_and_exhaustive(DelayGrid.default(), RATES, TIMING, flat, sigma_m)
+        assert np.all(surface == np.inf) and got == (0, 0, np.inf)
+
+    def test_nan_gradient_table_gives_first_nan_cell(self):
+        grid = DelayGrid.default(size=300)
+        poisoned = grid.taus[123]
+
+        def gradient(tau, rates, branch):
+            g_plus, g_minus = model_gradient(tau, rates, branch)
+            return np.where(tau == poisoned, np.nan, g_plus), g_minus
+
+        curves = BranchCurves(value=model_m, gradient=gradient)
+        got, _ = kernel_and_exhaustive(grid, RATES, TIMING, curves)
+        assert got[:2] == (0, 123) and np.isnan(got[2])
+
+    def test_nan_sigma_table_matches_exhaustive(self):
+        grid = DelayGrid.default()
+
+        def sigma_plus(taus):
+            return np.where(np.arange(taus.size) == 400, np.nan, 0.02)
+
+        kernel_and_exhaustive(grid, RATES, TIMING, sigma_m=(sigma_plus, 0.03))
+
+    def test_selectors_use_the_kernel(self):
+        grid = DelayGrid.wide(size=640)
+        i, j, _ = exhaustive_argmin(approx_cost_surface(grid, RATES, TIMING))
+        assert nob_select_delays(RATES, TIMING, grid) == DelayPair(grid.taus[i], grid.taus[j])
+        sigma_m = tuple(
+            _sigma_callable(m, RATES, IDEAL_RANKING_PARAMS)
+            for m in (OPTIMAL_PROTOCOL.plus, OPTIMAL_PROTOCOL.minus)
+        )
+        timing = TimingModel(repetitions_R=IDEAL_RANKING_PARAMS.repetitions_R)
+        surface = cost_surface(grid, RATES, sigma_m, timing, measurement_curves(OPTIMAL_PROTOCOL))
+        i, j, value = exhaustive_argmin(surface)
+        delays, got = minimal_cost(OPTIMAL_PROTOCOL, RATES, grid=grid)
+        assert delays == DelayPair(grid.taus[i], grid.taus[j]) and got == value
 
 
 class TestNobSelect:

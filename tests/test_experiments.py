@@ -46,6 +46,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             fig_defaults(optimizer="nap", nap_delays=(0.1, 0.1, 0.2))
 
+    def test_unknown_drift_field(self):
+        # Rejected when the config is built, before any run can drop it.
+        with pytest.raises(ValueError, match=r"cannot drift unknown fields: \['alhpa'\]"):
+            fig_defaults(noiseless=True, drifts={"alhpa": lambda t: 0.8})
+
     def test_pair_nap_list_any_order(self):
         cfg = fig_defaults(
             optimizer="nap", nap_delays=((0.3, 0.1), (0.05, 0.4)), iterations=0
@@ -160,6 +165,24 @@ class TestAdaptiveRun:
             ValueError, match=r"^drift schedule at t = 155\.\d+ s: alpha must lie in \(1/3, 1\]$"
         ):
             run_adaptive(fig_defaults(iterations=30, seed=0, drifts=drifts))
+
+    def test_noiseless_run_applies_drift_blocks(self):
+        # A constant f0 drift is the static run at that f0, block by block;
+        # the records' sigma_M shows f0, since the robust m cancels it.
+        drifted = run_adaptive(
+            fig_defaults(iterations=4, noiseless=True, drifts={"f0": lambda t: 0.01})
+        )
+        static = run_adaptive(
+            fig_defaults(iterations=4, noiseless=True, params=SignalParams(f0=0.01))
+        )
+        default = run_adaptive(fig_defaults(iterations=4, noiseless=True))
+        first = (drifted.iterations[0].measurement, static.iterations[0].measurement)
+        assert first[0].sigma_plus == pytest.approx(first[1].sigma_plus, rel=1e-12)
+        assert first[0].sigma_plus > 1.3 * default.iterations[0].measurement.sigma_plus
+        for a, b in zip(drifted.iterations, static.iterations):
+            assert a.delays == b.delays
+            assert a.mean_plus == pytest.approx(b.mean_plus, rel=1e-9)
+            assert a.mean_minus == pytest.approx(b.mean_minus, rel=1e-9)
 
 
 class TestNapRun:
