@@ -336,12 +336,13 @@ class _Ledger:
             )
         )
 
-    def run_record(self, optimizer, posterior):
+    def run_record(self, optimizer, posterior, state):
+        """The finished run; `state` is the moments of the final `posterior`."""
         return RunRecord(
             optimizer=optimizer,
             iterations=tuple(self.records),
             trace_points=tuple(self.trace),
-            final=moments(posterior),
+            final=state,
             posterior=posterior,
             total_time_s=self.t_total,
             total_physical_s=self.t_physical,
@@ -371,10 +372,10 @@ def run_adaptive(config):
     minus = config.protocol.minus.oriented(config.params)
 
     ledger = _Ledger(timing)
+    state = moments(posterior)
     for _ in range(config.iterations):
-        current = moments(posterior)
         if config.optimizer == "nob":
-            delays = nob_select_delays(current, timing, grid_spec, curves)
+            delays = nob_select_delays(state, timing, grid_spec, curves)
         else:
             cloud = ParticleCloud.from_grid(posterior, config.particle_count, rng)
             delays = pf_select_delays(cloud, timing, grid_spec, curves)
@@ -393,7 +394,7 @@ def run_adaptive(config):
         ledger.log(delays, pair, flagged, state, cpu=config.selector_overhead_s)
         if not flagged:
             ledger.mark(state)
-    return ledger.run_record(config.optimizer, posterior)
+    return ledger.run_record(config.optimizer, posterior, state)
 
 
 class _Aggregate:
@@ -471,7 +472,7 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
             break
         if max_physical_s is not None and ledger.t_physical >= max_physical_s:
             break
-    return ledger.run_record(config.optimizer, posterior)
+    return ledger.run_record(config.optimizer, posterior, state)
 
 
 def replicate_seeds(base_seed, count):

@@ -3,18 +3,22 @@
 The posterior lives on a rectangular grid: strictly increasing axes for
 gamma_plus and gamma_minus (ms^-1) and a 2-D weight array, weights[i, j]
 belonging to (gamma_plus_axis[i], gamma_minus_axis[j]).  Weights are kept in
-log domain internally so hundreds of sequential updates cannot underflow;
-the public `weights` view is always normalized to sum 1.
+log domain internally so hundreds of sequential updates cannot underflow,
+normalized by a max-shifted log-sum-exp; the public `weights` array is
+computed once per grid, read-only, and sums to 1.
 
 Measurement likelihood: each iteration yields a measurement value and
-uncertainty per branch, compared against the noiseless model curve through
+uncertainty per branch, compared against the branch model curve through
 
     log L = -chi_plus^2 - chi_minus^2,   chi = (m - model) / (sqrt(2) sigma).
 
 Moments treat cell weights as point masses at the grid nodes.  `regrid`
 re-centers a fresh evenly spaced grid on the current mean, spanning 10
 standard deviations per axis (clamped to the hard prior support), and
-bilinearly interpolates the old weights onto it.
+interpolates the old weights onto it by separable bilinear interpolation,
+zero outside the old support.  Both kernels are plain numpy and repeat the
+floating-point operations of scipy's `logsumexp` and linear
+`RegularGridInterpolator` in the same order, so they equal them bit for bit.
 
 JSON snapshot layout (`format` key "posterior-grid-v1"):
 
@@ -31,13 +35,10 @@ JSON snapshot layout (`format` key "posterior-grid-v1"):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.special import logsumexp
-
-from .rates import model_m
 
 __all__ = [
     "DEFAULT_BOUNDS",
@@ -47,7 +48,6 @@ __all__ = [
     "PosteriorMoments",
     "PosteriorGrid",
     "initial_grid",
-    "log_likelihood",
     "bayes_update",
     "moments",
     "regrid",
@@ -122,15 +122,21 @@ class PosteriorGrid:
             raise ValueError("log_weights shape must be (len(plus), len(minus))")
         if np.any(np.isnan(lw)):
             raise ValueError("log_weights must not contain NaN")
+        if not np.isfinite(lw.max()):
+            raise ValueError("log_weights need a finite maximum")
+        lw = lw - _log_normalizer(lw)
+        lw.flags.writeable = False
         object.__setattr__(self, "gamma_plus_axis", gp)
         object.__setattr__(self, "gamma_minus_axis", gm)
-        object.__setattr__(self, "log_weights", lw - logsumexp(lw))
+        object.__setattr__(self, "log_weights", lw)
 
-    @property
+    @cached_property
     def weights(self):
-        """Normalized linear weights; sums to 1 within float accumulation."""
+        """Normalized linear weights, read-only; sums to 1 within float accumulation."""
         w = np.exp(self.log_weights)
-        return w / w.sum()
+        w /= w.sum()
+        w.flags.writeable = False
+        return w
 
     @property
     def shape(self):
@@ -142,6 +148,23 @@ class PosteriorGrid:
             self.gamma_plus_axis[:, None],
             self.gamma_minus_axis[None, :],
         )
+
+
+def _log_normalizer(a):
+    """log(sum(exp(a))) of an array with a finite maximum.
+
+    Max-shifted log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer. Anal.
+    41(4), 2021): the maximal entries leave the sum and are counted, and the
+    rest is summed in place.  These are scipy.special.logsumexp's operations
+    in its order, so the result equals it bit for bit.
+    """
+    peak = a.max()
+    at_peak = a == peak
+    count = float(np.count_nonzero(at_peak))
+    shifted = a - peak
+    shifted[at_peak] = -np.inf
+    s = np.exp(shifted, out=shifted).sum() / count
+    return np.log1p(s) + np.log(count) + peak
 
 
 def initial_grid(bounds=None, size=GRID_SIZE, prior="uniform", hard_bounds=None):
@@ -172,14 +195,11 @@ def initial_grid(bounds=None, size=GRID_SIZE, prior="uniform", hard_bounds=None)
     )
 
 
-def _chi_squared_field(pair, gamma_plus, gamma_minus, model=None):
+def _chi_squared_field(pair, gamma_plus, gamma_minus, model):
     """Sum of squared residuals chi+^2 + chi-^2 over broadcast rate arrays.
 
-    `model` is a branch-model callable (tau, rates, branch) -> value; None
-    selects the drift-insensitive pair's closed form.
+    `model` is a branch-model callable (tau, rates, branch) -> value.
     """
-    if model is None:
-        model = model_m
     total = 0.0
     for branch, m, sigma, tau in (
         ("+", pair.m_plus, pair.sigma_plus, pair.tau_plus),
@@ -191,22 +211,13 @@ def _chi_squared_field(pair, gamma_plus, gamma_minus, model=None):
     return total
 
 
-def log_likelihood(pair, rates, model=None):
-    """-chi+^2 - chi-^2 for one rate hypothesis (scalar or arrays)."""
-    gp, gm = (rates.gamma_plus, rates.gamma_minus) if hasattr(rates, "gamma_plus") else rates
-    value = -_chi_squared_field(
-        pair, np.asarray(gp, dtype=float), np.asarray(gm, dtype=float), model
-    )
-    return float(value) if np.ndim(value) == 0 else value
-
-
-def bayes_update(grid, pair, model=None):
+def bayes_update(grid, pair, model):
     """Posterior after folding in one measurement pair.
 
     Multiplies the prior weights by the likelihood (addition in log domain)
     and renormalizes.  If every node's posterior log-weight is -inf the
     measurement contradicts the whole support and the update is rejected.
-    `model` overrides the branch model function as in log_likelihood.
+    `model` is the branch model callable (tau, rates, branch) -> value.
     """
     gp, gm = grid.meshes()
     lw = grid.log_weights - _chi_squared_field(pair, gp, gm, model)
@@ -254,11 +265,54 @@ def _axis_window(mean, sigma, axis, bounds):
     return lo, hi
 
 
+def _axis_stencil(old, new):
+    """Lower node index and fraction of each new point on the old axis.
+
+    The index is that of the old cell holding the point, clipped to the
+    first and last cells, so a point on the last node gets fraction 1.
+    """
+    i = np.clip(np.searchsorted(old, new, side="right") - 1, 0, old.size - 2)
+    return i, (new - old[i]) / (old[i + 1] - old[i])
+
+
+def _bilinear(gp, gm, values, new_gp, new_gm):
+    """values on the gp x gm grid, bilinearly interpolated at new_gp x new_gm.
+
+    Each axis contributes its own stencil.  The corner terms are those of
+    scipy's linear RegularGridInterpolator, v00 (1-y0)(1-y1) + v01 (1-y0) y1
+    + v10 y0 (1-y1) + v11 y0 y1, multiplied and summed left to right as
+    there, so the values are bit for bit its own.  Points outside the old
+    support get 0.  The result is C-ordered because numpy sums in memory
+    order, and the seeded runs' sums were fixed in that order.
+    """
+    i0, y0 = _axis_stencil(gp, new_gp)
+    i1, y1 = _axis_stencil(gm, new_gm)
+    lo0, hi0 = (1 - y0)[:, None], y0[:, None]
+    lo1, hi1 = 1 - y1, y1
+    rows, rows_up = values[i0], values[i0 + 1]
+    out = np.multiply(rows[:, i1], lo0)
+    out *= lo1
+    term = np.empty_like(out)
+    for corner, w0, w1 in (
+        (rows[:, i1 + 1], lo0, hi1),
+        (rows_up[:, i1], hi0, lo1),
+        (rows_up[:, i1 + 1], hi0, hi1),
+    ):
+        np.multiply(corner, w0, out=term)
+        term *= w1
+        out += term
+    out = np.ascontiguousarray(out)
+    out[(new_gp < gp[0]) | (new_gp > gp[-1])] = 0.0
+    out[:, (new_gm < gm[0]) | (new_gm > gm[-1])] = 0.0
+    return out
+
+
 def regrid(grid, size=GRID_SIZE):
     """Evenly spaced grid re-centered on the current mean, spanning 10 sigma.
 
-    Weights are bilinearly interpolated from the old grid, zero outside its
-    support, then renormalized.
+    Weights are separably bilinearly interpolated from the old grid, zero
+    outside its support, then renormalized; the interpolated values equal
+    scipy's linear RegularGridInterpolator's bit for bit.
     """
     mom = moments(grid)
     new_gp = np.linspace(
@@ -269,15 +323,7 @@ def regrid(grid, size=GRID_SIZE):
         *_axis_window(mom.mean_minus, mom.sigma_minus, grid.gamma_minus_axis, grid.hard_bounds),
         int(size),
     )
-    interp = RegularGridInterpolator(
-        (grid.gamma_plus_axis, grid.gamma_minus_axis),
-        grid.weights,
-        method="linear",
-        bounds_error=False,
-        fill_value=0.0,
-    )
-    mesh = np.stack(np.meshgrid(new_gp, new_gm, indexing="ij"), axis=-1)
-    w = interp(mesh)
+    w = _bilinear(grid.gamma_plus_axis, grid.gamma_minus_axis, grid.weights, new_gp, new_gm)
     total = w.sum()
     if not total > 0.0:
         raise UpdateRejected("regrid produced an empty posterior")

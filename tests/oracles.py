@@ -14,12 +14,17 @@ one block at a time, kept so that the stacked sampler can be required to
 reproduce it bit for bit.  `cost` is the scalar cost of one delay pair
 through `design.gaussian_sigma`, and `exhaustive_argmin` the plain
 np.argmin over a full surface that the bounded delay selection must match.
+`log_likelihood` is the scalar-or-array likelihood of one rate hypothesis.
+`scipy_regrid_weights` is scipy's linear RegularGridInterpolator over a
+product grid; it and scipy's `logsumexp` are what the posterior's numpy
+kernels must equal bit for bit.
 """
 
 import math
 from dataclasses import replace
 
 import numpy as np
+from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
 from spinrelax.design import (
@@ -30,6 +35,7 @@ from spinrelax.design import (
     gaussian_sigma,
 )
 from spinrelax.estimator import sigma_m_from_expectations
+from spinrelax.posterior import _chi_squared_field
 from spinrelax.rates import model_m
 from spinrelax.signals import FourSignals, SignalSample, drift_schedule, expected_counts
 
@@ -251,3 +257,24 @@ def looped_sample_signals(
         for c, e, t, lab in zip(counts, expectations, taus, labels)
     ]
     return FourSignals(*samples)
+
+
+def log_likelihood(pair, rates, model=model_m):
+    """-chi+^2 - chi-^2 for one rate hypothesis (scalar or arrays)."""
+    gp, gm = (rates.gamma_plus, rates.gamma_minus) if hasattr(rates, "gamma_plus") else rates
+    value = -_chi_squared_field(
+        pair, np.asarray(gp, dtype=float), np.asarray(gm, dtype=float), model
+    )
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def scipy_regrid_weights(gp, gm, values, new_gp, new_gm):
+    """values on gp x gm at the nodes of new_gp x new_gm, 0 outside the support.
+
+    The copy is writable: scipy takes its compiled 2-D path only for writable
+    values, and its Python fallback rounds differently.
+    """
+    interp = RegularGridInterpolator(
+        (gp, gm), np.array(values), method="linear", bounds_error=False, fill_value=0.0
+    )
+    return interp(np.stack(np.meshgrid(new_gp, new_gm, indexing="ij"), axis=-1))

@@ -3,9 +3,12 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import spinrelax
 from spinrelax.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 FAST_YAML = """\
@@ -260,3 +263,15 @@ class TestStudyCommands:
         payload = json.loads(read(run_dir, "speedup.json"))
         assert payload["format"] == "speedup-study-v1"
         assert payload["points"][0]["pairings"] == 4
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only dependency; importing it was most of CLI start-up.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinrelax.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    probe = "import sys, spinrelax.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"

@@ -122,7 +122,7 @@ class TestGaussianSigma:
             tau_plus=delays.tau_plus,
             tau_minus=delays.tau_minus,
         )
-        mom = moments(bayes_update(grid, pair))
+        mom = moments(bayes_update(grid, pair, model=model_m))
         return (
             abs(mom.sigma_plus / approx.sigma_gamma_plus - 1.0),
             abs(mom.sigma_minus / approx.sigma_gamma_minus - 1.0),

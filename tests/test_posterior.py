@@ -4,17 +4,22 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
+from oracles import log_likelihood, scipy_regrid_weights
 from spinrelax.estimator import measurement_estimate
 from spinrelax.posterior import (
     DEFAULT_BOUNDS,
     MeasurementPair,
     PosteriorGrid,
     UpdateRejected,
+    _bilinear,
+    _log_normalizer,
     bayes_update,
     from_json_dict,
     initial_grid,
-    log_likelihood,
     moments,
     regrid,
     to_json_dict,
@@ -71,6 +76,21 @@ class TestGridConstruction:
                 log_weights=np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize("fill", [-np.inf, np.inf])
+    def test_rejects_non_finite_maximum(self, fill):
+        # All -inf leaves nothing to normalize; any +inf is the maximum.
+        lw = np.full((5, 5), -np.inf) if fill < 0 else np.zeros((5, 5))
+        lw[2, 3] = fill
+        axis = np.linspace(1.0, 2.0, 5)
+        with pytest.raises(ValueError, match="finite maximum"):
+            PosteriorGrid(axis, axis.copy(), lw)
+
+    def test_weights_are_read_only(self):
+        grid = initial_grid(size=10)
+        assert grid.weights is grid.weights
+        with pytest.raises(ValueError):
+            grid.weights[0, 0] = 1.0
+
     def test_measurement_pair_validation(self):
         with pytest.raises(ValueError):
             truth_pair(sigma=0.0)
@@ -110,7 +130,7 @@ class TestBayesUpdate:
     def test_flat_likelihood_preserves_prior(self):
         grid = initial_grid(size=60, prior="log-uniform")
         pair = truth_pair(sigma=1e12)
-        updated = bayes_update(grid, pair)
+        updated = bayes_update(grid, pair, model=model_m)
         assert np.allclose(updated.weights, grid.weights, atol=1e-15)
 
     def test_product_rule(self):
@@ -118,7 +138,7 @@ class TestBayesUpdate:
         # which doubles every chi^2 exponent.
         grid = initial_grid(size=60)
         pair = truth_pair(sigma=0.08)
-        twice = bayes_update(bayes_update(grid, pair), pair)
+        twice = bayes_update(bayes_update(grid, pair, model=model_m), pair, model=model_m)
         half_sigma = MeasurementPair(
             pair.m_plus,
             pair.m_minus,
@@ -127,7 +147,7 @@ class TestBayesUpdate:
             pair.tau_plus,
             pair.tau_minus,
         )
-        once = bayes_update(grid, half_sigma)
+        once = bayes_update(grid, half_sigma, model=model_m)
         assert np.allclose(twice.weights, once.weights, atol=1e-13)
 
     def test_update_commutativity(self):
@@ -146,23 +166,23 @@ class TestBayesUpdate:
         grid = initial_grid(size=50)
         forward = grid
         for p in pairs:
-            forward = bayes_update(forward, p)
+            forward = bayes_update(forward, p, model=model_m)
         backward = grid
         for p in reversed(pairs):
-            backward = bayes_update(backward, p)
+            backward = bayes_update(backward, p, model=model_m)
         assert np.allclose(forward.weights, backward.weights, atol=1e-10)
 
     def test_rejects_impossible_measurement(self):
         grid = initial_grid(size=40)
         pair = MeasurementPair(1e200, 0.1, 1e-150, 0.05, 0.3, 0.3)
         with pytest.raises(UpdateRejected):
-            bayes_update(grid, pair)
+            bayes_update(grid, pair, model=model_m)
 
     def test_posterior_exchange_invariance(self):
         grid = initial_grid(size=40)
         pair = MeasurementPair(0.2, 0.4, 0.05, 0.07, 0.3, 0.6)
-        a = bayes_update(grid, pair)
-        b = bayes_update(grid, pair.swapped())
+        a = bayes_update(grid, pair, model=model_m)
+        b = bayes_update(grid, pair.swapped(), model=model_m)
         assert np.allclose(a.weights, b.weights.T, atol=1e-14)
 
 
@@ -239,9 +259,73 @@ class TestRegrid:
         assert mom.mean_minus == pytest.approx(2.0, rel=1e-6)
 
 
+def _query_axis(axis, window, rng, q):
+    """q query points placed against the old axis as `window` says."""
+    lo, hi = axis[0], axis[-1]
+    span = hi - lo
+    if window == "inside":
+        return np.sort(rng.uniform(lo, hi, q))
+    if window == "on nodes":
+        return np.concatenate([[lo], np.sort(rng.choice(axis, q)), [hi]])
+    if window == "partly outside":
+        return np.linspace(lo - rng.uniform(0.0, 1.0) * span, hi - rng.uniform(-1.0, 0.9) * span, q)
+    side = hi + rng.uniform(1e-9, 1.0) * span if rng.random() < 0.5 else lo - 2.0 * span
+    return np.linspace(side, side + rng.uniform(0.0, 1.0) * span, q)
+
+
+WINDOWS = ["inside", "on nodes", "partly outside", "wholly outside"]
+
+
+class TestKernelsMatchScipy:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(2, 260), st.integers(2, 260)),
+        queries=st.tuples(st.integers(1, 80), st.integers(1, 80)),
+        windows=st.tuples(st.sampled_from(WINDOWS), st.sampled_from(WINDOWS)),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bilinear_equals_regular_grid_interpolator(self, sizes, queries, windows, scale, seed):
+        rng = np.random.default_rng(seed)
+        gp, gm = (rng.uniform(-5.0, 5.0) + np.cumsum(rng.uniform(1e-3, 1.0, n)) for n in sizes)
+        values = rng.random(sizes) * scale
+        new_gp = _query_axis(gp, windows[0], rng, queries[0])
+        new_gm = _query_axis(gm, windows[1], rng, queries[1])
+        got = _bilinear(gp, gm, values, new_gp, new_gm)
+        want = scipy_regrid_weights(gp, gm, values, new_gp, new_gm)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 500)), st.tuples(st.integers(1, 60), st.integers(1, 60))
+        ),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        neg_inf_share=st.sampled_from([0.0, 0.3, 0.95]),
+        tie_share=st.sampled_from([0.0, 0.2]),
+        all_equal=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_log_normalizer_equals_logsumexp(
+        self, shape, scale, neg_inf_share, tie_share, all_equal, seed
+    ):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) * scale
+        if all_equal:
+            a[...] = a.flat[0]
+        a[rng.random(shape) < tie_share] = a.max()
+        drop = rng.random(shape) < neg_inf_share
+        drop.flat[np.argmax(a)] = False
+        a[drop] = -np.inf
+        before = a.copy()
+        assert _log_normalizer(a) == logsumexp(a)
+        assert np.array_equal(a, before)
+
+
 class TestSerialization:
     def test_round_trip(self):
-        grid = bayes_update(initial_grid(size=30), truth_pair())
+        grid = bayes_update(initial_grid(size=30), truth_pair(), model=model_m)
         payload = to_json_dict(grid, metadata={"iteration": 3})
         text = json.dumps(payload)  # must be valid JSON (no inf/nan)
         back = from_json_dict(json.loads(text))
@@ -279,7 +363,7 @@ class TestCalibration:
                     tau_plus=0.35,
                     tau_minus=0.35,
                 )
-                grid = regrid(bayes_update(grid, pair))
+                grid = regrid(bayes_update(grid, pair, model=model_m))
             mom = moments(grid)
             if abs(mom.mean_plus - TRUTH.gamma_plus) < 2.0 * mom.sigma_plus:
                 hits_p += 1
@@ -301,7 +385,7 @@ class TestCalibration:
             pair = MeasurementPair(
                 est_p.m_bar, est_m.m_bar, est_p.sigma_m, est_m.sigma_m, 0.3, 0.3
             )
-            grid = regrid(bayes_update(grid, pair))
+            grid = regrid(bayes_update(grid, pair, model=model_m))
             mom = moments(grid)
             sigmas.append(mom.sigma_plus + mom.sigma_minus)
         assert sigmas[-1] < 0.25 * sigmas[0]
