@@ -9,7 +9,7 @@ delay design (`design`), enumeration and ranking of measurement protocols
 delay scheduling (`experiments`).  A command-line front end lives in `cli`.
 """
 
-from .rates import RatePair, model_gradient, model_m, model_m_optimal, propagator
+from .rates import RatePair, model_gradient, model_m, propagator
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,6 @@ __all__ = [
     "__version__",
     "RatePair",
     "model_m",
-    "model_m_optimal",
     "model_gradient",
     "propagator",
 ]

@@ -73,16 +73,6 @@ class RunManifest:
     created_utc: str
     outputs: tuple
 
-    def to_json_dict(self):
-        return {
-            "command": self.command,
-            "config_sha256": self.config_sha256,
-            "seed": self.seed,
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-            "outputs": list(self.outputs),
-        }
-
 
 # --------------------------------------------------------------------------
 # config assembly
@@ -205,18 +195,22 @@ def _require(config, section, key):
     return value
 
 
-def _coerce_number(config, section, key, kind, positive=False, nonnegative=False):
-    raw = config[section][key]
+def _number(raw, field, kind, positive=False, nonnegative=False):
     try:
         value = kind(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"field {section}.{key} must be a {kind.__name__}: got {raw!r}")
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {field} must be a {kind.__name__}: got {raw!r}")
     if kind is int and isinstance(raw, float) and raw != value:
-        raise ConfigError(f"field {section}.{key} must be an integer: got {raw!r}")
+        raise ConfigError(f"field {field} must be an integer: got {raw!r}")
     if positive and not value > 0:
-        raise ConfigError(f"field {section}.{key} must be positive: got {raw!r}")
+        raise ConfigError(f"field {field} must be positive: got {raw!r}")
     if nonnegative and value < 0:
-        raise ConfigError(f"field {section}.{key} must be nonnegative: got {raw!r}")
+        raise ConfigError(f"field {field} must be nonnegative: got {raw!r}")
+    return value
+
+
+def _coerce_number(config, section, key, kind, positive=False, nonnegative=False):
+    value = _number(config[section][key], f"{section}.{key}", kind, positive, nonnegative)
     config[section][key] = value
     return value
 
@@ -335,6 +329,20 @@ def _write_json(path, obj):
     _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _table_cell(value):
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return f"{value:.6g}"
+
+
+def _table_text(columns, rows):
+    """CSV of a result table: floats as .6g, ints as they are, labels quoted."""
+    lines = [",".join(columns)] + [",".join(map(_table_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _finish(run_dir, command, digest, seed, outputs):
     manifest = RunManifest(
         command=command,
@@ -344,7 +352,7 @@ def _finish(run_dir, command, digest, seed, outputs):
         created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         outputs=tuple(outputs),
     )
-    _write_json(os.path.join(run_dir, "manifest.json"), manifest.to_json_dict())
+    _write_json(os.path.join(run_dir, "manifest.json"), dataclasses.asdict(manifest))
     print(run_dir)
     return EXIT_OK
 
@@ -401,6 +409,8 @@ def _experiment_config(config, seed):
     run = config["run"]
     if run["optimizer"] not in ("nob", "pf", "nap"):
         raise ConfigError(f"field run.optimizer must be nob, pf, or nap: got {run['optimizer']!r}")
+    if not isinstance(run["noiseless"], bool):
+        raise ConfigError(f"field run.noiseless must be true or false: got {run['noiseless']!r}")
     iterations = _coerce_number(config, "run", "iterations", int, nonnegative=True)
     _coerce_number(config, "run", "particle_count", int, positive=True)
     _coerce_number(config, "run", "selector_overhead_s", float, nonnegative=True)
@@ -435,7 +445,7 @@ def _experiment_config(config, seed):
             grid_size=grid_size,
             timing=timing,
             seed=seed,
-            noiseless=bool(run["noiseless"]),
+            noiseless=run["noiseless"],
             particle_count=run["particle_count"],
             selector_overhead_s=run["selector_overhead_s"],
         )
@@ -512,6 +522,9 @@ def cmd_simulate(args):
     return _finish(run_dir, "simulate", digest, base_seed, outputs)
 
 
+_RATIO_SWEEP_COLUMNS = ("rate_ratio", "cost_robust_sqrt_s", "cost_optimal_sqrt_s", "cost_ratio")
+
+
 def cmd_rank_protocols(args):
     flag_overlay = {"rates": {}, "ranking": {}}
     if args.rates is not None:
@@ -532,8 +545,14 @@ def cmd_rank_protocols(args):
     outputs.append("census.json")
 
     ranking = rank_protocols(rates, params)
-    _write_text(os.path.join(run_dir, "ranking.csv"), ranking.to_text(","))
-    _write_json(os.path.join(run_dir, "ranking.json"), ranking.to_json_dict())
+    columns, table = ranking.COLUMNS, ranking.table
+    _write_text(os.path.join(run_dir, "ranking.csv"), _table_text(columns, table))
+    payload = {
+        "format": "protocol-ranking-v1",
+        "reference": ranking.reference_label,
+        "entries": [dict(zip(columns, row)) for row in table],
+    }
+    _write_json(os.path.join(run_dir, "ranking.json"), payload)
     outputs.extend(["ranking.csv", "ranking.json"])
 
     sweep = config["ranking"]
@@ -542,12 +561,8 @@ def cmd_rank_protocols(args):
             float(sweep["ratio_lo"]), float(sweep["ratio_hi"]), int(sweep["ratio_points"])
         )
         rows = sensitivity_ratio_curve(ratios, params=params)
-        lines = ["rate_ratio,cost_robust_sqrt_s,cost_optimal_sqrt_s,cost_ratio"]
-        for ratio, cost_robust, cost_optimal, cost_ratio in rows:
-            lines.append(
-                f"{ratio:.6g},{cost_robust:.6g},{cost_optimal:.6g},{cost_ratio:.6g}"
-            )
-        _write_text(os.path.join(run_dir, "ratio_sweep.csv"), "\n".join(lines) + "\n")
+        text = _table_text(_RATIO_SWEEP_COLUMNS, rows)
+        _write_text(os.path.join(run_dir, "ratio_sweep.csv"), text)
         outputs.append("ratio_sweep.csv")
 
     return _finish(run_dir, "rank-protocols", digest, 0, outputs)
@@ -574,10 +589,12 @@ def cmd_bias_study(args):
     r_values = config["bias"]["r_values"]
     if not isinstance(r_values, (list, tuple)) or not r_values:
         raise ConfigError("field bias.r_values must be a nonempty list of repetition counts")
+    r_values = [_number(r, "bias.r_values", int, positive=True) for r in r_values]
+    config["bias"]["r_values"] = r_values
 
     run_dir, digest = _prepare_run_dir(args, "bias-study", config)
     result = bias_study(params, rates, tau, r_values, replicates=replicates, seed=seed)
-    _write_text(os.path.join(run_dir, "bias.csv"), result.to_text(","))
+    _write_text(os.path.join(run_dir, "bias.csv"), _table_text(result.COLUMNS, result.table))
     meta = {
         "command": "bias-study",
         "tau_ms": tau,
@@ -631,8 +648,13 @@ def cmd_speedup(args):
         budget_factor=budget,
         seed=seed,
     )
-    _write_text(os.path.join(run_dir, "speedup.csv"), study.to_text(","))
-    _write_json(os.path.join(run_dir, "speedup.json"), study.to_json_dict())
+    _write_text(os.path.join(run_dir, "speedup.csv"), _table_text(study.COLUMNS, study.table))
+    payload = {
+        "format": "speedup-study-v1",
+        "replicates": study.replicates,
+        "points": [dict(zip(study.COLUMNS, row)) for row in study.table],
+    }
+    _write_json(os.path.join(run_dir, "speedup.json"), payload)
     return _finish(
         run_dir, "speedup", digest, seed, ["config.json", "speedup.csv", "speedup.json"]
     )

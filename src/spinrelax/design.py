@@ -27,7 +27,9 @@ grid, so the deterministic optimizer used between iterations takes an
 exact bounded argmin: it skips grid blocks that cannot hold the minimum
 and returns np.argmin's cell, ties going to the smallest tau_plus, then
 tau_minus.  A stochastic particle-cloud optimizer with a variance-proxy
-utility is provided as an alternative.
+utility is provided as an alternative.  Every width, cost and optimizer
+takes the protocol's BranchCurves (`protocols.measurement_curves`); none
+assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import BRANCHES, model_gradient, model_m
+from .rates import BRANCHES
 
 __all__ = [
     "UninformativeDesign",
@@ -47,7 +49,6 @@ __all__ = [
     "TimingModel",
     "GaussianApprox",
     "BranchCurves",
-    "ROBUST_CURVES",
     "gaussian_sigma",
     "cost_surface",
     "approx_cost_surface",
@@ -124,6 +125,11 @@ class TimingModel:
         """Seconds of one iteration spent in relaxation delays (ms)."""
         return 2.0 * self.repetitions_R * (np.asarray(tau_plus) + np.asarray(tau_minus)) * 1e-3
 
+    def branch_seconds(self, tau):
+        """Seconds of one branch's four signals at delay tau (ms), with half the fixed time."""
+        half_fixed = 4.0 * self.repetitions_R * self.per_shot_time + self.overhead_T0 / 2.0
+        return 2.0 * self.repetitions_R * tau * 1e-3 + half_fixed
+
     def duration_seconds(self, tau_plus, tau_minus):
         """Seconds for one iteration at the given delays (ms)."""
         fixed = 8.0 * self.repetitions_R * self.per_shot_time
@@ -152,9 +158,6 @@ class BranchCurves:
     gradient: callable
 
 
-ROBUST_CURVES = BranchCurves(value=model_m, gradient=model_gradient)
-
-
 def _jacobian(delays, rates, curves):
     """Rows: branch measured at its delay; columns: d/dG+, d/dG-."""
     g_pp, g_pm = curves.gradient(delays.tau_plus, rates, "+")
@@ -162,7 +165,7 @@ def _jacobian(delays, rates, curves):
     return np.array([[g_pp, g_pm], [g_mp, g_mm]], dtype=float)
 
 
-def gaussian_sigma(delays, rates, sigma_m, curves=ROBUST_CURVES):
+def gaussian_sigma(delays, rates, sigma_m, curves):
     """Gaussian rate uncertainties for one delay pair.
 
     sigma_m is the (sigma_M+, sigma_M-) pair of measurement uncertainties.
@@ -264,7 +267,7 @@ def _approx_terms(grid, rates, timing, curves):
     return cells, (g_pp, g_pm, g_mp, g_mm)
 
 
-def cost_surface(grid, rates, sigma_m, timing, curves=ROBUST_CURVES):
+def cost_surface(grid, rates, sigma_m, timing, curves):
     """Full cost over the delay grid; [i, j] = (tau_plus_i, tau_minus_j).
 
     sigma_m entries may be scalars or callables of the delay array, so
@@ -276,7 +279,7 @@ def cost_surface(grid, rates, sigma_m, timing, curves=ROBUST_CURVES):
     return cells(*np.ix_(index, index))
 
 
-def approx_cost_surface(grid, rates, timing, curves=ROBUST_CURVES):
+def approx_cost_surface(grid, rates, timing, curves):
     """Common-sigma_M cost over the grid with the sigma factored out.
 
     For equal measurement uncertainties the covariance reduces to
@@ -349,7 +352,7 @@ def _bounded_argmin(grid, rates, timing, cells, tables):
     return i, j, float(values.flat[k])
 
 
-def nob_select_delays(rates, timing, grid=None, curves=ROBUST_CURVES):
+def nob_select_delays(rates, timing, curves, grid=None):
     """Deterministic optimizer: exact bounded argmin of approx_cost_surface.
 
     Returns np.argmin's cell of the full surface, ties going to the smallest
@@ -386,29 +389,26 @@ class ParticleCloud:
         object.__setattr__(self, "weights", weights / total)
 
     @classmethod
-    def from_grid(cls, grid, n=10**5, rng=None, jitter=True):
+    def from_grid(cls, grid, n=10**5, rng=None):
         """Draw n particles from a posterior grid, jittered within cells."""
         if rng is None:
             rng = np.random.default_rng()
         w = grid.weights.ravel()
         idx = rng.choice(w.size, size=int(n), p=w)
         i, j = np.unravel_index(idx, grid.weights.shape)
-        gp = grid.gamma_plus_axis[i]
-        gm = grid.gamma_minus_axis[j]
-        if jitter:
-            cell_p = float(np.mean(np.diff(grid.gamma_plus_axis)))
-            cell_m = float(np.mean(np.diff(grid.gamma_minus_axis)))
-            lo, hi = grid.hard_bounds
-            gp = np.clip(gp + rng.uniform(-0.5, 0.5, gp.size) * cell_p, lo, hi)
-            gm = np.clip(gm + rng.uniform(-0.5, 0.5, gm.size) * cell_m, lo, hi)
-        gammas = np.column_stack([gp, gm])
+        cell_p = float(np.mean(np.diff(grid.gamma_plus_axis)))
+        cell_m = float(np.mean(np.diff(grid.gamma_minus_axis)))
+        lo, hi = grid.hard_bounds
+        gp = grid.gamma_plus_axis[i] + rng.uniform(-0.5, 0.5, i.size) * cell_p
+        gm = grid.gamma_minus_axis[j] + rng.uniform(-0.5, 0.5, j.size) * cell_m
+        gammas = np.clip(np.column_stack([gp, gm]), lo, hi)
         return cls(gammas=gammas, weights=np.full(int(n), 1.0 / int(n)))
 
     def is_degenerate(self):
         return bool(np.all(np.ptp(self.gammas, axis=0) == 0.0))
 
 
-def pf_select_delays(cloud, timing, grid=None, curves=ROBUST_CURVES, subgrid=100):
+def pf_select_delays(cloud, timing, curves, grid=None, subgrid=100):
     """Stochastic optimizer: variance-proxy utility over a delay subgrid.
 
     The utility of a delay pair is the cloud variance of the predicted
@@ -421,7 +421,7 @@ def pf_select_delays(cloud, timing, grid=None, curves=ROBUST_CURVES, subgrid=100
         grid = DelayGrid.default()
     mean_rates = tuple(np.average(cloud.gammas, axis=0, weights=cloud.weights))
     if cloud.is_degenerate():
-        return nob_select_delays(mean_rates, timing, grid, curves)
+        return nob_select_delays(mean_rates, timing, curves, grid)
     step = max(1, grid.taus.size // int(subgrid))
     taus = grid.taus[::step]
     gp = cloud.gammas[:, 0][:, None]
@@ -436,7 +436,7 @@ def pf_select_delays(cloud, timing, grid=None, curves=ROBUST_CURVES, subgrid=100
     t = timing.duration_seconds(taus[:, None], taus[None, :])
     utility = (var_plus[:, None] + var_minus[None, :]) / np.sqrt(t)
     if not np.any(utility > 0.0):
-        return nob_select_delays(mean_rates, timing, grid, curves)
+        return nob_select_delays(mean_rates, timing, curves, grid)
     flat = np.argmax(utility)
     i, j = np.unravel_index(flat, utility.shape)
     return DelayPair(tau_plus=float(taus[i]), tau_minus=float(taus[j]))

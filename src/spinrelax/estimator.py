@@ -22,7 +22,7 @@ maximum-likelihood estimate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
@@ -165,22 +165,10 @@ class BiasStudyResult:
         "zero_denominator_count",
     )
 
-    def to_text(self, delimiter=","):
-        lines = [delimiter.join(self.COLUMNS)]
-        for row in self.rows:
-            lines.append(
-                delimiter.join(
-                    [
-                        str(row.repetitions),
-                        f"{row.mean_ratio_nonlinear:.6g}",
-                        f"{row.std_nonlinear:.6g}",
-                        f"{row.mean_ratio_linear:.6g}",
-                        f"{row.std_linear:.6g}",
-                        str(row.zero_denominator_count),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
+    @property
+    def table(self):
+        """One tuple per row, in COLUMNS order: each row's leading fields."""
+        return tuple(astuple(row)[: len(self.COLUMNS)] for row in self.rows)
 
 
 def bias_study(

@@ -15,7 +15,7 @@ Delays are milliseconds, rates 1/ms, wall-clock seconds throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "replicate_seeds",
     "time_to_reach",
     "sigma_trace_slope",
-    "delay_only_speedup",
     "SpeedupPoint",
     "SpeedupStudy",
     "speedup_study",
@@ -294,10 +293,9 @@ class _Ledger:
         happens for both branches before any estimation so the random stream
         advances identically whether or not an estimate fails.
         """
-        timing, start = self.timing, self.t_physical
-        half_fixed = 4.0 * timing.repetitions_R * timing.per_shot_time + timing.overhead_T0 / 2.0
-        d_plus = 2.0 * timing.repetitions_R * delays.tau_plus * 1e-3 + half_fixed
-        d_minus = 2.0 * timing.repetitions_R * delays.tau_minus * 1e-3 + half_fixed
+        start = self.t_physical
+        d_plus = self.timing.branch_seconds(delays.tau_plus)
+        d_minus = self.timing.branch_seconds(delays.tau_minus)
         four_plus = _acquire_four(config, plus, delays.tau_plus, rng, start, d_plus)
         four_minus = _acquire_four(config, minus, delays.tau_minus, rng, start + d_plus, d_minus)
         return four_plus, four_minus
@@ -375,10 +373,10 @@ def run_adaptive(config):
     state = moments(posterior)
     for _ in range(config.iterations):
         if config.optimizer == "nob":
-            delays = nob_select_delays(state, timing, grid_spec, curves)
+            delays = nob_select_delays(state, timing, curves, grid_spec)
         else:
             cloud = ParticleCloud.from_grid(posterior, config.particle_count, rng)
-            delays = pf_select_delays(cloud, timing, grid_spec, curves)
+            delays = pf_select_delays(cloud, timing, curves, grid_spec)
 
         four_plus, four_minus = ledger.acquire(config, plus, minus, delays, rng)
         pair = None
@@ -526,17 +524,6 @@ def sigma_trace_slope(record, branch="+", decades=1.0, with_overhead=False):
     return float(slope)
 
 
-def delay_only_speedup(total_speedup, duty_adaptive, duty_fixed):
-    """Rescale a total-time speedup to count only the relaxation delays.
-
-    With the fixed sweep spending a larger fraction of its wall clock in
-    delays than the adaptive run, the delay-only speedup can only grow.
-    """
-    if not (0.0 < duty_adaptive <= 1.0 and 0.0 < duty_fixed <= 1.0):
-        raise ValueError("duty cycles must lie in (0, 1]")
-    return total_speedup * duty_fixed / duty_adaptive
-
-
 @dataclass(frozen=True)
 class SpeedupPoint:
     """Paired-ensemble speedup statistics at one true rate pair."""
@@ -567,43 +554,10 @@ class SpeedupStudy:
         "lower_bound_pairings",
     )
 
-    def to_text(self, delimiter="\t"):
-        lines = [delimiter.join(self.COLUMNS)]
-        for p in self.points:
-            lines.append(
-                delimiter.join(
-                    [
-                        f"{p.gamma_plus_per_ms:.6g}",
-                        f"{p.gamma_minus_per_ms:.6g}",
-                        f"{p.mean_plus:.6g}",
-                        f"{p.std_plus:.6g}",
-                        f"{p.mean_minus:.6g}",
-                        f"{p.std_minus:.6g}",
-                        str(p.pairings),
-                        str(p.lower_bound_pairings),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self):
-        return {
-            "format": "speedup-study-v1",
-            "replicates": self.replicates,
-            "points": [
-                dict(zip(self.COLUMNS, (
-                    p.gamma_plus_per_ms,
-                    p.gamma_minus_per_ms,
-                    p.mean_plus,
-                    p.std_plus,
-                    p.mean_minus,
-                    p.std_minus,
-                    p.pairings,
-                    p.lower_bound_pairings,
-                )))
-                for p in self.points
-            ],
-        }
+    @property
+    def table(self):
+        """One tuple per point, in COLUMNS order."""
+        return tuple(astuple(p) for p in self.points)
 
 
 def speedup_study(

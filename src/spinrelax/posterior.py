@@ -5,7 +5,9 @@ gamma_plus and gamma_minus (ms^-1) and a 2-D weight array, weights[i, j]
 belonging to (gamma_plus_axis[i], gamma_minus_axis[j]).  Weights are kept in
 log domain internally so hundreds of sequential updates cannot underflow,
 normalized by a max-shifted log-sum-exp; the public `weights` array is
-computed once per grid, read-only, and sums to 1.
+computed once per grid, read-only, and sums to 1.  A run starts from
+`initial_grid`: flat in rate over the prior bounds, which are also the hard
+support every later grid stays within.
 
 Measurement likelihood: each iteration yields a measurement value and
 uncertainty per branch, compared against the branch model curve through
@@ -19,17 +21,6 @@ interpolates the old weights onto it by separable bilinear interpolation,
 zero outside the old support.  Both kernels are plain numpy and repeat the
 floating-point operations of scipy's `logsumexp` and linear
 `RegularGridInterpolator` in the same order, so they equal them bit for bit.
-
-JSON snapshot layout (`format` key "posterior-grid-v1"):
-
-    {
-      "format": "posterior-grid-v1",
-      "gamma_plus_axis_per_ms": [...],
-      "gamma_minus_axis_per_ms": [...],
-      "weights": [[...], ...],          # row i = gamma_plus_axis[i]
-      "hard_bounds_per_ms": [lo, hi],
-      "metadata": {...}
-    }
 """
 
 from __future__ import annotations
@@ -51,8 +42,6 @@ __all__ = [
     "bayes_update",
     "moments",
     "regrid",
-    "to_json_dict",
-    "from_json_dict",
 ]
 
 DEFAULT_BOUNDS = (0.055, 100.0)
@@ -167,31 +156,22 @@ def _log_normalizer(a):
     return np.log1p(s) + np.log(count) + peak
 
 
-def initial_grid(bounds=None, size=GRID_SIZE, prior="uniform", hard_bounds=None):
-    """Fresh evenly spaced grid over `bounds` carrying the chosen prior.
+def initial_grid(bounds=None, size=GRID_SIZE):
+    """Fresh evenly spaced grid over `bounds`, flat in rate.
 
-    prior "uniform" is flat in rate; "log-uniform" puts weight proportional
-    to 1/(gamma_plus * gamma_minus), flat in log rate.
+    `bounds` are also the hard prior support of every later regrid.
     """
     if bounds is None:
         bounds = DEFAULT_BOUNDS
-    if hard_bounds is None:
-        hard_bounds = bounds
     lo, hi = bounds
     if not (0.0 < lo < hi):
         raise ValueError("bounds must satisfy 0 < lo < hi")
     axis = np.linspace(lo, hi, int(size))
-    if prior == "uniform":
-        lw = np.zeros((axis.size, axis.size))
-    elif prior == "log-uniform":
-        lw = -(np.log(axis)[:, None] + np.log(axis)[None, :])
-    else:
-        raise ValueError("prior must be 'uniform' or 'log-uniform'")
     return PosteriorGrid(
         gamma_plus_axis=axis,
         gamma_minus_axis=axis.copy(),
-        log_weights=lw,
-        hard_bounds=tuple(hard_bounds),
+        log_weights=np.zeros((axis.size, axis.size)),
+        hard_bounds=tuple(bounds),
     )
 
 
@@ -336,30 +316,3 @@ def regrid(grid, size=GRID_SIZE):
         hard_bounds=grid.hard_bounds,
     )
 
-
-def to_json_dict(grid, metadata=None):
-    """Snapshot in the documented posterior-grid-v1 layout."""
-    return {
-        "format": "posterior-grid-v1",
-        "gamma_plus_axis_per_ms": grid.gamma_plus_axis.tolist(),
-        "gamma_minus_axis_per_ms": grid.gamma_minus_axis.tolist(),
-        "weights": grid.weights.tolist(),
-        "hard_bounds_per_ms": list(grid.hard_bounds),
-        "metadata": dict(metadata or {}),
-    }
-
-
-def from_json_dict(payload):
-    if payload.get("format") != "posterior-grid-v1":
-        raise ValueError("unrecognized posterior snapshot format")
-    w = np.asarray(payload["weights"], dtype=float)
-    if np.any(w < 0.0) or not w.sum() > 0.0:
-        raise ValueError("weights must be nonnegative with positive total")
-    with np.errstate(divide="ignore"):
-        lw = np.log(w / w.sum())
-    return PosteriorGrid(
-        gamma_plus_axis=np.asarray(payload["gamma_plus_axis_per_ms"], dtype=float),
-        gamma_minus_axis=np.asarray(payload["gamma_minus_axis_per_ms"], dtype=float),
-        log_weights=lw,
-        hard_bounds=tuple(payload["hard_bounds_per_ms"]),
-    )

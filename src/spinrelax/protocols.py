@@ -44,7 +44,6 @@ minimal cost relative to the best-known reference pair.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -181,12 +180,6 @@ def enumerate_measurements():
 def raw_protocol_count():
     """All 3^8 assignments of the eight pulse labels."""
     return 3 ** 8
-
-
-def valid_protocol_count():
-    """Ordered pairs of usable measurements."""
-    n = len(enumerate_measurements())
-    return n * n
 
 
 def _probe_lattice(size):
@@ -360,40 +353,13 @@ class ProtocolRanking:
 
     COLUMNS = ("protocol", "tau_plus_ms", "tau_minus_ms", "cost_sqrt_s", "cost_ratio")
 
-    def to_text(self, delimiter="\t"):
-        lines = [delimiter.join(self.COLUMNS)]
-        for e in self.entries:
-            lines.append(
-                delimiter.join(
-                    [
-                        f'"{e.label}"',
-                        f"{e.delays.tau_plus:.6g}",
-                        f"{e.delays.tau_minus:.6g}",
-                        f"{e.cost:.6g}",
-                        f"{e.cost_ratio:.6g}",
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self):
-        return {
-            "format": "protocol-ranking-v1",
-            "reference": self.reference_label,
-            "entries": [
-                {
-                    "protocol": e.label,
-                    "tau_plus_ms": e.delays.tau_plus,
-                    "tau_minus_ms": e.delays.tau_minus,
-                    "cost_sqrt_s": e.cost,
-                    "cost_ratio": e.cost_ratio,
-                }
-                for e in self.entries
-            ],
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), indent=2)
+    @property
+    def table(self):
+        """One tuple per entry, in COLUMNS order."""
+        return tuple(
+            (e.label, e.delays.tau_plus, e.delays.tau_minus, e.cost, e.cost_ratio)
+            for e in self.entries
+        )
 
 
 ROBUST_LABEL = "(+0,00),(-0,00)"

@@ -36,12 +36,9 @@ import numpy as np
 
 __all__ = [
     "RatePair",
-    "Propagator",
-    "decay_constants",
     "propagator",
     "propagator_entries",
     "model_m",
-    "model_m_optimal",
     "model_gradient",
 ]
 
@@ -70,14 +67,6 @@ class RatePair:
         return RatePair(self.gamma_minus, self.gamma_plus)
 
 
-@dataclass(eq=False)
-class Propagator:
-    """Population transition matrix entries[i, j] = p_ij(tau) in basis (-, 0, +)."""
-
-    entries: np.ndarray
-    tau: float
-
-
 def _unpack(rates):
     """Accept a RatePair or a (gamma_plus, gamma_minus) pair of arrays."""
     if isinstance(rates, RatePair):
@@ -95,13 +84,6 @@ def _spectral_split(gp, gm):
     np.sqrt stays on the principal branch near the positive real axis.
     """
     return np.sqrt(gp * gp + gm * gm - gp * gm)
-
-
-def decay_constants(rates):
-    """Return (beta_fast, beta_slow), the two nonzero decay rates of K in 1/ms."""
-    gp, gm = _unpack(rates)
-    g = _spectral_split(gp, gm)
-    return gp + gm + g, gp + gm - g
 
 
 def _check_tau(tau):
@@ -157,16 +139,14 @@ def propagator_entries(tau, gp, gm):
 
 
 def propagator(tau, rates):
-    """Transition-probability matrix for a relaxation interval tau (ms).
+    """Transition-probability matrix [i, j] = p_ij(tau) for a relaxation interval tau (ms).
 
-    The result is symmetric, doubly stochastic, and has entries in [0, 1];
-    tiny negative roundoff from the spectral sum is clipped away.
+    Basis (-, 0, +); shape tau.shape + (3, 3).  The result is symmetric,
+    doubly stochastic, and has entries in [0, 1]; tiny negative roundoff
+    from the spectral sum is clipped away.
     """
-    tau_arr = _check_tau(tau)
     gp, gm = _unpack(rates)
-    entries = propagator_entries(tau_arr, gp, gm)
-    entries = np.clip(entries, 0.0, 1.0)
-    return Propagator(entries=entries, tau=tau)
+    return np.clip(propagator_entries(_check_tau(tau), gp, gm), 0.0, 1.0)
 
 
 def _values(tau, gp, gm, branch):
@@ -235,27 +215,3 @@ def model_gradient(tau, rates, branch):
         return one_derivative(dg_dgp, 1.0), one_derivative(dg_dgm, 0.0)
     return one_derivative(dg_dgp, 0.0), one_derivative(dg_dgm, 1.0)
 
-
-def model_m_optimal(tau, rates, eta, branch):
-    """Normalized expectation of the highest-sensitivity signal pair.
-
-    Unlike model_m this depends on the pi-pulse error eta of the branch being
-    measured, which is exactly why that pair is not drift-insensitive.  The
-    closed form is
-
-        exp(-(gp+gm) tau) * [cosh(g tau)
-            + (own - other + eta (other - 2 own)) sinh(g tau) / ((2 eta - 1) g)]
-
-    with own/other the branch's rate and its partner.
-    """
-    tau = _check_tau(tau)
-    gp, gm = _unpack(rates)
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta < 0.0) or np.any(eta >= 0.5):
-        raise ValueError("eta must lie in [0, 0.5); eta = 0.5 collapses the normalization")
-    g = _spectral_split(gp, gm)
-    own, other = (gp, gm) if branch == "+" else (gm, gp)
-    coeff = (own - other + eta * (other - 2.0 * own)) / ((2.0 * eta - 1.0) * g)
-    return np.exp(-(gp + gm) * tau) * (np.cosh(g * tau) + coeff * np.sinh(g * tau))

@@ -228,7 +228,7 @@ OPTIMAL_PROTOCOL = ProtocolSpec(
 
 def expected_counts(prep, read, tau, rates, params):
     """Expected photon sum of signal S_{prep,read}(tau); vectorized over tau."""
-    entries = propagator(tau, rates).entries
+    entries = propagator(tau, rates)
     start = pulse_matrix(prep, params) @ prep_vector(params)
     finish = collection_vector(params) @ pulse_matrix(read, params)
     bare = np.einsum("...ij,j->...i", entries, start) @ finish
@@ -306,7 +306,7 @@ def expected_signals(measurement, tau, rates, blocks):
     ]
     columns = []
     # exp(K * 0) is the identity exactly, as propagator() pins it.
-    for t, entries in ((tau, propagator(tau, rates).entries), (0.0, np.eye(3))):
+    for t, entries in ((tau, propagator(tau, rates)), (0.0, np.eye(3))):
         # One row per block, moved to the last axis beside the delay axes.
         background = np.array([p.background_at(t) for p in blocks], dtype=float)
         background = np.moveaxis(background, 0, -1)

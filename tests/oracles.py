@@ -17,7 +17,10 @@ np.argmin over a full surface that the bounded delay selection must match.
 `log_likelihood` is the scalar-or-array likelihood of one rate hypothesis.
 `scipy_regrid_weights` is scipy's linear RegularGridInterpolator over a
 product grid; it and scipy's `logsumexp` are what the posterior's numpy
-kernels must equal bit for bit.
+kernels must equal bit for bit.  `ROBUST_CURVES` spells out the robust
+protocol's closed-form curves for kernel tests that need no protocol, and
+`model_m_optimal` is the closed form of the highest-sensitivity pair that
+the generic four-count path must reproduce.
 """
 
 import math
@@ -28,7 +31,7 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import expm
 
 from spinrelax.design import (
-    ROBUST_CURVES,
+    BranchCurves,
     UninformativeDesign,
     _jacobian,
     _rate_values,
@@ -36,10 +39,13 @@ from spinrelax.design import (
 )
 from spinrelax.estimator import sigma_m_from_expectations
 from spinrelax.posterior import _chi_squared_field
-from spinrelax.rates import model_m
+from spinrelax.rates import BRANCHES, _check_tau, _spectral_split, _unpack, model_gradient, model_m
 from spinrelax.signals import FourSignals, SignalSample, drift_schedule, expected_counts
 
 # Basis order (-, 0, +) -> indices (0, 1, 2).
+
+# The robust protocol's curves, the closed-form model_m and its gradient.
+ROBUST_CURVES = BranchCurves(value=model_m, gradient=model_gradient)
 
 
 def rate_matrix(gamma_plus, gamma_minus):
@@ -278,3 +284,28 @@ def scipy_regrid_weights(gp, gm, values, new_gp, new_gm):
         (gp, gm), np.array(values), method="linear", bounds_error=False, fill_value=0.0
     )
     return interp(np.stack(np.meshgrid(new_gp, new_gm, indexing="ij"), axis=-1))
+
+
+def model_m_optimal(tau, rates, eta, branch):
+    """Normalized expectation of the highest-sensitivity signal pair.
+
+    Unlike model_m this depends on the pi-pulse error eta of the branch being
+    measured, which is exactly why that pair is not drift-insensitive.  The
+    closed form is
+
+        exp(-(gp+gm) tau) * [cosh(g tau)
+            + (own - other + eta (other - 2 own)) sinh(g tau) / ((2 eta - 1) g)]
+
+    with own/other the branch's rate and its partner.
+    """
+    tau = _check_tau(tau)
+    gp, gm = _unpack(rates)
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    eta = np.asarray(eta, dtype=float)
+    if np.any(eta < 0.0) or np.any(eta >= 0.5):
+        raise ValueError("eta must lie in [0, 0.5); eta = 0.5 collapses the normalization")
+    g = _spectral_split(gp, gm)
+    own, other = (gp, gm) if branch == "+" else (gm, gp)
+    coeff = (own - other + eta * (other - 2.0 * own)) / ((2.0 * eta - 1.0) * g)
+    return np.exp(-(gp + gm) * tau) * (np.cosh(g * tau) + coeff * np.sinh(g * tau))

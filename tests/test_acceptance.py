@@ -49,6 +49,7 @@ from spinrelax.signals import (
 )
 
 from oracles import (
+    ROBUST_CURVES,
     expected_difference,
     expected_measurement,
     expm_propagator,
@@ -362,7 +363,7 @@ def test_criterion_8_gaussian_fidelity():
         rates = _random_rates(rng, 0.1, 20.0)
         delays = DelayPair(rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0))
         sigma_m = (rng.uniform(0.001, 0.1), rng.uniform(0.001, 0.1))
-        g = gaussian_sigma(delays, rates, sigma_m)
+        g = gaussian_sigma(delays, rates, sigma_m, ROBUST_CURVES)
         cov = jacobian_sigma(delays, rates, sigma_m)
         worst_dual = max(
             worst_dual,
@@ -373,14 +374,14 @@ def test_criterion_8_gaussian_fidelity():
 
     params = SignalParams()
     timing = TimingModel(repetitions_R=params.repetitions_R)
-    delays = nob_select_delays(TRUTH, timing)
+    delays = nob_select_delays(TRUTH, timing, ROBUST_CURVES)
     _, s_plus = expected_measurement(ROBUST_PROTOCOL.plus, delays.tau_plus, TRUTH, params)
     _, s_minus = expected_measurement(
         ROBUST_PROTOCOL.minus, delays.tau_minus, TRUTH, params
     )
     # high SNR: half the single-pair shot-noise width
     s_plus, s_minus = s_plus / 2.0, s_minus / 2.0
-    g = gaussian_sigma(delays, TRUTH, (s_plus, s_minus))
+    g = gaussian_sigma(delays, TRUTH, (s_plus, s_minus), ROBUST_CURVES)
     axis_p = np.linspace(
         max(0.056, 1.0 - 8 * g.sigma_gamma_plus), 1.0 + 8 * g.sigma_gamma_plus, 600
     )
@@ -406,8 +407,8 @@ def test_criterion_8_gaussian_fidelity():
     worst_cell = 0
     for _ in range(50):
         rates = _random_rates(rng, 0.1, 20.0)
-        full = cost_surface(delay_grid, rates, (1.0, 1.0), timing)
-        approx = approx_cost_surface(delay_grid, rates, timing)
+        full = cost_surface(delay_grid, rates, (1.0, 1.0), timing, ROBUST_CURVES)
+        approx = approx_cost_surface(delay_grid, rates, timing, ROBUST_CURVES)
         fi, fj = np.unravel_index(np.argmin(full), full.shape)
         ai, aj = np.unravel_index(np.argmin(approx), approx.shape)
         worst_cell = max(worst_cell, abs(fi - ai), abs(fj - aj))

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import spinrelax
-from spinrelax.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from spinrelax.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _table_text, main
+from spinrelax.estimator import BiasStudyResult
+from spinrelax.experiments import SpeedupStudy
+from spinrelax.protocols import OPTIMAL_LABEL, ROBUST_LABEL, ProtocolRanking
 
 FAST_YAML = """\
 rates:
@@ -72,6 +75,20 @@ class TestExitCodes:
             ["simulate", "--config", fast_config, "--R", "2.5", "--out", str(tmp_path)]
         )
         assert code == EXIT_CONFIG
+
+    def test_string_noiseless_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "quoted.yaml"
+        cfg.write_text(FAST_YAML.replace("run:\n", 'run:\n  noiseless: "false"\n'))
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "run.noiseless" in capsys.readouterr().err
+
+    def test_bias_r_values_entries_validated(self, tmp_path, capsys):
+        cfg = tmp_path / "bias.yaml"
+        cfg.write_text("bias:\n  r_values: [0, 1000]\n  replicates: 1000\n")
+        code = main(["bias-study", "--config", str(cfg), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "bias.r_values" in capsys.readouterr().err
 
     def test_argparse_usage_error_is_2(self):
         assert main([]) == EXIT_CONFIG
@@ -207,8 +224,14 @@ class TestStudyCommands:
         run_dir = run_dir_from(capsys)
         ranking = read(run_dir, "ranking.csv").strip().split("\n")
         assert ranking[0] == "protocol,tau_plus_ms,tau_minus_ms,cost_sqrt_s,cost_ratio"
+        assert ranking[0].split(",") == list(ProtocolRanking.COLUMNS)
         assert len(ranking) == 37
         assert ranking[1].startswith('"(+0,++),(-0,--)"')
+        payload = json.loads(read(run_dir, "ranking.json"))
+        assert payload["format"] == "protocol-ranking-v1"
+        assert payload["reference"] == OPTIMAL_LABEL
+        assert len(payload["entries"]) == 36
+        assert ROBUST_LABEL in {e["protocol"] for e in payload["entries"]}
         census = json.loads(read(run_dir, "census.json"))
         assert census["raw_count"] == 6561
         assert census["independent_count"] == 36
@@ -234,6 +257,7 @@ class TestStudyCommands:
         run_dir = run_dir_from(capsys)
         table = read(run_dir, "bias.csv").strip().split("\n")
         assert table[0].split(",")[0] == "R"
+        assert table[0].split(",") == list(BiasStudyResult.COLUMNS)
         assert len(table) == 3
         meta = json.loads(read(run_dir, "bias.json"))
         assert meta["tau_ms"] == 0.4
@@ -259,10 +283,17 @@ class TestStudyCommands:
         run_dir = run_dir_from(capsys)
         table = read(run_dir, "speedup.csv").strip().split("\n")
         assert table[0].startswith("gamma_plus_per_ms,gamma_minus_per_ms,speedup_plus_mean")
+        assert table[0].split(",") == list(SpeedupStudy.COLUMNS)
         assert len(table) == 3
         payload = json.loads(read(run_dir, "speedup.json"))
         assert payload["format"] == "speedup-study-v1"
+        assert len(payload["points"]) == 2
         assert payload["points"][0]["pairings"] == 4
+
+
+def test_table_writer_formats_each_kind():
+    text = _table_text(("label", "float", "int", "missing"), [("x", 1.5, 10**6, float("nan"))])
+    assert text == 'label,float,int,missing\n"x",1.5,1000000,nan\n'
 
 
 def test_cli_import_loads_no_scipy():

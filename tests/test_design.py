@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinrelax.design import (
-    ROBUST_CURVES,
     BranchCurves,
     DelayGrid,
     DelayPair,
@@ -22,7 +21,13 @@ from spinrelax.design import (
     nob_select_delays,
     pf_select_delays,
 )
-from oracles import cost, exhaustive_argmin, expected_measurement, jacobian_sigma
+from oracles import (
+    ROBUST_CURVES,
+    cost,
+    exhaustive_argmin,
+    expected_measurement,
+    jacobian_sigma,
+)
 from spinrelax.posterior import MeasurementPair, PosteriorGrid, bayes_update, moments
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
@@ -71,7 +76,7 @@ class TestGaussianSigma:
             rates = RatePair(rng.uniform(0.1, 20.0), rng.uniform(0.1, 20.0))
             delays = DelayPair(rng.uniform(0.01, 3.0), rng.uniform(0.01, 3.0))
             sigma_m = (rng.uniform(0.001, 0.1), rng.uniform(0.001, 0.1))
-            approx = gaussian_sigma(delays, rates, sigma_m)
+            approx = gaussian_sigma(delays, rates, sigma_m, ROBUST_CURVES)
             cov = jacobian_sigma(delays, rates, sigma_m)
             assert approx.sigma_gamma_plus == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
             assert approx.sigma_gamma_minus == pytest.approx(np.sqrt(cov[1, 1]), rel=1e-12)
@@ -80,11 +85,12 @@ class TestGaussianSigma:
     def test_exchange_symmetry(self):
         delays = DelayPair(0.2, 0.7)
         sigma_m = (0.02, 0.05)
-        a = gaussian_sigma(delays, RATES, sigma_m)
+        a = gaussian_sigma(delays, RATES, sigma_m, ROBUST_CURVES)
         b = gaussian_sigma(
             DelayPair(delays.tau_minus, delays.tau_plus),
             RATES.swapped(),
             (sigma_m[1], sigma_m[0]),
+            ROBUST_CURVES,
         )
         assert a.sigma_gamma_plus == pytest.approx(b.sigma_gamma_minus, rel=1e-12)
         assert a.sigma_gamma_minus == pytest.approx(b.sigma_gamma_plus, rel=1e-12)
@@ -102,7 +108,7 @@ class TestGaussianSigma:
 
     def grid_sigma_errors(self, delays, s_plus, s_minus):
         """Relative deviation of gaussian_sigma from the exact grid posterior."""
-        approx = gaussian_sigma(delays, RATES, (s_plus, s_minus))
+        approx = gaussian_sigma(delays, RATES, (s_plus, s_minus), ROBUST_CURVES)
         axis_p = np.linspace(
             max(0.056, RATES.gamma_plus - 8 * approx.sigma_gamma_plus),
             RATES.gamma_plus + 8 * approx.sigma_gamma_plus,
@@ -137,7 +143,7 @@ class TestGaussianSigma:
         # quadratically as sigma_M shrinks, reaching 2%/1% at half the
         # single-pair sigma (two pooled pairs) and <0.5% at a quarter.
         params = SignalParams()
-        delays = nob_select_delays(RATES, TIMING)
+        delays = nob_select_delays(RATES, TIMING, ROBUST_CURVES)
         _, s_plus = expected_measurement(ROBUST_PROTOCOL.plus, delays.tau_plus, RATES, params)
         _, s_minus = expected_measurement(
             ROBUST_PROTOCOL.minus, delays.tau_minus, RATES, params
@@ -186,7 +192,7 @@ class TestCost:
 
     def test_unique_interior_minimum(self):
         grid = DelayGrid.default(size=1000)
-        surface = cost_surface(grid, RATES, (0.05, 0.05), TIMING)
+        surface = cost_surface(grid, RATES, (0.05, 0.05), TIMING, ROBUST_CURVES)
         i, j = np.unravel_index(np.argmin(surface), surface.shape)
         assert 0 < i < grid.taus.size - 1
         assert 0 < j < grid.taus.size - 1
@@ -197,8 +203,8 @@ class TestSurfaces:
     def test_full_equals_sigma_times_approx(self):
         grid = DelayGrid.default(size=200)
         sigma = 0.037
-        full = cost_surface(grid, RATES, (sigma, sigma), TIMING)
-        approx = approx_cost_surface(grid, RATES, TIMING)
+        full = cost_surface(grid, RATES, (sigma, sigma), TIMING, ROBUST_CURVES)
+        approx = approx_cost_surface(grid, RATES, TIMING, ROBUST_CURVES)
         assert np.allclose(full, sigma * approx, rtol=1e-12)
 
     def test_argmin_agreement_random_rates(self):
@@ -206,8 +212,8 @@ class TestSurfaces:
         grid = DelayGrid.default(size=300)
         for _ in range(50):
             rates = RatePair(rng.uniform(0.1, 30.0), rng.uniform(0.1, 30.0))
-            full = cost_surface(grid, rates, (1.0, 1.0), TIMING)
-            approx = approx_cost_surface(grid, rates, TIMING)
+            full = cost_surface(grid, rates, (1.0, 1.0), TIMING, ROBUST_CURVES)
+            approx = approx_cost_surface(grid, rates, TIMING, ROBUST_CURVES)
             fi, fj = np.unravel_index(np.argmin(full), full.shape)
             ai, aj = np.unravel_index(np.argmin(approx), approx.shape)
             assert abs(fi - ai) <= 1 and abs(fj - aj) <= 1
@@ -222,7 +228,7 @@ class TestSurfaces:
         def sig_minus(taus):
             return expected_measurement(ROBUST_PROTOCOL.minus, taus, RATES, params)[1]
 
-        surface = cost_surface(grid, RATES, (sig_plus, sig_minus), TIMING)
+        surface = cost_surface(grid, RATES, (sig_plus, sig_minus), TIMING, ROBUST_CURVES)
         assert np.all(np.isfinite(surface))
         # Spot-check one cell against the scalar path.
         i, j = 20, 35
@@ -346,8 +352,9 @@ class TestBoundedArgmin:
 
     def test_selectors_use_the_kernel(self):
         grid = DelayGrid.wide(size=640)
-        i, j, _ = exhaustive_argmin(approx_cost_surface(grid, RATES, TIMING))
-        assert nob_select_delays(RATES, TIMING, grid) == DelayPair(grid.taus[i], grid.taus[j])
+        i, j, _ = exhaustive_argmin(approx_cost_surface(grid, RATES, TIMING, ROBUST_CURVES))
+        chosen = nob_select_delays(RATES, TIMING, ROBUST_CURVES, grid)
+        assert chosen == DelayPair(grid.taus[i], grid.taus[j])
         sigma_m = tuple(
             _sigma_callable(m, RATES, IDEAL_RANKING_PARAMS)
             for m in (OPTIMAL_PROTOCOL.plus, OPTIMAL_PROTOCOL.minus)
@@ -361,14 +368,15 @@ class TestBoundedArgmin:
 
 class TestNobSelect:
     def test_equal_rates_pick_equal_delays(self):
-        delays = nob_select_delays((2.0, 2.0), TIMING)
+        delays = nob_select_delays((2.0, 2.0), TIMING, ROBUST_CURVES)
         assert delays.tau_plus == delays.tau_minus
 
     def test_rate_rescaling_scales_delays(self):
         grid = DelayGrid.from_bounds(3e-3, 5.5, 400)
         half_grid = DelayGrid(grid.taus / 2.0)
-        base = nob_select_delays((1.0, 3.0), TimingModel(repetitions_R=10**6), grid)
-        scaled = nob_select_delays((2.0, 6.0), TimingModel(repetitions_R=10**6), half_grid)
+        timing = TimingModel(repetitions_R=10**6)
+        base = nob_select_delays((1.0, 3.0), timing, ROBUST_CURVES, grid)
+        scaled = nob_select_delays((2.0, 6.0), timing, ROBUST_CURVES, half_grid)
         assert scaled.tau_plus == pytest.approx(base.tau_plus / 2.0, rel=1e-12)
         assert scaled.tau_minus == pytest.approx(base.tau_minus / 2.0, rel=1e-12)
 
@@ -376,14 +384,14 @@ class TestNobSelect:
         from spinrelax.posterior import PosteriorMoments
 
         mom = PosteriorMoments(1.0, 3.0, 0.1, 0.1, 0.0)
-        a = nob_select_delays(mom, TIMING)
-        b = nob_select_delays(RATES, TIMING)
-        c = nob_select_delays((1.0, 3.0), TIMING)
+        a = nob_select_delays(mom, TIMING, ROBUST_CURVES)
+        b = nob_select_delays(RATES, TIMING, ROBUST_CURVES)
+        c = nob_select_delays((1.0, 3.0), TIMING, ROBUST_CURVES)
         assert a == b == c
 
     def test_deterministic(self):
-        a = nob_select_delays(RATES, TIMING)
-        b = nob_select_delays(RATES, TIMING)
+        a = nob_select_delays(RATES, TIMING, ROBUST_CURVES)
+        b = nob_select_delays(RATES, TIMING, ROBUST_CURVES)
         assert a == b
         assert 3e-3 <= a.tau_plus <= 5.5
 
@@ -403,14 +411,14 @@ class TestParticleSelect:
             gammas=np.tile([1.0, 3.0], (100, 1)), weights=np.full(100, 0.01)
         )
         assert cloud.is_degenerate()
-        pf = pf_select_delays(cloud, TIMING)
-        nob = nob_select_delays((1.0, 3.0), TIMING)
+        pf = pf_select_delays(cloud, TIMING, ROBUST_CURVES)
+        nob = nob_select_delays((1.0, 3.0), TIMING, ROBUST_CURVES)
         assert pf == nob
 
     def test_narrow_cloud_lands_near_nob(self):
         rng = np.random.default_rng(12)
-        pf = pf_select_delays(self.make_cloud(rng), TIMING)
-        nob = nob_select_delays(RATES, TIMING)
+        pf = pf_select_delays(self.make_cloud(rng), TIMING, ROBUST_CURVES)
+        nob = nob_select_delays(RATES, TIMING, ROBUST_CURVES)
         for chosen, reference in [
             (pf.tau_plus, nob.tau_plus),
             (pf.tau_minus, nob.tau_minus),
@@ -435,10 +443,14 @@ class TestParticleSelect:
         lw = -((grid_axis[:, None] - 2.0) ** 2 + (grid_axis[None, :] - 3.0) ** 2)
         post = PosteriorGrid(grid_axis, grid_axis, lw)
         a = pf_select_delays(
-            ParticleCloud.from_grid(post, n=5000, rng=np.random.default_rng(9)), TIMING
+            ParticleCloud.from_grid(post, n=5000, rng=np.random.default_rng(9)),
+            TIMING,
+            ROBUST_CURVES,
         )
         b = pf_select_delays(
-            ParticleCloud.from_grid(post, n=5000, rng=np.random.default_rng(9)), TIMING
+            ParticleCloud.from_grid(post, n=5000, rng=np.random.default_rng(9)),
+            TIMING,
+            ROBUST_CURVES,
         )
         assert a == b
 

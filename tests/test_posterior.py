@@ -1,7 +1,5 @@
 """Tests for the grid posterior: updates, moments, regridding, calibration."""
 
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,11 +16,9 @@ from spinrelax.posterior import (
     _bilinear,
     _log_normalizer,
     bayes_update,
-    from_json_dict,
     initial_grid,
     moments,
     regrid,
-    to_json_dict,
 )
 from spinrelax.rates import RatePair, model_m
 from spinrelax.signals import ROBUST_PROTOCOL, SignalParams, sample_signals
@@ -42,6 +38,12 @@ def truth_pair(tau_plus=0.3, tau_minus=0.5, sigma=0.05):
     )
 
 
+def log_uniform_grid(size):
+    """Prior flat in log rate over DEFAULT_BOUNDS: weight 1/(G+ G-)."""
+    axis = np.linspace(*DEFAULT_BOUNDS, size)
+    return PosteriorGrid(axis, axis.copy(), -(np.log(axis)[:, None] + np.log(axis)[None, :]))
+
+
 class TestGridConstruction:
     def test_initial_grid_shape_and_normalization(self):
         grid = initial_grid()
@@ -52,7 +54,7 @@ class TestGridConstruction:
         assert np.ptp(grid.weights) < 1e-18  # flat prior
 
     def test_log_uniform_prior(self):
-        grid = initial_grid(size=50, prior="log-uniform")
+        grid = log_uniform_grid(50)
         w = grid.weights
         gp, gm = grid.meshes()
         product = w * gp * gm
@@ -61,8 +63,6 @@ class TestGridConstruction:
     def test_validation(self):
         with pytest.raises(ValueError):
             initial_grid(bounds=(2.0, 1.0))
-        with pytest.raises(ValueError):
-            initial_grid(prior="jeffreys")
         with pytest.raises(ValueError):
             PosteriorGrid(
                 gamma_plus_axis=np.array([1.0, 0.5]),
@@ -128,7 +128,7 @@ class TestLogLikelihood:
 
 class TestBayesUpdate:
     def test_flat_likelihood_preserves_prior(self):
-        grid = initial_grid(size=60, prior="log-uniform")
+        grid = log_uniform_grid(60)
         pair = truth_pair(sigma=1e12)
         updated = bayes_update(grid, pair, model=model_m)
         assert np.allclose(updated.weights, grid.weights, atol=1e-15)
@@ -201,7 +201,8 @@ class TestMoments:
         assert mom.covariance == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform_rectangle(self):
-        grid = initial_grid(bounds=(1.0, 5.0), size=200, hard_bounds=(0.055, 100.0))
+        axis = np.linspace(1.0, 5.0, 200)
+        grid = PosteriorGrid(axis, axis.copy(), np.zeros((200, 200)))
         mom = moments(grid)
         assert mom.mean_plus == pytest.approx(3.0, rel=1e-10)
         assert mom.sigma_plus == pytest.approx(4.0 / np.sqrt(12.0), rel=0.02)
@@ -321,21 +322,6 @@ class TestKernelsMatchScipy:
         before = a.copy()
         assert _log_normalizer(a) == logsumexp(a)
         assert np.array_equal(a, before)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        grid = bayes_update(initial_grid(size=30), truth_pair(), model=model_m)
-        payload = to_json_dict(grid, metadata={"iteration": 3})
-        text = json.dumps(payload)  # must be valid JSON (no inf/nan)
-        back = from_json_dict(json.loads(text))
-        assert np.allclose(back.weights, grid.weights, atol=1e-15)
-        assert back.hard_bounds == grid.hard_bounds
-        assert payload["metadata"]["iteration"] == 3
-
-    def test_format_guard(self):
-        with pytest.raises(ValueError):
-            from_json_dict({"format": "something-else"})
 
 
 class TestCalibration:

