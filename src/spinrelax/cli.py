@@ -196,6 +196,8 @@ def _require(config, section, key):
 
 
 def _number(raw, field, kind, positive=False, nonnegative=False):
+    if isinstance(raw, bool):
+        raise ConfigError(f"field {field} must be a {kind.__name__}: got {raw!r}")
     try:
         value = kind(raw)
     except (TypeError, ValueError, OverflowError):
@@ -389,14 +391,14 @@ def _delay_grid(config):
     if spec == "wide":
         return DelayGrid.wide()
     if isinstance(spec, dict):
+        kinds = {"lo_ms": float, "hi_ms": float, "points": int}
         for key in spec:
-            if key not in ("lo_ms", "hi_ms", "points"):
+            if key not in kinds:
                 raise ConfigError(f"unknown config field: delays.grid.{key}")
+        bounds = [_number(spec.get(key), f"delays.grid.{key}", kind) for key, kind in kinds.items()]
         try:
-            return DelayGrid.from_bounds(
-                float(spec["lo_ms"]), float(spec["hi_ms"]), int(spec["points"])
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            return DelayGrid.from_bounds(*bounds)
+        except ValueError as exc:
             raise ConfigError(f"invalid delays.grid mapping: {exc}") from exc
     raise ConfigError(
         f"field delays.grid must be 'default', 'wide', or a lo_ms/hi_ms/points mapping: got {spec!r}"
@@ -424,10 +426,7 @@ def _experiment_config(config, seed):
     nap_list = config["delays"]["nap_list_ms"]
     if not isinstance(nap_list, (list, tuple)) or not nap_list:
         raise ConfigError("field delays.nap_list_ms must be a nonempty list of delays in ms")
-    try:
-        nap_list = [float(v) for v in nap_list]
-    except (TypeError, ValueError):
-        raise ConfigError("field delays.nap_list_ms must hold numbers (delays in ms)")
+    nap_list = [_number(v, "delays.nap_list_ms", float) for v in nap_list]
     timing = TimingModel(
         repetitions_R=params.repetitions_R,
         overhead_T0=config["timing"]["overhead_T0_s"],
@@ -498,15 +497,15 @@ def cmd_simulate(args):
 
     base_seed = _coerce_number(config, "run", "seed", int, nonnegative=True)
     replicates = _coerce_number(config, "run", "replicates", int, positive=True)
+    experiment = _experiment_config(config, base_seed)  # coerces before config.json
     run_dir, digest = _prepare_run_dir(args, "simulate", config)
     seeds = [base_seed] if replicates == 1 else replicate_seeds(base_seed, replicates)
 
     outputs = ["config.json"]
     summaries = []
+    runner = run_nap if experiment.optimizer == "nap" else run_adaptive
     for index, seed in enumerate(seeds):
-        experiment = _experiment_config(config, seed)
-        runner = run_nap if experiment.optimizer == "nap" else run_adaptive
-        record = runner(experiment)
+        record = runner(dataclasses.replace(experiment, seed=seed))
         name = "records.jsonl" if replicates == 1 else f"records-{index:03d}.jsonl"
         _write_text(os.path.join(run_dir, name), record.to_jsonl())
         outputs.append(name)
@@ -557,8 +556,9 @@ def cmd_rank_protocols(args):
 
     sweep = config["ranking"]
     if sweep["ratio_lo"] is not None:
+        kinds = {"ratio_lo": float, "ratio_hi": float, "ratio_points": int}
         ratios = np.geomspace(
-            float(sweep["ratio_lo"]), float(sweep["ratio_hi"]), int(sweep["ratio_points"])
+            *(_number(sweep[k], f"ranking.{k}", kind, positive=True) for k, kind in kinds.items())
         )
         rows = sensitivity_ratio_curve(ratios, params=params)
         text = _table_text(_RATIO_SWEEP_COLUMNS, rows)

@@ -26,10 +26,10 @@ approximate cost.  Both costs separate into 1-D tables over a log delay
 grid, so the deterministic optimizer used between iterations takes an
 exact bounded argmin: it skips grid blocks that cannot hold the minimum
 and returns np.argmin's cell, ties going to the smallest tau_plus, then
-tau_minus.  A stochastic particle-cloud optimizer with a variance-proxy
-utility is provided as an alternative.  Every width, cost and optimizer
-takes the protocol's BranchCurves (`protocols.measurement_curves`); none
-assumes a protocol.
+tau_minus.  A stochastic particle-cloud optimizer, the alternative, sums a
+variance-proxy utility over particle blocks in numpy's order.  Every
+width, cost and optimizer takes the protocol's BranchCurves
+(`protocols.measurement_curves`); none assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -408,14 +408,55 @@ class ParticleCloud:
         return bool(np.all(np.ptp(self.gammas, axis=0) == 0.0))
 
 
+# Particles per block of pf_select_delays' (particle, delay) arrays.
+_PARTICLES = 1024
+
+
+def _weighted_sum(w, values, mean=None):
+    """np.sum(w * values, axis=0), or of w * (values - mean) ** 2, bit for bit.
+
+    numpy sums axis 0 of a C-ordered (n, k >= 2) array row by row, so each
+    particle block is summed with the running total as its first row.  One
+    column is summed pairwise, so it is one block.
+    """
+    n, k = values.shape
+    size = _PARTICLES if k > 1 else n
+    terms = np.empty((min(size, n) + 1, k))
+    head = 0
+    for start in range(0, n, size):
+        block = values[start : start + size]
+        rows = terms[head : head + len(block)]
+        if mean is not None:
+            block = np.square(np.subtract(block, mean, out=rows), out=rows)
+        np.multiply(w[start : start + size], block, out=rows)
+        total = terms[: head + len(block)].sum(axis=0)
+        terms[0], head = total, 1
+    return total
+
+
+def _branch_variances(cloud, taus, curves):
+    """Each branch's cloud variance of the predicted value at taus, in particle blocks."""
+    (gp, gm), w = cloud.gammas.T[:, :, None], cloud.weights[:, None]
+    values = np.empty((w.size, taus.size))
+    variances = []
+    for branch in BRANCHES:
+        for start in range(0, w.size, _PARTICLES):
+            block = slice(start, start + _PARTICLES)
+            values[block] = curves.value(taus[None, :], (gp[block], gm[block]), branch)
+        variances.append(_weighted_sum(w, values, _weighted_sum(w, values)))
+    return variances
+
+
 def pf_select_delays(cloud, timing, curves, grid=None, subgrid=100):
     """Stochastic optimizer: variance-proxy utility over a delay subgrid.
 
     The utility of a delay pair is the cloud variance of the predicted
     measurement value per branch (how much the candidate measurement is
     expected to discriminate between posterior hypotheses), scaled by
-    1/sqrt(T).  A degenerate cloud falls back to the deterministic
-    optimizer at the point-mass rates.
+    1/sqrt(T).  The variances are summed in particle blocks, in numpy's
+    order, so they equal the dense (particle, delay) sums bit for bit.  A
+    degenerate cloud falls back to the deterministic optimizer at the
+    point-mass rates.
     """
     if grid is None:
         grid = DelayGrid.default()
@@ -424,19 +465,10 @@ def pf_select_delays(cloud, timing, curves, grid=None, subgrid=100):
         return nob_select_delays(mean_rates, timing, curves, grid)
     step = max(1, grid.taus.size // int(subgrid))
     taus = grid.taus[::step]
-    gp = cloud.gammas[:, 0][:, None]
-    gm = cloud.gammas[:, 1][:, None]
-    w = cloud.weights[:, None]
-    variances = []
-    for branch in BRANCHES:
-        values = curves.value(taus[None, :], (gp, gm), branch)
-        mean = np.sum(w * values, axis=0)
-        variances.append(np.sum(w * (values - mean) ** 2, axis=0))
-    var_plus, var_minus = variances
+    var_plus, var_minus = _branch_variances(cloud, taus, curves)
     t = timing.duration_seconds(taus[:, None], taus[None, :])
     utility = (var_plus[:, None] + var_minus[None, :]) / np.sqrt(t)
     if not np.any(utility > 0.0):
         return nob_select_delays(mean_rates, timing, curves, grid)
-    flat = np.argmax(utility)
-    i, j = np.unravel_index(flat, utility.shape)
+    i, j = np.unravel_index(np.argmax(utility), utility.shape)
     return DelayPair(tau_plus=float(taus[i]), tau_minus=float(taus[j]))

@@ -154,12 +154,20 @@ def _values(tau, gp, gm, branch):
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     g = _spectral_split(gp, gm)
     own = gp if branch == "+" else gm
-    e_fast = np.exp(-(gp + gm + g) * tau)
-    e_slow = np.exp(-(gp + gm - g) * tau)
-    value = ((g + own) * e_fast + (g - own) * e_slow) / (2.0 * g)
+    total = gp + gm
+    # ((g+own) e_fast + (g-own) e_slow) / 2g, in place on the exponent arrays.
+    e_fast = np.asarray(-(total + g) * tau)
+    e_slow = np.asarray(-(total - g) * tau)
+    np.exp(e_fast, out=e_fast)
+    np.exp(e_slow, out=e_slow)
+    np.multiply(g + own, e_fast, out=e_fast)
+    np.multiply(g - own, e_slow, out=e_slow)
+    np.add(e_fast, e_slow, out=e_fast)
+    np.divide(e_fast, 2.0 * g, out=e_fast)
     # The normalization at tau = 0 is exact by construction; pin it against
     # the one-ulp roundoff of (g+own) + (g-own) vs 2g.
-    return np.where(np.asarray(tau) == 0.0, 1.0, value)
+    np.copyto(e_fast, 1.0, where=np.asarray(tau) == 0.0)
+    return e_fast
 
 
 def model_m(tau, rates, branch):

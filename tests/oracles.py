@@ -20,7 +20,10 @@ product grid; it and scipy's `logsumexp` are what the posterior's numpy
 kernels must equal bit for bit.  `ROBUST_CURVES` spells out the robust
 protocol's closed-form curves for kernel tests that need no protocol, and
 `model_m_optimal` is the closed form of the highest-sensitivity pair that
-the generic four-count path must reproduce.
+the generic four-count path must reproduce.  `dense_model_m` is model_m as
+first written, one fresh array per operation, and `dense_pf_select_delays`
+the particle selector over whole (particle, delay) arrays; the in-place
+model values and the particle-blocked selector must equal them bit for bit.
 """
 
 import math
@@ -32,10 +35,13 @@ from scipy.linalg import expm
 
 from spinrelax.design import (
     BranchCurves,
+    DelayGrid,
+    DelayPair,
     UninformativeDesign,
     _jacobian,
     _rate_values,
     gaussian_sigma,
+    nob_select_delays,
 )
 from spinrelax.estimator import sigma_m_from_expectations
 from spinrelax.posterior import _chi_squared_field
@@ -309,3 +315,49 @@ def model_m_optimal(tau, rates, eta, branch):
     own, other = (gp, gm) if branch == "+" else (gm, gp)
     coeff = (own - other + eta * (other - 2.0 * own)) / ((2.0 * eta - 1.0) * g)
     return np.exp(-(gp + gm) * tau) * (np.cosh(g * tau) + coeff * np.sinh(g * tau))
+
+
+def dense_model_m(tau, rates, branch):
+    """model_m with every operation on a fresh array."""
+    tau = _check_tau(tau)
+    gp, gm = _unpack(rates)
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    g = _spectral_split(gp, gm)
+    own = gp if branch == "+" else gm
+    e_fast = np.exp(-(gp + gm + g) * tau)
+    e_slow = np.exp(-(gp + gm - g) * tau)
+    value = ((g + own) * e_fast + (g - own) * e_slow) / (2.0 * g)
+    return np.where(np.asarray(tau) == 0.0, 1.0, value)
+
+
+def dense_branch_variances(cloud, taus, curves):
+    """(var_plus, var_minus) from whole (particle, delay) arrays."""
+    gp = cloud.gammas[:, 0][:, None]
+    gm = cloud.gammas[:, 1][:, None]
+    w = cloud.weights[:, None]
+    variances = []
+    for branch in BRANCHES:
+        values = curves.value(taus[None, :], (gp, gm), branch)
+        mean = np.sum(w * values, axis=0)
+        variances.append(np.sum(w * (values - mean) ** 2, axis=0))
+    return variances
+
+
+def dense_pf_select_delays(cloud, timing, curves, grid=None, subgrid=100):
+    """The particle selector with the utility taken over whole arrays."""
+    if grid is None:
+        grid = DelayGrid.default()
+    mean_rates = tuple(np.average(cloud.gammas, axis=0, weights=cloud.weights))
+    if cloud.is_degenerate():
+        return nob_select_delays(mean_rates, timing, curves, grid)
+    step = max(1, grid.taus.size // int(subgrid))
+    taus = grid.taus[::step]
+    var_plus, var_minus = dense_branch_variances(cloud, taus, curves)
+    t = timing.duration_seconds(taus[:, None], taus[None, :])
+    utility = (var_plus[:, None] + var_minus[None, :]) / np.sqrt(t)
+    if not np.any(utility > 0.0):
+        return nob_select_delays(mean_rates, timing, curves, grid)
+    flat = np.argmax(utility)
+    i, j = np.unravel_index(flat, utility.shape)
+    return DelayPair(tau_plus=float(taus[i]), tau_minus=float(taus[j]))

@@ -90,6 +90,39 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "bias.r_values" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("run.iterations", ("iterations: 4", "iterations: true\n  particle_count: true")),
+            ("run.particle_count", ("run:\n", "run:\n  particle_count: true\n")),
+            ("params.f0", ("params:\n", "params:\n  f0: true\n")),
+            ("timing.per_shot_s", ("run:\n", "timing:\n  per_shot_s: false\nrun:\n")),
+            ("prior.grid_size", ("run:\n", "prior:\n  grid_size: true\nrun:\n")),
+            ("delays.nap_list_ms", ("run:\n", "delays:\n  nap_list_ms: [0.1, true]\nrun:\n")),
+            (
+                "delays.grid.points",
+                ("run:\n", "delays:\n  grid: {lo_ms: 0.01, hi_ms: 5.0, points: true}\nrun:\n"),
+            ),
+        ],
+    )
+    def test_boolean_numbers_rejected(self, tmp_path, capsys, field, edit):
+        cfg = tmp_path / "bools.yaml"
+        cfg.write_text(FAST_YAML.replace(*edit))
+        out = tmp_path / "runs"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_json_holds_coerced_fields(self, tmp_path, capsys):
+        cfg = tmp_path / "floats.yaml"
+        floats = FAST_YAML.replace("iterations: 4", "iterations: 2.0")
+        cfg.write_text(floats + "prior:\n  grid_size: 50.0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_OK
+        config = json.loads(read(run_dir_from(capsys), "config.json"))
+        assert type(config["run"]["iterations"]) is int and config["run"]["iterations"] == 2
+        assert type(config["prior"]["grid_size"]) is int and config["prior"]["grid_size"] == 50
+
     def test_argparse_usage_error_is_2(self):
         assert main([]) == EXIT_CONFIG
         assert main(["simulate", "--preset", "bogus"]) == EXIT_CONFIG

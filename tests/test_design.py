@@ -1,5 +1,7 @@
 """Tests for delay selection: Gaussian approximation, cost, optimizers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +14,10 @@ from spinrelax.design import (
     ParticleCloud,
     TimingModel,
     UninformativeDesign,
+    _PARTICLES,
     _approx_terms,
     _bounded_argmin,
+    _branch_variances,
     _cost_terms,
     approx_cost_surface,
     cost_surface,
@@ -24,6 +28,8 @@ from spinrelax.design import (
 from oracles import (
     ROBUST_CURVES,
     cost,
+    dense_branch_variances,
+    dense_pf_select_delays,
     exhaustive_argmin,
     expected_measurement,
     jacobian_sigma,
@@ -459,3 +465,50 @@ class TestParticleSelect:
             ParticleCloud(gammas=np.zeros((0, 2)), weights=np.zeros(0))
         with pytest.raises(ValueError):
             ParticleCloud(gammas=np.ones((3, 2)), weights=np.array([1.0, -1.0, 1.0]))
+
+
+class TestBlockedParticleSelect:
+    """The particle-blocked selector against the whole-array oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(
+            [1, 2, _PARTICLES - 1, _PARTICLES, _PARTICLES + 1, 5 * _PARTICLES // 2]
+        ),
+        subgrid=st.sampled_from([1, 2, 100]),
+        protocol=st.sampled_from([ROBUST_PROTOCOL, OPTIMAL_PROTOCOL]),
+        spread=st.sampled_from([1e-3, 0.3, 2.0]),
+    )
+    def test_equals_dense_oracle(self, seed, n, subgrid, protocol, spread):
+        rng = np.random.default_rng(seed)
+        center = np.exp(rng.uniform(np.log(0.1), np.log(20.0), 2))
+        gammas = (center * np.exp(rng.normal(0.0, spread, (n, 2)))).clip(0.055, 100.0)
+        weights = rng.exponential(1.0, n) * (rng.uniform(size=n) > 0.2)
+        weights[rng.integers(n)] += 1.0
+        cloud = ParticleCloud(gammas=gammas, weights=weights)
+        curves = measurement_curves(protocol)
+        grid = DelayGrid.default()
+        taus = grid.taus[:: max(1, grid.taus.size // subgrid)]
+        assert taus.size == subgrid
+        got = _branch_variances(cloud, taus, curves)
+        want = dense_branch_variances(cloud, taus, curves)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        pick = pf_select_delays(cloud, TIMING, curves, grid, subgrid)
+        assert pick == dense_pf_select_delays(cloud, TIMING, curves, grid, subgrid)
+
+    def test_peak_memory_stays_blocked(self):
+        # The whole-array selector peaks near 77 MB on this call; the blocked
+        # one holds one (particle, delay) value array of 16 MB.
+        rng = np.random.default_rng(5)
+        gammas = np.column_stack([rng.uniform(0.5, 2.0, 20000), rng.uniform(2.0, 4.0, 20000)])
+        cloud = ParticleCloud(gammas=gammas, weights=rng.uniform(0.1, 1.0, 20000))
+        curves = measurement_curves(ROBUST_PROTOCOL)
+        tracemalloc.start()
+        try:
+            pf_select_delays(cloud, TIMING, curves, subgrid=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import expm_propagator, fd_model_gradient, model_m_optimal
+from oracles import dense_model_m, expm_propagator, fd_model_gradient, model_m_optimal
+from spinrelax.posterior import initial_grid
 from spinrelax.rates import RatePair, _spectral_split, model_gradient, model_m, propagator
 
 # Frozen via two independent oracles (scipy expm propagator ratio and a
@@ -153,6 +154,65 @@ class TestModelM:
         vals = model_m(0.3, (gp, gm), "+")
         assert vals.shape == (7, 5)
         assert np.isclose(vals[2, 3], model_m(0.3, RatePair(gp[2, 0], gm[0, 3]), "+"))
+
+
+def assert_same_values(got, want):
+    """Equal type, dtype, shape and bits."""
+    assert type(got) is type(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestModelMInPlace:
+    """model_m's in-place evaluation against the fresh-array oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(gp=rates_strategy, gm=rates_strategy, tau=st.floats(0.0, 1e3), pair=st.booleans())
+    def test_scalar_inputs(self, gp, gm, tau, pair):
+        rates = RatePair(gp, gm) if pair else (gp, gm)
+        for branch in "+-":
+            assert_same_values(model_m(tau, rates, branch), dense_model_m(tau, rates, branch))
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        k=st.integers(1, 120),
+        scale=st.sampled_from([1e-2, 1.0, 1e3]),
+    )
+    def test_cloud_by_delays(self, seed, n, k, scale):
+        rng = np.random.default_rng(seed)
+        gp, gm = np.exp(rng.uniform(np.log(0.05), np.log(100.0), (2, n, 1)))
+        taus = np.sort(rng.uniform(0.0, scale, (1, k)))
+        taus[0, 0] = 0.0
+        for branch in "+-":
+            got = model_m(taus, (gp, gm), branch)
+            assert_same_values(got, dense_model_m(taus, (gp, gm), branch))
+
+    def test_posterior_mesh(self):
+        gp, gm = initial_grid().meshes()
+        assert np.broadcast(gp, gm).shape == (200, 200)
+        for tau in (0.0, 3e-3, 0.37, 5.5):
+            for branch in "+-":
+                got = model_m(tau, (gp, gm), branch)
+                assert_same_values(got, dense_model_m(tau, (gp, gm), branch))
+
+    def test_tau_zero_pinned(self):
+        gp = np.geomspace(0.01, 100.0, 50)[:, None]
+        for rates in (RatePair(1.0, 3.0), (gp, gp.T), (0.3, 0.3)):
+            for branch in "+-":
+                got = model_m(0.0, rates, branch)
+                assert_same_values(got, dense_model_m(0.0, rates, branch))
+                assert np.all(got == 1.0)
+
+    def test_underflowing_exponents(self):
+        # Exponents from about -700 down past the subnormal range to -1e5.
+        taus = np.geomspace(60.0, 1e3, 200)[None, :]
+        gp = np.geomspace(1.0, 50.0, 30)[:, None]
+        for branch in "+-":
+            got = model_m(taus, (gp, 2.0 * gp), branch)
+            assert_same_values(got, dense_model_m(taus, (gp, 2.0 * gp), branch))
+            assert np.any(got == 0.0) and np.any((got != 0.0) & (np.abs(got) < 1e-300))
 
 
 class TestModelGradient:
