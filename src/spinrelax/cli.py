@@ -536,6 +536,12 @@ def cmd_rank_protocols(args):
 
     rates = _rate_pair(config)
     params = _signal_params(config)
+    ratios = None
+    if config["ranking"]["ratio_lo"] is not None:
+        kinds = {"ratio_lo": float, "ratio_hi": float, "ratio_points": int}
+        ratios = np.geomspace(
+            *(_coerce_number(config, "ranking", k, kind, positive=True) for k, kind in kinds.items())
+        )
     run_dir, digest = _prepare_run_dir(args, "rank-protocols", config)
     outputs = ["config.json"]
 
@@ -554,12 +560,7 @@ def cmd_rank_protocols(args):
     _write_json(os.path.join(run_dir, "ranking.json"), payload)
     outputs.extend(["ranking.csv", "ranking.json"])
 
-    sweep = config["ranking"]
-    if sweep["ratio_lo"] is not None:
-        kinds = {"ratio_lo": float, "ratio_hi": float, "ratio_points": int}
-        ratios = np.geomspace(
-            *(_number(sweep[k], f"ranking.{k}", kind, positive=True) for k, kind in kinds.items())
-        )
+    if ratios is not None:
         rows = sensitivity_ratio_curve(ratios, params=params)
         text = _table_text(_RATIO_SWEEP_COLUMNS, rows)
         _write_text(os.path.join(run_dir, "ratio_sweep.csv"), text)

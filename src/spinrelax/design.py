@@ -116,7 +116,8 @@ class TimingModel:
     per_shot_time: float = 0.0
 
     def __post_init__(self):
-        if not (isinstance(self.repetitions_R, (int, np.integer)) and self.repetitions_R > 0):
+        reps = self.repetitions_R
+        if isinstance(reps, bool) or not (isinstance(reps, (int, np.integer)) and reps > 0):
             raise ValueError("repetitions_R must be a positive integer")
         if self.overhead_T0 < 0.0 or self.per_shot_time < 0.0:
             raise ValueError("times must be nonnegative")

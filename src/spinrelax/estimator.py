@@ -205,7 +205,7 @@ def bias_study(
         r = int(r)
         params_r = replace(params, repetitions_R=r)
         meas = measurement.oriented(params_r)
-        mean_1t, mean_2t, mean_10, mean_20 = expected_signals(meas, tau, rates, [params_r])[0]
+        mean_1t, mean_2t, mean_10, mean_20 = expected_signals(meas, tau, rates, params_r)[0]
         delta_true = float(mean_10 - mean_20)
         z_true = 1.0 / delta_true
         m_true = float(mean_1t - mean_2t) / delta_true

@@ -279,7 +279,7 @@ def enumerate_protocols():
 def _bright_first_expectations(measurement, tau, rates, params):
     """Expected (bright at tau, dark at tau, bright at 0, dark at 0) counts."""
     bright, dark = _oriented_signals(measurement)
-    counts = expected_signals(Measurement(bright, dark), tau, rates, [params])
+    counts = expected_signals(Measurement(bright, dark), tau, rates, params)
     return np.moveaxis(counts[..., 0, :], -1, 0)
 
 

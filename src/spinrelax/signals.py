@@ -18,17 +18,18 @@ parameters all repetitions collapse into a single draw (sums of independent
 Poissons are Poisson); under a drift schedule the four signals are drawn
 interleaved in blocks of repetitions, mirroring how the pulse sequencer
 interleaves them in hardware, which is what makes slow drift cancel.  All
-blocks are evaluated together: the propagator once per delay, the four
-expected counts of every block in one stacked computation, and the counts
-in one Poisson draw over the (blocks, 4) means.  `expected_signals` is the
-one place that builds a measurement's four expected counts; it also takes
-delay arrays, for the protocol ranking and census.
+blocks are evaluated together: each parameter field as one array, checked
+in one pass by SignalParams' own domain rules, the propagator once per
+delay, the four expected counts of every block in one stacked computation,
+and the counts in one Poisson draw over the (blocks, 4) means.
+`expected_signals` is the one place that builds a measurement's four
+expected counts; it also takes delay arrays, for ranking and census.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
@@ -51,7 +52,6 @@ __all__ = [
     "expected_counts",
     "expected_signals",
     "sample_signals",
-    "drift_schedule",
 ]
 
 # Basis order (-, 0, +) -> indices (0, 1, 2); pulse labels use the same chars.
@@ -59,7 +59,37 @@ STATES = ("-", "0", "+")
 STATE_INDEX = {"-": 0, "0": 1, "+": 2}
 
 _DRIFTABLE = ("f0", "contrast_C", "alpha", "eta_plus", "eta_minus", "background")
-_STACKED_FIELDS = ("f0", "contrast_C", "alpha", "eta_plus", "eta_minus", "repetitions_R")
+
+
+def _nonnegative_or_callable(values):
+    numbers = np.array([0.0 if callable(b) else b for b in values])
+    return (numbers >= 0.0) & np.isfinite(numbers)
+
+
+def _positive_whole(values):
+    # Not bool: True would run with R = 1.
+    v = values.astype(float) if values.dtype.kind in "iuf" else np.full(values.shape, np.nan)
+    return (v >= 1.0) & (v < np.inf) & (v == np.floor(v))
+
+
+# The parameter domain in SignalParams field order: field, test of an array
+# of per-block values, message.  SignalParams checks itself as one block.
+_DOMAIN_RULES = (
+    ("f0", lambda v: (v > 0.0) & np.isfinite(v), "f0 must be positive"),
+    ("contrast_C", lambda v: (0.0 <= v) & (v < 1.0), "contrast_C must lie in [0, 1)"),
+    # At alpha = 1/3 the pumped state is fully mixed; every difference signal is 0.
+    ("alpha", lambda v: (1.0 / 3.0 < v) & (v <= 1.0), "alpha must lie in (1/3, 1]"),
+    ("eta_plus", lambda v: (0.0 <= v) & (v < 0.5), "eta_plus must lie in [0, 0.5)"),
+    ("eta_minus", lambda v: (0.0 <= v) & (v < 0.5), "eta_minus must lie in [0, 0.5)"),
+    ("background", _nonnegative_or_callable, "background must be nonnegative or a callable of tau"),
+    ("repetitions_R", _positive_whole, "repetitions_R must be a positive integer"),
+)
+
+
+def _domain_violation(values):
+    """(block, message): the first block out of the domain, its first failing rule; or None."""
+    bad = np.argwhere(~np.array([ok(values[name]) for name, ok, _ in _DOMAIN_RULES], dtype=bool).T)
+    return (bad[0, 0], _DOMAIN_RULES[bad[0, 1]][2]) if bad.size else None
 
 
 @dataclass(frozen=True)
@@ -83,24 +113,9 @@ class SignalParams:
     repetitions_R: int = 10**6
 
     def __post_init__(self):
-        if not (self.f0 > 0.0 and np.isfinite(self.f0)):
-            raise ValueError("f0 must be positive")
-        if not (0.0 <= self.contrast_C < 1.0):
-            raise ValueError("contrast_C must lie in [0, 1)")
-        if not (1.0 / 3.0 < self.alpha <= 1.0):
-            # At alpha = 1/3 the pumped state is fully mixed and every
-            # difference signal vanishes identically.
-            raise ValueError("alpha must lie in (1/3, 1]")
-        for name in ("eta_plus", "eta_minus"):
-            eta = getattr(self, name)
-            if not (0.0 <= eta < 0.5):
-                raise ValueError(f"{name} must lie in [0, 0.5)")
-        if not callable(self.background) and not (
-            np.isfinite(self.background) and self.background >= 0.0
-        ):
-            raise ValueError("background must be nonnegative or a callable of tau")
-        if not (int(self.repetitions_R) == self.repetitions_R and self.repetitions_R >= 1):
-            raise ValueError("repetitions_R must be a positive integer")
+        violation = _domain_violation({name: np.array([v]) for name, v in vars(self).items()})
+        if violation:
+            raise ValueError(violation[1])
 
     def background_at(self, tau):
         return self.background(tau) if callable(self.background) else self.background
@@ -191,7 +206,7 @@ class Measurement:
     def oriented(self, params):
         """Order the pair so the expected tau = 0 difference is positive."""
         anchor = RatePair(1.0, 1.0)  # tau = 0 expectations do not involve rates
-        first, second = expected_signals(self, 0.0, anchor, [params])[0, 2:]
+        first, second = expected_signals(self, 0.0, anchor, params)[0, 2:]
         if first >= second:
             return self
         return Measurement(self.second, self.first)
@@ -241,24 +256,27 @@ def _check_drift_fields(drifts):
         raise ValueError(f"cannot drift unknown fields: {sorted(unknown)}")
 
 
-def drift_schedule(params, t, drifts, **fixed):
-    """Instantaneous SignalParams at wall-clock time t (seconds).
+def _stack_blocks(params, drifts=None, times=(None,), reps=None):
+    """Parameter blocks at `times` as per-field arrays, checked in one pass.
 
-    `drifts` maps field names (f0, contrast_C, alpha, eta_plus, eta_minus,
-    background) to callables of t returning the drifted value; missing fields
-    stay constant.  `fixed` sets further fields (such as a block's
-    repetitions_R) in the same replace.  Values violating the parameter
-    invariants raise a ValueError naming the time t and the violated field.
+    A field in `drifts` takes its callable's value at each time, the block
+    repetitions are `reps` (default: params' own), and every other field is
+    params'.  Backgrounds stay a list, as each may be a callable of tau.  The
+    first drifted block out of the domain raises, naming its time and field.
     """
     drifts = drifts or {}
-    if not drifts and not fixed:
-        return params
     _check_drift_fields(drifts)
-    values = {name: fn(t) for name, fn in drifts.items()}
-    try:
-        return replace(params, **fixed, **values)
-    except ValueError as exc:
-        raise ValueError(f"drift schedule at t = {t:.6g} s: {exc}") from exc
+    columns = {name: [getattr(params, name)] * len(times) for name in _DRIFTABLE}
+    columns.update({name: [fn(t) for t in times] for name, fn in drifts.items()})
+    blocks = SimpleNamespace(
+        **{name: np.array(values) for name, values in columns.items() if name != "background"},
+        background=columns["background"],
+        repetitions_R=np.array([params.repetitions_R] if reps is None else reps),
+    )
+    violation = drifts and _domain_violation(vars(blocks))
+    if violation:
+        raise ValueError(f"drift schedule at t = {times[violation[0]]:.6g} s: {violation[1]}")
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -283,9 +301,10 @@ class FourSignals:
 def expected_signals(measurement, tau, rates, blocks):
     """Expected photon sums of a measurement's four signals, per delay and block.
 
-    `tau` is a delay or an array of delays (ms); `blocks` is a sequence of
-    SignalParams, each with its own repetitions_R.  Returns shape
-    tau.shape + (len(blocks), 4), so a scalar delay gives (blocks, 4);
+    `tau` is a delay or an array of delays (ms); `blocks` is one SignalParams
+    (a single block) or a stack of parameter blocks from `_stack_blocks`,
+    each block with its own repetitions_R.  Returns shape
+    tau.shape + (blocks, 4), so a scalar delay gives (blocks, 4);
     columns in FourSignals order: first and second signal at tau, then at
     tau = 0, whose values broadcast along the delay axes.  Over a delay
     array, the blocks' backgrounds must be all constants or all callables.
@@ -293,26 +312,23 @@ def expected_signals(measurement, tau, rates, blocks):
     vectors and pulse matrices are stacked and combined with batched matmul,
     which reproduces each scalar expected_counts call bit for bit.
     """
-    # Per-block arrays of the numeric fields; the pulse, prep and collection
-    # builders take them in place of a SignalParams and return stacks.
-    stacked = SimpleNamespace(
-        **{name: np.array([getattr(p, name) for p in blocks]) for name in _STACKED_FIELDS}
-    )
-    pumped = prep_vector(stacked)[:, :, None]
-    yields = collection_vector(stacked)[:, None, :]
+    if isinstance(blocks, SignalParams):
+        blocks = _stack_blocks(blocks)
+    pumped = prep_vector(blocks)[:, :, None]
+    yields = collection_vector(blocks)[:, None, :]
     chains = [
-        ((pulse_matrix(prep, stacked) @ pumped)[:, :, 0], yields @ pulse_matrix(read, stacked))
+        ((pulse_matrix(prep, blocks) @ pumped)[:, :, 0], yields @ pulse_matrix(read, blocks))
         for prep, read in (measurement.first, measurement.second)
     ]
     columns = []
     # exp(K * 0) is the identity exactly, as propagator() pins it.
     for t, entries in ((tau, propagator(tau, rates)), (0.0, np.eye(3))):
         # One row per block, moved to the last axis beside the delay axes.
-        background = np.array([p.background_at(t) for p in blocks], dtype=float)
-        background = np.moveaxis(background, 0, -1)
+        background = [b(t) if callable(b) else b for b in blocks.background]
+        background = np.moveaxis(np.array(background, dtype=float), 0, -1)
         for start, finish in chains:
             bare = finish @ np.einsum("...ij,bj->...bi", entries, start)[..., None]
-            columns.append(stacked.repetitions_R * (bare[..., 0, 0] + background))
+            columns.append(blocks.repetitions_R * (bare[..., 0, 0] + background))
     return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
@@ -335,10 +351,12 @@ def sample_signals(
     duration_s]; all four signals within a block share the same instantaneous
     parameters, which is the interleaving that cancels slow drift.
 
-    Each block's drifted SignalParams is validated; `expected_signals` then
-    evaluates all blocks at once, and one Poisson draw over the (blocks, 4)
-    means consumes the generator in block-major order.  Static parameters
-    are the one-block case.
+    The drifted fields are evaluated at every block time into per-field
+    arrays and checked in one pass, before any draw: the first block outside
+    the parameter domain raises a ValueError naming its time and first
+    failing field.  `expected_signals` then evaluates all blocks at once, and
+    one Poisson draw over the (blocks, 4) means consumes the generator in
+    block-major order.  Static parameters are the one-block case.
     """
     means, expectations = _block_means(
         measurement, tau, rates, params, drifts, t_start, duration_s, block_reps
@@ -350,13 +368,13 @@ def sample_signals(
 def _block_means(measurement, tau, rates, params, drifts, t_start, duration_s, block_reps=1000):
     """sample_signals' (blocks, 4) expected counts, checked nonnegative, and their totals."""
     if drifts is None:
-        times, blocks = [None], [params]
+        times, blocks = [None], params
     else:
         total_r = params.repetitions_R
         n_blocks = math.ceil(total_r / block_reps)
         times = [t_start + (b + 0.5) / n_blocks * duration_s for b in range(n_blocks)]
         reps = [min(block_reps, total_r - b * block_reps) for b in range(n_blocks)]
-        blocks = [drift_schedule(params, t, drifts, repetitions_R=r) for t, r in zip(times, reps)]
+        blocks = _stack_blocks(params, drifts, times, reps)
     means = expected_signals(measurement, tau, rates, blocks)
     negative = np.argwhere(means < 0.0)
     if negative.size:

@@ -10,10 +10,12 @@ the drift-insensitive pair's closed-form signal difference,
 R C f0 (3 alpha - 1)/2 (1 - eta) model_m, that the package's generic
 four-count path (`signals.expected_signals`) is compared against.
 `looped_sample_signals` is the blocked Poisson sampler as first written,
-one block at a time, kept so that the stacked sampler can be required to
-reproduce it bit for bit.  `cost` is the scalar cost of one delay pair
-through `design.gaussian_sigma`, and `exhaustive_argmin` the plain
-np.argmin over a full surface that the bounded delay selection must match.
+one block at a time, each block a SignalParams from `drift_schedule`, kept
+so that the stacked sampler and its one-pass domain check can be required
+to reproduce it bit for bit and error for error.  `cost` is the scalar
+cost of one delay pair through `design.gaussian_sigma`, and
+`exhaustive_argmin` the plain np.argmin over a full surface that the
+bounded delay selection must match.
 `log_likelihood` is the scalar-or-array likelihood of one rate hypothesis.
 `scipy_regrid_weights` is scipy's linear RegularGridInterpolator over a
 product grid; it and scipy's `logsumexp` are what the posterior's numpy
@@ -46,7 +48,7 @@ from spinrelax.design import (
 from spinrelax.estimator import sigma_m_from_expectations
 from spinrelax.posterior import _chi_squared_field
 from spinrelax.rates import BRANCHES, _check_tau, _spectral_split, _unpack, model_gradient, model_m
-from spinrelax.signals import FourSignals, SignalSample, drift_schedule, expected_counts
+from spinrelax.signals import FourSignals, SignalSample, _check_drift_fields, expected_counts
 
 # Basis order (-, 0, +) -> indices (0, 1, 2).
 
@@ -222,6 +224,26 @@ def _signal_means(measurement, tau, rates, params):
         expected_counts(p1, r1, 0.0, rates, params),
         expected_counts(p2, r2, 0.0, rates, params),
     )
+
+
+def drift_schedule(params, t, drifts, **fixed):
+    """Instantaneous SignalParams at wall-clock time t (seconds).
+
+    `drifts` maps field names (f0, contrast_C, alpha, eta_plus, eta_minus,
+    background) to callables of t returning the drifted value; missing fields
+    stay constant.  `fixed` sets further fields (such as a block's
+    repetitions_R) in the same replace.  Values violating the parameter
+    invariants raise a ValueError naming the time t and the violated field.
+    """
+    drifts = drifts or {}
+    if not drifts and not fixed:
+        return params
+    _check_drift_fields(drifts)
+    values = {name: fn(t) for name, fn in drifts.items()}
+    try:
+        return replace(params, **fixed, **values)
+    except ValueError as exc:
+        raise ValueError(f"drift schedule at t = {t:.6g} s: {exc}") from exc
 
 
 def looped_sample_signals(

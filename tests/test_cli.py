@@ -114,6 +114,20 @@ class TestExitCodes:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("ratio_points", "true"), ("ratio_lo", "-0.5"), ("ratio_hi", "wide")],
+    )
+    def test_bad_ratio_sweep_writes_nothing(self, tmp_path, capsys, field, bad):
+        sweep = {"ratio_lo": "0.125", "ratio_hi": "8.0", "ratio_points": "25", field: bad}
+        cfg = tmp_path / "ratios.yaml"
+        cfg.write_text("ranking:\n" + "".join(f"  {k}: {v}\n" for k, v in sweep.items()))
+        out = tmp_path / "runs"
+        code = main(["rank-protocols", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert f"ranking.{field}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_json_holds_coerced_fields(self, tmp_path, capsys):
         cfg = tmp_path / "floats.yaml"
         floats = FAST_YAML.replace("iterations: 4", "iterations: 2.0")

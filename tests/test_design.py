@@ -74,6 +74,12 @@ class TestTimingModel:
         with pytest.raises(ValueError):
             DelayPair(0.0, 0.1)
 
+    def test_boolean_repetitions_rejected(self):
+        # True is an int equal to 1; a run would go ahead with R = 1.
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="repetitions_R must be a positive integer"):
+                TimingModel(repetitions_R=flag)
+
 
 class TestGaussianSigma:
     def test_dual_path_agreement(self):

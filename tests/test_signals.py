@@ -1,5 +1,8 @@
 """Measurement model: five-factor chain, difference identities, Poisson sampling."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,19 +10,22 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_expected_counts,
+    drift_schedule,
     expected_difference,
     looped_sample_signals,
     model_m_optimal,
 )
 from spinrelax.design import DelayGrid
+from spinrelax.experiments import ExperimentConfig, _acquire_four
 from spinrelax.rates import RatePair, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
     Measurement,
     ProtocolSpec,
+    _DRIFTABLE,
     SignalParams,
-    drift_schedule,
+    _stack_blocks,
     expected_counts,
     expected_signals,
     pulse_matrix,
@@ -57,6 +63,14 @@ class TestSignalParams:
         for kwargs in bad:
             with pytest.raises(ValueError):
                 SignalParams(**kwargs)
+
+    def test_boolean_repetitions_rejected(self):
+        # True is an int equal to 1; a run would go ahead with R = 1.
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match="repetitions_R must be a positive integer"):
+                SignalParams(repetitions_R=flag)
+        assert SignalParams(repetitions_R=np.int64(7)).repetitions_R == 7
+        assert SignalParams(repetitions_R=1e6).repetitions_R == 10**6
 
     def test_callable_background(self):
         params = SignalParams(background=lambda tau: 0.01 * tau)
@@ -205,6 +219,12 @@ CLOSED_FORM_MEMBERS = [
 ]
 
 
+def block_stack(blocks):
+    """The parameter stack whose block i is blocks[i]: every field drifts to it at t = i."""
+    drifts = {name: (lambda t, name=name: getattr(blocks[t], name)) for name in _DRIFTABLE}
+    return _stack_blocks(blocks[0], drifts, range(len(blocks)), [p.repetitions_R for p in blocks])
+
+
 class TestExpectedSignals:
     def test_delay_array_equals_scalar_calls(self):
         rates = RatePair(0.7, 2.9)
@@ -223,12 +243,12 @@ class TestExpectedSignals:
         for protocol in (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL):
             for meas in (protocol.plus, protocol.minus):
                 for oriented in (meas, Measurement(meas.second, meas.first)):
-                    for chosen in (constant, sloped, sloped[:1]):
+                    for chosen in map(block_stack, (constant, sloped, sloped[:1])):
                         got = expected_signals(oriented, taus, rates, chosen)
-                        assert got.shape == taus.shape + (len(chosen), 4)
+                        assert got.shape == taus.shape + (len(chosen.background), 4)
                         for idx in np.ndindex(taus.shape):
                             want = expected_signals(oriented, float(taus[idx]), rates, chosen)
-                            assert want.shape == (len(chosen), 4)
+                            assert want.shape == (len(chosen.background), 4)
                             assert np.array_equal(got[idx], want)
                         # The tau = 0 columns do not depend on the delay.
                         assert np.all(got[..., 2:] == got[0, 0, :, 2:])
@@ -237,7 +257,7 @@ class TestExpectedSignals:
         rates = RatePair(1.0, 3.0)
         params = SignalParams(background=lambda tau: 0.003 * tau)
         for meas in (OPTIMAL_PROTOCOL.plus, ROBUST_PROTOCOL.minus):
-            got = expected_signals(meas, 0.8, rates, [params])[0]
+            got = expected_signals(meas, 0.8, rates, params)[0]
             signals = (meas.first, meas.second) * 2
             for k, ((prep, read), tau) in enumerate(zip(signals, (0.8, 0.8, 0.0, 0.0))):
                 assert got[k] == expected_counts(prep, read, tau, rates, params)
@@ -276,7 +296,7 @@ class TestExpectedSignals:
             repetitions_R=repetitions,
         )
         rates = RatePair(gp, gm)
-        e1t, e2t, e10, e20 = expected_signals(meas, tau, rates, [params])[0]
+        e1t, e2t, e10, e20 = expected_signals(meas, tau, rates, params)[0]
         deviation = (e1t - e2t) - model_m(tau, rates, branch) * (e10 - e20)
         assert abs(deviation) <= 1e-13 * (e1t + e2t + e10 + e20)
 
@@ -460,6 +480,121 @@ class TestStackedSampler:
             sample_signals(meas, 0.4, RatePair(1.0, 3.0), static, np.random.default_rng(1))
 
 
+    @pytest.mark.parametrize("drift", sorted(SAMPLER_DRIFTS))
+    def test_noiseless_acquisition_equals_block_sums(self, drift):
+        rates, params = RatePair(1.0, 3.0), SignalParams(repetitions_R=19997)
+        config = ExperimentConfig(
+            true_rates=rates, params=params, noiseless=True, drifts=SAMPLER_DRIFTS[drift]
+        )
+        for protocol in (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL):
+            for meas in (protocol.plus, protocol.minus):
+                got = _acquire_four(config, meas, 0.4, None, 1.0, 5.0)
+                want = looped_sample_signals(
+                    meas, 0.4, rates, params, np.random.default_rng(0),
+                    drifts=SAMPLER_DRIFTS[drift], t_start=1.0, duration_s=5.0,
+                )
+                for a, b in zip(got.as_tuple(), want.as_tuple()):
+                    assert a.expectation == b.expectation and a.counts == b.expectation
+
+    def test_drifted_call_builds_constant_number_of_params(self, monkeypatch):
+        built = []
+        check = SignalParams.__post_init__
+        monkeypatch.setattr(SignalParams, "__post_init__", lambda self: built.append(check(self)))
+
+        def count(params):
+            built.clear()
+            sample_signals(
+                ROBUST_PROTOCOL.plus, 0.4, RatePair(1.0, 3.0), params, np.random.default_rng(2),
+                drifts=SAMPLER_DRIFTS["eta"], t_start=1.0, duration_s=5.0,
+            )
+            return len(built)
+
+        few, many = SignalParams(repetitions_R=10**4), SignalParams(repetitions_R=10**6)
+        assert count(few) == count(many) <= 1  # 10 and 1,000 blocks
+
+
+FIELD_ORDER = [f.name for f in dataclasses.fields(SignalParams)]
+# Values on or just past each driftable field's domain boundary.
+OUT_OF_DOMAIN = [
+    ("f0", 0.0),
+    ("f0", math.nan),
+    ("f0", math.inf),
+    ("contrast_C", 1.0),
+    ("alpha", 1.0 / 3.0),
+    ("eta_plus", 0.5),
+    ("eta_minus", 0.5),
+    ("background", -1e-12),
+    ("background", math.nan),
+]
+
+
+class TestStackedDomainCheck:
+    """The drift stack's one-pass domain check against the per-block
+    SignalParams of the looped sampler: the same error text, and no draw."""
+
+    @staticmethod
+    def messages(params, drifts, block_reps):
+        kwargs = dict(drifts=drifts, t_start=1.0, duration_s=5.0, block_reps=block_reps)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError) as got:
+            sample_signals(ROBUST_PROTOCOL.plus, 0.4, RatePair(1.0, 3.0), params, rng, **kwargs)
+        assert rng.bit_generator.state == before
+        with pytest.raises(ValueError) as want:
+            looped_sample_signals(
+                ROBUST_PROTOCOL.plus, 0.4, RatePair(1.0, 3.0), params,
+                np.random.default_rng(3), **kwargs,
+            )
+        return str(got.value), str(want.value)
+
+    @staticmethod
+    def failing(params, failures, block_reps):
+        """Drifts taking each (field, value) out of the domain from its block on."""
+        n_blocks = math.ceil(params.repetitions_R / block_reps)
+        drifts = {}
+        for (name, value), block in failures:
+            # Block b's time is 1 + (b + 0.5) / n * 5 s; switch half a block earlier.
+            t_from = 1.0 + block / n_blocks * 5.0
+            inside = getattr(params, name)
+            drifts[name] = lambda t, v=value, t0=t_from, w=inside: v if t > t0 else w
+        return drifts
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        failures=st.lists(
+            st.tuples(st.sampled_from(OUT_OF_DOMAIN), st.integers(0, 9)),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda failure: failure[0][0],
+        ),
+        block_reps=st.sampled_from([1000, 997]),
+        callable_background=st.booleans(),
+    )
+    def test_matches_per_block_oracle(self, failures, block_reps, callable_background):
+        params = SignalParams(repetitions_R=10**4)  # 10 or 11 blocks
+        drifts = self.failing(params, failures, block_reps)
+        if callable_background and "background" not in drifts:
+            drifts["background"] = lambda t: (lambda tau: 0.001 * t + 0.002 * tau)
+        got, want = self.messages(params, drifts, block_reps)
+        assert got == want
+        # The first failing block, then its first failing field in field order.
+        block = min(b for _, b in failures)
+        name = min((n for (n, _), b in failures if b == block), key=FIELD_ORDER.index)
+        t = 1.0 + (block + 0.5) / math.ceil(params.repetitions_R / block_reps) * 5.0
+        assert got.startswith(f"drift schedule at t = {t:.6g} s: {name} must ")
+
+    def test_same_block_names_earlier_field(self):
+        params = SignalParams(repetitions_R=10**4)
+        # Listed against field order; both leave the domain from block 4 on.
+        failures = [(("eta_minus", 0.5), 4), (("alpha", 1.0 / 3.0), 4), (("f0", 0.0), 4)]
+        got, want = self.messages(params, self.failing(params, failures, 1000), 1000)
+        assert got == want == "drift schedule at t = 3.25 s: f0 must be positive"
+        # The first failing block decides before field order does.
+        failures = [(("f0", math.nan), 6), (("eta_plus", 0.5), 5)]
+        got, want = self.messages(params, self.failing(params, failures, 1000), 1000)
+        assert got == want == "drift schedule at t = 3.75 s: eta_plus must lie in [0, 0.5)"
+
+
 class TestDriftSchedule:
     def test_constant_schedule_is_identity(self):
         assert drift_schedule(FIG_PARAMS, 12.0, None) == FIG_PARAMS
@@ -468,6 +603,11 @@ class TestDriftSchedule:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             drift_schedule(FIG_PARAMS, 0.0, {"repetitions_R": lambda t: 10})
+        with pytest.raises(ValueError, match="cannot drift unknown fields"):
+            sample_signals(
+                ROBUST_PROTOCOL.plus, 0.4, RatePair(1.0, 3.0), FIG_PARAMS,
+                np.random.default_rng(1), drifts={"repetitions_R": lambda t: 10}, duration_s=1.0,
+            )
 
     def test_f0_drift_leaves_normalized_measurement_unchanged(self):
         r = RatePair(1.0, 3.0)
