@@ -178,14 +178,14 @@ def bias_study(
     r_values,
     replicates=10**4,
     seed=0,
-    measurement=None,
     variance_source="counts",
 ):
     """Monte Carlo of the reciprocal estimator bias across repetition counts.
 
-    For each R, draws `replicates` four-signal measurements, and reports the
-    mean and spread of the reciprocal-mode estimate of Z = 1/Delta relative
-    to the true 1/E[Delta], next to the naive linear 1/Delta evaluated on the
+    For each R, draws `replicates` four-signal measurements of
+    ROBUST_PROTOCOL.plus, and reports the mean and spread of the
+    reciprocal-mode estimate of Z = 1/Delta relative to the true
+    1/E[Delta], next to the naive linear 1/Delta evaluated on the
     draws with a positive denominator; draws with Delta <= 0 are counted in
     zero_denominator_count.  variance_source selects whether sigma_Delta is
     estimated from the observed counts (the estimator's operating mode) or
@@ -195,8 +195,6 @@ def bias_study(
         raise ValueError("replicates must be at least 1000 for stable tails")
     if variance_source not in ("counts", "exact"):
         raise ValueError("variance_source must be 'counts' or 'exact'")
-    if measurement is None:
-        measurement = ROBUST_PROTOCOL.plus
     rng = np.random.default_rng(seed)
     rows = []
     m_true = None
@@ -204,7 +202,7 @@ def bias_study(
     for r in r_values:
         r = int(r)
         params_r = replace(params, repetitions_R=r)
-        meas = measurement.oriented(params_r)
+        meas = ROBUST_PROTOCOL.plus.oriented(params_r)
         mean_1t, mean_2t, mean_10, mean_20 = expected_signals(meas, tau, rates, params_r)[0]
         delta_true = float(mean_10 - mean_20)
         z_true = 1.0 / delta_true

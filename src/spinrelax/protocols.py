@@ -29,12 +29,15 @@ P_aa - P_cd = 1 - P_m0 - P_mp - P_0p independently of which level is
 bright.  Those three classes stay separate (their pulse sequences
 differ); the census reports the collapse instead of merging them.
 
-Two classes have a closed form: the bright |0> signal against the transfer
-signal of one branch, keys ("0", ("+", "0")) and ("0", ("-", "0")),
-normalize to rates.model_m of that branch whatever the contrast, pumping
-and pulse errors.  measurement_curves serves a slot of either class from
-model_m / model_gradient and every other slot from its propagator entries,
-so the robust protocol needs no special case anywhere.
+Every class has the same closed form under ideal parameters:
+P_aa - P_cd = ((g + x) e_fast + (g - x) e_slow) / 2g, rates' two-exponential
+kernel, with x = p gamma_plus + q gamma_minus and (p, q) read off the
+propagator's eigenprojectors (_CLASS_MIX).  The bright |0> signal against
+the transfer signal of one branch, keys ("0", ("+", "0")) and
+("0", ("-", "0")), gives x = gamma_plus or gamma_minus: rates.model_m of
+that branch, whatever the contrast, pumping and pulse errors.  The three
+collapsed classes give x = 0.  measurement_curves serves every slot from
+this one kernel and its analytic gradient, so no protocol is a special case.
 
 Ranking evaluates, for every independent protocol, the shot-noise
 uncertainty of M from expected photon counts, minimizes the
@@ -51,9 +54,8 @@ import numpy as np
 
 from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, _bounded_argmin, _cost_terms
 from .estimator import sigma_m_from_expectations
-from .rates import model_gradient, model_m, propagator_entries
+from .rates import _gradient, _values
 from .signals import (
-    STATE_INDEX,
     STATES,
     Measurement,
     ProtocolSpec,
@@ -63,7 +65,6 @@ from .signals import (
 
 __all__ = [
     "IDEAL_RANKING_PARAMS",
-    "measurement_model_value",
     "measurement_curves",
     "enumerate_measurements",
     "enumerate_protocols",
@@ -96,12 +97,6 @@ _DISTINCT_FUNCTION_COUNT = 7
 _INDEPENDENT_COUNT = 36
 
 
-def _entry_indices(signal):
-    """Propagator (row, column) probed by a (prep, read) signal."""
-    prep, read = signal
-    return STATE_INDEX[read], STATE_INDEX[prep]
-
-
 def _oriented_signals(measurement):
     """Signals ordered bright (self-reverting) first."""
     first, second = measurement.first, measurement.second
@@ -110,59 +105,33 @@ def _oriented_signals(measurement):
     return second, first
 
 
-def measurement_model_value(measurement, tau, rates):
-    """Normalized expected measurement under ideal parameters.
-
-    Equals the bright-entry minus dark-entry propagator difference, exactly
-    1 at tau = 0.  Supports complex rate arguments for derivative work.
-    """
-    bright, dark = _oriented_signals(measurement)
-    ab = _entry_indices(bright)
-    cd = _entry_indices(dark)
-    gp, gm = (rates.gamma_plus, rates.gamma_minus) if hasattr(rates, "gamma_plus") else rates
-    entries = propagator_entries(tau, gp, gm)
-    return entries[..., ab[0], ab[1]] - entries[..., cd[0], cd[1]]
-
-
-def _model_gradient(measurement, tau, rates):
-    """d model / d gamma via complex-step differentiation (exact to rounding)."""
-    gp, gm = (rates.gamma_plus, rates.gamma_minus) if hasattr(rates, "gamma_plus") else rates
-    h = 1e-20
-    d_plus = measurement_model_value(measurement, tau, (gp + 1j * h, gm)).imag / h
-    d_minus = measurement_model_value(measurement, tau, (gp, gm + 1j * h)).imag / h
-    return d_plus, d_minus
-
-
-# Measurement classes whose normalized model is rates.model_m of a branch:
-# the bright |0> signal against the transfer signal of that branch.
-_CLOSED_FORM_CLASSES = {("0", ("+", "0")): "+", ("0", ("-", "0")): "-"}
-
-
-def _slot_curves(measurement):
-    """(value, gradient) callables of (tau, rates) for one measurement."""
-    branch = _CLOSED_FORM_CLASSES.get(_measurement_class_key(measurement))
-    if branch is not None:
-        return (
-            lambda tau, rates: model_m(tau, rates, branch),
-            lambda tau, rates: model_gradient(tau, rates, branch),
-        )
-    return (
-        lambda tau, rates: measurement_model_value(measurement, tau, rates),
-        lambda tau, rates: _model_gradient(measurement, tau, rates),
-    )
+# Class key -> (p, q) of the class's mixing rate x = p gamma_plus + q gamma_minus.
+_CLASS_MIX = {
+    ("0", ("+", "0")): (1, 0),
+    ("0", ("-", "0")): (0, 1),
+    ("0", ("+", "-")): (0, 0),
+    ("+", ("+", "0")): (1, -1),
+    ("+", ("+", "-")): (0, -1),
+    ("+", ("-", "0")): (0, 0),
+    ("-", ("-", "0")): (-1, 1),
+    ("-", ("+", "-")): (-1, 0),
+    ("-", ("+", "0")): (0, 0),
+}
 
 
 def measurement_curves(protocol):
     """BranchCurves adapter: slot "+" is the first measurement of the pair.
 
-    A slot whose measurement class is in _CLOSED_FORM_CLASSES uses the
-    closed form model_m / model_gradient of that class's branch; any other
-    slot uses the propagator-entry difference and its complex-step gradient.
+    Each slot is the two-exponential kernel of its measurement's class
+    (_CLASS_MIX), the robust classes' being model_m / model_gradient.
     """
-    slots = {"+": _slot_curves(protocol.plus), "-": _slot_curves(protocol.minus)}
+    mix = {
+        "+": _CLASS_MIX[_measurement_class_key(protocol.plus)],
+        "-": _CLASS_MIX[_measurement_class_key(protocol.minus)],
+    }
     return BranchCurves(
-        value=lambda tau, rates, branch: slots[branch][0](tau, rates),
-        gradient=lambda tau, rates, branch: slots[branch][1](tau, rates),
+        value=lambda tau, rates, branch: _values(tau, rates, *mix[branch]),
+        gradient=lambda tau, rates, branch: _gradient(tau, rates, *mix[branch]),
     )
 
 
@@ -218,8 +187,9 @@ def _function_classes(measurements, size):
     """Group measurements into model-function classes.
 
     Returns (class index per measurement, canonical representative per
-    class, number of numerically distinct class functions).  Every member
-    is verified against its representative on the probe lattice; the
+    class, number of numerically distinct class functions).  Every member's
+    normalized expectation from photon counts under IDEAL_RANKING_PARAMS
+    is verified against its representative's on the probe lattice; the
     distinct count exposes the row-normalization collapse without merging
     the affected classes.
     """
@@ -227,11 +197,14 @@ def _function_classes(measurements, size):
     reps = [_canonical_measurement(key) for key in keys]
     class_of = [keys.index(_measurement_class_key(m)) for m in measurements]
     taus, gps, gms = _probe_lattice(size)
-    rep_signatures = [
-        np.ravel(measurement_model_value(r, taus, (gps, gms))) for r in reps
-    ]
+
+    def signature(measurement):
+        value = _normalized_expectation(measurement, taus, (gps, gms), IDEAL_RANKING_PARAMS)
+        return np.ravel(value)
+
+    rep_signatures = [signature(r) for r in reps]
     for m, k in zip(measurements, class_of):
-        sig = np.ravel(measurement_model_value(m, taus, (gps, gms)))
+        sig = signature(m)
         if np.max(np.abs(sig - rep_signatures[k])) > _DEDUP_TOL:
             raise RuntimeError(
                 f"measurement {m.label} deviates from its class "

@@ -18,9 +18,14 @@ so every population observable is a mixture of two decaying exponentials on
 top of the uniform equilibrium (1/3, 1/3, 1/3).  This module evaluates the
 propagator exp(K tau) and the normalized relaxation model functions in
 closed form, together with their analytic derivatives with respect to both
-rates.  The closed forms are what makes grid-based inference and delay
-optimization cheap; a general matrix exponential is used only as a test
-oracle.
+rates.  Every normalized four-signal measurement is one kernel,
+
+    ((g + x) e_fast + (g - x) e_slow) / 2g,   x = p gp + q gm,
+
+with e_fast/slow = exp(-beta_fast/slow tau) and p, q in {-1, 0, 1} fixed
+by the measurement class; model_m is its (1, 0) and (0, 1) case.  The
+closed forms are what makes grid-based inference and delay optimization
+cheap; a general matrix exponential is used only as a test oracle.
 
 Conventions used throughout the package:
 
@@ -80,8 +85,8 @@ def _spectral_split(gp, gm):
 
     Satisfies max(gp, gm)/2 <= g <= gp + gm for positive rates, so the
     plain formula is well conditioned at double precision even for gp = gm.
-    Works for complex inputs (needed by complex-step differentiation), where
-    np.sqrt stays on the principal branch near the positive real axis.
+    Works for complex inputs (the test oracles' complex-step derivatives),
+    where np.sqrt stays on the principal branch near the positive real axis.
     """
     return np.sqrt(gp * gp + gm * gm - gp * gm)
 
@@ -108,7 +113,7 @@ def propagator_entries(tau, gp, gm):
     formula degenerates at gp = gm; w above is its stable replacement,
     obtained by crossing (1,1,1) with u).  No clipping or conjugation is
     performed here so the expression remains analytic in gp and gm, which
-    complex-step differentiation in other modules relies on.
+    the test oracles' complex-step derivatives rely on.
     """
     tau, gp, gm = np.broadcast_arrays(np.asarray(tau), np.asarray(gp), np.asarray(gm))
     g = _spectral_split(gp, gm)
@@ -149,11 +154,27 @@ def propagator(tau, rates):
     return np.clip(propagator_entries(_check_tau(tau), gp, gm), 0.0, 1.0)
 
 
-def _values(tau, gp, gm, branch):
+def _branch_mix(branch):
+    """(p, q) of model_m's branch: x is gamma_plus for "+", gamma_minus for "-"."""
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    return (1, 0) if branch == "+" else (0, 1)
+
+
+def _mixing_rate(gp, gm, p, q):
+    """x = p gp + q gm; model_m's lone rates are passed through as is."""
+    return gp if (p, q) == (1, 0) else gm if (p, q) == (0, 1) else p * gp + q * gm
+
+
+def _values(tau, rates, p, q):
+    """((g + x) e_fast + (g - x) e_slow) / 2g with x = p gamma_plus + q gamma_minus.
+
+    Every measurement class's normalized model (protocols._CLASS_MIX).
+    """
+    tau = _check_tau(tau)
+    gp, gm = _unpack(rates)
     g = _spectral_split(gp, gm)
-    own = gp if branch == "+" else gm
+    own = _mixing_rate(gp, gm, p, q)
     total = gp + gm
     # ((g+own) e_fast + (g-own) e_slow) / 2g, in place on the exponent arrays.
     e_fast = np.asarray(-(total + g) * tau)
@@ -170,35 +191,13 @@ def _values(tau, gp, gm, branch):
     return e_fast
 
 
-def model_m(tau, rates, branch):
-    """Normalized relaxation model function for one measurement branch.
-
-    This is the expected value of the normalized difference measurement
-    M_branch built from the drift-insensitive signal pair: it starts at 1 at
-    tau = 0, decays to 0, and depends only on (tau, gamma_plus, gamma_minus).
-    Equivalently (p00(tau) - p_b0(tau)) / (p00(0) - p_b0(0)) in propagator
-    entries, with b the branch sign.
-
-    `rates` may be a RatePair or a pair of broadcastable arrays, enabling
-    vectorized evaluation over posterior grids.
-    """
+def _gradient(tau, rates, p, q):
+    """Analytic (d/d gamma_plus, d/d gamma_minus) of _values by the product
+    rule, with d x / d gamma_plus = p and d x / d gamma_minus = q."""
     tau = _check_tau(tau)
     gp, gm = _unpack(rates)
-    return _values(tau, gp, gm, branch)
-
-
-def model_gradient(tau, rates, branch):
-    """Analytic (d/d gamma_plus, d/d gamma_minus) of model_m.
-
-    Closed-form product-rule differentiation of the two-exponential form;
-    validated against central finite differences in the test suite.
-    """
-    tau = _check_tau(tau)
-    gp, gm = _unpack(rates)
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     g = _spectral_split(gp, gm)
-    own = gp if branch == "+" else gm
+    own = _mixing_rate(gp, gm, p, q)
     e_fast = np.exp(-(gp + gm + g) * tau)
     e_slow = np.exp(-(gp + gm - g) * tau)
     numer = (g + own) * e_fast + (g - own) * e_slow
@@ -219,7 +218,28 @@ def model_gradient(tau, rates, branch):
         # M(0) = 1 identically, so both partials vanish there exactly.
         return np.where(np.asarray(tau) == 0.0, 0.0, d_value)
 
-    if branch == "+":
-        return one_derivative(dg_dgp, 1.0), one_derivative(dg_dgm, 0.0)
-    return one_derivative(dg_dgp, 0.0), one_derivative(dg_dgm, 1.0)
+    return one_derivative(dg_dgp, float(p)), one_derivative(dg_dgm, float(q))
+
+
+def model_m(tau, rates, branch):
+    """Normalized relaxation model function for one measurement branch.
+
+    This is the expected value of the normalized difference measurement
+    M_branch built from the drift-insensitive signal pair: it starts at 1 at
+    tau = 0, decays to 0, and depends only on (tau, gamma_plus, gamma_minus).
+    Equivalently (p00(tau) - p_b0(tau)) / (p00(0) - p_b0(0)) in propagator
+    entries, with b the branch sign.
+
+    `rates` may be a RatePair or a pair of broadcastable arrays, enabling
+    vectorized evaluation over posterior grids.
+    """
+    return _values(tau, rates, *_branch_mix(branch))
+
+
+def model_gradient(tau, rates, branch):
+    """Analytic (d/d gamma_plus, d/d gamma_minus) of model_m.
+
+    Validated against central finite differences in the test suite.
+    """
+    return _gradient(tau, rates, *_branch_mix(branch))
 

@@ -294,7 +294,7 @@ class TestBoundedArgmin:
             st.integers(2, 25), st.integers(26, 300), st.sampled_from([997, 1000, 1013])
         ),
         log_rates=st.tuples(*[st.floats(np.log(0.06), np.log(90.0))] * 2),
-        curves_kind=st.sampled_from(["closed form", "complex step", "swapped"]),
+        curves_kind=st.sampled_from(["closed form", "optimal", "swapped"]),
         sigma=st.sampled_from(["approx", "scalar", "callable"]),
         scalars=st.tuples(*[st.floats(1e-3, 1.0)] * 2),
         timing=st.sampled_from(TIMINGS),
@@ -304,12 +304,12 @@ class TestBoundedArgmin:
     ):
         grid = GRID_KINDS[kind](size)
         rates = tuple(np.exp(log_rates))
-        # The robust protocol's curves are the closed form; the optimal
-        # protocol's are propagator entries with complex-step gradients.
-        protocol = OPTIMAL_PROTOCOL if curves_kind == "complex step" else ROBUST_PROTOCOL
+        # The robust protocol's curves are model_m; the optimal protocol's
+        # are the same kernel with mixing rates gamma_+ - gamma_- and back.
+        protocol = OPTIMAL_PROTOCOL if curves_kind == "optimal" else ROBUST_PROTOCOL
         curves = {
             "closed form": ROBUST_CURVES,
-            "complex step": measurement_curves(OPTIMAL_PROTOCOL),
+            "optimal": measurement_curves(OPTIMAL_PROTOCOL),
             "swapped": SWAPPED_CURVES,
         }[curves_kind]
         sigma_m = {

@@ -75,11 +75,16 @@ class TestAdaptiveRun:
         assert abs(rec.final.mean_plus - TRUTH.gamma_plus) < 0.5 * rec.final.sigma_plus
         assert rec.flagged_count == 0
 
-    def test_noiseless_optimal_protocol_converges(self):
-        # A protocol outside the closed-form classes: selection and updates
-        # run on its propagator-entry model, exact under ideal parameters.
+    @pytest.mark.parametrize("optimizer", ["nob", "pf"])
+    def test_noiseless_optimal_protocol_converges(self, optimizer):
+        # A protocol outside the robust classes: selection and updates run
+        # on its two-exponential kernel, exact under ideal parameters.
         cfg = fig_defaults(
-            protocol=OPTIMAL_PROTOCOL, params=IDEAL_RANKING_PARAMS, iterations=5, noiseless=True
+            protocol=OPTIMAL_PROTOCOL,
+            params=IDEAL_RANKING_PARAMS,
+            iterations=5,
+            noiseless=True,
+            optimizer=optimizer,
         )
         rec = run_adaptive(cfg)
         cell = (cfg.prior_bounds[1] - cfg.prior_bounds[0]) / (cfg.grid_size - 1)

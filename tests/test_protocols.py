@@ -5,8 +5,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import expm_propagator
+from oracles import complex_step_gradient, entry_model_value, expm_propagator, model_m_optimal
 from spinrelax.design import DelayGrid, TimingModel
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
@@ -16,16 +18,16 @@ from spinrelax.protocols import (
     enumerate_measurements,
     enumerate_protocols,
     measurement_curves,
-    measurement_model_value,
     minimal_cost,
     rank_protocols,
     raw_protocol_count,
     sensitivity_ratio_curve,
 )
 from spinrelax.protocols import _function_classes  # white box: dedup internals
-from spinrelax.protocols import _model_gradient, _probe_lattice
+from spinrelax.protocols import _probe_lattice
 from spinrelax.rates import model_gradient, model_m
 from spinrelax.signals import (
+    OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
     Measurement,
     ProtocolSpec,
@@ -34,6 +36,25 @@ from spinrelax.signals import (
 )
 
 RATES = (1.0, 3.0)
+
+
+def kernel(measurement):
+    """The measurement's curves, served in both slots."""
+    return measurement_curves(ProtocolSpec(plus=measurement, minus=measurement))
+
+
+def mirrored(measurement):
+    """The measurement with the |+1> and |-1> levels exchanged."""
+    swap = {"+": "-", "-": "+", "0": "0"}
+    first, second = measurement.first, measurement.second
+    return Measurement((swap[first[0]], swap[first[1]]), (swap[second[0]], swap[second[1]]))
+
+
+# Delays over [1e-3, 50] ms with tau = 0, rates over [0.05, 100] /ms.
+tau_arrays = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-3, 50.0)), min_size=1, max_size=20
+).map(np.array)
+rate_pairs = st.tuples(*[st.floats(np.log(0.05), np.log(100.0))] * 2).map(np.exp)
 
 
 def normalized_expectation(measurement, tau, rates, params):
@@ -135,7 +156,7 @@ class TestClassStructure:
             p = expm_propagator(tau, gp, gm)
             complement = 1.0 - p[0, 1] - p[0, 2] - p[1, 2]
             for m in merged:
-                value = measurement_model_value(m, tau, (gp, gm))
+                value = kernel(m).value(tau, (gp, gm), "+")
                 assert value == pytest.approx(complement, abs=1e-12)
 
     def test_model_value_matches_expm_oracle(self):
@@ -152,9 +173,7 @@ class TestClassStructure:
             a = state_index[bright[0]]
             c, d = state_index[dark[1]], state_index[dark[0]]
             expected = p[a, a] - p[c, d]
-            assert measurement_model_value(m, tau, (gp, gm)) == pytest.approx(
-                expected, abs=1e-12
-            )
+            assert kernel(m).value(tau, (gp, gm), "+") == pytest.approx(expected, abs=1e-12)
 
     def test_positive_zero_delay_denominator(self):
         # oriented denominator is bright minus dark at tau = 0
@@ -215,33 +234,62 @@ class TestMeasurementCurves:
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
 
-    def test_closed_form_classes_match_entry_model(self):
-        # Independent key: a dark signal moving population between |0> and
-        # one branch level, against the bright |0> signal, is that branch's
-        # model_m.  Every other measurement keeps its entry difference.
-        taus, gps, gms = _probe_lattice(9)
-        closed = 0
+    @settings(max_examples=60, deadline=None)
+    @given(taus=tau_arrays, rates=rate_pairs)
+    def test_closed_form_classes_match_entry_model(self, taus, rates):
+        # Every measurement's kernel against the bright-minus-dark entry of
+        # the full propagator and its complex-step gradient.  Independent
+        # key: a dark signal moving population between |0> and one branch
+        # level, against the bright |0> signal, is that branch's model_m.
+        robust = 0
         for m in enumerate_measurements():
+            curves = kernel(m)
+            want = entry_model_value(m, taus, rates)
+            np.testing.assert_allclose(curves.value(taus, rates, "+"), want, rtol=0, atol=1e-12)
+            oracle = complex_step_gradient(m, taus, rates)
+            for got, want in zip(curves.gradient(taus, rates, "+"), oracle):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
             bright = m.first if m.first[0] == m.first[1] else m.second
             dark = m.second if bright is m.first else m.first
-            branch = None
             if bright == ("0", "0") and "0" in dark:
                 branch = dark[0] if dark[1] == "0" else dark[1]
-            closed += branch is not None
-            curves = measurement_curves(ProtocolSpec(plus=m, minus=m))
-            entry_value = measurement_model_value(m, taus, (gps, gms))
-            entry_gradient = _model_gradient(m, taus, (gps, gms))
-            for slot in "+-":
-                value = curves.value(taus, (gps, gms), slot)
-                gradient = curves.gradient(taus, (gps, gms), slot)
-                if branch is None:
-                    assert np.array_equal(value, entry_value)
-                    continue
-                assert np.array_equal(value, model_m(taus, (gps, gms), branch))
-                assert np.max(np.abs(value - entry_value)) < 1e-12
-                for g, w in zip(gradient, entry_gradient):
-                    assert np.max(np.abs(g - w)) < 1e-12
-        assert closed == 8
+                robust += 1
+                closed_value = model_m(taus, rates, branch)
+                closed_gradient = model_gradient(taus, rates, branch)
+                for slot in "+-":
+                    assert np.array_equal(curves.value(taus, rates, slot), closed_value)
+                    for got, want in zip(curves.gradient(taus, rates, slot), closed_gradient):
+                        assert np.array_equal(got, want)
+        assert robust == 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(taus=tau_arrays, rates=rate_pairs)
+    def test_mirror_symmetry(self, taus, rates):
+        # Exchanging the levels and the rates maps each class onto its mirror.
+        gp, gm = rates
+        for m in enumerate_measurements():
+            curves, mirror = kernel(m), kernel(mirrored(m))
+            want = mirror.value(taus, (gm, gp), "+")
+            np.testing.assert_allclose(curves.value(taus, (gp, gm), "+"), want, rtol=0, atol=1e-12)
+            d_plus, d_minus = curves.gradient(taus, (gp, gm), "+")
+            m_plus, m_minus = mirror.gradient(taus, (gm, gp), "+")
+            np.testing.assert_allclose(d_plus, m_minus, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(d_minus, m_plus, rtol=1e-12, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        taus=st.lists(st.floats(0.0, 10.0), min_size=1, max_size=20).map(np.array),
+        rates=st.tuples(*[st.floats(np.log(0.05), np.log(50.0))] * 2).map(np.exp),
+    )
+    def test_optimal_protocol_is_closed_form(self, taus, rates):
+        curves = measurement_curves(OPTIMAL_PROTOCOL)
+        for branch in "+-":
+            np.testing.assert_allclose(
+                curves.value(taus, rates, branch),
+                model_m_optimal(taus, rates, 0.0, branch),
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 @pytest.fixture(scope="module")
