@@ -153,10 +153,13 @@ class GaussianApprox:
 
 @dataclass(frozen=True)
 class BranchCurves:
-    """Model value and gradient callables with the (tau, rates, branch) signature."""
+    """A protocol's model curves: `value` and `gradient` take (tau, rates,
+    branch); `pair_value` takes (tau_plus, tau_minus, rates) and returns both
+    branches' values as fresh (plus, minus) arrays from one kernel call."""
 
     value: callable
     gradient: callable
+    pair_value: callable
 
 
 def _jacobian(delays, rates, curves):
@@ -242,7 +245,7 @@ def _cost_terms(grid, rates, sigma_m, timing, curves):
         det_j = g_pp[r] * g_mm[c] - g_pm[r] * g_mp[c]
         det = (det_j / (s_plus[r] * s_minus[c])) ** 2
         t = timing.duration_seconds(taus[r], taus[c])
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             fractional = (a_minus / gp**2 + a_plus / gm**2) / det
             value = np.sqrt(fractional) * np.sqrt(t)
         return np.where((det == 0.0) | ~np.isfinite(fractional), np.inf, value)

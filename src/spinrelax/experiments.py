@@ -383,7 +383,7 @@ def run_adaptive(config):
         flagged = False
         try:
             pair = _estimate_pair(four_plus, four_minus, delays)
-            posterior = regrid(bayes_update(posterior, pair, model=curves.value), config.grid_size)
+            posterior = regrid(bayes_update(posterior, pair, curves.pair_value), config.grid_size)
         except (EstimationError, UpdateRejected):
             flagged = True
             ledger.flagged_count += 1
@@ -457,7 +457,7 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
                     agg_minus.four_signals(),
                     DelayPair(tau_plus=agg_plus.tau, tau_minus=agg_minus.tau),
                 )
-                rebuilt = regrid(bayes_update(rebuilt, pair, model=curves.value), config.grid_size)
+                rebuilt = regrid(bayes_update(rebuilt, pair, curves.pair_value), config.grid_size)
             except (EstimationError, UpdateRejected):
                 ledger.flagged_count += 1
         posterior = rebuilt

@@ -10,7 +10,8 @@ computed once per grid, read-only, and sums to 1.  A run starts from
 support every later grid stays within.
 
 Measurement likelihood: each iteration yields a measurement value and
-uncertainty per branch, compared against the branch model curve through
+uncertainty per branch, compared against the branch model curves (both
+from one BranchCurves.pair_value call) through
 
     log L = -chi_plus^2 - chi_minus^2,   chi = (m - model) / (sqrt(2) sigma).
 
@@ -144,15 +145,17 @@ def _log_normalizer(a):
 
     Max-shifted log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer. Anal.
     41(4), 2021): the maximal entries leave the sum and are counted, and the
-    rest is summed in place.  These are scipy.special.logsumexp's operations
-    in its order, so the result equals it bit for bit.
+    rest is summed in place.  These are scipy.special.logsumexp's terms,
+    summed in its order, so the result equals it bit for bit.
     """
     peak = a.max()
     at_peak = a == peak
     count = float(np.count_nonzero(at_peak))
     shifted = a - peak
-    shifted[at_peak] = -np.inf
-    s = np.exp(shifted, out=shifted).sum() / count
+    np.exp(shifted, out=shifted)
+    # Drop the peaks after exp: 0.0 is exp(-inf) exactly, and exp(-inf) is slow.
+    shifted[at_peak] = 0.0
+    s = shifted.sum() / count
     return np.log1p(s) + np.log(count) + peak
 
 
@@ -178,17 +181,15 @@ def initial_grid(bounds=None, size=GRID_SIZE):
 def _chi_squared_field(pair, gamma_plus, gamma_minus, model):
     """Sum of squared residuals chi+^2 + chi-^2 over broadcast rate arrays.
 
-    `model` is a branch-model callable (tau, rates, branch) -> value.
+    `model` is BranchCurves.pair_value; chi^2 is formed in place in its arrays.
     """
-    total = 0.0
-    for branch, m, sigma, tau in (
-        ("+", pair.m_plus, pair.sigma_plus, pair.tau_plus),
-        ("-", pair.m_minus, pair.sigma_minus, pair.tau_minus),
-    ):
-        predicted = model(tau, (gamma_plus, gamma_minus), branch)
-        with np.errstate(over="ignore"):
-            total = total + ((m - predicted) / (np.sqrt(2.0) * sigma)) ** 2
-    return total
+    chi = model(pair.tau_plus, pair.tau_minus, (gamma_plus, gamma_minus))
+    with np.errstate(over="ignore"):
+        for c, m, s in zip(chi, (pair.m_plus, pair.m_minus), (pair.sigma_plus, pair.sigma_minus)):
+            np.subtract(m, c, out=c)
+            np.divide(c, np.sqrt(2.0) * s, out=c)
+            np.square(c, out=c)
+        return np.add(*chi, out=chi[0])
 
 
 def bayes_update(grid, pair, model):
@@ -197,10 +198,10 @@ def bayes_update(grid, pair, model):
     Multiplies the prior weights by the likelihood (addition in log domain)
     and renormalizes.  If every node's posterior log-weight is -inf the
     measurement contradicts the whole support and the update is rejected.
-    `model` is the branch model callable (tau, rates, branch) -> value.
+    `model` is the protocol's two-branch callable (BranchCurves.pair_value).
     """
-    gp, gm = grid.meshes()
-    lw = grid.log_weights - _chi_squared_field(pair, gp, gm, model)
+    lw = _chi_squared_field(pair, *grid.meshes(), model)
+    np.subtract(grid.log_weights, lw, out=lw)
     if not np.isfinite(np.max(lw)):
         raise UpdateRejected(
             "measurement is inconsistent with every point of the posterior support"

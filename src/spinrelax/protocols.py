@@ -54,7 +54,7 @@ import numpy as np
 
 from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, _bounded_argmin, _cost_terms
 from .estimator import sigma_m_from_expectations
-from .rates import _gradient, _values
+from .rates import _gradient, _pair_values, _values
 from .signals import (
     STATES,
     Measurement,
@@ -132,6 +132,7 @@ def measurement_curves(protocol):
     return BranchCurves(
         value=lambda tau, rates, branch: _values(tau, rates, *mix[branch]),
         gradient=lambda tau, rates, branch: _gradient(tau, rates, *mix[branch]),
+        pair_value=lambda tp, tm, rates: _pair_values(tp, tm, rates, mix["+"], mix["-"]),
     )
 
 

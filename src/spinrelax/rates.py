@@ -23,9 +23,10 @@ rates.  Every normalized four-signal measurement is one kernel,
     ((g + x) e_fast + (g - x) e_slow) / 2g,   x = p gp + q gm,
 
 with e_fast/slow = exp(-beta_fast/slow tau) and p, q in {-1, 0, 1} fixed
-by the measurement class; model_m is its (1, 0) and (0, 1) case.  The
-closed forms are what makes grid-based inference and delay optimization
-cheap; a general matrix exponential is used only as a test oracle.
+by the measurement class; model_m is its (1, 0) and (0, 1) case.  Its
+two-branch form shares g and, at equal delays, e_fast and e_slow between
+a protocol's two measurements.  The closed forms make grid-based inference
+and delay optimization cheap; a matrix exponential is only a test oracle.
 
 Conventions used throughout the package:
 
@@ -166,6 +167,25 @@ def _mixing_rate(gp, gm, p, q):
     return gp if (p, q) == (1, 0) else gm if (p, q) == (0, 1) else p * gp + q * gm
 
 
+def _decays(tau, total, g):
+    """Fresh arrays e_fast, e_slow = exp(-(gp + gm +/- g) tau), total = gp + gm."""
+    e_fast, e_slow = np.asarray(-(total + g) * tau), np.asarray(-(total - g) * tau)
+    return np.exp(e_fast, out=e_fast), np.exp(e_slow, out=e_slow)
+
+
+def _class_mix(e_fast, e_slow, tau, g, own, in_place):
+    """((g + own) e_fast + (g - own) e_slow) / 2g, in place on the decays or in fresh arrays."""
+    fast, slow = (e_fast, e_slow) if in_place else map(np.empty_like, (e_fast, e_slow))
+    np.multiply(g + own, e_fast, out=fast)
+    np.multiply(g - own, e_slow, out=slow)
+    np.add(fast, slow, out=fast)
+    np.divide(fast, 2.0 * g, out=fast)
+    # 1 at tau = 0 by construction: pin away the roundoff of (g+own) + (g-own) vs 2g.
+    if np.any(tau == 0.0):
+        np.copyto(fast, 1.0, where=tau == 0.0)
+    return fast
+
+
 def _values(tau, rates, p, q):
     """((g + x) e_fast + (g - x) e_slow) / 2g with x = p gamma_plus + q gamma_minus.
 
@@ -174,21 +194,22 @@ def _values(tau, rates, p, q):
     tau = _check_tau(tau)
     gp, gm = _unpack(rates)
     g = _spectral_split(gp, gm)
-    own = _mixing_rate(gp, gm, p, q)
+    return _class_mix(*_decays(tau, gp + gm, g), tau, g, _mixing_rate(gp, gm, p, q), in_place=True)
+
+
+def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus):
+    """_values of both branches bit for bit, from one spectral split and, at
+    equal delays, one pair of decays."""
+    tau_plus, tau_minus = _check_tau(tau_plus), _check_tau(tau_minus)
+    gp, gm = _unpack(rates)
+    g = _spectral_split(gp, gm)
     total = gp + gm
-    # ((g+own) e_fast + (g-own) e_slow) / 2g, in place on the exponent arrays.
-    e_fast = np.asarray(-(total + g) * tau)
-    e_slow = np.asarray(-(total - g) * tau)
-    np.exp(e_fast, out=e_fast)
-    np.exp(e_slow, out=e_slow)
-    np.multiply(g + own, e_fast, out=e_fast)
-    np.multiply(g - own, e_slow, out=e_slow)
-    np.add(e_fast, e_slow, out=e_fast)
-    np.divide(e_fast, 2.0 * g, out=e_fast)
-    # The normalization at tau = 0 is exact by construction; pin it against
-    # the one-ulp roundoff of (g+own) + (g-own) vs 2g.
-    np.copyto(e_fast, 1.0, where=np.asarray(tau) == 0.0)
-    return e_fast
+    minus_decays = _decays(tau_minus, total, g)
+    shared = np.array_equal(tau_plus, tau_minus)
+    plus_decays = minus_decays if shared else _decays(tau_plus, total, g)
+    own_plus, own_minus = _mixing_rate(gp, gm, *mix_plus), _mixing_rate(gp, gm, *mix_minus)
+    plus = _class_mix(*plus_decays, tau_plus, g, own_plus, in_place=not shared)
+    return plus, _class_mix(*minus_decays, tau_minus, g, own_minus, in_place=True)
 
 
 def _gradient(tau, rates, p, q):
@@ -198,10 +219,8 @@ def _gradient(tau, rates, p, q):
     gp, gm = _unpack(rates)
     g = _spectral_split(gp, gm)
     own = _mixing_rate(gp, gm, p, q)
-    e_fast = np.exp(-(gp + gm + g) * tau)
-    e_slow = np.exp(-(gp + gm - g) * tau)
-    numer = (g + own) * e_fast + (g - own) * e_slow
-    value = numer / (2.0 * g)
+    e_fast, e_slow = _decays(tau, gp + gm, g)
+    value = _class_mix(e_fast, e_slow, tau, g, own, in_place=False)
 
     dg_dgp = (2.0 * gp - gm) / (2.0 * g)
     dg_dgm = (2.0 * gm - gp) / (2.0 * g)

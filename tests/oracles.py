@@ -16,7 +16,10 @@ to reproduce it bit for bit and error for error.  `cost` is the scalar
 cost of one delay pair through `design.gaussian_sigma`, and
 `exhaustive_argmin` the plain np.argmin over a full surface that the
 bounded delay selection must match.
-`log_likelihood` is the scalar-or-array likelihood of one rate hypothesis.
+`chi_squared_field` is the posterior's chi+^2 + chi-^2 as first written,
+one branch-model call per branch, that the two-branch likelihood must equal
+bit for bit; `log_likelihood` is its scalar-or-array likelihood of one rate
+hypothesis.
 `scipy_regrid_weights` is scipy's linear RegularGridInterpolator over a
 product grid; it and scipy's `logsumexp` are what the posterior's numpy
 kernels must equal bit for bit.  `ROBUST_CURVES` spells out the robust
@@ -51,10 +54,10 @@ from spinrelax.design import (
     nob_select_delays,
 )
 from spinrelax.estimator import sigma_m_from_expectations
-from spinrelax.posterior import _chi_squared_field
 from spinrelax.rates import (
     BRANCHES,
     _check_tau,
+    _pair_values,
     _spectral_split,
     _unpack,
     model_gradient,
@@ -71,8 +74,13 @@ from spinrelax.signals import (
 
 # Basis order (-, 0, +) -> indices (0, 1, 2).
 
-# The robust protocol's curves, the closed-form model_m and its gradient.
-ROBUST_CURVES = BranchCurves(value=model_m, gradient=model_gradient)
+# The robust protocol's curves, the closed-form model_m and its gradient;
+# both branches' values at once are model_m's two-branch kernel.
+ROBUST_CURVES = BranchCurves(
+    value=model_m,
+    gradient=model_gradient,
+    pair_value=lambda tp, tm, rates: _pair_values(tp, tm, rates, (1, 0), (0, 1)),
+)
 
 
 def rate_matrix(gamma_plus, gamma_minus):
@@ -312,12 +320,24 @@ def looped_sample_signals(
     return FourSignals(*samples)
 
 
+def chi_squared_field(pair, gamma_plus, gamma_minus, model=model_m):
+    """chi+^2 + chi-^2 with one branch-model call (tau, rates, branch) per branch."""
+    total = 0.0
+    for branch, m, sigma, tau in (
+        ("+", pair.m_plus, pair.sigma_plus, pair.tau_plus),
+        ("-", pair.m_minus, pair.sigma_minus, pair.tau_minus),
+    ):
+        predicted = model(tau, (gamma_plus, gamma_minus), branch)
+        with np.errstate(over="ignore"):
+            total = total + ((m - predicted) / (np.sqrt(2.0) * sigma)) ** 2
+    return total
+
+
 def log_likelihood(pair, rates, model=model_m):
     """-chi+^2 - chi-^2 for one rate hypothesis (scalar or arrays)."""
     gp, gm = (rates.gamma_plus, rates.gamma_minus) if hasattr(rates, "gamma_plus") else rates
-    value = -_chi_squared_field(
-        pair, np.asarray(gp, dtype=float), np.asarray(gm, dtype=float), model
-    )
+    gp, gm = np.asarray(gp, dtype=float), np.asarray(gm, dtype=float)
+    value = -chi_squared_field(pair, gp, gm, model)
     return float(value) if np.ndim(value) == 0 else value
 
 

@@ -397,7 +397,7 @@ def test_criterion_8_gaussian_fidelity():
         tau_plus=delays.tau_plus,
         tau_minus=delays.tau_minus,
     )
-    mom = moments(bayes_update(grid, pair, model=model_m))
+    mom = moments(bayes_update(grid, pair, model=ROBUST_CURVES.pair_value))
     dev_p = abs(mom.sigma_plus / g.sigma_gamma_plus - 1.0)
     dev_m = abs(mom.sigma_minus / g.sigma_gamma_minus - 1.0)
     grid_ok = dev_p < 0.05 and dev_m < 0.05

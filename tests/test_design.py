@@ -1,6 +1,7 @@
 """Tests for delay selection: Gaussian approximation, cost, optimizers."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,7 @@ class TestGaussianSigma:
         flat = BranchCurves(
             value=model_m,
             gradient=lambda tau, rates, branch: (np.ones_like(tau), np.ones_like(tau)),
+            pair_value=ROBUST_CURVES.pair_value,
         )
         with pytest.raises(UninformativeDesign):
             gaussian_sigma(DelayPair(0.1, 0.2), RATES, (0.05, 0.05), flat)
@@ -140,7 +142,7 @@ class TestGaussianSigma:
             tau_plus=delays.tau_plus,
             tau_minus=delays.tau_minus,
         )
-        mom = moments(bayes_update(grid, pair, model=model_m))
+        mom = moments(bayes_update(grid, pair, model=ROBUST_CURVES.pair_value))
         return (
             abs(mom.sigma_plus / approx.sigma_gamma_plus - 1.0),
             abs(mom.sigma_minus / approx.sigma_gamma_minus - 1.0),
@@ -199,6 +201,7 @@ class TestCost:
         flat = BranchCurves(
             value=model_m,
             gradient=lambda tau, rates, branch: (np.ones_like(tau), np.ones_like(tau)),
+            pair_value=ROBUST_CURVES.pair_value,
         )
         assert cost(DelayPair(0.1, 0.2), RATES, (0.05, 0.05), TIMING, flat) == np.inf
 
@@ -263,7 +266,9 @@ GRID_KINDS = {
 }
 # Gradient components exchanged: the cross terms b, c dominate the determinant.
 SWAPPED_CURVES = BranchCurves(
-    value=model_m, gradient=lambda tau, rates, branch: model_gradient(tau, rates, branch)[::-1]
+    value=model_m,
+    gradient=lambda tau, rates, branch: model_gradient(tau, rates, branch)[::-1],
+    pair_value=ROBUST_CURVES.pair_value,
 )
 TIMINGS = (TIMING, TimingModel(repetitions_R=10**4, overhead_T0=0.5, per_shot_time=1e-6))
 
@@ -326,7 +331,9 @@ class TestBoundedArgmin:
         # Both slots measure the plus branch: det is antisymmetric, so the
         # diagonal is singular and at rates (2, 2) every cost has its mirror.
         mirrored = BranchCurves(
-            value=model_m, gradient=lambda tau, rates, branch: model_gradient(tau, rates, "+")
+            value=model_m,
+            gradient=lambda tau, rates, branch: model_gradient(tau, rates, "+"),
+            pair_value=ROBUST_CURVES.pair_value,
         )
         grid = DelayGrid.default(size=137)
         (i, j, _), surface = kernel_and_exhaustive(grid, (2.0, 2.0), TIMING, mirrored, sigma_m)
@@ -338,6 +345,7 @@ class TestBoundedArgmin:
         flat = BranchCurves(
             value=model_m,
             gradient=lambda tau, rates, branch: (np.ones_like(tau), np.ones_like(tau)),
+            pair_value=ROBUST_CURVES.pair_value,
         )
         got, surface = kernel_and_exhaustive(DelayGrid.default(), RATES, TIMING, flat, sigma_m)
         assert np.all(surface == np.inf) and got == (0, 0, np.inf)
@@ -350,7 +358,7 @@ class TestBoundedArgmin:
             g_plus, g_minus = model_gradient(tau, rates, branch)
             return np.where(tau == poisoned, np.nan, g_plus), g_minus
 
-        curves = BranchCurves(value=model_m, gradient=gradient)
+        curves = BranchCurves(value=model_m, gradient=gradient, pair_value=ROBUST_CURVES.pair_value)
         got, _ = kernel_and_exhaustive(grid, RATES, TIMING, curves)
         assert got[:2] == (0, 123) and np.isnan(got[2])
 
@@ -376,6 +384,22 @@ class TestBoundedArgmin:
         i, j, value = exhaustive_argmin(surface)
         delays, got = minimal_cost(OPTIMAL_PROTOCOL, RATES, grid=grid)
         assert delays == DelayPair(grid.taus[i], grid.taus[j]) and got == value
+
+    def test_subnormal_determinant_costs_infinity_silently(self):
+        # At the wide grid's long delays thousands of cells have a subnormal
+        # information determinant: their cost overflows to inf, unwarned.
+        grid = DelayGrid.wide(size=640)
+        sigma_m = tuple(
+            _sigma_callable(m, RATES, IDEAL_RANKING_PARAMS)
+            for m in (OPTIMAL_PROTOCOL.plus, OPTIMAL_PROTOCOL.minus)
+        )
+        timing = TimingModel(repetitions_R=IDEAL_RANKING_PARAMS.repetitions_R)
+        curves = measurement_curves(OPTIMAL_PROTOCOL)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            surface = cost_surface(grid, RATES, sigma_m, timing, curves)
+            _, value = minimal_cost(OPTIMAL_PROTOCOL, RATES, grid=grid)
+        assert np.any(np.isinf(surface)) and value == surface.min()
 
 
 class TestNobSelect:

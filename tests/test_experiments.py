@@ -301,6 +301,34 @@ class TestNapRun:
         assert med[1] < 2.0
 
 
+class TestExchangeSymmetry:
+    """A noiseless run at (b, a) mirrors the run at (a, b): the branches swap
+    their delays, means and widths."""
+
+    @pytest.mark.parametrize("optimizer", ["nob", "nap"])
+    @pytest.mark.parametrize("truth", [(1.0, 3.0), (0.3, 7.0), (2.0, 2.5)])
+    def test_whole_run_mirrors(self, optimizer, truth):
+        if optimizer == "nap":
+            runner, extra = run_nap, dict(iterations=2, nap_delays=NAP_DEFAULT_DELAYS)
+        else:
+            runner, extra = run_adaptive, dict(iterations=10)
+        extra.update(optimizer=optimizer, noiseless=True)
+        run, mirror = (
+            runner(fig_defaults(true_rates=RatePair(*rates), **extra))
+            for rates in (truth, truth[::-1])
+        )
+        assert run.flagged_count == mirror.flagged_count == 0
+        assert [(r.delays.tau_plus, r.delays.tau_minus) for r in run.iterations] == [
+            (r.delays.tau_minus, r.delays.tau_plus) for r in mirror.iterations
+        ]
+        pairs = zip(run.iterations, mirror.iterations, strict=True)
+        for a, b in [(run.final, mirror.final), *pairs]:
+            assert a.mean_plus == pytest.approx(b.mean_minus, rel=1e-12)
+            assert a.mean_minus == pytest.approx(b.mean_plus, rel=1e-12)
+            assert a.sigma_plus == pytest.approx(b.sigma_minus, rel=1e-12)
+            assert a.sigma_minus == pytest.approx(b.sigma_plus, rel=1e-12)
+
+
 class TestTraceAnalysis:
     @staticmethod
     def synthetic_record(times, sigmas):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from oracles import log_likelihood, scipy_regrid_weights
+from oracles import ROBUST_CURVES, chi_squared_field, log_likelihood, scipy_regrid_weights
 from spinrelax.estimator import measurement_estimate
 from spinrelax.posterior import (
     DEFAULT_BOUNDS,
@@ -20,10 +20,13 @@ from spinrelax.posterior import (
     moments,
     regrid,
 )
+from spinrelax.protocols import measurement_curves
 from spinrelax.rates import RatePair, model_m
-from spinrelax.signals import ROBUST_PROTOCOL, SignalParams, sample_signals
+from spinrelax.signals import OPTIMAL_PROTOCOL, ROBUST_PROTOCOL, SignalParams, sample_signals
 
 TRUTH = RatePair(1.0, 3.0)
+# The robust protocol's two-branch model, as bayes_update takes it.
+LIKELIHOOD = ROBUST_CURVES.pair_value
 
 
 def truth_pair(tau_plus=0.3, tau_minus=0.5, sigma=0.05):
@@ -130,7 +133,7 @@ class TestBayesUpdate:
     def test_flat_likelihood_preserves_prior(self):
         grid = log_uniform_grid(60)
         pair = truth_pair(sigma=1e12)
-        updated = bayes_update(grid, pair, model=model_m)
+        updated = bayes_update(grid, pair, model=LIKELIHOOD)
         assert np.allclose(updated.weights, grid.weights, atol=1e-15)
 
     def test_product_rule(self):
@@ -138,7 +141,7 @@ class TestBayesUpdate:
         # which doubles every chi^2 exponent.
         grid = initial_grid(size=60)
         pair = truth_pair(sigma=0.08)
-        twice = bayes_update(bayes_update(grid, pair, model=model_m), pair, model=model_m)
+        twice = bayes_update(bayes_update(grid, pair, model=LIKELIHOOD), pair, model=LIKELIHOOD)
         half_sigma = MeasurementPair(
             pair.m_plus,
             pair.m_minus,
@@ -147,7 +150,7 @@ class TestBayesUpdate:
             pair.tau_plus,
             pair.tau_minus,
         )
-        once = bayes_update(grid, half_sigma, model=model_m)
+        once = bayes_update(grid, half_sigma, model=LIKELIHOOD)
         assert np.allclose(twice.weights, once.weights, atol=1e-13)
 
     def test_update_commutativity(self):
@@ -166,24 +169,55 @@ class TestBayesUpdate:
         grid = initial_grid(size=50)
         forward = grid
         for p in pairs:
-            forward = bayes_update(forward, p, model=model_m)
+            forward = bayes_update(forward, p, model=LIKELIHOOD)
         backward = grid
         for p in reversed(pairs):
-            backward = bayes_update(backward, p, model=model_m)
+            backward = bayes_update(backward, p, model=LIKELIHOOD)
         assert np.allclose(forward.weights, backward.weights, atol=1e-10)
 
     def test_rejects_impossible_measurement(self):
         grid = initial_grid(size=40)
         pair = MeasurementPair(1e200, 0.1, 1e-150, 0.05, 0.3, 0.3)
         with pytest.raises(UpdateRejected):
-            bayes_update(grid, pair, model=model_m)
+            bayes_update(grid, pair, model=LIKELIHOOD)
 
     def test_posterior_exchange_invariance(self):
         grid = initial_grid(size=40)
         pair = MeasurementPair(0.2, 0.4, 0.05, 0.07, 0.3, 0.6)
-        a = bayes_update(grid, pair, model=model_m)
-        b = bayes_update(grid, pair.swapped(), model=model_m)
+        a = bayes_update(grid, pair, model=LIKELIHOOD)
+        b = bayes_update(grid, pair.swapped(), model=LIKELIHOOD)
         assert np.allclose(a.weights, b.weights.T, atol=1e-14)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        protocol=st.sampled_from([ROBUST_PROTOCOL, OPTIMAL_PROTOCOL]),
+        size=st.one_of(st.integers(2, 80), st.just(200)),
+        flat=st.booleans(),
+        values=st.tuples(*[st.floats(-0.2, 1.0)] * 2),
+        sigmas=st.tuples(*[st.sampled_from([1e-150, 1e-3, 0.05, 1e12])] * 2),
+        taus=st.tuples(*[st.floats(1e-3, 10.0)] * 2),
+        equal_delays=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_per_branch_oracle(
+        self, protocol, size, flat, values, sigmas, taus, equal_delays, seed
+    ):
+        # The two-branch likelihood against one branch-model call per branch.
+        rng = np.random.default_rng(seed)
+        axes = (np.sort(rng.uniform(0.055, 100.0, size)) for _ in range(2))
+        prior = np.zeros((size, size)) if flat else rng.normal(size=(size, size))
+        grid = PosteriorGrid(*axes, prior)
+        tau_plus, tau_minus = (taus[0], taus[0]) if equal_delays else taus
+        pair = MeasurementPair(*values, *sigmas, tau_plus, tau_minus)
+        curves = measurement_curves(protocol)
+        lw = grid.log_weights - chi_squared_field(pair, *grid.meshes(), curves.value)
+        if not np.isfinite(lw.max()):
+            with pytest.raises(UpdateRejected):
+                bayes_update(grid, pair, model=curves.pair_value)
+            return
+        want = PosteriorGrid(grid.gamma_plus_axis, grid.gamma_minus_axis, lw)
+        got = bayes_update(grid, pair, model=curves.pair_value)
+        assert np.array_equal(got.log_weights, want.log_weights)
 
 
 class TestMoments:
@@ -300,11 +334,13 @@ class TestKernelsMatchScipy:
     @settings(max_examples=300, deadline=None)
     @given(
         shape=st.one_of(
-            st.tuples(st.integers(1, 500)), st.tuples(st.integers(1, 60), st.integers(1, 60))
+            st.tuples(st.integers(1, 500)),
+            st.tuples(st.integers(1, 60), st.integers(1, 60)),
+            st.just((200, 200)),
         ),
         scale=st.sampled_from([1e-3, 1.0, 1e3]),
         neg_inf_share=st.sampled_from([0.0, 0.3, 0.95]),
-        tie_share=st.sampled_from([0.0, 0.2]),
+        tie_share=st.sampled_from([0.0, 0.2, 0.9, 0.999]),
         all_equal=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
@@ -349,7 +385,7 @@ class TestCalibration:
                     tau_plus=0.35,
                     tau_minus=0.35,
                 )
-                grid = regrid(bayes_update(grid, pair, model=model_m))
+                grid = regrid(bayes_update(grid, pair, model=LIKELIHOOD))
             mom = moments(grid)
             if abs(mom.mean_plus - TRUTH.gamma_plus) < 2.0 * mom.sigma_plus:
                 hits_p += 1
@@ -371,7 +407,7 @@ class TestCalibration:
             pair = MeasurementPair(
                 est_p.m_bar, est_m.m_bar, est_p.sigma_m, est_m.sigma_m, 0.3, 0.3
             )
-            grid = regrid(bayes_update(grid, pair, model=model_m))
+            grid = regrid(bayes_update(grid, pair, model=LIKELIHOOD))
             mom = moments(grid)
             sigmas.append(mom.sigma_plus + mom.sigma_minus)
         assert sigmas[-1] < 0.25 * sigmas[0]

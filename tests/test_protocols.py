@@ -233,6 +233,10 @@ class TestMeasurementCurves:
             want = model_gradient(taus, (gps, gms), branch)
             for g, w in zip(got, want):
                 assert np.array_equal(g, w)
+        for tau_minus in (taus, taus[::-1]):
+            plus, minus = curves.pair_value(taus, tau_minus, (gps, gms))
+            assert np.array_equal(plus, model_m(taus, (gps, gms), "+"))
+            assert np.array_equal(minus, model_m(tau_minus, (gps, gms), "-"))
 
     @settings(max_examples=60, deadline=None)
     @given(taus=tau_arrays, rates=rate_pairs)

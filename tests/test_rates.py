@@ -6,8 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import dense_model_m, expm_propagator, fd_model_gradient, model_m_optimal
+from spinrelax import rates as rates_module
 from spinrelax.posterior import initial_grid
-from spinrelax.rates import RatePair, _spectral_split, model_gradient, model_m, propagator
+from spinrelax.protocols import _CLASS_MIX
+from spinrelax.rates import (
+    RatePair,
+    _pair_values,
+    _spectral_split,
+    _values,
+    model_gradient,
+    model_m,
+    propagator,
+)
 
 # Frozen via two independent oracles (scipy expm propagator ratio and a
 # 40-digit direct evaluation of the two-exponential closed form).
@@ -213,6 +223,55 @@ class TestModelMInPlace:
             got = model_m(taus, (gp, 2.0 * gp), branch)
             assert_same_values(got, dense_model_m(taus, (gp, 2.0 * gp), branch))
             assert np.any(got == 0.0) and np.any((got != 0.0) & (np.abs(got) < 1e-300))
+
+
+tau_values = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
+DELAY_KINDS = ["equal scalars", "scalars", "equal arrays", "arrays", "scalar and array"]
+
+
+class TestPairValues:
+    """The two-branch kernel against two one-branch _values calls, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(DELAY_KINDS),
+        taus=st.tuples(tau_values, tau_values, st.lists(tau_values, min_size=1, max_size=6)),
+        rates_kind=st.sampled_from(["pair", "mesh"]),
+        log_rates=st.tuples(*[st.floats(np.log(0.05), np.log(50.0))] * 2),
+        minus_key=st.sampled_from(sorted(_CLASS_MIX)),
+    )
+    def test_equals_one_branch_values(self, kind, taus, rates_kind, log_rates, minus_key):
+        first, second, row = taus
+        row = np.array(row)[None, :]
+        tau_plus, tau_minus = {
+            "equal scalars": (first, first),
+            "scalars": (first, second),
+            "equal arrays": (row, row.copy()),
+            "arrays": (row, np.append(row[:, 1:], first)[None, :]),
+            "scalar and array": (first, row),
+        }[kind]
+        gp, gm = np.exp(log_rates)
+        if rates_kind == "mesh":
+            gp, gm = np.geomspace(0.05, gp, 7)[:, None, None], np.geomspace(gm, 50.0, 7)[:, None]
+        for plus_key in _CLASS_MIX:
+            mix_plus, mix_minus = _CLASS_MIX[plus_key], _CLASS_MIX[minus_key]
+            got = _pair_values(tau_plus, tau_minus, (gp, gm), mix_plus, mix_minus)
+            want = (
+                _values(tau_plus, (gp, gm), *mix_plus),
+                _values(tau_minus, (gp, gm), *mix_minus),
+            )
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g, w)
+                assert_same_values(g, w)
+
+    @pytest.mark.parametrize("tau_minus, expected", [(0.3, 1), (np.float64(0.3), 1), (0.5, 2)])
+    def test_decays_once_per_distinct_delay(self, monkeypatch, tau_minus, expected):
+        calls = []
+        decays = rates_module._decays
+        monkeypatch.setattr(rates_module, "_decays", lambda *a: calls.append(a) or decays(*a))
+        gp, gm = initial_grid(size=20).meshes()
+        _pair_values(0.3, tau_minus, (gp, gm), (1, 0), (0, 1))
+        assert len(calls) == expected
 
 
 class TestModelGradient:
