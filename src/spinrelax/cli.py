@@ -537,7 +537,10 @@ def cmd_rank_protocols(args):
     rates = _rate_pair(config)
     params = _signal_params(config)
     ratios = None
-    if config["ranking"]["ratio_lo"] is not None:
+    missing = [f"ranking.{key}" for key, value in config["ranking"].items() if value is None]
+    if missing and len(missing) < len(config["ranking"]):
+        raise ConfigError(f"the ratio sweep needs every ranking field; missing: {', '.join(missing)}")
+    if not missing:
         kinds = {"ratio_lo": float, "ratio_hi": float, "ratio_points": int}
         ratios = np.geomspace(
             *(_coerce_number(config, "ranking", k, kind, positive=True) for k, kind in kinds.items())

@@ -20,12 +20,18 @@ sensitivity
 
     cost = sqrt((sigma_G+/G+)^2 + (sigma_G-/G-)^2) * sqrt(T),
 
-where T is the wall-clock duration of the iteration.  When both branches
-share a common sigma_M it cancels out of the argmin, leaving a sigma-free
-approximate cost.  Both costs separate into 1-D tables over a log delay
-grid, so the deterministic optimizer used between iterations takes an
-exact bounded argmin: it skips grid blocks that cannot hold the minimum
-and returns np.argmin's cell, ties going to the smallest tau_plus, then
+where T is the wall-clock duration of the iteration.  With (a, b, c, d)
+the entries of J, each over its branch's sigma_M, this is
+
+    cost = sqrt(T (G-^2 (b^2 + d^2) + G+^2 (a^2 + c^2))) / (G+ G- |a d - b c|),
+
+so one kernel serves every sigma_M.  A sigma_M common to both branches only
+rescales the cost, so the deterministic optimizer minimizes the cost at
+unit sigma_M.  The cost separates into 1-D tables over a log delay grid
+(a, b and the G-^2 b^2 + G+^2 a^2 term over tau_plus, the rest over
+tau_minus), so that optimizer, used between iterations, takes an exact
+bounded argmin: it skips grid blocks that cannot hold the minimum and
+returns np.argmin's cell, ties going to the smallest tau_plus, then
 tau_minus.  A stochastic particle-cloud optimizer, the alternative, sums a
 variance-proxy utility over particle blocks in numpy's order.  Every
 width, cost and optimizer takes the protocol's BranchCurves
@@ -226,49 +232,34 @@ def _sigma_arrays(sigma_m, taus):
     return out
 
 
-def _cost_terms(grid, rates, sigma_m, timing, curves):
-    """cost_surface's cell function and its (a, b, c, d) tables, gradients over sigma_M."""
+def _cost_kernel(grid, rates, sigma_m, timing, curves):
+    """The cost's 1-D tables and its cell function over a delay grid.
+
+    Returns ((a, b, c, d), (plus, minus), cells):
+    (a, b, c, d) = (dM+/dG+, dM+/dG-, dM-/dG+, dM-/dG-) / sigma_M, the plus
+    branch's gradients over the tau_plus axis and the minus branch's over
+    the tau_minus axis; plus = G-^2 b^2 + G+^2 a^2, minus = G-^2 d^2 + G+^2 c^2;
+    and cells(r, c), the cost at (tau_plus_r, tau_minus_c), infinite where
+    the Jacobian is singular.
+    """
     taus = grid.taus
     (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
     s_plus, s_minus = _sigma_arrays(sigma_m, taus)
     gp, gm = _rate_values(rates)
-    pp, pm = g_pp / s_plus, g_pm / s_plus
-    mp, mm = g_mp / s_minus, g_mm / s_minus
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b = g_pp / s_plus, g_pm / s_plus
+        c, d = g_mp / s_minus, g_mm / s_minus
+        plus = gm**2 * b**2 + gp**2 * a**2
+        minus = gm**2 * d**2 + gp**2 * c**2
 
-    def cells(r, c):
-        # Curvature coefficients separate into a tau_plus term and a
-        # tau_minus term, so any cell is built from 1-D table entries.
-        a_plus = pp[r] ** 2 + mp[c] ** 2
-        a_minus = pm[r] ** 2 + mm[c] ** 2
-        # Information determinant in the cancellation-free factored form
-        # det J^2 / (s+^2 s-^2); see gaussian_sigma.
-        det_j = g_pp[r] * g_mm[c] - g_pm[r] * g_mp[c]
-        det = (det_j / (s_plus[r] * s_minus[c])) ** 2
-        t = timing.duration_seconds(taus[r], taus[c])
+    def cells(row, col):
+        t = timing.duration_seconds(taus[row], taus[col])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            fractional = (a_minus / gp**2 + a_plus / gm**2) / det
-            value = np.sqrt(fractional) * np.sqrt(t)
-        return np.where((det == 0.0) | ~np.isfinite(fractional), np.inf, value)
-
-    return cells, (pp, pm, mp, mm)
-
-
-def _approx_terms(grid, rates, timing, curves):
-    """approx_cost_surface's cell function and its (a, b, c, d) tables, the gradients."""
-    taus = grid.taus
-    (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
-    gp, gm = _rate_values(rates)
-    plus = gm**2 * g_pm**2 + gp**2 * g_pp**2
-    minus = gm**2 * g_mm**2 + gp**2 * g_mp**2
-
-    def cells(r, c):
-        det = g_pp[r] * g_mm[c] - g_pm[r] * g_mp[c]
-        t = timing.duration_seconds(taus[r], taus[c])
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            value = np.sqrt(t * (plus[r] + minus[c])) / (gp * gm * np.abs(det))
+            det = a[row] * d[col] - b[row] * c[col]
+            value = np.sqrt(t * (plus[row] + minus[col])) / (gp * gm * np.abs(det))
         return np.where(det == 0.0, np.inf, value)
 
-    return cells, (g_pp, g_pm, g_mp, g_mm)
+    return (a, b, c, d), (plus, minus), cells
 
 
 def cost_surface(grid, rates, sigma_m, timing, curves):
@@ -278,7 +269,7 @@ def cost_surface(grid, rates, sigma_m, timing, curves):
     shot-noise uncertainties that vary with tau are supported.  Cells whose
     information matrix is singular get infinite cost.
     """
-    cells, _ = _cost_terms(grid, rates, sigma_m, timing, curves)
+    *_, cells = _cost_kernel(grid, rates, sigma_m, timing, curves)
     index = np.arange(grid.taus.size)
     return cells(*np.ix_(index, index))
 
@@ -286,17 +277,11 @@ def cost_surface(grid, rates, sigma_m, timing, curves):
 def approx_cost_surface(grid, rates, timing, curves):
     """Common-sigma_M cost over the grid with the sigma factored out.
 
-    For equal measurement uncertainties the covariance reduces to
-    sigma^2 J^-1 J^-T, whose fractional trace gives
-
-        cost / sigma = sqrt(T) / (G+ G- |det J|) *
-            sqrt(G-^2 (g_pm^2 + g_mm^2) + G+^2 (g_pp^2 + g_mp^2))
-
-    with the understanding that the plus-branch gradients are evaluated at
-    tau_plus and the minus-branch ones at tau_minus.  Everything separates
-    into 1-D tables.
+    For equal measurement uncertainties the full cost is sigma_M times the
+    cost at unit sigma_M, which this returns: cost_surface(grid, rates,
+    (1.0, 1.0), timing, curves), bit for bit.
     """
-    cells, _ = _approx_terms(grid, rates, timing, curves)
+    *_, cells = _cost_kernel(grid, rates, (1.0, 1.0), timing, curves)
     index = np.arange(grid.taus.size)
     return cells(*np.ix_(index, index))
 
@@ -306,29 +291,26 @@ _BLOCK = 20
 _PROBE = 10
 
 
-def _bounded_argmin(grid, rates, timing, cells, tables):
-    """np.argmin's (i, j, value) over the whole grid, bit for bit, by branch and bound.
+def _bounded_argmin(grid, rates, sigma_m, timing, curves):
+    """np.argmin's (i, j, value) of cost_surface, bit for bit, by branch and bound.
 
-    For tables (a, b, c, d), up to rounding,
+    With _cost_kernel's tables, up to rounding,
 
-        cells(r, c)^2 = t(r, c) (plus[r] + minus[c]) / (a[r] d[c] - b[r] c[c])^2,
-        plus = b^2/G+^2 + a^2/G-^2,  minus = d^2/G+^2 + c^2/G-^2,
+        cells(r, c) = sqrt(t(r, c) (plus[r] + minus[c])) / (G+ G- |a[r] d[c] - b[r] c[c]|),
 
     with the duration t increasing in both delays.  So t at a block's first
-    delays, the minima of plus and minus, and max|a| max|d| + max|b| max|c|
-    bound a block from below (Land and Doig 1960).  Blocks bounded above the
-    best probe cell are skipped; the rest are evaluated in one cells call.
-    Every block is evaluated when a bound table is not finite, G+ G- <= 0,
-    or no probe cell is finite.
+    delays, the minima of plus and minus, and G+ G- (max|a| max|d| +
+    max|b| max|c|) bound a block from below (Land and Doig 1960).  Blocks
+    bounded above the best probe cell are skipped; the rest are evaluated
+    in one cells call.  Every block is evaluated when a table is not
+    finite, G+ G- <= 0, or no probe cell is finite.
     """
     taus = grid.taus
     n = taus.size
     starts = np.arange(0, n, _BLOCK)
     keep = np.ones((starts.size, starts.size), dtype=bool)
     gp, gm = _rate_values(rates)
-    a, b, c, d = tables
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        plus, minus = b**2 / gp**2 + a**2 / gm**2, d**2 / gp**2 + c**2 / gm**2
+    tables, (plus, minus), cells = _cost_kernel(grid, rates, sigma_m, timing, curves)
     if gp * gm > 0.0 and all(np.isfinite(x).all() for x in (plus, minus, *tables)):
         probe = np.arange(0, n, _PROBE)
         upper = cells(*np.ix_(probe, probe)).min()
@@ -338,7 +320,7 @@ def _bounded_argmin(grid, rates, timing, cells, tables):
             t = timing.duration_seconds(*np.ix_(taus[starts], taus[starts]))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 bound = np.sqrt(t * np.add.outer(plus, minus)) / (
-                    np.multiply.outer(a, d) + np.multiply.outer(b, c)
+                    gp * gm * (np.multiply.outer(a, d) + np.multiply.outer(b, c))
                 )
             # The slack covers rounding in the cells and in the bound; a NaN
             # bound keeps its block.
@@ -368,7 +350,7 @@ def nob_select_delays(rates, timing, curves, grid=None):
         grid = DelayGrid.default()
     if hasattr(rates, "mean_plus"):
         rates = (rates.mean_plus, rates.mean_minus)
-    i, j, _ = _bounded_argmin(grid, rates, timing, *_approx_terms(grid, rates, timing, curves))
+    i, j, _ = _bounded_argmin(grid, rates, (1.0, 1.0), timing, curves)
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j]))
 
 

@@ -74,6 +74,10 @@ OPTIMIZERS = ("nob", "pf", "nap")
 NAP_DEFAULT_DELAYS = tuple(np.geomspace(3e-3, 5.5, 20))
 
 
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one simulated run depends on.
@@ -106,8 +110,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if not (int(self.iterations) == self.iterations and self.iterations >= 0):
+        if not (_is_integer(self.iterations) and self.iterations >= 0):
             raise ValueError("iterations must be a nonnegative integer")
+        if not (_is_integer(self.grid_size) and self.grid_size >= 2):
+            raise ValueError("grid_size must be an integer of at least 2")
+        if not (_is_integer(self.particle_count) and self.particle_count >= 1):
+            raise ValueError("particle_count must be a positive integer")
         lo, hi = self.prior_bounds
         if not (0.0 < lo < hi):
             raise ValueError("prior_bounds must satisfy 0 < lo < hi")

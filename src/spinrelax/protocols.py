@@ -52,7 +52,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, _bounded_argmin, _cost_terms
+from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, _bounded_argmin
 from .estimator import sigma_m_from_expectations
 from .rates import _gradient, _pair_values, _values
 from .signals import (
@@ -87,8 +87,8 @@ IDEAL_RANKING_PARAMS = SignalParams(
     repetitions_R=10**6,
 )
 
-# Probe lattice for the function cross-check; densified once on a mismatch.
-_PROBE_SIZES = (5, 9)
+# Probe lattice edge for the function cross-check.
+_PROBE_SIZE = 5
 _DEDUP_TOL = 1e-12
 _MEASUREMENT_CLASS_COUNT = 9
 # Row normalization merges the three classes whose bright level and dark
@@ -220,16 +220,14 @@ def _function_classes(measurements, size):
 
 def _classified_measurements():
     measurements = enumerate_measurements()
-    count = None
-    for size in _PROBE_SIZES:
-        class_of, reps, count = _function_classes(measurements, size)
-        if len(reps) == _MEASUREMENT_CLASS_COUNT and count == _DISTINCT_FUNCTION_COUNT:
-            return measurements, class_of, reps, count
-    raise RuntimeError(
-        f"measurement census found {len(reps)} classes realizing {count} "
-        f"distinct functions, expected {_MEASUREMENT_CLASS_COUNT} classes "
-        f"and {_DISTINCT_FUNCTION_COUNT} functions"
-    )
+    class_of, reps, count = _function_classes(measurements, _PROBE_SIZE)
+    if len(reps) != _MEASUREMENT_CLASS_COUNT or count != _DISTINCT_FUNCTION_COUNT:
+        raise RuntimeError(
+            f"measurement census found {len(reps)} classes realizing {count} "
+            f"distinct functions, expected {_MEASUREMENT_CLASS_COUNT} classes "
+            f"and {_DISTINCT_FUNCTION_COUNT} functions"
+        )
+    return measurements, class_of, reps, count
 
 
 def enumerate_protocols():
@@ -367,8 +365,7 @@ def minimal_cost(protocol, rates, params=None, timing=None, grid=None):
         _sigma_callable(protocol.plus, rates, params),
         _sigma_callable(protocol.minus, rates, params),
     )
-    terms = _cost_terms(grid, rates, sigma_m, timing, curves)
-    i, j, value = _bounded_argmin(grid, rates, timing, *terms)
+    i, j, value = _bounded_argmin(grid, rates, sigma_m, timing, curves)
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j])), value
 
 

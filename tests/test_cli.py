@@ -128,6 +128,27 @@ class TestExitCodes:
         assert f"ranking.{field}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", [("ratio_hi",), ("ratio_lo", "ratio_points")])
+    def test_partial_ratio_sweep_names_missing_fields(self, tmp_path, capsys, given):
+        sweep = {"ratio_lo": 0.125, "ratio_hi": 4.0, "ratio_points": 25}
+        cfg = tmp_path / "ratios.yaml"
+        cfg.write_text("ranking:\n" + "".join(f"  {k}: {sweep[k]}\n" for k in given))
+        out = tmp_path / "runs"
+        code = main(["rank-protocols", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert all((f"ranking.{k}" in err) == (k not in given) for k in sweep)
+        assert not out.exists()
+
+    def test_one_point_prior_grid_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(FAST_YAML + "prior:\n  grid_size: 1\n")
+        out = tmp_path / "runs"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "grid_size" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_json_holds_coerced_fields(self, tmp_path, capsys):
         cfg = tmp_path / "floats.yaml"
         floats = FAST_YAML.replace("iterations: 4", "iterations: 2.0")

@@ -16,10 +16,8 @@ from spinrelax.design import (
     TimingModel,
     UninformativeDesign,
     _PARTICLES,
-    _approx_terms,
     _bounded_argmin,
     _branch_variances,
-    _cost_terms,
     approx_cost_surface,
     cost_surface,
     gaussian_sigma,
@@ -279,12 +277,11 @@ def kernel_and_exhaustive(grid, rates, timing, curves=ROBUST_CURVES, sigma_m=Non
     sigma_m None selects the sigma-free approximate cost.
     """
     if sigma_m is None:
-        terms = _approx_terms(grid, rates, timing, curves)
+        got = _bounded_argmin(grid, rates, (1.0, 1.0), timing, curves)
         surface = approx_cost_surface(grid, rates, timing, curves)
     else:
-        terms = _cost_terms(grid, rates, sigma_m, timing, curves)
+        got = _bounded_argmin(grid, rates, sigma_m, timing, curves)
         surface = cost_surface(grid, rates, sigma_m, timing, curves)
-    got = _bounded_argmin(grid, rates, timing, *terms)
     want = exhaustive_argmin(surface)
     # repr tells NaN, -0.0 and every float bit pattern apart.
     assert got[:2] == want[:2] and repr(got[2]) == repr(want[2])
@@ -325,6 +322,15 @@ class TestBoundedArgmin:
             ),
         }[sigma]
         kernel_and_exhaustive(grid, rates, timing, curves, sigma_m)
+
+    @pytest.mark.parametrize("kind", sorted(GRID_KINDS))
+    def test_unit_sigma_cost_is_the_approximate_cost(self, kind):
+        grid = GRID_KINDS[kind](300)
+        for curves in (ROBUST_CURVES, measurement_curves(OPTIMAL_PROTOCOL), SWAPPED_CURVES):
+            for rates in (RATES, (0.07, 60.0)):
+                full = cost_surface(grid, rates, (1.0, 1.0), TIMING, curves)
+                approx = approx_cost_surface(grid, rates, TIMING, curves)
+                assert full.tobytes() == approx.tobytes()
 
     @pytest.mark.parametrize("sigma_m", [None, (0.03, 0.03)])
     def test_symmetric_tie_takes_row_major_first(self, sigma_m):

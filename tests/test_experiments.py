@@ -19,7 +19,7 @@ from spinrelax.experiments import (
     speedup_study,
     time_to_reach,
 )
-from spinrelax.posterior import PosteriorMoments, initial_grid
+from spinrelax.posterior import DEFAULT_BOUNDS, PosteriorMoments, initial_grid
 from spinrelax.protocols import IDEAL_RANKING_PARAMS
 from spinrelax.rates import RatePair
 from spinrelax.signals import OPTIMAL_PROTOCOL, SignalParams
@@ -50,6 +50,14 @@ class TestConfigValidation:
         # Rejected when the config is built, before any run can drop it.
         with pytest.raises(ValueError, match=r"cannot drift unknown fields: \['alhpa'\]"):
             fig_defaults(noiseless=True, drifts={"alhpa": lambda t: 0.8})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iterations", 2.0), ("iterations", True), ("grid_size", 1), ("particle_count", 0)],
+    )
+    def test_integer_fields_checked(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            fig_defaults(**{field: value})
 
     def test_pair_nap_list_any_order(self):
         cfg = fig_defaults(
@@ -327,6 +335,49 @@ class TestExchangeSymmetry:
             assert a.mean_minus == pytest.approx(b.mean_plus, rel=1e-12)
             assert a.sigma_plus == pytest.approx(b.sigma_minus, rel=1e-12)
             assert a.sigma_minus == pytest.approx(b.sigma_plus, rel=1e-12)
+
+
+class TestRateRescaling:
+    """A noiseless run with the truth and prior scaled by k and the delays by
+    1/k is the same run in other units: delays exactly / k, moments exactly
+    * k, clock exactly / k.  k = 2 is exact in binary floating point."""
+
+    @pytest.mark.parametrize("optimizer", ["nob", "nap"])
+    @pytest.mark.parametrize("truth", [(1.0, 3.0), (0.3, 7.0)])
+    def test_whole_run_is_covariant(self, optimizer, truth):
+        k = 2.0
+        taus = DelayGrid.default().taus
+
+        def run(scale):
+            if optimizer == "nap":
+                runner = run_nap
+                extra = dict(iterations=2, nap_delays=tuple(d / scale for d in NAP_DEFAULT_DELAYS))
+            else:
+                runner, extra = run_adaptive, dict(iterations=10)
+            config = fig_defaults(
+                true_rates=RatePair(truth[0] * scale, truth[1] * scale),
+                prior_bounds=tuple(b * scale for b in DEFAULT_BOUNDS),
+                delay_grid=DelayGrid(taus / scale),
+                optimizer=optimizer,
+                noiseless=True,
+                **extra,
+            )
+            return runner(config)
+
+        base, scaled = run(1.0), run(k)
+        assert base.flagged_count == scaled.flagged_count == 0
+        assert [(r.delays.tau_plus / k, r.delays.tau_minus / k) for r in base.iterations] == [
+            (r.delays.tau_plus, r.delays.tau_minus) for r in scaled.iterations
+        ]
+        pairs = zip(base.iterations, scaled.iterations, strict=True)
+        for a, b in [(base.final, scaled.final), *pairs]:
+            assert (a.mean_plus * k, a.mean_minus * k, a.sigma_plus * k, a.sigma_minus * k) == (
+                b.mean_plus,
+                b.mean_minus,
+                b.sigma_plus,
+                b.sigma_minus,
+            )
+        assert scaled.total_time_s == base.total_time_s / k
 
 
 class TestTraceAnalysis:
