@@ -7,21 +7,34 @@ Subcommands
     speedup         paired adaptive-vs-fixed ensemble speedup sweep
     show            pretty-print a stored run record
 
-Configuration comes from a YAML (or JSON) file plus command-line overrides;
-flags win over the file, the file wins over a --preset, presets win over
-built-in defaults.  Every run directory receives the fully resolved config
-(config.json), the data artifacts, and a manifest (manifest.json) whose
-config hash is the sha256 of the canonicalized config, so re-ingesting
-config.json reproduces the run byte-for-byte on the deterministic paths.
+A study command resolves its config in one pass.  It starts from the
+command's built-in defaults and applies the --preset, the YAML (or JSON)
+--config file and the flags, in that order; a flag only splits its text into
+config fields, so a flag and a file entry meet the same checks.  Every field
+is coerced once to its kind in _KINDS, which rejects YAML booleans,
+non-integral integers and non-finite numbers by `section.field` name.  The
+library objects (RatePair, SignalParams, TimingModel, DelayGrid,
+ExperimentConfig) then check their own domains, and _check_ranges checks the
+few fields no library object checks before work starts.  The command
+returns its outputs as text, and only when it has succeeded is the run
+directory written: the coerced config (config.json), the outputs, and a
+manifest (manifest.json) whose config hash is the sha256 of the
+canonicalized config, so re-ingesting config.json reproduces the run
+byte-for-byte on the deterministic paths.
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error.
+Exit codes: 0 success, 2 configuration error, 3 runtime error.  Neither
+error leaves a run directory.
 """
 
 import argparse
+import copy
 import dataclasses
 import datetime
+import fractions
 import hashlib
+import inspect
 import json
+import math
 import os
 import sys
 
@@ -40,7 +53,6 @@ from .experiments import (
     sigma_trace_slope,
     speedup_study,
 )
-from .posterior import DEFAULT_BOUNDS, GRID_SIZE
 from .protocols import IDEAL_RANKING_PARAMS, census, rank_protocols, sensitivity_ratio_curve
 from .rates import RatePair
 from .signals import SignalParams
@@ -49,13 +61,6 @@ OUT_ENV = "SPINRELAX_OUT"
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
-
-_PRESET_COMMANDS = {
-    "fig2": "simulate",
-    "fig5": "speedup",
-    "fig7": "rank-protocols",
-    "fig6": "bias-study",
-}
 
 
 class ConfigError(ValueError):
@@ -75,80 +80,126 @@ class RunManifest:
 
 
 # --------------------------------------------------------------------------
-# config assembly
+# config: defaults, kinds and rules
 
 
-# ExperimentConfig fields exposed, with their defaults, in the run section.
+# The truth of the standard simulations, in /ms.
+_TRUTH = {"gamma_plus_per_ms": 1.0, "gamma_minus_per_ms": 3.0}
+# The run section's ExperimentConfig fields, under the same names.
 _RUN_FIELDS = (
     "optimizer", "iterations", "seed", "noiseless", "particle_count", "selector_overhead_s"
 )
+_SIGNAL = dataclasses.asdict(SignalParams())
+_SWEEPS = {
+    "ranking": ("ratio_lo", "ratio_hi", "ratio_points"),
+    "speedup": ("rate_lo_per_ms", "rate_hi_per_ms", "rate_points"),
+}
 
 
-def _simulate_skeleton():
-    fields = dataclasses.fields(ExperimentConfig)
-    run = {f.name: f.default for f in fields if f.name in _RUN_FIELDS}
-    return {
-        "rates": {"gamma_plus_per_ms": None, "gamma_minus_per_ms": None},
-        "run": {**run, "replicates": 1},
-        "params": dataclasses.asdict(SignalParams()),
-        "timing": {"overhead_T0_s": 0.0, "per_shot_s": 0.0},
+def _defaults(function, *names):
+    """{name: default} of the named arguments of a library function or dataclass."""
+    parameters = inspect.signature(function).parameters
+    return {name: parameters[name].default for name in names}
+
+
+_EXPERIMENT = _defaults(ExperimentConfig, *_RUN_FIELDS, "prior_bounds", "grid_size")
+_TIMING = _defaults(TimingModel, "overhead_T0", "per_shot_time")
+
+# Each command's config before the preset, the file and the flags.
+_DEFAULTS = {
+    "simulate": {
+        "rates": dict.fromkeys(_TRUTH),
+        "run": {**{key: _EXPERIMENT[key] for key in _RUN_FIELDS}, "replicates": 1},
+        "params": _SIGNAL,
+        "timing": {"overhead_T0_s": _TIMING["overhead_T0"], "per_shot_s": _TIMING["per_shot_time"]},
         "prior": {
-            "lo_per_ms": DEFAULT_BOUNDS[0],
-            "hi_per_ms": DEFAULT_BOUNDS[1],
-            "grid_size": GRID_SIZE,
+            "lo_per_ms": _EXPERIMENT["prior_bounds"][0],
+            "hi_per_ms": _EXPERIMENT["prior_bounds"][1],
+            "grid_size": _EXPERIMENT["grid_size"],
         },
         "delays": {"grid": "default", "nap_list_ms": list(NAP_DEFAULT_DELAYS)},
-    }
-
-
-def _ranking_skeleton():
-    return {
-        "rates": {"gamma_plus_per_ms": 1.0, "gamma_minus_per_ms": 3.0},
+    },
+    "rank-protocols": {
+        "rates": _TRUTH,
         "params": dataclasses.asdict(IDEAL_RANKING_PARAMS),
-        "ranking": {"ratio_lo": None, "ratio_hi": None, "ratio_points": None},
-    }
-
-
-def _bias_skeleton():
-    return {
-        "rates": {"gamma_plus_per_ms": 1.0, "gamma_minus_per_ms": 3.0},
-        "params": dataclasses.asdict(SignalParams()),
+        "ranking": dict.fromkeys(_SWEEPS["ranking"]),
+    },
+    "bias-study": {
+        "rates": _TRUTH,
+        "params": _SIGNAL,
         "bias": {
             "tau_ms": 0.4,
             "r_values": [10**3, 10**4, 10**5, 10**6, 10**7],
-            "replicates": 10**4,
-            "seed": 0,
+            **_defaults(bias_study, "replicates", "seed"),
         },
-    }
-
-
-def _speedup_skeleton():
-    return {
-        "params": dataclasses.asdict(SignalParams(repetitions_R=10**5)),
+    },
+    "speedup": {
+        "params": {**_SIGNAL, "repetitions_R": 10**5},
         "speedup": {
             "rate_lo_per_ms": 0.05,
             "rate_hi_per_ms": 100.0,
             "rate_points": 5,
             "replicates": 10,
-            "adaptive_iterations": 20,
-            "budget_factor": 64.0,
-            "seed": 0,
+            **_defaults(speedup_study, "adaptive_iterations", "budget_factor", "seed"),
         },
-    }
-
-
-_PRESET_OVERLAYS = {
-    # standard adaptive simulation: truth (1, 3) /ms, 30 NOB iterations
-    "fig2": {"rates": {"gamma_plus_per_ms": 1.0, "gamma_minus_per_ms": 3.0}},
-    # diagonal speedup sweep at reduced scale (defaults already match)
-    "fig5": {},
-    # ideal-parameter ranking with the standard asymmetry sweep
-    "fig7": {"ranking": {"ratio_lo": 0.125, "ratio_hi": 8.0, "ratio_points": 25}},
-    # estimator-bias table over five decades of R (defaults already match)
-    "fig6": {},
+    },
 }
 
-_KNOWN_SECTIONS = ("rates", "run", "params", "timing", "prior", "delays", "ranking", "bias", "speedup")
+# preset: (the command it configures, its overlay)
+_PRESETS = {
+    # standard adaptive simulation: truth (1, 3) /ms, 30 NOB iterations
+    "fig2": ("simulate", {"rates": _TRUTH}),
+    # diagonal speedup sweep at reduced scale (defaults already match)
+    "fig5": ("speedup", {}),
+    # ideal-parameter ranking with the standard asymmetry sweep
+    "fig7": ("rank-protocols", {"ranking": dict(zip(_SWEEPS["ranking"], (0.125, 8.0, 25)))}),
+    # estimator-bias table over five decades of R (defaults already match)
+    "fig6": ("bias-study", {}),
+}
+
+# The kind of every field: float, int, bool, str, [kind] for a nonempty
+# list, or a mapping of subfields (delays.grid, which may also be a name).
+_KINDS = {
+    "rates": dict.fromkeys(_TRUTH, float),
+    "run": {
+        "optimizer": str,
+        "iterations": int,
+        "seed": int,
+        "noiseless": bool,
+        "particle_count": int,
+        "selector_overhead_s": float,
+        "replicates": int,
+    },
+    "params": {**dict.fromkeys(_SIGNAL, float), "repetitions_R": int},
+    "timing": {"overhead_T0_s": float, "per_shot_s": float},
+    "prior": {"lo_per_ms": float, "hi_per_ms": float, "grid_size": int},
+    "delays": {"grid": {"lo_ms": float, "hi_ms": float, "points": int}, "nap_list_ms": [float]},
+    "ranking": {"ratio_lo": float, "ratio_hi": float, "ratio_points": int},
+    "bias": {"tau_ms": float, "r_values": [int], "replicates": int, "seed": int},
+    "speedup": {
+        "rate_lo_per_ms": float,
+        "rate_hi_per_ms": float,
+        "rate_points": int,
+        "replicates": int,
+        "adaptive_iterations": int,
+        "budget_factor": float,
+        "seed": int,
+    },
+}
+_GRID_NAMES = {"default": DelayGrid.default, "wide": DelayGrid.wide}
+
+# Ranges of the fields that no library object checks before work starts
+# (the ranking and speedup sweeps are checked by _check_ranges itself).
+_RANGES = {
+    **dict.fromkeys(("bias.seed", "speedup.seed"), (lambda v: v >= 0, "nonnegative")),
+    "run.replicates": (lambda v: v >= 1, "at least 1"),
+    "bias.replicates": (lambda v: v >= 1000, "at least 1000"),
+    "speedup.replicates": (lambda v: v >= 2, "at least 2"),
+    "bias.tau_ms": (lambda v: v > 0, "positive"),
+    "bias.r_values": (lambda v: min(v) > 0, "positive"),
+    "speedup.adaptive_iterations": (lambda v: v > 0, "positive"),
+    "speedup.budget_factor": (lambda v: v > 0, "positive"),
+}
 
 
 def _load_config_file(path):
@@ -163,172 +214,193 @@ def _load_config_file(path):
         loaded = {}
     if not isinstance(loaded, dict):
         raise ConfigError(f"config file {path} must hold a mapping at top level")
-    for section in loaded:
-        if section not in _KNOWN_SECTIONS:
-            raise ConfigError(f"unknown config section: {section}")
     return loaded
 
 
-def _merge_overlay(config, overlay, strict_sections):
-    """Overlay known sections onto the skeleton, naming any unknown field.
+def _merge_overlay(config, overlay):
+    """Overlay the command's sections onto its config, naming any unknown field.
 
-    Sections outside the command's skeleton are ignored when they are valid
-    elsewhere (shared config files), but fields inside a consumed section
-    must exist in the skeleton.
+    Sections the command does not use are ignored, so one file can serve
+    several commands, but every field of a section it uses must exist.
     """
     for section, content in overlay.items():
+        if section not in _KINDS:
+            raise ConfigError(f"unknown config section: {section}")
         if section not in config:
             continue
         if not isinstance(content, dict):
             raise ConfigError(f"config section {section} must be a mapping")
         for key, value in content.items():
-            if strict_sections and key not in config[section]:
+            if key not in config[section]:
                 raise ConfigError(f"unknown config field: {section}.{key}")
             config[section][key] = value
-    return config
 
 
-def _require(config, section, key):
-    value = config.get(section, {}).get(key)
-    if value is None:
-        raise ConfigError(f"missing required field: {section}.{key}")
-    return value
+def _split(text, flag, names, sep, last=None):
+    """A flag's text split into the named fields; `last` fills an omitted last part."""
+    parts = text.split(sep)
+    if last is not None and len(parts) == len(names) - 1:
+        parts.append(last)
+    if len(parts) != len(names):
+        raise ConfigError(f"{flag} expects {len(names)} values separated by {sep!r}: got {text!r}")
+    return dict(zip(names, parts))
 
 
-def _number(raw, field, kind, positive=False, nonnegative=False):
-    if isinstance(raw, bool):
-        raise ConfigError(f"field {field} must be a {kind.__name__}: got {raw!r}")
-    try:
-        value = kind(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"field {field} must be a {kind.__name__}: got {raw!r}")
-    if kind is int and isinstance(raw, float) and raw != value:
-        raise ConfigError(f"field {field} must be an integer: got {raw!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"field {field} must be positive: got {raw!r}")
-    if nonnegative and value < 0:
-        raise ConfigError(f"field {field} must be nonnegative: got {raw!r}")
-    return value
-
-
-def _coerce_number(config, section, key, kind, positive=False, nonnegative=False):
-    value = _number(config[section][key], f"{section}.{key}", kind, positive, nonnegative)
-    config[section][key] = value
-    return value
-
-
-def _preset_overlay(preset, command):
-    if preset is None:
-        return {}
-    expected = _PRESET_COMMANDS[preset]
-    if expected != command:
-        raise ConfigError(
-            f"preset {preset} configures '{expected}', not '{command}'"
-        )
-    return _PRESET_OVERLAYS[preset]
-
-
-def _assemble(command, skeleton, args, flag_overlay):
-    config = skeleton
-    _merge_overlay(config, _preset_overlay(getattr(args, "preset", None), command), True)
-    if getattr(args, "config", None):
-        _merge_overlay(config, _load_config_file(args.config), True)
-    _merge_overlay(config, flag_overlay, True)
-    return config
-
-
-# --------------------------------------------------------------------------
-# flag value parsers
-
-
-def _parse_rate_pair(text):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"--rates expects 'G+,G-' in /ms: got {text!r}")
-    try:
-        pair = (float(parts[0]), float(parts[1]))
-    except ValueError:
-        raise ConfigError(f"--rates expects two numbers: got {text!r}")
-    if not all(v > 0 for v in pair):
-        raise ConfigError(f"--rates must be positive: got {text!r}")
-    return pair
-
-
-def _parse_geom_range(text, flag, default_points):
-    parts = text.split(":")
-    if len(parts) not in (2, 3):
-        raise ConfigError(f"{flag} expects 'LO:HI' or 'LO:HI:N': got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-        points = int(parts[2]) if len(parts) == 3 else default_points
-    except ValueError:
-        raise ConfigError(f"{flag} expects numbers: got {text!r}")
-    if not (0 < lo < hi and points >= 2):
-        raise ConfigError(f"{flag} needs 0 < LO < HI and N >= 2: got {text!r}")
-    return lo, hi, points
-
-
-def _parse_r_values(text):
+def _decades(text):
     """--R for bias-study: 'LO:HI' spans whole decades; a single value is one row."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 2:
-            raise ConfigError(f"--R expects 'LO:HI' or a single value: got {text!r}")
-        try:
-            lo, hi = float(parts[0]), float(parts[1])
-        except ValueError:
-            raise ConfigError(f"--R expects numbers: got {text!r}")
-        if not (1 <= lo < hi):
-            raise ConfigError(f"--R needs 1 <= LO < HI: got {text!r}")
-        lo_dec = int(np.ceil(np.log10(lo) - 1e-9))
-        hi_dec = int(np.floor(np.log10(hi) + 1e-9))
-        if lo_dec > hi_dec:
-            raise ConfigError(f"--R range {text!r} spans no whole decade")
-        return [10**d for d in range(lo_dec, hi_dec + 1)]
-    return [_parse_repetitions(text)]
-
-
-def _parse_repetitions(text):
+    if ":" not in text:
+        return [text]
     try:
-        value = float(text)
+        lo, hi = map(float, text.split(":"))
     except ValueError:
-        raise ConfigError(f"--R expects a number: got {text!r}")
-    if not (value >= 1 and value == int(value)):
-        raise ConfigError(f"--R must be a positive integer: got {text!r}")
-    return int(value)
+        raise ConfigError(f"--R expects 'LO:HI' or a single value: got {text!r}") from None
+    if not 1 <= lo < hi < math.inf:
+        raise ConfigError(f"--R needs 1 <= LO < HI: got {text!r}")
+    decades = range(math.ceil(math.log10(lo) - 1e-9), math.floor(math.log10(hi) + 1e-9) + 1)
+    if not decades:
+        raise ConfigError(f"--R range {text!r} spans no whole decade")
+    return [10**d for d in decades]
+
+
+def _flag_fields(command, args):
+    """The config fields the flags set; a flag only splits its text into fields."""
+    given = {flag: value for flag, value in vars(args).items() if value is not None}
+    own = {"simulate": "run", "rank-protocols": "ranking", "bias-study": "bias"}.get(
+        command, command
+    )
+    # A flag named after a field of the command's own section (--seed, --replicates,
+    # --optimizer) sets it; rank-protocols has no seed field, so its --seed is unused.
+    fields = {own: {key: given[key] for key in _KINDS[own].keys() & given.keys()}}
+    if "rates" in given and command == "speedup":
+        points = _DEFAULTS["speedup"]["speedup"]["rate_points"]
+        fields[own].update(_split(given["rates"], "--rates", _SWEEPS[own], ":", points))
+    elif "rates" in given:
+        fields["rates"] = _split(given["rates"], "--rates", tuple(_TRUTH), ",")
+    if "ratio_sweep" in given:
+        points = _PRESETS["fig7"][1]["ranking"]["ratio_points"]
+        fields[own].update(_split(given["ratio_sweep"], "--ratio-sweep", _SWEEPS[own], ":", points))
+    if "R" in given and command == "bias-study":
+        fields[own]["r_values"] = _decades(given["R"])
+    elif "R" in given:
+        fields["params"] = {"repetitions_R": given["R"]}
+    return fields
+
+
+def _number(raw, name, kind):
+    """A finite float, or an exact integer however written (100000, '1e5', 100000.0)."""
+    try:
+        if isinstance(raw, bool):
+            raise TypeError
+        value = float(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"field {name} must be a number: got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"field {name} must be finite: got {raw!r}")
+    if kind is float:
+        return value
+    exact = fractions.Fraction(raw)
+    if exact.denominator != 1:
+        raise ConfigError(f"field {name} must be an integer: got {raw!r}")
+    return int(exact)
+
+
+def _coerce(raw, name, kind):
+    """One field coerced to its kind from _KINDS."""
+    if kind in (float, int):
+        return _number(raw, name, kind)
+    if isinstance(kind, list):
+        if not isinstance(raw, list) or not raw:
+            raise ConfigError(f"field {name} must be a nonempty list: got {raw!r}")
+        return [_number(value, name, kind[0]) for value in raw]
+    if isinstance(kind, dict):
+        if isinstance(raw, str) and raw in _GRID_NAMES:
+            return raw
+        if not isinstance(raw, dict):
+            names = ", ".join(map(repr, _GRID_NAMES))
+            mapping = "/".join(kind)
+            raise ConfigError(f"field {name} must be {names} or a {mapping} mapping: got {raw!r}")
+        for key in raw:
+            if key not in kind:
+                raise ConfigError(f"unknown config field: {name}.{key}")
+        return {key: _number(raw.get(key), f"{name}.{key}", sub) for key, sub in kind.items()}
+    if not isinstance(raw, kind):
+        raise ConfigError(f"field {name} must be a {kind.__name__}: got {raw!r}")
+    return raw
+
+
+def _check_ranges(config):
+    for name, (ok, rule) in _RANGES.items():
+        section, key = name.split(".")
+        if section in config and not ok(config[section][key]):
+            raise ConfigError(f"field {name} must be {rule}: got {config[section][key]!r}")
+    for section, names in _SWEEPS.items():
+        lo, hi, points = (config.get(section, {}).get(key) for key in names)
+        if points is not None and not (0 < lo < hi and points >= 2):
+            lo_name, hi_name, points_name = (f"{section}.{key}" for key in names)
+            raise ConfigError(
+                f"the {section} sweep needs 0 < {lo_name} < {hi_name} and {points_name} >= 2: "
+                f"got {lo!r}, {hi!r}, {points!r}"
+            )
+
+
+def _resolve(command, args):
+    """The command's config: defaults, preset, file and flags, coerced and checked."""
+    config = copy.deepcopy(_DEFAULTS[command])
+    if args.preset is not None:
+        preset_command, overlay = _PRESETS[args.preset]
+        if preset_command != command:
+            raise ConfigError(
+                f"preset {args.preset} configures '{preset_command}', not '{command}'"
+            )
+        _merge_overlay(config, overlay)
+    if args.config:
+        _merge_overlay(config, _load_config_file(args.config))
+    _merge_overlay(config, _flag_fields(command, args))
+    for section, fields in config.items():
+        unset = [f"{section}.{key}" for key, value in fields.items() if value is None]
+        if section == "ranking" and len(unset) == len(fields):
+            continue  # no ratio sweep: all three ranking fields or none
+        if unset:
+            raise ConfigError(f"missing required field: {', '.join(unset)}")
+        for key, value in fields.items():
+            fields[key] = _coerce(value, f"{section}.{key}", _KINDS[section][key])
+    _check_ranges(config)
+    return config
+
+
+def _built(what, factory, *args, **kwargs):
+    """A library object built from config fields; its domain error is a config error."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
+def _rate_pair(config):
+    return _built("rates section", RatePair, *(config["rates"][key] for key in _TRUTH))
+
+
+def _signal_params(config):
+    return _built("params section", SignalParams, **config["params"])
+
+
+def _delay_grid(spec):
+    if isinstance(spec, str):
+        return _GRID_NAMES[spec]()
+    return _built("delays.grid", DelayGrid.from_bounds, *spec.values())
+
+
+def _sweep(config, section):
+    lo, hi, points = (config[section][key] for key in _SWEEPS[section])
+    return None if points is None else np.geomspace(lo, hi, points)
 
 
 # --------------------------------------------------------------------------
 # artifact writing
 
 
-def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _config_hash(config):
-    return hashlib.sha256(_canonical_json(config).encode("utf-8")).hexdigest()
-
-
-def _out_root(args):
-    return args.out or os.environ.get(OUT_ENV) or "runs"
-
-
-def _prepare_run_dir(args, command, config):
-    digest = _config_hash(config)
-    run_dir = os.path.join(_out_root(args), f"{command}-{digest[:12]}")
-    os.makedirs(run_dir, exist_ok=True)
-    _write_json(os.path.join(run_dir, "config.json"), config)
-    return run_dir, digest
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-
-
-def _write_json(path, obj):
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _json_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _table_cell(value):
@@ -345,111 +417,32 @@ def _table_text(columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _finish(run_dir, command, digest, seed, outputs):
+def _write_run(args, command, config, seed, outputs):
+    """Write a succeeded command's run directory: config, outputs, manifest."""
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    out_root = args.out or os.environ.get(OUT_ENV) or "runs"
+    run_dir = os.path.join(out_root, f"{command}-{digest[:12]}")
+    files = {"config.json": _json_text(config), **outputs}
     manifest = RunManifest(
         command=command,
         config_sha256=digest,
         seed=seed,
         tool_version=__version__,
         created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
-        outputs=tuple(outputs),
+        outputs=tuple(files),
     )
-    _write_json(os.path.join(run_dir, "manifest.json"), dataclasses.asdict(manifest))
+    files["manifest.json"] = _json_text(dataclasses.asdict(manifest))
+    os.makedirs(run_dir, exist_ok=True)
+    for name, text in files.items():
+        with open(os.path.join(run_dir, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     print(run_dir)
     return EXIT_OK
 
 
 # --------------------------------------------------------------------------
-# subcommands
-
-
-def _signal_params(config):
-    section = dict(config["params"])
-    for key in ("f0", "contrast_C", "alpha", "eta_plus", "eta_minus", "background"):
-        _coerce_number(config, "params", key, float, nonnegative=True)
-        section[key] = config["params"][key]
-    reps = _coerce_number(config, "params", "repetitions_R", int, positive=True)
-    section["repetitions_R"] = reps
-    try:
-        return SignalParams(**section)
-    except ValueError as exc:
-        raise ConfigError(f"invalid params section: {exc}") from exc
-
-
-def _rate_pair(config):
-    gp = _require(config, "rates", "gamma_plus_per_ms")
-    gm = _require(config, "rates", "gamma_minus_per_ms")
-    gp = _coerce_number(config, "rates", "gamma_plus_per_ms", float, positive=True)
-    gm = _coerce_number(config, "rates", "gamma_minus_per_ms", float, positive=True)
-    return RatePair(gp, gm)
-
-
-def _delay_grid(config):
-    spec = config["delays"]["grid"]
-    if spec == "default":
-        return DelayGrid.default()
-    if spec == "wide":
-        return DelayGrid.wide()
-    if isinstance(spec, dict):
-        kinds = {"lo_ms": float, "hi_ms": float, "points": int}
-        for key in spec:
-            if key not in kinds:
-                raise ConfigError(f"unknown config field: delays.grid.{key}")
-        bounds = [_number(spec.get(key), f"delays.grid.{key}", kind) for key, kind in kinds.items()]
-        try:
-            return DelayGrid.from_bounds(*bounds)
-        except ValueError as exc:
-            raise ConfigError(f"invalid delays.grid mapping: {exc}") from exc
-    raise ConfigError(
-        f"field delays.grid must be 'default', 'wide', or a lo_ms/hi_ms/points mapping: got {spec!r}"
-    )
-
-
-def _experiment_config(config, seed):
-    rates = _rate_pair(config)
-    params = _signal_params(config)
-    run = config["run"]
-    if run["optimizer"] not in ("nob", "pf", "nap"):
-        raise ConfigError(f"field run.optimizer must be nob, pf, or nap: got {run['optimizer']!r}")
-    if not isinstance(run["noiseless"], bool):
-        raise ConfigError(f"field run.noiseless must be true or false: got {run['noiseless']!r}")
-    iterations = _coerce_number(config, "run", "iterations", int, nonnegative=True)
-    _coerce_number(config, "run", "particle_count", int, positive=True)
-    _coerce_number(config, "run", "selector_overhead_s", float, nonnegative=True)
-    _coerce_number(config, "timing", "overhead_T0_s", float, nonnegative=True)
-    _coerce_number(config, "timing", "per_shot_s", float, nonnegative=True)
-    lo = _coerce_number(config, "prior", "lo_per_ms", float, positive=True)
-    hi = _coerce_number(config, "prior", "hi_per_ms", float, positive=True)
-    if not lo < hi:
-        raise ConfigError("field prior.hi_per_ms must exceed prior.lo_per_ms")
-    grid_size = _coerce_number(config, "prior", "grid_size", int, positive=True)
-    nap_list = config["delays"]["nap_list_ms"]
-    if not isinstance(nap_list, (list, tuple)) or not nap_list:
-        raise ConfigError("field delays.nap_list_ms must be a nonempty list of delays in ms")
-    nap_list = [_number(v, "delays.nap_list_ms", float) for v in nap_list]
-    timing = TimingModel(
-        repetitions_R=params.repetitions_R,
-        overhead_T0=config["timing"]["overhead_T0_s"],
-        per_shot_time=config["timing"]["per_shot_s"],
-    )
-    try:
-        return ExperimentConfig(
-            true_rates=rates,
-            params=params,
-            optimizer=run["optimizer"],
-            iterations=iterations,
-            nap_delays=tuple(nap_list) if run["optimizer"] == "nap" else (),
-            delay_grid=_delay_grid(config),
-            prior_bounds=(lo, hi),
-            grid_size=grid_size,
-            timing=timing,
-            seed=seed,
-            noiseless=run["noiseless"],
-            particle_count=run["particle_count"],
-            selector_overhead_s=run["selector_overhead_s"],
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+# subcommands: each takes the resolved config and returns (seed, {name: text})
 
 
 def _run_summary(record, seed):
@@ -480,35 +473,34 @@ def _ensemble_stats(summaries):
     return stats
 
 
-def cmd_simulate(args):
-    flag_overlay = {"rates": {}, "run": {}, "params": {}}
-    if args.rates is not None:
-        gp, gm = _parse_rate_pair(args.rates)
-        flag_overlay["rates"] = {"gamma_plus_per_ms": gp, "gamma_minus_per_ms": gm}
-    if args.seed is not None:
-        flag_overlay["run"]["seed"] = args.seed
-    if args.replicates is not None:
-        flag_overlay["run"]["replicates"] = args.replicates
-    if args.optimizer is not None:
-        flag_overlay["run"]["optimizer"] = args.optimizer
-    if args.R is not None:
-        flag_overlay["params"]["repetitions_R"] = _parse_repetitions(args.R)
-    config = _assemble("simulate", _simulate_skeleton(), args, flag_overlay)
+def cmd_simulate(config):
+    run, prior, delays = config["run"], config["prior"], config["delays"]
+    params = _signal_params(config)
+    timing = _built(
+        "timing section", TimingModel, params.repetitions_R, *config["timing"].values()
+    )
+    experiment = _built(
+        "run, prior or delays section",
+        ExperimentConfig,
+        true_rates=_rate_pair(config),
+        params=params,
+        nap_delays=tuple(delays["nap_list_ms"]) if run["optimizer"] == "nap" else (),
+        delay_grid=_delay_grid(delays["grid"]),
+        prior_bounds=(prior["lo_per_ms"], prior["hi_per_ms"]),
+        grid_size=prior["grid_size"],
+        timing=timing,
+        **{key: run[key] for key in _RUN_FIELDS},
+    )
+    replicates = run["replicates"]
+    seeds = [run["seed"]] if replicates == 1 else replicate_seeds(run["seed"], replicates)
 
-    base_seed = _coerce_number(config, "run", "seed", int, nonnegative=True)
-    replicates = _coerce_number(config, "run", "replicates", int, positive=True)
-    experiment = _experiment_config(config, base_seed)  # coerces before config.json
-    run_dir, digest = _prepare_run_dir(args, "simulate", config)
-    seeds = [base_seed] if replicates == 1 else replicate_seeds(base_seed, replicates)
-
-    outputs = ["config.json"]
+    outputs = {}
     summaries = []
     runner = run_nap if experiment.optimizer == "nap" else run_adaptive
     for index, seed in enumerate(seeds):
         record = runner(dataclasses.replace(experiment, seed=seed))
         name = "records.jsonl" if replicates == 1 else f"records-{index:03d}.jsonl"
-        _write_text(os.path.join(run_dir, name), record.to_jsonl())
-        outputs.append(name)
+        outputs[name] = record.to_jsonl()
         summaries.append(_run_summary(record, seed))
     payload = {
         "command": "simulate",
@@ -516,152 +508,67 @@ def cmd_simulate(args):
         "runs": summaries,
         "ensemble": _ensemble_stats(summaries) if replicates > 1 else None,
     }
-    _write_json(os.path.join(run_dir, "summary.json"), payload)
-    outputs.append("summary.json")
-    return _finish(run_dir, "simulate", digest, base_seed, outputs)
+    outputs["summary.json"] = _json_text(payload)
+    return run["seed"], outputs
 
 
 _RATIO_SWEEP_COLUMNS = ("rate_ratio", "cost_robust_sqrt_s", "cost_optimal_sqrt_s", "cost_ratio")
 
 
-def cmd_rank_protocols(args):
-    flag_overlay = {"rates": {}, "ranking": {}}
-    if args.rates is not None:
-        gp, gm = _parse_rate_pair(args.rates)
-        flag_overlay["rates"] = {"gamma_plus_per_ms": gp, "gamma_minus_per_ms": gm}
-    if args.ratio_sweep is not None:
-        lo, hi, points = _parse_geom_range(args.ratio_sweep, "--ratio-sweep", 25)
-        flag_overlay["ranking"] = {"ratio_lo": lo, "ratio_hi": hi, "ratio_points": points}
-    config = _assemble("rank-protocols", _ranking_skeleton(), args, flag_overlay)
-
+def cmd_rank_protocols(config):
     rates = _rate_pair(config)
     params = _signal_params(config)
-    ratios = None
-    missing = [f"ranking.{key}" for key, value in config["ranking"].items() if value is None]
-    if missing and len(missing) < len(config["ranking"]):
-        raise ConfigError(f"the ratio sweep needs every ranking field; missing: {', '.join(missing)}")
-    if not missing:
-        kinds = {"ratio_lo": float, "ratio_hi": float, "ratio_points": int}
-        ratios = np.geomspace(
-            *(_coerce_number(config, "ranking", k, kind, positive=True) for k, kind in kinds.items())
-        )
-    run_dir, digest = _prepare_run_dir(args, "rank-protocols", config)
-    outputs = ["config.json"]
-
-    report = census()
-    _write_json(os.path.join(run_dir, "census.json"), dataclasses.asdict(report))
-    outputs.append("census.json")
+    outputs = {"census.json": _json_text(dataclasses.asdict(census()))}
 
     ranking = rank_protocols(rates, params)
     columns, table = ranking.COLUMNS, ranking.table
-    _write_text(os.path.join(run_dir, "ranking.csv"), _table_text(columns, table))
+    outputs["ranking.csv"] = _table_text(columns, table)
     payload = {
         "format": "protocol-ranking-v1",
         "reference": ranking.reference_label,
         "entries": [dict(zip(columns, row)) for row in table],
     }
-    _write_json(os.path.join(run_dir, "ranking.json"), payload)
-    outputs.extend(["ranking.csv", "ranking.json"])
+    outputs["ranking.json"] = _json_text(payload)
 
+    ratios = _sweep(config, "ranking")
     if ratios is not None:
         rows = sensitivity_ratio_curve(ratios, params=params)
-        text = _table_text(_RATIO_SWEEP_COLUMNS, rows)
-        _write_text(os.path.join(run_dir, "ratio_sweep.csv"), text)
-        outputs.append("ratio_sweep.csv")
-
-    return _finish(run_dir, "rank-protocols", digest, 0, outputs)
+        outputs["ratio_sweep.csv"] = _table_text(_RATIO_SWEEP_COLUMNS, rows)
+    return 0, outputs
 
 
-def cmd_bias_study(args):
-    flag_overlay = {"rates": {}, "bias": {}}
-    if args.rates is not None:
-        gp, gm = _parse_rate_pair(args.rates)
-        flag_overlay["rates"] = {"gamma_plus_per_ms": gp, "gamma_minus_per_ms": gm}
-    if args.R is not None:
-        flag_overlay["bias"]["r_values"] = _parse_r_values(args.R)
-    if args.replicates is not None:
-        flag_overlay["bias"]["replicates"] = args.replicates
-    if args.seed is not None:
-        flag_overlay["bias"]["seed"] = args.seed
-    config = _assemble("bias-study", _bias_skeleton(), args, flag_overlay)
-
+def cmd_bias_study(config):
     rates = _rate_pair(config)
     params = _signal_params(config)
-    tau = _coerce_number(config, "bias", "tau_ms", float, positive=True)
-    replicates = _coerce_number(config, "bias", "replicates", int, positive=True)
-    seed = _coerce_number(config, "bias", "seed", int, nonnegative=True)
-    r_values = config["bias"]["r_values"]
-    if not isinstance(r_values, (list, tuple)) or not r_values:
-        raise ConfigError("field bias.r_values must be a nonempty list of repetition counts")
-    r_values = [_number(r, "bias.r_values", int, positive=True) for r in r_values]
-    config["bias"]["r_values"] = r_values
-
-    run_dir, digest = _prepare_run_dir(args, "bias-study", config)
-    result = bias_study(params, rates, tau, r_values, replicates=replicates, seed=seed)
-    _write_text(os.path.join(run_dir, "bias.csv"), _table_text(result.COLUMNS, result.table))
+    bias = config["bias"]
+    result = bias_study(
+        params, rates, bias["tau_ms"], bias["r_values"], bias["replicates"], bias["seed"]
+    )
     meta = {
         "command": "bias-study",
-        "tau_ms": tau,
-        "replicates": replicates,
+        "tau_ms": bias["tau_ms"],
+        "replicates": bias["replicates"],
         "m_true": result.m_true,
         "delta_per_repetition_counts": result.delta_per_repetition,
         "rows": [dataclasses.asdict(row) for row in result.rows],
     }
-    _write_json(os.path.join(run_dir, "bias.json"), meta)
-    return _finish(
-        run_dir, "bias-study", digest, seed, ["config.json", "bias.csv", "bias.json"]
-    )
+    outputs = {"bias.csv": _table_text(result.COLUMNS, result.table), "bias.json": _json_text(meta)}
+    return bias["seed"], outputs
 
 
-def cmd_speedup(args):
-    flag_overlay = {"params": {}, "speedup": {}}
-    if args.rates is not None:
-        lo, hi, points = _parse_geom_range(args.rates, "--rates", 5)
-        flag_overlay["speedup"] = {
-            "rate_lo_per_ms": lo,
-            "rate_hi_per_ms": hi,
-            "rate_points": points,
-        }
-    if args.R is not None:
-        flag_overlay["params"]["repetitions_R"] = _parse_repetitions(args.R)
-    if args.replicates is not None:
-        flag_overlay["speedup"]["replicates"] = args.replicates
-    if args.seed is not None:
-        flag_overlay["speedup"]["seed"] = args.seed
-    config = _assemble("speedup", _speedup_skeleton(), args, flag_overlay)
-
+def cmd_speedup(config):
     params = _signal_params(config)
     section = config["speedup"]
-    lo = _coerce_number(config, "speedup", "rate_lo_per_ms", float, positive=True)
-    hi = _coerce_number(config, "speedup", "rate_hi_per_ms", float, positive=True)
-    if not lo < hi:
-        raise ConfigError("field speedup.rate_hi_per_ms must exceed speedup.rate_lo_per_ms")
-    points = _coerce_number(config, "speedup", "rate_points", int, positive=True)
-    replicates = _coerce_number(config, "speedup", "replicates", int, positive=True)
-    iterations = _coerce_number(config, "speedup", "adaptive_iterations", int, positive=True)
-    budget = _coerce_number(config, "speedup", "budget_factor", float, positive=True)
-    seed = _coerce_number(config, "speedup", "seed", int, nonnegative=True)
-
-    run_dir, digest = _prepare_run_dir(args, "speedup", config)
-    pairs = [(g, g) for g in np.geomspace(lo, hi, points)]
-    study = speedup_study(
-        pairs,
-        params=params,
-        replicates=replicates,
-        adaptive_iterations=iterations,
-        budget_factor=budget,
-        seed=seed,
-    )
-    _write_text(os.path.join(run_dir, "speedup.csv"), _table_text(study.COLUMNS, study.table))
+    arguments = ("replicates", "adaptive_iterations", "budget_factor", "seed")
+    pairs = [(g, g) for g in _sweep(config, "speedup")]
+    study = speedup_study(pairs, params, **{key: section[key] for key in arguments})
     payload = {
         "format": "speedup-study-v1",
         "replicates": study.replicates,
         "points": [dict(zip(study.COLUMNS, row)) for row in study.table],
     }
-    _write_json(os.path.join(run_dir, "speedup.json"), payload)
-    return _finish(
-        run_dir, "speedup", digest, seed, ["config.json", "speedup.csv", "speedup.json"]
-    )
+    table = _table_text(study.COLUMNS, study.table)
+    return section["seed"], {"speedup.csv": table, "speedup.json": _json_text(payload)}
 
 
 _SHOW_COLUMNS = (
@@ -747,7 +654,7 @@ def _add_common(parser, rates_help):
     parser.add_argument("--config", metavar="FILE", help="YAML or JSON configuration file")
     parser.add_argument(
         "--preset",
-        choices=sorted(_PRESET_COMMANDS),
+        choices=sorted(_PRESETS),
         help="named parameter set (each applies to one subcommand)",
     )
     parser.add_argument("--out", metavar="DIR", help=f"output directory (default ${OUT_ENV} or ./runs)")
@@ -805,7 +712,11 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        if args.func is cmd_show:
+            return cmd_show(args)
+        config = _resolve(args.command, args)
+        seed, outputs = args.func(config)
+        return _write_run(args, args.command, config, seed, outputs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -125,8 +125,8 @@ class TimingModel:
         reps = self.repetitions_R
         if isinstance(reps, bool) or not (isinstance(reps, (int, np.integer)) and reps > 0):
             raise ValueError("repetitions_R must be a positive integer")
-        if self.overhead_T0 < 0.0 or self.per_shot_time < 0.0:
-            raise ValueError("times must be nonnegative")
+        if not (0.0 <= self.overhead_T0 < np.inf and 0.0 <= self.per_shot_time < np.inf):
+            raise ValueError("times must be finite and nonnegative")
 
     def delay_seconds(self, tau_plus, tau_minus):
         """Seconds of one iteration spent in relaxation delays (ms)."""

@@ -116,6 +116,8 @@ class ExperimentConfig:
             raise ValueError("grid_size must be an integer of at least 2")
         if not (_is_integer(self.particle_count) and self.particle_count >= 1):
             raise ValueError("particle_count must be a positive integer")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
         lo, hi = self.prior_bounds
         if not (0.0 < lo < hi):
             raise ValueError("prior_bounds must satisfy 0 < lo < hi")
@@ -127,8 +129,8 @@ class ExperimentConfig:
                 values = np.asarray(scalars, dtype=float)
                 if np.any(values <= 0.0) or np.any(np.diff(values) <= 0.0):
                     raise ValueError("scalar nap_delays must be positive and strictly increasing")
-        if self.selector_overhead_s < 0.0:
-            raise ValueError("selector_overhead_s must be nonnegative")
+        if not 0.0 <= self.selector_overhead_s < np.inf:
+            raise ValueError("selector_overhead_s must be finite and nonnegative")
         _check_drift_fields(self.drifts)
 
     def resolved_timing(self):

@@ -42,6 +42,12 @@ def run_dir_from(capsys):
     return capsys.readouterr().out.strip().split("\n")[-1]
 
 
+def run_in(out, argv):
+    """Exit code and run directories of one command writing under `out`."""
+    code = main([*argv, "--out", str(out)])
+    return code, sorted(os.listdir(out)) if out.exists() else None
+
+
 class TestExitCodes:
     def test_missing_rates_names_field(self, tmp_path, capsys):
         code = main(["simulate", "--out", str(tmp_path)])
@@ -113,6 +119,81 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "field, edit",
+        [
+            ("timing.overhead_T0_s", ("run:\n", "timing:\n  overhead_T0_s: .nan\nrun:\n")),
+            ("timing.per_shot_s", ("run:\n", "timing:\n  per_shot_s: .inf\nrun:\n")),
+            ("run.selector_overhead_s", ("run:\n", "run:\n  selector_overhead_s: .nan\n")),
+            ("rates.gamma_plus_per_ms", ("gamma_plus_per_ms: 1.0", "gamma_plus_per_ms: -.inf")),
+            ("delays.nap_list_ms", ("run:\n", "delays:\n  nap_list_ms: [0.1, .nan]\nrun:\n")),
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, field, edit):
+        cfg = tmp_path / "nonfinite.yaml"
+        cfg.write_text(FAST_YAML.replace(*edit))
+        assert run_in(tmp_path / "runs", ["simulate", "--config", str(cfg)]) == (EXIT_CONFIG, None)
+        assert f"field {field} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, entry, field",
+        [
+            (["bias-study", "--replicates", "999"], None, "bias.replicates"),
+            (["bias-study"], "bias: {replicates: 500}\n", "bias.replicates"),
+            (["speedup", "--replicates", "1"], None, "speedup.replicates"),
+            (["speedup"], "speedup: {replicates: 1}\n", "speedup.replicates"),
+            (["simulate", "--rates", "1,3", "--replicates", "0"], None, "run.replicates"),
+        ],
+        ids=["bias-flag", "bias-file", "speedup-flag", "speedup-file", "simulate-flag"],
+    )
+    def test_replicate_minimums_write_nothing(self, tmp_path, capsys, argv, entry, field):
+        if entry is not None:
+            cfg = tmp_path / "entry.yaml"
+            cfg.write_text(entry)
+            argv = [*argv, "--config", str(cfg)]
+        assert run_in(tmp_path / "runs", argv) == (EXIT_CONFIG, None)
+        assert f"field {field} must be at least" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, entry, flags",
+        [
+            (
+                "rank-protocols",
+                "ranking: {ratio_lo: 8.0, ratio_hi: 0.125, ratio_points: 1}\n",
+                ["--ratio-sweep", "8:0.125:1"],
+            ),
+            (
+                "speedup",
+                "speedup: {rate_lo_per_ms: 2.0, rate_hi_per_ms: 20.0, rate_points: 1}\n",
+                ["--rates", "2:20:1"],
+            ),
+            ("simulate", FAST_YAML.replace("100000", "1e5"), ["--R", "1e5"]),
+        ],
+        ids=["ranking-range", "speedup-range", "repetitions-1e5"],
+    )
+    def test_file_entry_and_flag_agree(self, fast_config, tmp_path, capsys, command, entry, flags):
+        cfg = tmp_path / "entry.yaml"
+        cfg.write_text(entry)
+        by_file = run_in(tmp_path / "file", [command, "--config", str(cfg)])
+        file_err = capsys.readouterr().err
+        if command == "simulate":
+            flags = ["--config", fast_config, *flags]
+        by_flag = run_in(tmp_path / "flag", [command, *flags])
+        assert by_file == by_flag
+        assert file_err == capsys.readouterr().err
+        assert by_file[0] == (EXIT_OK if command == "simulate" else EXIT_CONFIG)
+
+    def test_runtime_error_writes_nothing(self, fast_config, tmp_path, capsys, monkeypatch):
+        def fail(config):
+            raise RuntimeError("acquisition failed")
+
+        monkeypatch.setattr("spinrelax.cli.run_adaptive", fail)
+        assert run_in(tmp_path / "runs", ["simulate", "--config", fast_config]) == (
+            EXIT_RUNTIME,
+            None,
+        )
+        assert "acquisition failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, bad",
@@ -284,6 +365,18 @@ class TestShow:
 
 
 class TestStudyCommands:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["simulate", "--preset", "fig2"], "simulate-be1889cd15de"),
+            (["rank-protocols", "--preset", "fig7"], "rank-protocols-609f02e3d267"),
+            (["bias-study", "--preset", "fig6"], "bias-study-3fbec8bf58f1"),
+        ],
+    )
+    def test_preset_run_directory_names(self, tmp_path, argv, name):
+        # The name is the hash of the resolved config, so it pins every default.
+        assert run_in(tmp_path, argv) == (EXIT_OK, [name])
+
     def test_rank_protocols_artifacts(self, tmp_path, capsys):
         code = main(
             ["rank-protocols", "--ratio-sweep", "0.5:2:3", "--out", str(tmp_path)]

@@ -70,6 +70,11 @@ class TestTimingModel:
             TimingModel(repetitions_R=0)
         with pytest.raises(ValueError):
             TimingModel(repetitions_R=10, overhead_T0=-1.0)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                TimingModel(repetitions_R=10, overhead_T0=bad)
+            with pytest.raises(ValueError, match="finite"):
+                TimingModel(repetitions_R=10, per_shot_time=bad)
         with pytest.raises(ValueError):
             DelayPair(0.0, 0.1)
 

@@ -53,11 +53,24 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("iterations", 2.0), ("iterations", True), ("grid_size", 1), ("particle_count", 0)],
+        [
+            ("iterations", 2.0),
+            ("iterations", True),
+            ("grid_size", 1),
+            ("particle_count", 0),
+            ("seed", True),
+            ("seed", -1),
+            ("seed", 1.5),
+        ],
     )
     def test_integer_fields_checked(self, field, value):
         with pytest.raises(ValueError, match=field):
             fig_defaults(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_selector_overhead_must_be_finite_and_nonnegative(self, value):
+        with pytest.raises(ValueError, match="selector_overhead_s"):
+            fig_defaults(selector_overhead_s=value)
 
     def test_pair_nap_list_any_order(self):
         cfg = fig_defaults(
