@@ -269,7 +269,7 @@ def _flag_fields(command, args):
         command, command
     )
     # A flag named after a field of the command's own section (--seed, --replicates,
-    # --optimizer) sets it; rank-protocols has no seed field, so its --seed is unused.
+    # --optimizer) sets it.
     fields = {own: {key: given[key] for key in _KINDS[own].keys() & given.keys()}}
     if "rates" in given and command == "speedup":
         points = _DEFAULTS["speedup"]["speedup"]["rate_points"]
@@ -484,7 +484,7 @@ def cmd_simulate(config):
         ExperimentConfig,
         true_rates=_rate_pair(config),
         params=params,
-        nap_delays=tuple(delays["nap_list_ms"]) if run["optimizer"] == "nap" else (),
+        nap_delays=tuple(delays["nap_list_ms"]),
         delay_grid=_delay_grid(delays["grid"]),
         prior_bounds=(prior["lo_per_ms"], prior["hi_per_ms"]),
         grid_size=prior["grid_size"],
@@ -658,7 +658,6 @@ def _add_common(parser, rates_help):
         help="named parameter set (each applies to one subcommand)",
     )
     parser.add_argument("--out", metavar="DIR", help=f"output directory (default ${OUT_ENV} or ./runs)")
-    parser.add_argument("--seed", type=int, help="base random seed")
     parser.add_argument("--rates", metavar="SPEC", help=rates_help)
 
 
@@ -672,6 +671,7 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="run adaptive or fixed-sweep estimation")
     _add_common(p, "true rates 'G+,G-' in /ms (required unless config or preset provides them)")
+    p.add_argument("--seed", type=int, help="base random seed")
     p.add_argument("--replicates", type=int, metavar="N", help="independent replicates (default 1)")
     p.add_argument("--R", metavar="N", help="pulse-sequence repetitions per signal")
     p.add_argument("--optimizer", choices=("nob", "pf", "nap"), help="delay scheduler")
@@ -688,12 +688,14 @@ def build_parser():
 
     p = sub.add_parser("bias-study", help="ratio-estimator bias versus repetition count")
     _add_common(p, "true rates 'G+,G-' in /ms (default 1,3)")
+    p.add_argument("--seed", type=int, help="base random seed")
     p.add_argument("--R", metavar="LO:HI", help="repetition range, expanded to whole decades")
     p.add_argument("--replicates", type=int, metavar="N", help="Monte Carlo draws per R (default 10000)")
     p.set_defaults(func=cmd_bias_study)
 
     p = sub.add_parser("speedup", help="adaptive-vs-fixed-sweep speedup over true rates")
     _add_common(p, "diagonal rate sweep 'LO:HI[:N]' in /ms (default 0.05:100:5)")
+    p.add_argument("--seed", type=int, help="base random seed")
     p.add_argument("--R", metavar="N", help="pulse-sequence repetitions per signal (default 1e5)")
     p.add_argument("--replicates", type=int, metavar="N", help="replicates per arm (default 10)")
     p.set_defaults(func=cmd_speedup)

@@ -104,7 +104,10 @@ class DelayGrid:
 
     @classmethod
     def from_bounds(cls, lo, hi, size=1000):
-        return cls(np.geomspace(float(lo), float(hi), int(size)))
+        lo, hi = float(lo), float(hi)
+        if not 0.0 < lo < hi < np.inf:
+            raise ValueError("delay grid must be positive and strictly increasing")
+        return cls(np.geomspace(lo, hi, int(size)))
 
 
 @dataclass(frozen=True)

@@ -19,15 +19,18 @@ for a diagonal entry (a, a) and an off-diagonal entry (c, d).  Swapping
 the two signals flips the sign of numerator and denominator together, and
 transposing the dark pulse pair leaves the value unchanged because the
 propagator is symmetric, so the 36 usable measurements fall into 9
-classes keyed by (bright level, unordered dark pair).  Independent
-protocols are the unordered pairs of distinct classes; same-class pairs
-are excluded as redundant.  The probe-lattice check additionally verifies
-every member against its class representative and records that the 9
-classes realize only 7 distinct functions: whenever the bright level and
-the dark pair cover all three levels, row normalization gives
-P_aa - P_cd = 1 - P_m0 - P_mp - P_0p independently of which level is
-bright.  Those three classes stay separate (their pulse sequences
-differ); the census reports the collapse instead of merging them.
+classes keyed by (bright level, unordered dark pair).  The class table
+_CLASS_MIX defines the family: enumeration pairs the canonical member of
+each of its keys, independent protocols being the unordered pairs of
+distinct classes (same-class pairs are redundant).  The census checks each
+of the 36 measurements once, against the kernel its class folds with: its
+normalized expectation from photon counts under IDEAL_RANKING_PARAMS must
+equal the class kernel on a probe lattice.  The 9 classes realize only 7
+distinct functions: whenever the bright level and the dark pair cover all
+three levels, row normalization gives P_aa - P_cd = 1 - P_m0 - P_mp - P_0p
+independently of which level is bright.  Those three classes stay
+separate (their pulse sequences differ); the census reports the collapse
+instead of merging them.
 
 Every class has the same closed form under ideal parameters:
 P_aa - P_cd = ((g + x) e_fast + (g - x) e_slow) / 2g, rates' two-exponential
@@ -56,6 +59,8 @@ from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, _bounded_ar
 from .estimator import sigma_m_from_expectations
 from .rates import _gradient, _pair_values, _values
 from .signals import (
+    OPTIMAL_PROTOCOL,
+    ROBUST_PROTOCOL,
     STATES,
     Measurement,
     ProtocolSpec,
@@ -87,14 +92,9 @@ IDEAL_RANKING_PARAMS = SignalParams(
     repetitions_R=10**6,
 )
 
-# Probe lattice edge for the function cross-check.
+# Probe lattice edge and tolerance of the census's class-kernel check.
 _PROBE_SIZE = 5
-_DEDUP_TOL = 1e-12
-_MEASUREMENT_CLASS_COUNT = 9
-# Row normalization merges the three classes whose bright level and dark
-# pair cover all three levels into one model function.
-_DISTINCT_FUNCTION_COUNT = 7
-_INDEPENDENT_COUNT = 36
+_KERNEL_TOL = 1e-12
 
 
 def _oriented_signals(measurement):
@@ -184,52 +184,6 @@ def _canonical_measurement(key):
     return min(candidates, key=lambda m: m.label)
 
 
-def _function_classes(measurements, size):
-    """Group measurements into model-function classes.
-
-    Returns (class index per measurement, canonical representative per
-    class, number of numerically distinct class functions).  Every member's
-    normalized expectation from photon counts under IDEAL_RANKING_PARAMS
-    is verified against its representative's on the probe lattice; the
-    distinct count exposes the row-normalization collapse without merging
-    the affected classes.
-    """
-    keys = sorted({_measurement_class_key(m) for m in measurements})
-    reps = [_canonical_measurement(key) for key in keys]
-    class_of = [keys.index(_measurement_class_key(m)) for m in measurements]
-    taus, gps, gms = _probe_lattice(size)
-
-    def signature(measurement):
-        value = _normalized_expectation(measurement, taus, (gps, gms), IDEAL_RANKING_PARAMS)
-        return np.ravel(value)
-
-    rep_signatures = [signature(r) for r in reps]
-    for m, k in zip(measurements, class_of):
-        sig = signature(m)
-        if np.max(np.abs(sig - rep_signatures[k])) > _DEDUP_TOL:
-            raise RuntimeError(
-                f"measurement {m.label} deviates from its class "
-                f"representative {reps[k].label} on the probe lattice"
-            )
-    distinct = []
-    for sig in rep_signatures:
-        if not any(np.max(np.abs(sig - ref)) <= _DEDUP_TOL for ref in distinct):
-            distinct.append(sig)
-    return class_of, reps, len(distinct)
-
-
-def _classified_measurements():
-    measurements = enumerate_measurements()
-    class_of, reps, count = _function_classes(measurements, _PROBE_SIZE)
-    if len(reps) != _MEASUREMENT_CLASS_COUNT or count != _DISTINCT_FUNCTION_COUNT:
-        raise RuntimeError(
-            f"measurement census found {len(reps)} classes realizing {count} "
-            f"distinct functions, expected {_MEASUREMENT_CLASS_COUNT} classes "
-            f"and {_DISTINCT_FUNCTION_COUNT} functions"
-        )
-    return measurements, class_of, reps, count
-
-
 def enumerate_protocols():
     """The independent two-branch protocols, canonically represented.
 
@@ -237,15 +191,8 @@ def enumerate_protocols():
     representative pairs the canonical realization of each class, smaller
     label in the first slot.
     """
-    _, _, reps, _ = _classified_measurements()
-    protocols = []
-    for a, b in combinations(sorted(reps, key=lambda m: m.label), 2):
-        protocols.append(ProtocolSpec(plus=a, minus=b))
-    if len(protocols) != _INDEPENDENT_COUNT:
-        raise RuntimeError(
-            f"independent protocol count {len(protocols)} != {_INDEPENDENT_COUNT}"
-        )
-    return protocols
+    reps = sorted(map(_canonical_measurement, _CLASS_MIX), key=lambda m: m.label)
+    return [ProtocolSpec(plus=a, minus=b) for a, b in combinations(reps, 2)]
 
 
 def _bright_first_expectations(measurement, tau, rates, params):
@@ -288,25 +235,39 @@ class CensusReport:
     eta_insensitive_protocols: tuple
 
 
+def _check_class_kernels(measurements):
+    """Every measurement's normalized expectation from counts is its class kernel."""
+    taus, gps, gms = _probe_lattice(_PROBE_SIZE)
+    for m in measurements:
+        value = _normalized_expectation(m, taus, (gps, gms), IDEAL_RANKING_PARAMS)
+        kernel = _values(taus, (gps, gms), *_CLASS_MIX[_measurement_class_key(m)])
+        if np.max(np.abs(value - kernel)) > _KERNEL_TOL:
+            raise RuntimeError(
+                f"measurement {m.label} deviates from its class kernel on the probe lattice"
+            )
+
+
 def census():
     """Counts and pulse-error tags for the full protocol family."""
-    measurements, _, reps, distinct = _classified_measurements()
+    measurements = enumerate_measurements()
+    _check_class_kernels(measurements)
     protocols = enumerate_protocols()
-    insensitive = tuple(m.label for m in reps if _eta_insensitive(m))
-    insensitive_protocols = tuple(
-        p.label
-        for p in protocols
-        if _eta_insensitive(p.plus) and _eta_insensitive(p.minus)
-    )
+    insensitive = {key for key in _CLASS_MIX if _eta_insensitive(_canonical_measurement(key))}
     return CensusReport(
         raw_count=raw_protocol_count(),
         valid_count=len(measurements) ** 2,
         measurement_count=len(measurements),
-        function_class_count=len(reps),
-        distinct_function_count=distinct,
+        function_class_count=len(_CLASS_MIX),
+        distinct_function_count=len(set(_CLASS_MIX.values())),
         independent_count=len(protocols),
-        eta_insensitive_measurements=insensitive,
-        eta_insensitive_protocols=insensitive_protocols,
+        eta_insensitive_measurements=tuple(
+            _canonical_measurement(key).label for key in sorted(insensitive)
+        ),
+        eta_insensitive_protocols=tuple(
+            p.label
+            for p in protocols
+            if {_measurement_class_key(p.plus), _measurement_class_key(p.minus)} <= insensitive
+        ),
     )
 
 
@@ -334,8 +295,8 @@ class ProtocolRanking:
         )
 
 
-ROBUST_LABEL = "(+0,00),(-0,00)"
-OPTIMAL_LABEL = "(+0,++),(-0,--)"
+ROBUST_LABEL = ROBUST_PROTOCOL.label
+OPTIMAL_LABEL = OPTIMAL_PROTOCOL.label
 
 
 def _sigma_callable(measurement, rates, params):
@@ -382,7 +343,7 @@ def rank_protocols(rates, params=None, timing=None, grid=None):
     for protocol in protocols:
         delays, value = minimal_cost(protocol, rates, params, timing, grid)
         results.append((protocol, delays, value))
-        if protocol.label == OPTIMAL_LABEL:
+        if protocol == OPTIMAL_PROTOCOL:
             reference_cost = value
     if reference_cost is None or not np.isfinite(reference_cost):
         raise RuntimeError("reference protocol missing or uninformative")
@@ -398,13 +359,6 @@ def rank_protocols(rates, params=None, timing=None, grid=None):
     return ProtocolRanking(entries=entries, reference_label=OPTIMAL_LABEL)
 
 
-def _protocol_by_label(label):
-    for protocol in enumerate_protocols():
-        if protocol.label == label:
-            return protocol
-    raise KeyError(label)
-
-
 def sensitivity_ratio_curve(ratios=None, params=None, timing=None, grid=None):
     """Robust-vs-reference cost ratio swept over the rate asymmetry.
 
@@ -414,12 +368,10 @@ def sensitivity_ratio_curve(ratios=None, params=None, timing=None, grid=None):
     """
     if ratios is None:
         ratios = np.geomspace(0.125, 8.0, 13)
-    robust = _protocol_by_label(ROBUST_LABEL)
-    optimal = _protocol_by_label(OPTIMAL_LABEL)
     rows = []
     for r in np.asarray(ratios, dtype=float):
         rates = (np.sqrt(r), 1.0 / np.sqrt(r))
-        _, cost_robust = minimal_cost(robust, rates, params, timing, grid)
-        _, cost_optimal = minimal_cost(optimal, rates, params, timing, grid)
+        _, cost_robust = minimal_cost(ROBUST_PROTOCOL, rates, params, timing, grid)
+        _, cost_optimal = minimal_cost(OPTIMAL_PROTOCOL, rates, params, timing, grid)
         rows.append((float(r), cost_robust, cost_optimal, cost_robust / cost_optimal))
     return rows

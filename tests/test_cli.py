@@ -221,6 +221,25 @@ class TestExitCodes:
         assert all((f"ranking.{k}" in err) == (k not in given) for k in sweep)
         assert not out.exists()
 
+    def test_rank_protocols_rejects_seed(self, tmp_path, capsys):
+        # the ranking is deterministic: a seed flag would be silently unused
+        assert run_in(tmp_path / "runs", ["rank-protocols", "--seed", "4"]) == (EXIT_CONFIG, None)
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("optimizer", ["nob", "pf", "nap"])
+    def test_nap_list_checked_under_every_optimizer(self, tmp_path, capsys, optimizer):
+        cfg = tmp_path / "naps.yaml"
+        cfg.write_text(FAST_YAML + "delays:\n  nap_list_ms: [0.2, -1]\n")
+        argv = ["simulate", "--config", str(cfg), "--optimizer", optimizer]
+        assert run_in(tmp_path / "runs", argv) == (EXIT_CONFIG, None)
+        assert "nap_delays must be positive and strictly increasing" in capsys.readouterr().err
+
+    def test_bad_grid_bounds_are_config_errors(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.yaml"
+        cfg.write_text(FAST_YAML + "delays:\n  grid: {lo_ms: -1, hi_ms: 5, points: 10}\n")
+        assert run_in(tmp_path / "runs", ["simulate", "--config", str(cfg)]) == (EXIT_CONFIG, None)
+        assert "delay grid must be positive and strictly increasing" in capsys.readouterr().err
+
     def test_one_point_prior_grid_writes_nothing(self, tmp_path, capsys):
         cfg = tmp_path / "grid.yaml"
         cfg.write_text(FAST_YAML + "prior:\n  grid_size: 1\n")

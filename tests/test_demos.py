@@ -19,3 +19,21 @@ def test_adaptive_run_demo(capsys):
     assert out.startswith("fast selector (no recorded overhead)")
     assert "same run charged 2 s of selector CPU per iteration" in out
     assert out.count("duty cycle") == 2
+
+
+def test_protocol_ranking_demo(capsys):
+    load_demo("protocol_ranking").main()
+    out = capsys.readouterr().out
+    assert out.startswith("protocol census")
+    assert "measurement label classes   : 9\n" in out
+    assert "distinct model functions    : 7\n" in out
+    assert "pulse-error-free protocols  : (+0,00),(-0,00)\n" in out
+    assert "robust-vs-optimal cost ratio across rate asymmetry" in out
+
+
+def test_estimator_bias_demo(capsys):
+    load_demo("estimator_bias").main()
+    out = capsys.readouterr().out
+    assert out.startswith("true normalized signal M = 0.22921 at tau = 0.4 ms")
+    first_words = [line.split()[0] for line in out.splitlines() if line.strip()]
+    assert first_words[1:6] == ["R", "1000", "10000", "100000", "1000000"]

@@ -173,6 +173,17 @@ class TestGaussianSigma:
         assert half_p < 0.4 * err_p and half_m < 0.4 * err_m  # quadratic shrink
 
 
+class TestDelayGrid:
+    @pytest.mark.parametrize(
+        "lo, hi", [(-1.0, 5.0), (0.0, 5.0), (5.0, 1.0), (1.0, np.inf), (np.nan, 5.0)]
+    )
+    def test_bad_bounds_raise_before_geomspace(self, lo, hi):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="positive and strictly increasing"):
+                DelayGrid.from_bounds(lo, hi, 10)
+
+
 class TestCost:
     def test_sigma_scaling_is_linear(self):
         delays = DelayPair(0.3, 0.6)

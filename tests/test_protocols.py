@@ -23,8 +23,7 @@ from spinrelax.protocols import (
     raw_protocol_count,
     sensitivity_ratio_curve,
 )
-from spinrelax.protocols import _function_classes  # white box: dedup internals
-from spinrelax.protocols import _probe_lattice
+from spinrelax.protocols import _CLASS_MIX, _probe_lattice  # white box: the class table
 from spinrelax.rates import model_gradient, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
@@ -107,39 +106,59 @@ class TestCensusCounts:
         assert ROBUST_LABEL in labels
         assert OPTIMAL_LABEL in labels
 
+    def test_pinned_protocols_equal_reference_specs(self):
+        by_label = {p.label: p for p in enumerate_protocols()}
+        assert by_label[ROBUST_LABEL] == ROBUST_PROTOCOL
+        assert by_label[OPTIMAL_LABEL] == OPTIMAL_PROTOCOL
+
+
+def class_key(m):
+    """Test-side key: bright level plus the unordered dark pair."""
+    bright = m.first if m.first[0] == m.first[1] else m.second
+    dark = m.second if bright is m.first else m.first
+    return bright[0], tuple(sorted(dark))
+
+
+def lattice_signature(measurement):
+    taus, gps, gms = _probe_lattice(5)
+    value = normalized_expectation(measurement, taus, (gps, gms), IDEAL_RANKING_PARAMS)
+    return np.ravel(value)
+
 
 class TestClassStructure:
     def test_nine_classes_of_four(self):
-        measurements = enumerate_measurements()
-        class_of, reps, distinct = _function_classes(measurements, 5)
-        assert len(reps) == 9
-        assert distinct == 7
-        sizes = np.bincount(class_of)
-        assert sizes.tolist() == [4] * 9
+        by_key = {}
+        for m in enumerate_measurements():
+            by_key.setdefault(class_key(m), []).append(m)
+        assert set(by_key) == set(_CLASS_MIX)
+        assert [len(members) for members in by_key.values()] == [4] * 9
 
     def test_symbolic_keys_match_numeric_classes(self):
-        # independent re-derivation: bright level + unordered dark pair
-        measurements = enumerate_measurements()
-        class_of, reps, _ = _function_classes(measurements, 5)
+        by_key = {}
+        for m in enumerate_measurements():
+            by_key.setdefault(class_key(m), []).append(lattice_signature(m))
+        distinct = []
+        for first, *rest in by_key.values():
+            for sig in rest:
+                np.testing.assert_allclose(sig, first, rtol=0, atol=1e-12)
+            if not any(np.max(np.abs(first - ref)) <= 1e-12 for ref in distinct):
+                distinct.append(first)
+        assert len(distinct) == 7 == census().distinct_function_count
 
-        def key(m):
-            bright = m.first if m.first[0] == m.first[1] else m.second
-            dark = m.second if bright is m.first else m.first
-            return bright[0], tuple(sorted(dark))
+    def test_census_rejects_swapped_class_mix(self, monkeypatch):
+        table = dict(_CLASS_MIX)
+        a, b = ("0", ("+", "0")), ("+", ("+", "0"))
+        table[a], table[b] = table[b], table[a]
+        monkeypatch.setattr("spinrelax.protocols._CLASS_MIX", table)
+        with pytest.raises(RuntimeError, match="deviates from its class kernel"):
+            census()
 
-        by_class = {}
-        for m, k in zip(measurements, class_of):
-            by_class.setdefault(k, set()).add(key(m))
-        for keys in by_class.values():
-            assert len(keys) == 1
+    def test_enumeration_reads_no_counts(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("enumeration evaluated expected signals")
 
-    def test_order_independent_dedup(self):
-        measurements = enumerate_measurements()
-        rng = np.random.default_rng(5)
-        shuffled = [measurements[i] for i in rng.permutation(len(measurements))]
-        _, reps_a, _ = _function_classes(measurements, 5)
-        _, reps_b, _ = _function_classes(shuffled, 5)
-        assert {m.label for m in reps_a} == {m.label for m in reps_b}
+        monkeypatch.setattr("spinrelax.protocols.expected_signals", fail)
+        assert len(enumerate_protocols()) == 36
 
     def test_row_sum_identity_merges_three_classes(self):
         # P_aa - P_cd with {a, c, d} all three levels equals
