@@ -74,8 +74,8 @@ class DelayPair:
     tau_minus: float
 
     def __post_init__(self):
-        if not (self.tau_plus > 0.0 and self.tau_minus > 0.0):
-            raise ValueError("delays must be positive")
+        if not (0.0 < self.tau_plus < np.inf and 0.0 < self.tau_minus < np.inf):
+            raise ValueError("delays must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

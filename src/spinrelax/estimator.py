@@ -18,6 +18,12 @@ propagated in the absolute form sigma_m^2 = z_max^2 sigma_A^2 + A^2 sigma_z^2,
 which is algebraically the relative-error form wherever A != 0 but remains
 defined at A = 0.  Per-signal variances are the observed counts (the Poisson
 maximum-likelihood estimate).
+
+A measurement's four counts arrive as one length-4 array in the column order
+of `signals.expected_signals`: first and second signal at tau, then at
+tau = 0.  One private kernel, `_ratio`, turns (A, sigma_A^2, Delta,
+sigma_Delta^2) into m and sigma_m, for sampled counts in
+measurement_estimate and for expected counts in sigma_m_from_expectations.
 """
 
 from __future__ import annotations
@@ -86,14 +92,29 @@ def reciprocal_mode(delta_mean, delta_sigma):
     return z, sigma_z
 
 
-def measurement_estimate(four):
-    """RatioEstimate from the four raw signals of one measurement.
+def _ratio(a, var_a, delta, var_delta):
+    """M = a / delta through the reciprocal mode, with its propagated width.
 
-    Expects the signal pair ordered so the expected tau = 0 difference is
-    positive (see Measurement.oriented); a sampled nonpositive denominator is
-    still estimated, and flagged via RatioEstimate.delta_nonpositive.
+    Returns (m, sigma_m, z, sigma_z); vectorizes over array arguments.
     """
-    s1t, s2t, s10, s20 = (s.counts for s in four.as_tuple())
+    z, sigma_z = reciprocal_mode(delta, np.sqrt(var_delta))
+    return a * z, np.sqrt(z * z * var_a + a * a * sigma_z * sigma_z), z, sigma_z
+
+
+def measurement_estimate(counts):
+    """RatioEstimate from the four photon counts of one measurement.
+
+    `counts` is a length-4 array of nonnegative counts in expected_signals'
+    column order: first and second signal at tau, then at tau = 0, as
+    sample_signals returns them.  Expects the signal pair ordered so the
+    expected tau = 0 difference is positive (see Measurement.oriented); a
+    sampled nonpositive denominator is still estimated, and flagged via
+    RatioEstimate.delta_nonpositive.
+    """
+    counts = np.asarray(counts)
+    if counts.shape != (4,) or not np.all(counts >= 0):
+        raise ValueError("counts must be four nonnegative values")
+    s1t, s2t, s10, s20 = counts.tolist()
     if s1t == 0 and s2t == 0 and s10 == 0 and s20 == 0:
         raise EstimationError("all four signals recorded zero counts")
     numerator = float(s1t - s2t)
@@ -106,17 +127,8 @@ def measurement_estimate(four):
     # A tau pair that recorded no photons still carries shot-scale
     # uncertainty; floor the variance at one count so sigma_m stays positive.
     var_a = float(max(s1t + s2t, 1))
-    z, sigma_z = reciprocal_mode(delta, np.sqrt(var_delta))
-    m_bar = numerator * z
-    sigma_m = float(np.sqrt(z * z * var_a + numerator * numerator * sigma_z * sigma_z))
-    return RatioEstimate(
-        m_bar=float(m_bar),
-        sigma_m=sigma_m,
-        z_max=float(z),
-        sigma_z=float(sigma_z),
-        numerator_a=numerator,
-        denominator_delta=delta,
-    )
+    ratio = _ratio(numerator, var_a, delta, var_delta)
+    return RatioEstimate(*map(float, ratio), numerator_a=numerator, denominator_delta=delta)
 
 
 def sigma_m_from_expectations(e1_tau, e2_tau, e1_zero, e2_zero):
@@ -127,13 +139,10 @@ def sigma_m_from_expectations(e1_tau, e2_tau, e1_zero, e2_zero):
     arrays; the tau = 0 pair is typically scalar.  Returns (m, sigma_m).
     """
     e1_tau = np.asarray(e1_tau, dtype=float)
-    e2_tau = np.asarray(e2_tau, dtype=float)
-    delta = np.asarray(e1_zero, dtype=float) - e2_zero
-    var_delta = np.asarray(e1_zero, dtype=float) + e2_zero
-    z, sigma_z = reciprocal_mode(delta, np.sqrt(var_delta))
-    numerator = e1_tau - e2_tau
-    sigma_m = np.sqrt(z * z * (e1_tau + e2_tau) + numerator * numerator * sigma_z * sigma_z)
-    m = numerator * z
+    e1_zero = np.asarray(e1_zero, dtype=float)
+    m, sigma_m, _, _ = _ratio(
+        e1_tau - e2_tau, e1_tau + e2_tau, e1_zero - e2_zero, e1_zero + e2_zero
+    )
     if m.ndim == 0:
         return float(m), float(sigma_m)
     return m, sigma_m

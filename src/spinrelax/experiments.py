@@ -40,9 +40,8 @@ from .posterior import (
     regrid,
 )
 from .protocols import measurement_curves
-from .rates import RatePair
+from .rates import BRANCHES, RatePair
 from .signals import (
-    FourSignals,
     ProtocolSpec,
     ROBUST_PROTOCOL,
     SignalParams,
@@ -129,6 +128,7 @@ class ExperimentConfig:
                 values = np.asarray(scalars, dtype=float)
                 if np.any(values <= 0.0) or np.any(np.diff(values) <= 0.0):
                     raise ValueError("scalar nap_delays must be positive and strictly increasing")
+        self.nap_delay_pairs()  # every entry a positive delay or pair, before any run
         if not 0.0 <= self.selector_overhead_s < np.inf:
             raise ValueError("selector_overhead_s must be finite and nonnegative")
         _check_drift_fields(self.drifts)
@@ -142,13 +142,16 @@ class ExperimentConfig:
         return self.delay_grid if self.delay_grid is not None else DelayGrid.default()
 
     def nap_delay_pairs(self):
+        """One DelayPair per nap_delays entry; a scalar sets both branches."""
         pairs = []
         for d in self.nap_delays:
-            if np.ndim(d) == 0:
-                pairs.append(DelayPair(tau_plus=float(d), tau_minus=float(d)))
-            else:
-                tp, tm = d
-                pairs.append(DelayPair(tau_plus=float(tp), tau_minus=float(tm)))
+            taus = np.asarray(d, dtype=float)
+            if taus.shape not in ((), (2,)):
+                raise ValueError(
+                    f"nap_delays entries must be a delay or a (tau_plus, tau_minus) pair, got {d!r}"
+                )
+            tau_plus, tau_minus = np.broadcast_to(taus, (2,)).tolist()
+            pairs.append(DelayPair(tau_plus=tau_plus, tau_minus=tau_minus))
         return pairs
 
 
@@ -256,17 +259,16 @@ class RunRecord:
 
 
 def _acquire_four(config, measurement, tau, rng, t_start, duration_s):
-    """One acquisition's four signals; a noiseless run takes the expectations as counts."""
+    """One acquisition's four counts; a noiseless run takes the expected totals as counts."""
     args = (measurement, tau, config.true_rates, config.params)
     if config.noiseless:
-        expectations = _block_means(*args, config.drifts, t_start, duration_s)[1].tolist()
-        return FourSignals.of(measurement, tau, expectations, expectations)
+        return _block_means(*args, config.drifts, t_start, duration_s)[1]
     return sample_signals(*args, rng, config.drifts, t_start, duration_s)
 
 
-def _estimate_pair(four_plus, four_minus, delays):
-    est_plus = measurement_estimate(four_plus)
-    est_minus = measurement_estimate(four_minus)
+def _estimate_pair(counts_plus, counts_minus, delays):
+    est_plus = measurement_estimate(counts_plus)
+    est_minus = measurement_estimate(counts_minus)
     return MeasurementPair(
         m_plus=est_plus.m_bar,
         m_minus=est_minus.m_bar,
@@ -306,9 +308,9 @@ class _Ledger:
         start = self.t_physical
         d_plus = self.timing.branch_seconds(delays.tau_plus)
         d_minus = self.timing.branch_seconds(delays.tau_minus)
-        four_plus = _acquire_four(config, plus, delays.tau_plus, rng, start, d_plus)
-        four_minus = _acquire_four(config, minus, delays.tau_minus, rng, start + d_plus, d_minus)
-        return four_plus, four_minus
+        counts_plus = _acquire_four(config, plus, delays.tau_plus, rng, start, d_plus)
+        counts_minus = _acquire_four(config, minus, delays.tau_minus, rng, start + d_plus, d_minus)
+        return counts_plus, counts_minus
 
     def log(self, delays, pair, flagged, state, cpu=0.0):
         """Advance the clocks by one acquisition and record it with `state`."""
@@ -388,11 +390,11 @@ def run_adaptive(config):
             cloud = ParticleCloud.from_grid(posterior, config.particle_count, rng)
             delays = pf_select_delays(cloud, timing, curves, grid_spec)
 
-        four_plus, four_minus = ledger.acquire(config, plus, minus, delays, rng)
+        counts = ledger.acquire(config, plus, minus, delays, rng)
         pair = None
         flagged = False
         try:
-            pair = _estimate_pair(four_plus, four_minus, delays)
+            pair = _estimate_pair(*counts, delays)
             posterior = regrid(bayes_update(posterior, pair, curves.pair_value), config.grid_size)
         except (EstimationError, UpdateRejected):
             flagged = True
@@ -405,31 +407,14 @@ def run_adaptive(config):
     return ledger.run_record(config.optimizer, posterior, state)
 
 
-class _Aggregate:
-    """Per-delay accumulated counts and expectations for one branch."""
-
-    def __init__(self, measurement, tau):
-        self.measurement = measurement
-        self.tau = tau
-        self.counts = [0.0, 0.0, 0.0, 0.0]
-        self.expectations = [0.0, 0.0, 0.0, 0.0]
-
-    def add(self, four):
-        for k, sample in enumerate(four.as_tuple()):
-            self.counts[k] += sample.counts
-            self.expectations[k] += sample.expectation
-
-    def four_signals(self):
-        return FourSignals.of(self.measurement, self.tau, self.counts, self.expectations)
-
-
 def run_nap(config, stop_sigma=None, max_physical_s=None):
     """Fixed-list run: sweep, accumulate, recompute from aggregates.
 
-    After each sweep the posterior is rebuilt from a fresh prior by folding
-    in one aggregate measurement pair per delay, in list order, through the
-    same update and regrid calls as the adaptive loop; with zero sweeps the
-    prior is returned unchanged.  `stop_sigma` (pair) ends the run early
+    Each delay pair's counts accumulate in one (pairs, 2, 4) float array, a
+    row of four counts per branch.  After each sweep the posterior is rebuilt
+    from a fresh prior by folding in one aggregate measurement pair per
+    delay, in list order, through the same update and regrid calls as the
+    adaptive loop; with zero sweeps the prior is returned unchanged.  `stop_sigma` (pair) ends the run early
     once both posterior widths drop below it; `max_physical_s` caps the
     accumulated acquisition time.  Delays carrying an unusable aggregate
     (zero counts) are skipped and counted as flagged for that sweep.
@@ -441,32 +426,25 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     plus = config.protocol.plus.oriented(config.params)
     minus = config.protocol.minus.oriented(config.params)
     pairs = config.nap_delay_pairs()
-    aggregates = [
-        (_Aggregate(plus, d.tau_plus), _Aggregate(minus, d.tau_minus)) for d in pairs
-    ]
+    totals = np.zeros((len(pairs), 2, 4))
 
     posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
     ledger = _Ledger(config.resolved_timing())
     state = moments(posterior)
     for _ in range(config.iterations):
-        for (agg_plus, agg_minus), delays in zip(aggregates, pairs):
-            four_plus, four_minus = ledger.acquire(config, plus, minus, delays, rng)
-            agg_plus.add(four_plus)
-            agg_minus.add(four_minus)
+        for total, delays in zip(totals, pairs):
+            counts = ledger.acquire(config, plus, minus, delays, rng)
+            total += counts
             try:
-                probe = _estimate_pair(four_plus, four_minus, delays)
+                probe = _estimate_pair(*counts, delays)
             except EstimationError:
                 probe = None
             ledger.log(delays, probe, probe is None, state)
 
         rebuilt = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
-        for agg_plus, agg_minus in aggregates:
+        for total, delays in zip(totals, pairs):
             try:
-                pair = _estimate_pair(
-                    agg_plus.four_signals(),
-                    agg_minus.four_signals(),
-                    DelayPair(tau_plus=agg_plus.tau, tau_minus=agg_minus.tau),
-                )
+                pair = _estimate_pair(*total, delays)
                 rebuilt = regrid(bayes_update(rebuilt, pair, curves.pair_value), config.grid_size)
             except (EstimationError, UpdateRejected):
                 ledger.flagged_count += 1
@@ -523,6 +501,8 @@ def time_to_reach(record, target_plus, target_minus, with_overhead=False):
 
 def sigma_trace_slope(record, branch="+", decades=1.0, with_overhead=False):
     """Log-log slope of the posterior width trace over its final decade(s)."""
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     times, sp, sm = record.trace(with_overhead=with_overhead)
     sigma = sp if branch == "+" else sm
     if times.size < 3:

@@ -21,7 +21,9 @@ interleaves them in hardware, which is what makes slow drift cancel.  All
 blocks are evaluated together: each parameter field as one array, checked
 in one pass by SignalParams' own domain rules, the propagator once per
 delay, the four expected counts of every block in one stacked computation,
-and the counts in one Poisson draw over the (blocks, 4) means.
+and the counts in one Poisson draw over the (blocks, 4) means.  A
+measurement's four counts travel as one length-4 array, in the column order
+of `expected_signals`: first and second signal at tau, then at tau = 0.
 `expected_signals` is the one place that builds a measurement's four
 expected counts; it also takes delay arrays, for ranking and census.
 """
@@ -40,8 +42,6 @@ __all__ = [
     "STATES",
     "STATE_INDEX",
     "SignalParams",
-    "SignalSample",
-    "FourSignals",
     "Measurement",
     "ProtocolSpec",
     "ROBUST_PROTOCOL",
@@ -76,8 +76,9 @@ def _positive_whole(values):
 # of per-block values, message.  SignalParams checks itself as one block.
 _DOMAIN_RULES = (
     ("f0", lambda v: (v > 0.0) & np.isfinite(v), "f0 must be positive"),
-    ("contrast_C", lambda v: (0.0 <= v) & (v < 1.0), "contrast_C must lie in [0, 1)"),
-    # At alpha = 1/3 the pumped state is fully mixed; every difference signal is 0.
+    # At contrast_C = 0 |+-1> and |0> fluoresce alike, and at alpha = 1/3 the
+    # pumped state is fully mixed; either way every difference signal is 0.
+    ("contrast_C", lambda v: (0.0 < v) & (v < 1.0), "contrast_C must lie in (0, 1)"),
     ("alpha", lambda v: (1.0 / 3.0 < v) & (v <= 1.0), "alpha must lie in (1/3, 1]"),
     ("eta_plus", lambda v: (0.0 <= v) & (v < 0.5), "eta_plus must lie in [0, 0.5)"),
     ("eta_minus", lambda v: (0.0 <= v) & (v < 0.5), "eta_minus must lie in [0, 0.5)"),
@@ -149,26 +150,6 @@ def collection_vector(params):
     """Expected photons per readout conditioned on the pre-readout state."""
     dim = params.f0 * (1.0 - params.contrast_C)
     return np.stack([dim, params.f0, dim], axis=-1)
-
-
-@dataclass(frozen=True)
-class SignalSample:
-    """One recorded signal: a photon sum over R repetitions and its mean.
-
-    `counts` is an int when drawn by sample_signals, and a float where it is
-    an expectation (noiseless runs) or a sum accumulated in floats (the
-    fixed-sweep aggregates).
-    """
-
-    counts: int | float
-    expectation: float
-    tau: float
-    prep: str
-    read: str
-
-    def __post_init__(self):
-        if self.counts < 0:
-            raise ValueError("counts must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -279,35 +260,16 @@ def _stack_blocks(params, drifts=None, times=(None,), reps=None):
     return blocks
 
 
-@dataclass(frozen=True)
-class FourSignals:
-    """The four raw signals of one measurement: pair at tau, pair at tau = 0."""
-
-    first_tau: SignalSample
-    second_tau: SignalSample
-    first_zero: SignalSample
-    second_zero: SignalSample
-
-    def as_tuple(self):
-        return (self.first_tau, self.second_tau, self.first_zero, self.second_zero)
-
-    @classmethod
-    def of(cls, measurement, tau, counts, expectations):
-        """Assemble from per-signal values given in field order."""
-        preps, reads = zip(*(measurement.first, measurement.second) * 2)
-        return cls(*map(SignalSample, counts, expectations, (tau, tau, 0.0, 0.0), preps, reads))
-
-
 def expected_signals(measurement, tau, rates, blocks):
     """Expected photon sums of a measurement's four signals, per delay and block.
 
     `tau` is a delay or an array of delays (ms); `blocks` is one SignalParams
     (a single block) or a stack of parameter blocks from `_stack_blocks`,
     each block with its own repetitions_R.  Returns shape
-    tau.shape + (blocks, 4), so a scalar delay gives (blocks, 4);
-    columns in FourSignals order: first and second signal at tau, then at
-    tau = 0, whose values broadcast along the delay axes.  Over a delay
-    array, the blocks' backgrounds must be all constants or all callables.
+    tau.shape + (blocks, 4), so a scalar delay gives (blocks, 4); the
+    columns are the first and second signal at tau, then at tau = 0, whose
+    values broadcast along the delay axes.  Over a delay array, the blocks'
+    backgrounds must be all constants or all callables.
     The propagator is evaluated once per delay; the blocks' prep/collection
     vectors and pulse matrices are stacked and combined with batched matmul,
     which reproduces each scalar expected_counts call bit for bit.
@@ -343,7 +305,10 @@ def sample_signals(
     duration_s=0.0,
     block_reps=1000,
 ):
-    """Draw the four Poisson signals of one measurement.
+    """Draw the four Poisson photon sums of one measurement.
+
+    Returns the integer counts as one length-4 array in expected_signals'
+    column order: first and second signal at tau, then at tau = 0.
 
     Static parameters use a single draw per signal at the full-R expectation.
     With a drift schedule the acquisition is split into interleaved blocks of
@@ -358,11 +323,10 @@ def sample_signals(
     one Poisson draw over the (blocks, 4) means consumes the generator in
     block-major order.  Static parameters are the one-block case.
     """
-    means, expectations = _block_means(
+    means, _ = _block_means(
         measurement, tau, rates, params, drifts, t_start, duration_s, block_reps
     )
-    counts = rng.poisson(means).sum(axis=0)
-    return FourSignals.of(measurement, tau, counts.tolist(), expectations.tolist())
+    return rng.poisson(means).sum(axis=0)
 
 
 def _block_means(measurement, tau, rates, params, drifts, t_start, duration_s, block_reps=1000):

@@ -64,13 +64,7 @@ from spinrelax.rates import (
     model_m,
     propagator_entries,
 )
-from spinrelax.signals import (
-    STATE_INDEX,
-    FourSignals,
-    SignalSample,
-    _check_drift_fields,
-    expected_counts,
-)
+from spinrelax.signals import STATE_INDEX, _check_drift_fields, expected_counts
 
 # Basis order (-, 0, +) -> indices (0, 1, 2).
 
@@ -285,7 +279,9 @@ def looped_sample_signals(
     block_reps=1000,
 ):
     """Block-by-block sampler: four scalar expected_counts calls and four
-    scalar Poisson draws per block, in block-major order."""
+    scalar Poisson draws per block, in block-major order.  Returns the four
+    (counts, expectations) as lists of ints and floats, first and second
+    signal at tau, then at tau = 0."""
     total_r = params.repetitions_R
     if drifts is None:
         means = _signal_means(measurement, tau, rates, params)
@@ -309,15 +305,7 @@ def looped_sample_signals(
                     raise ValueError("negative expected counts under drift")
                 counts[k] += int(rng.poisson(mean))
                 expectations[k] += mean
-
-    (p1, r1), (p2, r2) = measurement.first, measurement.second
-    labels = [(p1, r1), (p2, r2), (p1, r1), (p2, r2)]
-    taus = [tau, tau, 0.0, 0.0]
-    samples = [
-        SignalSample(counts=c, expectation=float(e), tau=t, prep=lab[0], read=lab[1])
-        for c, e, t, lab in zip(counts, expectations, taus, labels)
-    ]
-    return FourSignals(*samples)
+    return counts, [float(e) for e in expectations]
 
 
 def chi_squared_field(pair, gamma_plus, gamma_minus, model=model_m):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -14,15 +14,10 @@ from spinrelax.estimator import (
     bias_study,
     measurement_estimate,
     reciprocal_mode,
+    sigma_m_from_expectations,
 )
 from spinrelax.rates import RatePair
-from spinrelax.signals import (
-    ROBUST_PROTOCOL,
-    FourSignals,
-    SignalParams,
-    SignalSample,
-    sample_signals,
-)
+from spinrelax.signals import ROBUST_PROTOCOL, SignalParams, sample_signals
 
 FIG_PARAMS = SignalParams()
 RATES = RatePair(1.0, 3.0)
@@ -110,21 +105,9 @@ class TestReciprocalMode:
         assert s[1] > 0.0
 
 
-def four_from_counts(c1t, c2t, c10, c20, tau=1.0):
-    def sample(counts, t, prep, read):
-        return SignalSample(counts=counts, expectation=float(counts), tau=t, prep=prep, read=read)
-
-    return FourSignals(
-        first_tau=sample(c1t, tau, "0", "0"),
-        second_tau=sample(c2t, tau, "+", "0"),
-        first_zero=sample(c10, 0.0, "0", "0"),
-        second_zero=sample(c20, 0.0, "+", "0"),
-    )
-
-
 class TestMeasurementEstimate:
     def test_linear_propagation_limit(self):
-        est = measurement_estimate(four_from_counts(900000, 300000, 1000000, 200000))
+        est = measurement_estimate(np.array([900000, 300000, 1000000, 200000]))
         a, delta = 600000.0, 800000.0
         assert est.m_bar == pytest.approx(a / delta, rel=1e-3)
         var_lin = (a / delta) ** 2 * ((900000 + 300000) / a**2 + (1200000) / delta**2)
@@ -132,24 +115,49 @@ class TestMeasurementEstimate:
         assert not est.delta_nonpositive
 
     def test_zero_numerator_keeps_positive_sigma(self):
-        est = measurement_estimate(four_from_counts(0, 0, 100, 20))
+        est = measurement_estimate(np.array([0, 0, 100, 20]))
         assert est.m_bar == 0.0
         assert est.sigma_m > 0.0
         assert est.sigma_m == pytest.approx(est.z_max, rel=1e-12)
 
     def test_nonpositive_denominator_is_flagged_not_fatal(self):
-        est = measurement_estimate(four_from_counts(40, 10, 20, 35))
+        est = measurement_estimate(np.array([40, 10, 20, 35]))
         assert est.delta_nonpositive
         assert est.m_bar > 0.0  # mode of the reciprocal stays positive
         assert np.isfinite(est.sigma_m)
 
     def test_all_zero_counts_rejected(self):
         with pytest.raises(EstimationError):
-            measurement_estimate(four_from_counts(0, 0, 0, 0))
+            measurement_estimate(np.array([0, 0, 0, 0]))
 
     def test_empty_denominator_rejected(self):
         with pytest.raises(EstimationError):
-            measurement_estimate(four_from_counts(5, 3, 0, 0))
+            measurement_estimate(np.array([5, 3, 0, 0]))
+
+    @pytest.mark.parametrize(
+        "counts", [[1, 2, 3], [1, 2, 3, 4, 5], [[1, 2], [3, 4]], [5, -1, 20, 3], [5, 1, np.nan, 3]]
+    )
+    def test_rejects_malformed_counts(self, counts):
+        with pytest.raises(ValueError, match="four nonnegative") as raised:
+            measurement_estimate(np.array(counts))
+        assert not isinstance(raised.value, EstimationError)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.one_of(
+            st.lists(st.integers(0, 10**7), min_size=4, max_size=4),
+            st.lists(st.floats(0.0, 1e7), min_size=4, max_size=4),
+        )
+    )
+    def test_agrees_with_expectation_path_bit_for_bit(self, counts):
+        # Sampled counts (ints) and noiseless totals (floats) take the ratio
+        # kernel the expectation path takes: wherever var_a is not floored,
+        # the two agree exactly.
+        s1t, s2t, s10, s20 = counts
+        assume(s1t + s2t >= 1 and s10 + s20 >= 1)
+        est = measurement_estimate(np.array(counts))
+        m, sigma_m = sigma_m_from_expectations(*counts)
+        assert (est.m_bar, est.sigma_m) == (m, sigma_m)
 
     def test_monte_carlo_mean_matches_model(self):
         # Sampled estimates at the reference configuration should average
@@ -162,8 +170,8 @@ class TestMeasurementEstimate:
         )
         values = []
         for _ in range(400):
-            four = sample_signals(meas, tau, RATES, FIG_PARAMS, rng)
-            values.append(measurement_estimate(four).m_bar)
+            counts = sample_signals(meas, tau, RATES, FIG_PARAMS, rng)
+            values.append(measurement_estimate(counts).m_bar)
         values = np.asarray(values)
         sem = values.std() / np.sqrt(values.size)
         assert abs(values.mean() - truth) < 4.0 * sem

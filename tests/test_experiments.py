@@ -78,6 +78,20 @@ class TestConfigValidation:
         )
         assert len(cfg.nap_delay_pairs()) == 2
 
+    @pytest.mark.parametrize("optimizer", ["nap", "nob"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((0.5, -1.0), "delays must be positive"),
+            ((0.5, float("inf")), "delays must be positive and finite"),
+            ((0.5, 1.0, 2.0), "entries must be a delay or"),
+        ],
+    )
+    def test_every_nap_entry_checked_at_construction(self, optimizer, entry, message):
+        # Rejected when the config is built, not midway through a run.
+        with pytest.raises(ValueError, match=message):
+            fig_defaults(optimizer=optimizer, nap_delays=((0.1, 0.2), entry))
+
     def test_wrong_runner(self):
         with pytest.raises(ValueError):
             run_adaptive(fig_defaults(optimizer="nap", nap_delays=(0.1, 0.2)))
@@ -434,6 +448,12 @@ class TestTraceAnalysis:
         rec = self.synthetic_record([1.0, 4.0, 16.0, 64.0], [4.0, 2.0, 3.0, 1.0])
         (t, ok), _ = time_to_reach(rec, 1.5, 1.5)
         assert ok and 16.0 < t < 64.0
+
+    def test_sigma_slope_rejects_unknown_branch(self):
+        rec = self.synthetic_record([1.0, 4.0, 16.0], [4.0, 2.0, 1.0])
+        assert sigma_trace_slope(rec, "-") == pytest.approx(-0.5)
+        with pytest.raises(ValueError, match="branch must be one of"):
+            sigma_trace_slope(rec, "x")
 
     def test_sigma_slope_near_square_root(self):
         rec = run_adaptive(fig_defaults(iterations=30, seed=17))
