@@ -36,6 +36,7 @@ import inspect
 import json
 import math
 import os
+import platform
 import sys
 
 import numpy as np
@@ -69,12 +70,18 @@ class ConfigError(ValueError):
 
 @dataclasses.dataclass(frozen=True)
 class RunManifest:
-    """Provenance record written next to every artifact set."""
+    """Provenance record written next to every artifact set.
+
+    The Python and numpy versions sit outside the config hash: seeded
+    outputs are bit-identical only under the same numpy kernels.
+    """
 
     command: str
     config_sha256: str
     seed: int
     tool_version: str
+    python_version: str
+    numpy_version: str
     created_utc: str
     outputs: tuple
 
@@ -429,6 +436,8 @@ def _write_run(args, command, config, seed, outputs):
         config_sha256=digest,
         seed=seed,
         tool_version=__version__,
+        python_version=platform.python_version(),
+        numpy_version=np.__version__,
         created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         outputs=tuple(files),
     )

@@ -30,9 +30,12 @@ rescales the cost, so the deterministic optimizer minimizes the cost at
 unit sigma_M.  The cost separates into 1-D tables over a log delay grid
 (a, b and the G-^2 b^2 + G+^2 a^2 term over tau_plus, the rest over
 tau_minus), so that optimizer, used between iterations, takes an exact
-bounded argmin: it skips grid blocks that cannot hold the minimum and
-returns np.argmin's cell, ties going to the smallest tau_plus, then
-tau_minus.  A stochastic particle-cloud optimizer, the alternative, sums a
+bounded argmin.  Per block of grid cells, the tables' minima and maxima
+bound a d and b c by interval arithmetic; the bound on |a d - b c| follows,
+so does a lower bound on the block's cost, and blocks bounded above a
+probed cell are skipped.  The rest are evaluated, and np.argmin's cell is
+returned, ties going to the smallest tau_plus, then tau_minus.  A
+stochastic particle-cloud optimizer, the alternative, sums a
 variance-proxy utility over particle blocks in numpy's order.  Every
 width, cost and optimizer takes the protocol's BranchCurves
 (`protocols.measurement_curves`); none assumes a protocol.
@@ -66,6 +69,12 @@ __all__ = [
 
 class UninformativeDesign(RuntimeError):
     """Raised when a delay pair cannot constrain both rates."""
+
+
+def _check_positive_int(value, name):
+    # bool is an int; True would pass as 1.
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value > 0):
+        raise ValueError(f"{name} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -125,9 +134,7 @@ class TimingModel:
     per_shot_time: float = 0.0
 
     def __post_init__(self):
-        reps = self.repetitions_R
-        if isinstance(reps, bool) or not (isinstance(reps, (int, np.integer)) and reps > 0):
-            raise ValueError("repetitions_R must be a positive integer")
+        _check_positive_int(self.repetitions_R, "repetitions_R")
         if not (0.0 <= self.overhead_T0 < np.inf and 0.0 <= self.per_shot_time < np.inf):
             raise ValueError("times must be finite and nonnegative")
 
@@ -289,9 +296,37 @@ def approx_cost_surface(grid, rates, timing, curves):
     return cells(*np.ix_(index, index))
 
 
-# _bounded_argmin's block edge (the last block is clipped) and probe stride.
-_BLOCK = 20
-_PROBE = 10
+# _bounded_argmin's block edge (the last block is clipped) and probe stride,
+# both measured on fig2 NOB states and the fig7 ranking.
+_BLOCK = 12
+_PROBE = 24
+
+
+def _det_bound(tables, starts):
+    """Per block pair, the largest |a[r] d[c] - b[r] c[c]| a cell can compute.
+
+    Interval arithmetic (Moore 1966): over a block pair a d spans the
+    products of a's and d's block minima and maxima, b c likewise, and
+    |a d - b c| <= max(|ad_lo - bc_hi|, |ad_hi - bc_lo|).  Rounding to
+    nearest is monotone, so these rounded products and differences bound
+    the cells' rounded ones too, even where a d and b c cancel to the last
+    ulp: no rounding term is needed.
+    """
+    table = np.stack(tables)
+    # ends[k, e, block]: table k's block minimum (e = 0) and maximum (e = 1)
+    ends = np.stack(
+        [np.minimum.reduceat(table, starts, axis=1), np.maximum.reduceat(table, starts, axis=1)],
+        axis=1,
+    )
+
+    def span(row, col):
+        """Block-pair minimum and maximum of the table products row[r] col[c]."""
+        ends_row, ends_col = ends[row][:, None, :, None], ends[col][None, :, None, :]
+        products = (ends_row * ends_col).reshape(4, starts.size, starts.size)
+        return products.min(axis=0), products.max(axis=0)
+
+    (ad_lo, ad_hi), (bc_lo, bc_hi) = span(0, 3), span(1, 2)
+    return np.maximum(np.abs(ad_lo - bc_hi), np.abs(ad_hi - bc_lo))
 
 
 def _bounded_argmin(grid, rates, sigma_m, timing, curves):
@@ -302,11 +337,13 @@ def _bounded_argmin(grid, rates, sigma_m, timing, curves):
         cells(r, c) = sqrt(t(r, c) (plus[r] + minus[c])) / (G+ G- |a[r] d[c] - b[r] c[c]|),
 
     with the duration t increasing in both delays.  So t at a block's first
-    delays, the minima of plus and minus, and G+ G- (max|a| max|d| +
-    max|b| max|c|) bound a block from below (Land and Doig 1960).  Blocks
-    bounded above the best probe cell are skipped; the rest are evaluated
-    in one cells call.  Every block is evaluated when a table is not
-    finite, G+ G- <= 0, or no probe cell is finite.
+    delays, the minima of plus and minus, and G+ G- times an interval bound
+    on |a d - b c| (_det_bound) bound a block from below (Land and Doig
+    1960).  The interval bound, unlike max|a| max|d| + max|b| max|c|, sees
+    a d and b c cancel where the tables share a sign, as the robust
+    protocol's do.  Blocks bounded above the best probe cell are skipped;
+    the rest are evaluated in one cells call.  Every block is evaluated
+    when a table is not finite, G+ G- <= 0, or no probe cell is finite.
     """
     taus = grid.taus
     n = taus.size
@@ -319,26 +356,29 @@ def _bounded_argmin(grid, rates, sigma_m, timing, curves):
         upper = cells(*np.ix_(probe, probe)).min()
         if np.isfinite(upper):
             plus, minus = (np.minimum.reduceat(x, starts) for x in (plus, minus))
-            a, b, c, d = (np.maximum.reduceat(np.abs(x), starts) for x in tables)
             t = timing.duration_seconds(*np.ix_(taus[starts], taus[starts]))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                bound = np.sqrt(t * np.add.outer(plus, minus)) / (
-                    gp * gm * (np.multiply.outer(a, d) + np.multiply.outer(b, c))
-                )
-            # The slack covers rounding in the cells and in the bound; a NaN
-            # bound keeps its block.
+                det = _det_bound(tables, starts)
+                bound = np.sqrt(t * np.add.outer(plus, minus)) / (gp * gm * det)
+            # The bound repeats the cells' rounded operations with t, plus and
+            # minus no larger and |det| no smaller than at any cell of its
+            # block, so it is below each of them (rounding is monotone); the
+            # slack is a margin on top.  A NaN bound keeps its block.
             keep = ~(bound * (1.0 - 1e-9) > upper)
     block_rows, block_cols = np.nonzero(keep)
     offsets = np.arange(_BLOCK)
     row = np.minimum(starts[block_rows, None] + offsets, n - 1)[:, :, None]
     col = np.minimum(starts[block_cols, None] + offsets, n - 1)[:, None, :]
     values = cells(row, col)
-    # A NaN minimum makes every NaN cell a hit, as in np.argmin.
-    hits = (values == values.min()) | np.isnan(values)
-    flat = np.where(hits, row * n + col, n * n)
-    k = np.argmin(flat)
-    i, j = divmod(int(flat.flat[k]), n)
-    return i, j, float(values.flat[k])
+    low = values.min()
+    # A NaN minimum makes every NaN cell a hit, as in np.argmin; the first
+    # hit in (tau_plus, tau_minus) order wins.
+    hits = np.flatnonzero(np.isnan(values) if np.isnan(low) else values == low)
+    k, r, c = np.unravel_index(hits, values.shape)
+    flat = row[k, r, 0] * n + col[k, 0, c]
+    first = np.argmin(flat)
+    i, j = divmod(int(flat[first]), n)
+    return i, j, float(values.flat[hits[first]])
 
 
 def nob_select_delays(rates, timing, curves, grid=None):
@@ -442,17 +482,21 @@ def pf_select_delays(cloud, timing, curves, grid=None, subgrid=100):
     The utility of a delay pair is the cloud variance of the predicted
     measurement value per branch (how much the candidate measurement is
     expected to discriminate between posterior hypotheses), scaled by
-    1/sqrt(T).  The variances are summed in particle blocks, in numpy's
-    order, so they equal the dense (particle, delay) sums bit for bit.  A
-    degenerate cloud falls back to the deterministic optimizer at the
+    1/sqrt(T).  `subgrid`, a positive integer, thins the scored delays to
+    every (size // subgrid)-th grid delay, or every delay when it exceeds
+    the grid size.
+    The variances are summed in particle blocks, in numpy's order, so they
+    equal the dense (particle, delay) sums bit for bit.  A degenerate cloud
+    falls back to the deterministic optimizer at the
     point-mass rates.
     """
+    _check_positive_int(subgrid, "subgrid")
     if grid is None:
         grid = DelayGrid.default()
     mean_rates = tuple(np.average(cloud.gammas, axis=0, weights=cloud.weights))
     if cloud.is_degenerate():
         return nob_select_delays(mean_rates, timing, curves, grid)
-    step = max(1, grid.taus.size // int(subgrid))
+    step = max(1, grid.taus.size // subgrid)
     taus = grid.taus[::step]
     var_plus, var_minus = _branch_variances(cloud, taus, curves)
     t = timing.duration_seconds(taus[:, None], taus[None, :])

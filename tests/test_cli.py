@@ -3,9 +3,11 @@
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import spinrelax
@@ -283,6 +285,8 @@ class TestSimulate:
         assert summary["runs"][0]["seed"] == 7
         manifest = json.loads(read(run_dir, "manifest.json"))
         assert set(manifest["outputs"]) >= {"config.json", "records.jsonl", "summary.json"}
+        assert manifest["python_version"] == platform.python_version()
+        assert manifest["numpy_version"] == np.__version__
 
     def test_manifest_hash_matches_canonical_config(self, fast_config, tmp_path, capsys):
         main(["simulate", "--config", fast_config, "--out", str(tmp_path)])

@@ -15,9 +15,11 @@ from spinrelax.design import (
     ParticleCloud,
     TimingModel,
     UninformativeDesign,
+    _BLOCK,
     _PARTICLES,
     _bounded_argmin,
     _branch_variances,
+    _det_bound,
     approx_cost_surface,
     cost_surface,
     gaussian_sigma,
@@ -40,6 +42,7 @@ from spinrelax.protocols import (
     measurement_curves,
     minimal_cost,
 )
+from spinrelax import design
 from spinrelax.rates import RatePair, model_gradient, model_m
 from spinrelax.signals import OPTIMAL_PROTOCOL, ROBUST_PROTOCOL, SignalParams
 
@@ -424,6 +427,127 @@ class TestBoundedArgmin:
         assert np.any(np.isinf(surface)) and value == surface.min()
 
 
+def table_curves(taus, tables):
+    """BranchCurves whose gradients over taus are (g_pp, g_pm, g_mp, g_mm)."""
+    g_pp, g_pm, g_mp, g_mm = tables
+
+    def gradient(tau, rates, branch):
+        k = np.searchsorted(taus, tau)
+        return (g_pp[k], g_pm[k]) if branch == "+" else (g_mp[k], g_mm[k])
+
+    return BranchCurves(value=model_m, gradient=gradient, pair_value=ROBUST_CURVES.pair_value)
+
+
+def synthetic_tables(rng, taus, kind):
+    """Gradient tables (g_pp, g_pm, g_mp, g_mm) for the interval bound's hard cases.
+
+    "sign changes": waves fast enough to cross zero inside a block.
+    "cancelling": g_pm = s g_pp and g_mm = s g_mp to a few ulp, so
+    a d - b c is a few ulp of a d, on all or half of the tau_minus axis.
+    "stepped": the same with piecewise-constant tables jittered by an ulp,
+    so many blocks see spans a few ulp wide.
+    """
+    n = taus.size
+    x = np.log(taus)
+
+    def wave():
+        freq = np.exp(rng.uniform(0.0, np.log(300.0)))
+        offset = rng.uniform(-1.0, 1.0) if rng.uniform() < 0.5 else 0.0
+        return rng.lognormal() * (np.sin(freq * x + rng.uniform(0.0, 2.0 * np.pi)) + offset)
+
+    def steps():
+        levels = np.repeat(rng.normal(size=n), rng.integers(1, 30, n))[:n]
+        return levels * (1.0 + rng.integers(-2, 3, n) * 2.0**-52)
+
+    if kind == "sign changes":
+        return wave(), wave(), wave(), wave()
+    f, h = (wave(), wave()) if kind == "cancelling" else (steps(), steps())
+    s = rng.choice([-1.0, 1.0]) * rng.lognormal()
+    near = s * h * (1.0 + rng.integers(-3, 4, n) * 2.0**-52)
+    mask = rng.uniform(size=n) < rng.choice([0.5, 1.0])
+    return f, s * f, h, np.where(mask, near, wave())
+
+
+class TestIntervalBound:
+    """The interval bound on synthetic tables, against np.argmin."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.one_of(st.integers(2, 80), st.sampled_from([239, 240, 1000])),
+        kind=st.sampled_from(["sign changes", "cancelling", "stepped"]),
+        seed=st.integers(0, 2**32 - 1),
+        sigma=st.sampled_from(["approx", "scalar", "callable", "mixed"]),
+        timing=st.sampled_from(TIMINGS),
+    )
+    def test_synthetic_tables_match_exhaustive(self, size, kind, seed, sigma, timing):
+        rng = np.random.default_rng(seed)
+        grid = DelayGrid.default(size)
+        taus = grid.taus
+        curves = table_curves(taus, synthetic_tables(rng, taus, kind))
+        rates = tuple(np.exp(rng.uniform(np.log(0.06), np.log(90.0), 2)))
+
+        def sigma_callable():
+            table = rng.lognormal(np.log(0.03), 1.0, taus.size)
+            return lambda t: table[np.searchsorted(taus, t)]
+
+        scalars = tuple(rng.uniform(1e-3, 1.0, 2))
+        sigma_m = {
+            "approx": None,
+            "scalar": scalars,
+            "callable": (sigma_callable(), sigma_callable()),
+            "mixed": (scalars[0], sigma_callable())[:: rng.choice([-1, 1])],
+        }[sigma]
+        kernel_and_exhaustive(grid, rates, timing, curves, sigma_m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        size=st.one_of(st.integers(2, 80), st.sampled_from([239, 1000])),
+        kind=st.sampled_from(["sign changes", "cancelling", "stepped"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_det_bound_covers_every_rounded_cell(self, size, kind, seed):
+        # The cells compute a[r] * d[c] - b[r] * c[c] in this order.
+        a, b, c, d = synthetic_tables(np.random.default_rng(seed), DelayGrid.default(size).taus, kind)
+        starts = np.arange(0, size, _BLOCK)
+        block = np.arange(size) // _BLOCK
+        det = np.abs(np.multiply.outer(a, d) - np.multiply.outer(b, c))
+        assert np.all(det <= _det_bound((a, b, c, d), starts)[np.ix_(block, block)])
+
+
+class TestPruning:
+    """Cells the bounded argmin evaluates, probe included, at the fig2 and fig7 inputs.
+
+    The ceilings sit 2 to 3% above the counts measured with the interval
+    bound (18,612 and 23,364); the triangle bound max|a| max|d| + max|b| max|c|
+    on 20-cell blocks evaluated 120,800 and 49,200.
+    """
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        count = [0]
+        kernel = design._cost_kernel
+
+        def counting_kernel(*args):
+            tables, sums, cells = kernel(*args)
+
+            def counting_cells(row, col):
+                count[0] += np.broadcast(row, col).size
+                return cells(row, col)
+
+            return tables, sums, counting_cells
+
+        monkeypatch.setattr(design, "_cost_kernel", counting_kernel)
+        return count
+
+    def test_fig2_truth(self, counted):
+        nob_select_delays(RATES, TIMING, measurement_curves(ROBUST_PROTOCOL))
+        assert 0 < counted[0] <= 19_000
+
+    def test_fig7_optimal_protocol(self, counted):
+        minimal_cost(OPTIMAL_PROTOCOL, RATES)
+        assert 0 < counted[0] <= 24_000
+
+
 class TestNobSelect:
     def test_equal_rates_pick_equal_delays(self):
         delays = nob_select_delays((2.0, 2.0), TIMING, ROBUST_CURVES)
@@ -511,6 +635,18 @@ class TestParticleSelect:
             ROBUST_CURVES,
         )
         assert a == b
+
+    @pytest.mark.parametrize("subgrid", [0, -5, 2.5, 100.0, True])
+    def test_subgrid_must_be_a_positive_integer(self, subgrid):
+        # 0 divided by zero, -5 scored every delay and 2.5 was truncated.
+        cloud = self.make_cloud(np.random.default_rng(4), n=50)
+        with pytest.raises(ValueError, match="subgrid must be a positive integer"):
+            pf_select_delays(cloud, TIMING, ROBUST_CURVES, subgrid=subgrid)
+
+    def test_subgrid_takes_numpy_integers(self):
+        cloud = self.make_cloud(np.random.default_rng(4), n=50)
+        a = pf_select_delays(cloud, TIMING, ROBUST_CURVES, subgrid=np.int64(40))
+        assert a == pf_select_delays(cloud, TIMING, ROBUST_CURVES, subgrid=40)
 
     def test_cloud_validation(self):
         with pytest.raises(ValueError):
