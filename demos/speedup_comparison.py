@@ -14,7 +14,6 @@ grows into the hundreds.
 import numpy as np
 
 from spinrelax.experiments import speedup_study
-from spinrelax.signals import SignalParams
 
 RATE_POINTS = np.geomspace(0.055, 20.0, 4)  # 1/ms, equal-rate diagonal
 REPLICATES = 3
@@ -24,7 +23,6 @@ SEED = 5
 def main():
     study = speedup_study(
         [(g, g) for g in RATE_POINTS],
-        params=SignalParams(repetitions_R=10**5),
         replicates=REPLICATES,
         adaptive_iterations=15,
         seed=SEED,

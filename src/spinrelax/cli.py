@@ -43,10 +43,11 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .design import DelayGrid, TimingModel
+from .design import DEFAULT_GRID, DelayGrid, TimingModel
 from .estimator import bias_study
 from .experiments import (
     NAP_DEFAULT_DELAYS,
+    SPEEDUP_PARAMS,
     ExperimentConfig,
     replicate_seeds,
     run_adaptive,
@@ -141,13 +142,12 @@ _DEFAULTS = {
         },
     },
     "speedup": {
-        "params": {**_SIGNAL, "repetitions_R": 10**5},
+        "params": dataclasses.asdict(SPEEDUP_PARAMS),
         "speedup": {
             "rate_lo_per_ms": 0.05,
             "rate_hi_per_ms": 100.0,
             "rate_points": 5,
-            "replicates": 10,
-            **_defaults(speedup_study, "adaptive_iterations", "budget_factor", "seed"),
+            **_defaults(speedup_study, "replicates", "adaptive_iterations", "budget_factor", "seed"),
         },
     },
 }
@@ -193,7 +193,7 @@ _KINDS = {
         "seed": int,
     },
 }
-_GRID_NAMES = {"default": DelayGrid.default, "wide": DelayGrid.wide}
+_GRID_NAMES = {"default": DEFAULT_GRID, "wide": DelayGrid.wide()}
 
 # Ranges of the fields that no library object checks before work starts
 # (the ranking and speedup sweeps are checked by _check_ranges itself).
@@ -393,7 +393,7 @@ def _signal_params(config):
 
 def _delay_grid(spec):
     if isinstance(spec, str):
-        return _GRID_NAMES[spec]()
+        return _GRID_NAMES[spec]
     return _built("delays.grid", DelayGrid.from_bounds, *spec.values())
 
 

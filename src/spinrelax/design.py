@@ -55,6 +55,7 @@ __all__ = [
     "UninformativeDesign",
     "DelayPair",
     "DelayGrid",
+    "DEFAULT_GRID",
     "TimingModel",
     "GaussianApprox",
     "BranchCurves",
@@ -89,34 +90,40 @@ class DelayPair:
 
 @dataclass(frozen=True, eq=False)
 class DelayGrid:
-    """Log-spaced candidate delays shared by both axes of the scan."""
+    """Log-spaced candidate delays shared by both axes of the scan, as a read-only copy."""
 
     taus: np.ndarray
 
     def __post_init__(self):
-        taus = np.asarray(self.taus, dtype=float)
+        taus = np.array(self.taus, dtype=float)
         if taus.ndim != 1 or taus.size < 2:
             raise ValueError("delay grid needs at least two points")
         if np.any(taus <= 0.0) or np.any(np.diff(taus) <= 0.0):
             raise ValueError("delay grid must be positive and strictly increasing")
+        taus.flags.writeable = False
         object.__setattr__(self, "taus", taus)
 
     @classmethod
     def default(cls, size=1000):
         """Experiment regime: 3 microseconds to 5.5 ms."""
-        return cls(np.geomspace(3e-3, 5.5, int(size)))
+        return cls.from_bounds(3e-3, 5.5, size)
 
     @classmethod
     def wide(cls, size=1000):
         """Wide regime: 1 microsecond to 1 second."""
-        return cls(np.geomspace(1e-3, 1e3, int(size)))
+        return cls.from_bounds(1e-3, 1e3, size)
 
     @classmethod
-    def from_bounds(cls, lo, hi, size=1000):
+    def from_bounds(cls, lo, hi, size):
+        _check_positive_int(size, "size")
         lo, hi = float(lo), float(hi)
         if not 0.0 < lo < hi < np.inf:
             raise ValueError("delay grid must be positive and strictly increasing")
-        return cls(np.geomspace(lo, hi, int(size)))
+        return cls(np.geomspace(lo, hi, size))
+
+
+# The delay grid of every selector and ranking not given one.
+DEFAULT_GRID = DelayGrid.default()
 
 
 @dataclass(frozen=True)
@@ -381,16 +388,14 @@ def _bounded_argmin(grid, rates, sigma_m, timing, curves):
     return i, j, float(values.flat[hits[first]])
 
 
-def nob_select_delays(rates, timing, curves, grid=None):
+def nob_select_delays(rates, timing, curves, grid=DEFAULT_GRID):
     """Deterministic optimizer: exact bounded argmin of approx_cost_surface.
 
-    Returns np.argmin's cell of the full surface, ties going to the smallest
-    tau_plus, then tau_minus.  `rates` may be posterior moments
+    Returns np.argmin's cell of the full surface over `grid`, ties going to
+    the smallest tau_plus, then tau_minus.  `rates` may be posterior moments
     (mean_plus/mean_minus), a RatePair, or a plain (gamma_plus, gamma_minus)
     tuple.
     """
-    if grid is None:
-        grid = DelayGrid.default()
     if hasattr(rates, "mean_plus"):
         rates = (rates.mean_plus, rates.mean_minus)
     i, j, _ = _bounded_argmin(grid, rates, (1.0, 1.0), timing, curves)
@@ -418,10 +423,8 @@ class ParticleCloud:
         object.__setattr__(self, "weights", weights / total)
 
     @classmethod
-    def from_grid(cls, grid, n=10**5, rng=None):
-        """Draw n particles from a posterior grid, jittered within cells."""
-        if rng is None:
-            rng = np.random.default_rng()
+    def from_grid(cls, grid, n, rng):
+        """Draw n particles from a posterior grid with generator `rng`, jittered within cells."""
         w = grid.weights.ravel()
         idx = rng.choice(w.size, size=int(n), p=w)
         i, j = np.unravel_index(idx, grid.weights.shape)
@@ -476,23 +479,21 @@ def _branch_variances(cloud, taus, curves):
     return variances
 
 
-def pf_select_delays(cloud, timing, curves, grid=None, subgrid=100):
+def pf_select_delays(cloud, timing, curves, grid=DEFAULT_GRID, subgrid=100):
     """Stochastic optimizer: variance-proxy utility over a delay subgrid.
 
     The utility of a delay pair is the cloud variance of the predicted
     measurement value per branch (how much the candidate measurement is
     expected to discriminate between posterior hypotheses), scaled by
     1/sqrt(T).  `subgrid`, a positive integer, thins the scored delays to
-    every (size // subgrid)-th grid delay, or every delay when it exceeds
-    the grid size.
+    every (size // subgrid)-th delay of `grid`, or every delay when it
+    exceeds the grid size.
     The variances are summed in particle blocks, in numpy's order, so they
     equal the dense (particle, delay) sums bit for bit.  A degenerate cloud
     falls back to the deterministic optimizer at the
     point-mass rates.
     """
     _check_positive_int(subgrid, "subgrid")
-    if grid is None:
-        grid = DelayGrid.default()
     mean_rates = tuple(np.average(cloud.gammas, axis=0, weights=cloud.weights))
     if cloud.is_degenerate():
         return nob_select_delays(mean_rates, timing, curves, grid)

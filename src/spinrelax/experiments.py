@@ -15,11 +15,12 @@ Delays are milliseconds, rates 1/ms, wall-clock seconds throughout.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
 from .design import (
+    DEFAULT_GRID,
     DelayGrid,
     DelayPair,
     ParticleCloud,
@@ -53,6 +54,7 @@ from .signals import (
 __all__ = [
     "NAP_DEFAULT_DELAYS",
     "OPTIMIZERS",
+    "SPEEDUP_PARAMS",
     "ExperimentConfig",
     "IterationRecord",
     "TracePoint",
@@ -69,8 +71,11 @@ __all__ = [
 
 OPTIMIZERS = ("nob", "pf", "nap")
 
-# Fixed-sweep default: 20 log-spaced delays, 3 microseconds to 5.5 ms.
-NAP_DEFAULT_DELAYS = tuple(np.geomspace(3e-3, 5.5, 20))
+# Fixed-sweep default: 20 log-spaced delays over the default grid's span.
+NAP_DEFAULT_DELAYS = tuple(DelayGrid.default(20).taus)
+
+# The speedup study's acquisition: default parameters at R = 1e5.
+SPEEDUP_PARAMS = SignalParams(repetitions_R=10**5)
 
 
 def _is_integer(value):
@@ -85,6 +90,7 @@ class ExperimentConfig:
     optimizer.  `nap_delays` entries are scalars (both branches at that
     delay) or (tau_plus, tau_minus) pairs; scalar lists must be strictly
     increasing, pair lists are taken in the given acquisition order.
+    `delay_grid` is the selectors' candidate grid; `prior_bounds` need 0 < lo < hi < inf.
     `drifts` maps SignalParams field names to callables of wall-clock
     seconds.  `selector_overhead_s` is the deterministic per-iteration CPU
     charge recorded in the run.
@@ -96,7 +102,7 @@ class ExperimentConfig:
     optimizer: str = "nob"
     iterations: int = 30
     nap_delays: tuple = ()
-    delay_grid: object = None
+    delay_grid: DelayGrid = DEFAULT_GRID
     prior_bounds: tuple = DEFAULT_BOUNDS
     grid_size: int = GRID_SIZE
     timing: object = None
@@ -118,8 +124,8 @@ class ExperimentConfig:
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
         lo, hi = self.prior_bounds
-        if not (0.0 < lo < hi):
-            raise ValueError("prior_bounds must satisfy 0 < lo < hi")
+        if not (0.0 < lo < hi < np.inf):
+            raise ValueError("prior_bounds must satisfy 0 < lo < hi < inf")
         if self.optimizer == "nap" and len(self.nap_delays) == 0:
             raise ValueError("the nap optimizer needs a nonempty nap_delays list")
         if self.nap_delays:
@@ -137,9 +143,6 @@ class ExperimentConfig:
         if self.timing is not None:
             return self.timing
         return TimingModel(repetitions_R=self.params.repetitions_R)
-
-    def resolved_delay_grid(self):
-        return self.delay_grid if self.delay_grid is not None else DelayGrid.default()
 
     def nap_delay_pairs(self):
         """One DelayPair per nap_delays entry; a scalar sets both branches."""
@@ -375,7 +378,6 @@ def run_adaptive(config):
         raise ValueError("run_adaptive needs optimizer 'nob' or 'pf'")
     rng = np.random.default_rng(config.seed)
     timing = config.resolved_timing()
-    grid_spec = config.resolved_delay_grid()
     curves = measurement_curves(config.protocol)
     posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
     plus = config.protocol.plus.oriented(config.params)
@@ -385,10 +387,10 @@ def run_adaptive(config):
     state = moments(posterior)
     for _ in range(config.iterations):
         if config.optimizer == "nob":
-            delays = nob_select_delays(state, timing, curves, grid_spec)
+            delays = nob_select_delays(state, timing, curves, config.delay_grid)
         else:
             cloud = ParticleCloud.from_grid(posterior, config.particle_count, rng)
-            delays = pf_select_delays(cloud, timing, curves, grid_spec)
+            delays = pf_select_delays(cloud, timing, curves, config.delay_grid)
 
         counts = ledger.acquire(config, plus, minus, delays, rng)
         pair = None
@@ -467,15 +469,15 @@ def replicate_seeds(base_seed, count):
     return [int(child.generate_state(1)[0]) for child in seq.spawn(count)]
 
 
-def time_to_reach(record, target_plus, target_minus, with_overhead=False):
-    """Earliest times at which each posterior width reaches its target.
+def time_to_reach(record, target_plus, target_minus):
+    """Earliest physical times at which each posterior width reaches its target.
 
     Uses the running-minimum envelope of the sigma trace with log-log
     interpolation between points, and a 1/sqrt(T) extrapolation before the
     first point.  Returns ((t_plus, reached_plus), (t_minus, reached_minus));
     an unreached target reports the last trace time with reached = False.
     """
-    times, sp, sm = record.trace(with_overhead=with_overhead)
+    times, sp, sm = record.trace(with_overhead=False)
     if times.size == 0:
         raise ValueError("record carries no completed updates")
     out = []
@@ -499,15 +501,15 @@ def time_to_reach(record, target_plus, target_minus, with_overhead=False):
     return out[0], out[1]
 
 
-def sigma_trace_slope(record, branch="+", decades=1.0, with_overhead=False):
-    """Log-log slope of the posterior width trace over its final decade(s)."""
+def sigma_trace_slope(record, branch="+"):
+    """Log-log slope of a branch's width trace over its final decade of physical time."""
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
-    times, sp, sm = record.trace(with_overhead=with_overhead)
+    times, sp, sm = record.trace(with_overhead=False)
     sigma = sp if branch == "+" else sm
     if times.size < 3:
         raise ValueError("need at least three trace points to fit a slope")
-    keep = times >= times[-1] / 10.0 ** decades
+    keep = times >= times[-1] / 10.0
     if keep.sum() < 3:
         keep = np.ones_like(times, dtype=bool)
     slope = np.polyfit(np.log(times[keep]), np.log(sigma[keep]), 1)[0]
@@ -552,13 +554,9 @@ class SpeedupStudy:
 
 def speedup_study(
     rate_pairs,
-    params=None,
-    replicates=30,
+    params=SPEEDUP_PARAMS,
+    replicates=10,
     adaptive_iterations=20,
-    nap_delays=NAP_DEFAULT_DELAYS,
-    adaptive_grid=None,
-    prior_bounds=DEFAULT_BOUNDS,
-    grid_size=GRID_SIZE,
     budget_factor=64.0,
     seed=0,
 ):
@@ -567,62 +565,46 @@ def speedup_study(
     For each rate pair, runs `replicates` adaptive and fixed-sweep
     replicates with independent seed streams, then compares every pairing:
     the fixed arm's interpolated time to reach the adaptive run's final
-    widths, over the adaptive run's total time.  The fixed arm stops early
-    once it beats the easiest target comfortably and is capped at
-    `budget_factor` times the longest adaptive run; pairings that never
-    reach their target within the cap are reported at the cap and counted
-    as lower bounds.  Physical acquisition time only; selector CPU is
-    excluded on both arms.
+    widths, over the adaptive run's total time.  The adaptive arm runs NOB
+    on the wide delay grid, so slow rates stay optimally measurable, and the
+    fixed arm sweeps NAP_DEFAULT_DELAYS; both start from the default prior.
+    The fixed arm stops early once it beats the easiest target comfortably
+    and is capped at `budget_factor` times the longest adaptive run;
+    pairings that never reach their target within the cap are reported at
+    the cap and counted as lower bounds.  Physical acquisition time only;
+    selector CPU is excluded on both arms.
     """
-    if params is None:
-        params = SignalParams()
     if replicates < 2:
         raise ValueError("need at least two replicates per arm")
-    if adaptive_grid is None:
-        # wide selection range so slow rates stay optimally measurable
-        adaptive_grid = DelayGrid.wide()
     rate_pairs = [(float(a), float(b)) for a, b in rate_pairs]
     points = []
-    seeds = replicate_seeds(seed, 2 * replicates * len(rate_pairs))
-    seed_iter = iter(seeds)
+    seed_iter = iter(replicate_seeds(seed, 2 * replicates * len(rate_pairs)))
+    wide = DelayGrid.wide()
     for gp, gm in rate_pairs:
-        rates = RatePair(float(gp), float(gm))
-        adaptive_runs = []
-        for _ in range(replicates):
-            cfg = ExperimentConfig(
-                true_rates=rates,
-                params=params,
-                optimizer="nob",
-                iterations=adaptive_iterations,
-                delay_grid=adaptive_grid,
-                prior_bounds=prior_bounds,
-                grid_size=grid_size,
-                seed=next(seed_iter),
-            )
-            adaptive_runs.append(run_adaptive(cfg))
+        rates = RatePair(gp, gm)
+        adaptive_arm = ExperimentConfig(
+            true_rates=rates,
+            params=params,
+            optimizer="nob",
+            iterations=adaptive_iterations,
+            delay_grid=wide,
+        )
+        adaptive_runs = [
+            run_adaptive(replace(adaptive_arm, seed=next(seed_iter))) for _ in range(replicates)
+        ]
         targets = [(r.final.sigma_plus, r.final.sigma_minus) for r in adaptive_runs]
         tightest = (min(t[0] for t in targets), min(t[1] for t in targets))
+        stop_sigma = (0.95 * tightest[0], 0.95 * tightest[1])
         budget = budget_factor * max(r.total_physical_s for r in adaptive_runs)
 
-        nap_runs = []
-        for _ in range(replicates):
-            cfg = ExperimentConfig(
-                true_rates=rates,
-                params=params,
-                optimizer="nap",
-                iterations=10 ** 9,  # capped by budget / stop rule below
-                nap_delays=tuple(nap_delays),
-                prior_bounds=prior_bounds,
-                grid_size=grid_size,
-                seed=next(seed_iter),
-            )
-            nap_runs.append(
-                run_nap(
-                    cfg,
-                    stop_sigma=(0.95 * tightest[0], 0.95 * tightest[1]),
-                    max_physical_s=budget,
-                )
-            )
+        # Sweeps until the stop rule or the budget ends the run.
+        fixed_arm = replace(
+            adaptive_arm, optimizer="nap", iterations=10**9, nap_delays=NAP_DEFAULT_DELAYS
+        )
+        nap_runs = [
+            run_nap(replace(fixed_arm, seed=next(seed_iter)), stop_sigma, budget)
+            for _ in range(replicates)
+        ]
 
         speedups_plus = []
         speedups_minus = []

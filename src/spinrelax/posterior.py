@@ -32,6 +32,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .design import _check_positive_int
+
 __all__ = [
     "DEFAULT_BOUNDS",
     "GRID_SIZE",
@@ -104,8 +106,9 @@ class PosteriorGrid:
         for axis in (gp, gm):
             if axis.ndim != 1 or axis.size < 2:
                 raise ValueError("each axis needs at least two points")
-            if np.any(np.diff(axis) <= 0.0):
-                raise ValueError("axes must be strictly increasing")
+            # Finite first: a NaN difference (an infinite end) passes a `<= 0` test.
+            if not (np.all(np.isfinite(axis)) and np.all(np.diff(axis) > 0.0)):
+                raise ValueError("axes must be finite and strictly increasing")
             if axis[0] < lo - 1e-12 or axis[-1] > hi + 1e-12:
                 raise ValueError("axis values must lie within hard_bounds")
         if lw.shape != (gp.size, gm.size):
@@ -159,17 +162,16 @@ def _log_normalizer(a):
     return np.log1p(s) + np.log(count) + peak
 
 
-def initial_grid(bounds=None, size=GRID_SIZE):
-    """Fresh evenly spaced grid over `bounds`, flat in rate.
+def initial_grid(bounds=DEFAULT_BOUNDS, size=GRID_SIZE):
+    """Fresh evenly spaced `size` x `size` grid over `bounds`, flat in rate.
 
-    `bounds` are also the hard prior support of every later regrid.
+    `bounds` (0 < lo < hi < inf) are also the hard prior support of every later regrid.
     """
-    if bounds is None:
-        bounds = DEFAULT_BOUNDS
     lo, hi = bounds
-    if not (0.0 < lo < hi):
-        raise ValueError("bounds must satisfy 0 < lo < hi")
-    axis = np.linspace(lo, hi, int(size))
+    if not (0.0 < lo < hi < np.inf):
+        raise ValueError("bounds must satisfy 0 < lo < hi < inf")
+    _check_positive_int(size, "size")
+    axis = np.linspace(lo, hi, size)
     return PosteriorGrid(
         gamma_plus_axis=axis,
         gamma_minus_axis=axis.copy(),

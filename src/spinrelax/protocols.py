@@ -55,7 +55,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .design import BranchCurves, DelayGrid, DelayPair, TimingModel, _bounded_argmin
+from .design import DEFAULT_GRID, BranchCurves, DelayPair, TimingModel, _bounded_argmin
 from .estimator import sigma_m_from_expectations
 from .rates import _gradient, _pair_values, _values
 from .signals import (
@@ -308,19 +308,15 @@ def _sigma_callable(measurement, rates, params):
     return sigma
 
 
-def minimal_cost(protocol, rates, params=None, timing=None, grid=None):
+def minimal_cost(protocol, rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID):
     """Lowest achievable cost and its delay pair for one protocol.
 
-    An exact bounded argmin of cost_surface, sigma_M being the protocol's
-    shot noise per delay: the cell and value of np.argmin over the full
-    surface, ties going to the smallest tau_plus, then tau_minus.
+    An exact bounded argmin of cost_surface over `grid`, sigma_M being the
+    protocol's shot noise per delay under `params` and the timing
+    TimingModel(params.repetitions_R): the cell and value of np.argmin over
+    the full surface, ties going to the smallest tau_plus, then tau_minus.
     """
-    if params is None:
-        params = IDEAL_RANKING_PARAMS
-    if timing is None:
-        timing = TimingModel(repetitions_R=params.repetitions_R)
-    if grid is None:
-        grid = DelayGrid.default()
+    timing = TimingModel(repetitions_R=params.repetitions_R)
     curves = measurement_curves(protocol)
     sigma_m = (
         _sigma_callable(protocol.plus, rates, params),
@@ -330,8 +326,8 @@ def minimal_cost(protocol, rates, params=None, timing=None, grid=None):
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j])), value
 
 
-def rank_protocols(rates, params=None, timing=None, grid=None):
-    """All independent protocols ranked by their minimal cost.
+def rank_protocols(rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID):
+    """All independent protocols ranked by their minimal cost (minimal_cost).
 
     Ratios are relative to the reference pair probing both diagonal bright
     entries, which is expected to rank first; rate-insensitive protocols
@@ -341,7 +337,7 @@ def rank_protocols(rates, params=None, timing=None, grid=None):
     results = []
     reference_cost = None
     for protocol in protocols:
-        delays, value = minimal_cost(protocol, rates, params, timing, grid)
+        delays, value = minimal_cost(protocol, rates, params, grid)
         results.append((protocol, delays, value))
         if protocol == OPTIMAL_PROTOCOL:
             reference_cost = value
@@ -359,19 +355,18 @@ def rank_protocols(rates, params=None, timing=None, grid=None):
     return ProtocolRanking(entries=entries, reference_label=OPTIMAL_LABEL)
 
 
-def sensitivity_ratio_curve(ratios=None, params=None, timing=None, grid=None):
-    """Robust-vs-reference cost ratio swept over the rate asymmetry.
+def sensitivity_ratio_curve(ratios, params=IDEAL_RANKING_PARAMS):
+    """Robust-vs-reference cost ratio swept over the rate asymmetries `ratios`.
 
     Rates are parameterized as (sqrt(r), 1/sqrt(r)) so the geometric mean
-    stays 1; a common rate rescaling leaves every ratio unchanged.  Returns
+    stays 1; a common rate rescaling leaves every ratio unchanged.  Each
+    cost is minimal_cost's under `params` on the default grid.  Returns
     rows of (rate_ratio, cost_robust, cost_optimal, cost_ratio).
     """
-    if ratios is None:
-        ratios = np.geomspace(0.125, 8.0, 13)
     rows = []
     for r in np.asarray(ratios, dtype=float):
         rates = (np.sqrt(r), 1.0 / np.sqrt(r))
-        _, cost_robust = minimal_cost(ROBUST_PROTOCOL, rates, params, timing, grid)
-        _, cost_optimal = minimal_cost(OPTIMAL_PROTOCOL, rates, params, timing, grid)
+        _, cost_robust = minimal_cost(ROBUST_PROTOCOL, rates, params)
+        _, cost_optimal = minimal_cost(OPTIMAL_PROTOCOL, rates, params)
         rows.append((float(r), cost_robust, cost_optimal, cost_robust / cost_optimal))
     return rows

@@ -65,9 +65,6 @@ class RatePair:
         if gp <= 0.0 or gm <= 0.0:
             raise ValueError("rates must be strictly positive (zero-rate systems are out of scope)")
 
-    def as_tuple(self):
-        return (self.gamma_plus, self.gamma_minus)
-
     def swapped(self):
         """Exchange the roles of the two rates."""
         return RatePair(self.gamma_minus, self.gamma_plus)

@@ -60,6 +60,9 @@ STATE_INDEX = {"-": 0, "0": 1, "+": 2}
 
 _DRIFTABLE = ("f0", "contrast_C", "alpha", "eta_plus", "eta_minus", "background")
 
+# Repetitions per interleaved block of a drifted acquisition.
+_BLOCK_REPS = 1000
+
 
 def _nonnegative_or_callable(values):
     numbers = np.array([0.0 if callable(b) else b for b in values])
@@ -204,13 +207,6 @@ class ProtocolSpec:
     def label(self):
         return f"{self.plus.label},{self.minus.label}"
 
-    def branch(self, branch):
-        if branch == "+":
-            return self.plus
-        if branch == "-":
-            return self.minus
-        raise ValueError(f"branch must be '+' or '-', got {branch!r}")
-
 
 ROBUST_PROTOCOL = ProtocolSpec(
     plus=Measurement(("+", "0"), ("0", "0")),
@@ -303,7 +299,7 @@ def sample_signals(
     drifts=None,
     t_start=0.0,
     duration_s=0.0,
-    block_reps=1000,
+    block_reps=_BLOCK_REPS,
 ):
     """Draw the four Poisson photon sums of one measurement.
 
@@ -329,7 +325,9 @@ def sample_signals(
     return rng.poisson(means).sum(axis=0)
 
 
-def _block_means(measurement, tau, rates, params, drifts, t_start, duration_s, block_reps=1000):
+def _block_means(
+    measurement, tau, rates, params, drifts, t_start, duration_s, block_reps=_BLOCK_REPS
+):
     """sample_signals' (blocks, 4) expected counts, checked nonnegative, and their totals."""
     if drifts is None:
         times, blocks = [None], params

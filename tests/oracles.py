@@ -45,7 +45,6 @@ from scipy.linalg import expm
 
 from spinrelax.design import (
     BranchCurves,
-    DelayGrid,
     DelayPair,
     UninformativeDesign,
     _jacobian,
@@ -393,10 +392,8 @@ def dense_branch_variances(cloud, taus, curves):
     return variances
 
 
-def dense_pf_select_delays(cloud, timing, curves, grid=None, subgrid=100):
+def dense_pf_select_delays(cloud, timing, curves, grid, subgrid):
     """The particle selector with the utility taken over whole arrays."""
-    if grid is None:
-        grid = DelayGrid.default()
     mean_rates = tuple(np.average(cloud.gammas, axis=0, weights=cloud.weights))
     if cloud.is_degenerate():
         return nob_select_delays(mean_rates, timing, curves, grid)

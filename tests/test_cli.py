@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import spinrelax
-from spinrelax.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _table_text, main
+from spinrelax.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    _resolve,
+    _table_text,
+    build_parser,
+    main,
+)
 from spinrelax.estimator import BiasStudyResult
 from spinrelax.experiments import SpeedupStudy
 from spinrelax.protocols import OPTIMAL_LABEL, ROBUST_LABEL, ProtocolRanking
@@ -399,6 +407,14 @@ class TestStudyCommands:
     def test_preset_run_directory_names(self, tmp_path, argv, name):
         # The name is the hash of the resolved config, so it pins every default.
         assert run_in(tmp_path, argv) == (EXIT_OK, [name])
+
+    def test_speedup_preset_name_without_running(self):
+        # As above for fig5, whose study is too long to run here: the hash of
+        # the resolved config pins the speedup defaults the library supplies.
+        config = _resolve("speedup", build_parser().parse_args(["speedup", "--preset", "fig5"]))
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        assert f"speedup-{digest[:12]}" == "speedup-fa6d94db6f60"
 
     def test_rank_protocols_artifacts(self, tmp_path, capsys):
         code = main(

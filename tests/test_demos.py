@@ -31,6 +31,15 @@ def test_protocol_ranking_demo(capsys):
     assert "robust-vs-optimal cost ratio across rate asymmetry" in out
 
 
+def test_speedup_comparison_demo(capsys):
+    load_demo("speedup_comparison").main()
+    out = capsys.readouterr().out
+    assert out.startswith("time-to-equal-width speedup, 3x3 pairings per rate point")
+    rows = [line.split() for line in out.splitlines() if line.endswith("/9")]
+    assert [row[0] for row in rows] == ["0.055", "0.393", "2.802", "20.000"]
+    assert rows[-1][-1] == "9/9"  # every pairing at 20 /ms hits the fixed arm's cap
+
+
 def test_estimator_bias_demo(capsys):
     load_demo("estimator_bias").main()
     out = capsys.readouterr().out

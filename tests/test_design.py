@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinrelax.design import (
+    DEFAULT_GRID,
     BranchCurves,
     DelayGrid,
     DelayPair,
@@ -185,6 +186,24 @@ class TestDelayGrid:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="positive and strictly increasing"):
                 DelayGrid.from_bounds(lo, hi, 10)
+
+    @pytest.mark.parametrize(
+        "make", [DelayGrid.default, DelayGrid.wide, lambda size: DelayGrid.from_bounds(1, 2, size)]
+    )
+    @pytest.mark.parametrize("size", [2.5, 3.0, True])
+    def test_size_must_be_an_integer(self, make, size):
+        with pytest.raises(ValueError, match="size must be a positive integer"):
+            make(size)
+
+    def test_taus_are_a_read_only_copy(self):
+        # Grids are shared (DEFAULT_GRID), so no caller may write into one.
+        source = np.geomspace(0.1, 1.0, 5)
+        grid = DelayGrid(source)
+        source[0] = 0.05
+        assert grid.taus[0] == 0.1
+        for taus in (grid.taus, DEFAULT_GRID.taus):
+            with pytest.raises(ValueError):
+                taus[0] = 1.0
 
 
 class TestCost:

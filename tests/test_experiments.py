@@ -67,6 +67,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             fig_defaults(**{field: value})
 
+    @pytest.mark.parametrize("bounds", [(0.1, np.inf), (0.0, 5.0), (2.0, 1.0)])
+    def test_prior_bounds_must_be_finite_and_ordered(self, bounds):
+        # An infinite bound made a NaN prior axis: every iteration flagged, NaN means.
+        with pytest.raises(ValueError, match="prior_bounds must satisfy 0 < lo < hi < inf"):
+            fig_defaults(prior_bounds=bounds)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
     def test_selector_overhead_must_be_finite_and_nonnegative(self, value):
         with pytest.raises(ValueError, match="selector_overhead_s"):

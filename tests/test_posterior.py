@@ -79,6 +79,23 @@ class TestGridConstruction:
                 log_weights=np.zeros((2, 2)),
             )
 
+    @pytest.mark.parametrize("bounds", [(0.1, np.inf), (0.0, 5.0), (np.nan, 5.0)])
+    def test_initial_grid_needs_finite_positive_bounds(self, bounds):
+        with pytest.raises(ValueError, match="0 < lo < hi < inf"):
+            initial_grid(bounds=bounds)
+
+    @pytest.mark.parametrize("end", [np.inf, np.nan])
+    def test_rejects_non_finite_axes(self, end):
+        # A NaN axis difference fails no `<= 0` check, so the values are checked.
+        axis = np.array([0.1, 1.0, end])
+        with pytest.raises(ValueError, match="axes must be finite"):
+            PosteriorGrid(axis, axis.copy(), np.zeros((3, 3)), hard_bounds=(0.1, np.inf))
+
+    @pytest.mark.parametrize("size", [3.7, 3.0, True])
+    def test_initial_grid_size_must_be_an_integer(self, size):
+        with pytest.raises(ValueError, match="size must be a positive integer"):
+            initial_grid(size=size)
+
     @pytest.mark.parametrize("fill", [-np.inf, np.inf])
     def test_rejects_non_finite_maximum(self, fill):
         # All -inf leaves nothing to normalize; any +inf is the maximum.

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import complex_step_gradient, entry_model_value, expm_propagator, model_m_optimal
-from spinrelax.design import DelayGrid, TimingModel
+from spinrelax.design import DelayGrid
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
     OPTIMAL_LABEL,
@@ -358,11 +358,7 @@ class TestRanking:
         # delay halves, every cost scales by 1/sqrt(2), ratios are unchanged
         grid = DelayGrid.default()
         halved = DelayGrid(taus=grid.taus / 2.0)
-        scaled = rank_protocols(
-            (2.0 * RATES[0], 2.0 * RATES[1]),
-            timing=TimingModel(repetitions_R=IDEAL_RANKING_PARAMS.repetitions_R),
-            grid=halved,
-        )
+        scaled = rank_protocols((2.0 * RATES[0], 2.0 * RATES[1]), grid=halved)
         by_label = {e.label: e for e in scaled.entries}
         for e in ranking.entries:
             s = by_label[e.label]

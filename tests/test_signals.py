@@ -325,11 +325,6 @@ class TestMeasurementSpec:
         # Orientation is idempotent.
         assert meas.oriented(FIG_PARAMS) == meas
 
-    def test_protocol_branch_lookup(self):
-        assert ROBUST_PROTOCOL.branch("+") is ROBUST_PROTOCOL.plus
-        with pytest.raises(ValueError):
-            ROBUST_PROTOCOL.branch("0")
-
 
 class TestSampling:
     def test_reproducible_given_seed(self):
