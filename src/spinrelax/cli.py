@@ -670,6 +670,11 @@ def _add_common(parser, rates_help):
     parser.add_argument("--rates", metavar="SPEC", help=rates_help)
 
 
+def _help(text, *defaults, sep=","):
+    """`text` followed by '(default V)', the defaults joined by `sep`."""
+    return f"{text} (default {sep.join(f'{v:g}' for v in defaults)})"
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spinrelax",
@@ -681,13 +686,15 @@ def build_parser():
     p = sub.add_parser("simulate", help="run adaptive or fixed-sweep estimation")
     _add_common(p, "true rates 'G+,G-' in /ms (required unless config or preset provides them)")
     p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--replicates", type=int, metavar="N", help="independent replicates (default 1)")
+    replicates = _help("independent replicates", _DEFAULTS["simulate"]["run"]["replicates"])
+    p.add_argument("--replicates", type=int, metavar="N", help=replicates)
     p.add_argument("--R", metavar="N", help="pulse-sequence repetitions per signal")
     p.add_argument("--optimizer", choices=("nob", "pf", "nap"), help="delay scheduler")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("rank-protocols", help="census and cost ranking of measurement protocols")
-    _add_common(p, "rate point 'G+,G-' in /ms for the ranking table (default 1,3)")
+    rates = _DEFAULTS["rank-protocols"]["rates"].values()
+    _add_common(p, _help("rate point 'G+,G-' in /ms for the ranking table", *rates))
     p.add_argument(
         "--ratio-sweep",
         metavar="LO:HI[:N]",
@@ -696,17 +703,23 @@ def build_parser():
     p.set_defaults(func=cmd_rank_protocols)
 
     p = sub.add_parser("bias-study", help="ratio-estimator bias versus repetition count")
-    _add_common(p, "true rates 'G+,G-' in /ms (default 1,3)")
+    bias = _DEFAULTS["bias-study"]
+    _add_common(p, _help("true rates 'G+,G-' in /ms", *bias["rates"].values()))
     p.add_argument("--seed", type=int, help="base random seed")
     p.add_argument("--R", metavar="LO:HI", help="repetition range, expanded to whole decades")
-    p.add_argument("--replicates", type=int, metavar="N", help="Monte Carlo draws per R (default 10000)")
+    replicates = _help("Monte Carlo draws per R", bias["bias"]["replicates"])
+    p.add_argument("--replicates", type=int, metavar="N", help=replicates)
     p.set_defaults(func=cmd_bias_study)
 
     p = sub.add_parser("speedup", help="adaptive-vs-fixed-sweep speedup over true rates")
-    _add_common(p, "diagonal rate sweep 'LO:HI[:N]' in /ms (default 0.05:100:5)")
+    speedup = _DEFAULTS["speedup"]
+    sweep = (speedup["speedup"][key] for key in _SWEEPS["speedup"])
+    _add_common(p, _help("diagonal rate sweep 'LO:HI[:N]' in /ms", *sweep, sep=":"))
     p.add_argument("--seed", type=int, help="base random seed")
-    p.add_argument("--R", metavar="N", help="pulse-sequence repetitions per signal (default 1e5)")
-    p.add_argument("--replicates", type=int, metavar="N", help="replicates per arm (default 10)")
+    repetitions = _help("pulse-sequence repetitions per signal", speedup["params"]["repetitions_R"])
+    p.add_argument("--R", metavar="N", help=repetitions)
+    replicates = _help("replicates per arm", speedup["speedup"]["replicates"])
+    p.add_argument("--replicates", type=int, metavar="N", help=replicates)
     p.set_defaults(func=cmd_speedup)
 
     p = sub.add_parser("show", help="pretty-print a stored run record")

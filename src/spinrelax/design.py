@@ -35,10 +35,10 @@ bound a d and b c by interval arithmetic; the bound on |a d - b c| follows,
 so does a lower bound on the block's cost, and blocks bounded above a
 probed cell are skipped.  The rest are evaluated, and np.argmin's cell is
 returned, ties going to the smallest tau_plus, then tau_minus.  A
-stochastic particle-cloud optimizer, the alternative, sums a
-variance-proxy utility over particle blocks in numpy's order.  Every
-width, cost and optimizer takes the protocol's BranchCurves
-(`protocols.measurement_curves`); none assumes a protocol.
+stochastic particle-cloud optimizer, the alternative, maximizes a
+variance-proxy utility over the cloud.  Every width, cost and optimizer
+takes the protocol's BranchCurves (`protocols.measurement_curves`); none
+assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import BRANCHES
+from .rates import BRANCHES, _unpack
 
 __all__ = [
     "UninformativeDesign",
@@ -224,13 +224,6 @@ def gaussian_sigma(delays, rates, sigma_m, curves):
     )
 
 
-def _rate_values(rates):
-    if hasattr(rates, "gamma_plus"):
-        return float(rates.gamma_plus), float(rates.gamma_minus)
-    gp, gm = rates
-    return float(gp), float(gm)
-
-
 def _gradient_tables(taus, rates, curves):
     """Per-branch gradients over a 1-D delay array."""
     g_pp, g_pm = curves.gradient(taus, rates, "+")
@@ -262,7 +255,7 @@ def _cost_kernel(grid, rates, sigma_m, timing, curves):
     taus = grid.taus
     (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
     s_plus, s_minus = _sigma_arrays(sigma_m, taus)
-    gp, gm = _rate_values(rates)
+    gp, gm = map(float, _unpack(rates))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b = g_pp / s_plus, g_pm / s_plus
         c, d = g_mp / s_minus, g_mm / s_minus
@@ -356,7 +349,7 @@ def _bounded_argmin(grid, rates, sigma_m, timing, curves):
     n = taus.size
     starts = np.arange(0, n, _BLOCK)
     keep = np.ones((starts.size, starts.size), dtype=bool)
-    gp, gm = _rate_values(rates)
+    gp, gm = map(float, _unpack(rates))
     tables, (plus, minus), cells = _cost_kernel(grid, rates, sigma_m, timing, curves)
     if gp * gm > 0.0 and all(np.isfinite(x).all() for x in (plus, minus, *tables)):
         probe = np.arange(0, n, _PROBE)
@@ -440,42 +433,22 @@ class ParticleCloud:
         return bool(np.all(np.ptp(self.gammas, axis=0) == 0.0))
 
 
-# Particles per block of pf_select_delays' (particle, delay) arrays.
+# Particles per block of the model calls that fill pf_select_delays' (particle, delay) array.
 _PARTICLES = 1024
 
 
-def _weighted_sum(w, values, mean=None):
-    """np.sum(w * values, axis=0), or of w * (values - mean) ** 2, bit for bit.
-
-    numpy sums axis 0 of a C-ordered (n, k >= 2) array row by row, so each
-    particle block is summed with the running total as its first row.  One
-    column is summed pairwise, so it is one block.
-    """
-    n, k = values.shape
-    size = _PARTICLES if k > 1 else n
-    terms = np.empty((min(size, n) + 1, k))
-    head = 0
-    for start in range(0, n, size):
-        block = values[start : start + size]
-        rows = terms[head : head + len(block)]
-        if mean is not None:
-            block = np.square(np.subtract(block, mean, out=rows), out=rows)
-        np.multiply(w[start : start + size], block, out=rows)
-        total = terms[: head + len(block)].sum(axis=0)
-        terms[0], head = total, 1
-    return total
-
-
 def _branch_variances(cloud, taus, curves):
-    """Each branch's cloud variance of the predicted value at taus, in particle blocks."""
-    (gp, gm), w = cloud.gammas.T[:, :, None], cloud.weights[:, None]
+    """Cloud variance of each branch's predicted value at taus, over one (particle, delay) array."""
+    (gp, gm), w = cloud.gammas.T[:, :, None], cloud.weights
     values = np.empty((w.size, taus.size))
     variances = []
     for branch in BRANCHES:
         for start in range(0, w.size, _PARTICLES):
             block = slice(start, start + _PARTICLES)
             values[block] = curves.value(taus[None, :], (gp[block], gm[block]), branch)
-        variances.append(_weighted_sum(w, values, _weighted_sum(w, values)))
+        values -= np.einsum("p,pd->d", w, values)
+        np.square(values, out=values)
+        variances.append(np.einsum("p,pd->d", w, values))
     return variances
 
 
@@ -488,9 +461,7 @@ def pf_select_delays(cloud, timing, curves, grid=DEFAULT_GRID, subgrid=100):
     1/sqrt(T).  `subgrid`, a positive integer, thins the scored delays to
     every (size // subgrid)-th delay of `grid`, or every delay when it
     exceeds the grid size.
-    The variances are summed in particle blocks, in numpy's order, so they
-    equal the dense (particle, delay) sums bit for bit.  A degenerate cloud
-    falls back to the deterministic optimizer at the
+    A degenerate cloud falls back to the deterministic optimizer at the
     point-mass rates.
     """
     _check_positive_int(subgrid, "subgrid")

@@ -18,10 +18,8 @@ from one BranchCurves.pair_value call) through
 Moments treat cell weights as point masses at the grid nodes.  `regrid`
 re-centers a fresh evenly spaced grid on the current mean, spanning 10
 standard deviations per axis (clamped to the hard prior support), and
-interpolates the old weights onto it by separable bilinear interpolation,
-zero outside the old support.  Both kernels are plain numpy and repeat the
-floating-point operations of scipy's `logsumexp` and linear
-`RegularGridInterpolator` in the same order, so they equal them bit for bit.
+interpolates the old weights onto it by separable bilinear interpolation
+(along gamma_plus, then gamma_minus), zero outside the old support.
 """
 
 from __future__ import annotations
@@ -144,22 +142,15 @@ class PosteriorGrid:
 
 
 def _log_normalizer(a):
-    """log(sum(exp(a))) of an array with a finite maximum.
+    """log(sum(exp(a))) of an array with a finite maximum, leaving `a` unchanged.
 
     Max-shifted log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer. Anal.
-    41(4), 2021): the maximal entries leave the sum and are counted, and the
-    rest is summed in place.  These are scipy.special.logsumexp's terms,
-    summed in its order, so the result equals it bit for bit.
+    41(4), 2021), with the exp in place on the one shifted copy.
     """
     peak = a.max()
-    at_peak = a == peak
-    count = float(np.count_nonzero(at_peak))
     shifted = a - peak
     np.exp(shifted, out=shifted)
-    # Drop the peaks after exp: 0.0 is exp(-inf) exactly, and exp(-inf) is slow.
-    shifted[at_peak] = 0.0
-    s = shifted.sum() / count
-    return np.log1p(s) + np.log(count) + peak
+    return peak + np.log(shifted.sum())
 
 
 def initial_grid(bounds=DEFAULT_BOUNDS, size=GRID_SIZE):
@@ -261,30 +252,14 @@ def _axis_stencil(old, new):
 def _bilinear(gp, gm, values, new_gp, new_gm):
     """values on the gp x gm grid, bilinearly interpolated at new_gp x new_gm.
 
-    Each axis contributes its own stencil.  The corner terms are those of
-    scipy's linear RegularGridInterpolator, v00 (1-y0)(1-y1) + v01 (1-y0) y1
-    + v10 y0 (1-y1) + v11 y0 y1, multiplied and summed left to right as
-    there, so the values are bit for bit its own.  Points outside the old
-    support get 0.  The result is C-ordered because numpy sums in memory
-    order, and the seeded runs' sums were fixed in that order.
+    Separable: the old rows are interpolated at new_gp, then their columns at
+    new_gm.  Points outside the old support get 0.  The result is C-ordered.
     """
     i0, y0 = _axis_stencil(gp, new_gp)
     i1, y1 = _axis_stencil(gm, new_gm)
-    lo0, hi0 = (1 - y0)[:, None], y0[:, None]
-    lo1, hi1 = 1 - y1, y1
-    rows, rows_up = values[i0], values[i0 + 1]
-    out = np.multiply(rows[:, i1], lo0)
-    out *= lo1
-    term = np.empty_like(out)
-    for corner, w0, w1 in (
-        (rows[:, i1 + 1], lo0, hi1),
-        (rows_up[:, i1], hi0, lo1),
-        (rows_up[:, i1 + 1], hi0, hi1),
-    ):
-        np.multiply(corner, w0, out=term)
-        term *= w1
-        out += term
-    out = np.ascontiguousarray(out)
+    y0 = y0[:, None]
+    rows = values[i0] * (1 - y0) + values[i0 + 1] * y0
+    out = rows.take(i1, axis=1) * (1 - y1) + rows.take(i1 + 1, axis=1) * y1
     out[(new_gp < gp[0]) | (new_gp > gp[-1])] = 0.0
     out[:, (new_gm < gm[0]) | (new_gm > gm[-1])] = 0.0
     return out
@@ -294,17 +269,16 @@ def regrid(grid, size=GRID_SIZE):
     """Evenly spaced grid re-centered on the current mean, spanning 10 sigma.
 
     Weights are separably bilinearly interpolated from the old grid, zero
-    outside its support, then renormalized; the interpolated values equal
-    scipy's linear RegularGridInterpolator's bit for bit.
+    outside its support, then renormalized.  `size` is a positive integer.
     """
+    _check_positive_int(size, "size")
     mom = moments(grid)
-    new_gp = np.linspace(
-        *_axis_window(mom.mean_plus, mom.sigma_plus, grid.gamma_plus_axis, grid.hard_bounds),
-        int(size),
-    )
-    new_gm = np.linspace(
-        *_axis_window(mom.mean_minus, mom.sigma_minus, grid.gamma_minus_axis, grid.hard_bounds),
-        int(size),
+    new_gp, new_gm = (
+        np.linspace(*_axis_window(mean, sigma, axis, grid.hard_bounds), size)
+        for mean, sigma, axis in (
+            (mom.mean_plus, mom.sigma_plus, grid.gamma_plus_axis),
+            (mom.mean_minus, mom.sigma_minus, grid.gamma_minus_axis),
+        )
     )
     w = _bilinear(grid.gamma_plus_axis, grid.gamma_minus_axis, grid.weights, new_gp, new_gm)
     total = w.sum()

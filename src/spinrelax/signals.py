@@ -120,6 +120,8 @@ class SignalParams:
         violation = _domain_violation({name: np.array([v]) for name, v in vars(self).items()})
         if violation:
             raise ValueError(violation[1])
+        # A whole-valued R is kept as an int, the type TimingModel requires.
+        object.__setattr__(self, "repetitions_R", int(self.repetitions_R))
 
     def background_at(self, tau):
         return self.background(tau) if callable(self.background) else self.background
@@ -347,5 +349,5 @@ def _block_means(
             f"negative expected counts for signal ({prep}, {read}) at tau = "
             f"{tau if k < 2 else 0.0} ms{when} (check the background function)"
         )
-    # cumsum adds the blocks in order, as a running per-block total would.
-    return means, np.cumsum(means, axis=0)[-1]
+    # numpy adds axis-0 rows in order, as a running per-block total would.
+    return means, means.sum(axis=0)

@@ -22,13 +22,14 @@ bit for bit; `log_likelihood` is its scalar-or-array likelihood of one rate
 hypothesis.
 `scipy_regrid_weights` is scipy's linear RegularGridInterpolator over a
 product grid; it and scipy's `logsumexp` are what the posterior's numpy
-kernels must equal bit for bit.  `ROBUST_CURVES` spells out the robust
+kernels must match to rounding.  `ROBUST_CURVES` spells out the robust
 protocol's closed-form curves for kernel tests that need no protocol, and
 `model_m_optimal` is the closed form of the highest-sensitivity pair that
 the generic four-count path must reproduce.  `dense_model_m` is model_m as
-first written, one fresh array per operation, and `dense_pf_select_delays`
-the particle selector over whole (particle, delay) arrays; the in-place
-model values and the particle-blocked selector must equal them bit for bit.
+first written, one fresh array per operation, which the in-place model
+values must equal bit for bit.  `dense_pf_select_delays` is the particle
+selector with its variances summed over whole (particle, delay) arrays,
+which the selector's variances must match to rounding.
 `entry_model_value` is a measurement's normalized model read the long way,
 as the bright minus the dark entry of the full (..., 3, 3) propagator stack,
 and `complex_step_gradient` its rate derivatives by complex-step
@@ -48,7 +49,6 @@ from spinrelax.design import (
     DelayPair,
     UninformativeDesign,
     _jacobian,
-    _rate_values,
     gaussian_sigma,
     nob_select_delays,
 )
@@ -171,7 +171,7 @@ def cost(delays, rates, sigma_m, timing, curves=ROBUST_CURVES):
         approx = gaussian_sigma(delays, rates, sigma_m, curves)
     except UninformativeDesign:
         return float("inf")
-    gp, gm = _rate_values(rates)
+    gp, gm = map(float, _unpack(rates))
     fractional = (approx.sigma_gamma_plus / gp) ** 2 + (approx.sigma_gamma_minus / gm) ** 2
     t = timing.duration_seconds(delays.tau_plus, delays.tau_minus)
     return float(np.sqrt(fractional) * np.sqrt(t))

@@ -1,6 +1,7 @@
 """Command-line interface: config ingest, artifacts, determinism, exit codes."""
 
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -15,13 +16,14 @@ from spinrelax.cli import (
     EXIT_CONFIG,
     EXIT_OK,
     EXIT_RUNTIME,
+    _DEFAULTS,
     _resolve,
     _table_text,
     build_parser,
     main,
 )
-from spinrelax.estimator import BiasStudyResult
-from spinrelax.experiments import SpeedupStudy
+from spinrelax.estimator import BiasStudyResult, bias_study
+from spinrelax.experiments import SPEEDUP_PARAMS, SpeedupStudy, speedup_study
 from spinrelax.protocols import OPTIMAL_LABEL, ROBUST_LABEL, ProtocolRanking
 
 FAST_YAML = """\
@@ -506,3 +508,34 @@ def test_cli_import_loads_no_scipy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def _help_text(command, capsys):
+    assert main([command, "--help"]) == EXIT_OK
+    return " ".join(capsys.readouterr().out.split())
+
+
+def test_help_shows_library_defaults(capsys, monkeypatch):
+    def replicates(study):
+        return inspect.signature(study).parameters["replicates"].default
+
+    expected = {
+        "simulate": ["independent replicates (default 1)"],
+        "rank-protocols": ["for the ranking table (default 1,3)"],
+        "bias-study": ["in /ms (default 1,3)", f"draws per R (default {replicates(bias_study)})"],
+        "speedup": [
+            "in /ms (default 0.05:100:5)",
+            f"per signal (default {SPEEDUP_PARAMS.repetitions_R})",
+            f"per arm (default {replicates(speedup_study)})",
+        ],
+    }
+    for command, phrases in expected.items():
+        text = _help_text(command, capsys)
+        assert all(phrase in text for phrase in phrases), (command, text)
+    # The texts follow the defaults rather than restating them.
+    monkeypatch.setitem(_DEFAULTS["speedup"]["speedup"], "rate_points", 7)
+    monkeypatch.setitem(_DEFAULTS["speedup"]["speedup"], "replicates", 3)
+    monkeypatch.setitem(_DEFAULTS["bias-study"]["rates"], "gamma_minus_per_ms", 2.5)
+    assert "(default 0.05:100:7)" in _help_text("speedup", capsys)
+    assert "per arm (default 3)" in _help_text("speedup", capsys)
+    assert "in /ms (default 1,2.5)" in _help_text("bias-study", capsys)

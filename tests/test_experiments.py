@@ -20,7 +20,7 @@ from spinrelax.experiments import (
     time_to_reach,
 )
 from spinrelax.posterior import DEFAULT_BOUNDS, PosteriorMoments, initial_grid
-from spinrelax.protocols import IDEAL_RANKING_PARAMS
+from spinrelax.protocols import IDEAL_RANKING_PARAMS, minimal_cost
 from spinrelax.rates import RatePair
 from spinrelax.signals import OPTIMAL_PROTOCOL, SignalParams
 
@@ -106,6 +106,16 @@ class TestConfigValidation:
 
 
 class TestAdaptiveRun:
+    def test_whole_float_repetitions_run(self):
+        # SignalParams accepts a whole-valued float R; TimingModel takes only ints.
+        params = SignalParams(repetitions_R=1e5)
+        assert type(params.repetitions_R) is int and params.repetitions_R == 10**5
+        whole = SignalParams(repetitions_R=10**5)
+        rec, want = (run_adaptive(fig_defaults(params=p, iterations=2, seed=4)) for p in (params, whole))
+        assert (rec.iterations, rec.final) == (want.iterations, want.final)
+        cost = minimal_cost(OPTIMAL_PROTOCOL, TRUTH, params)
+        assert cost == minimal_cost(OPTIMAL_PROTOCOL, TRUTH, whole)
+
     def test_noiseless_converges_fast(self):
         cfg = fig_defaults(iterations=5, noiseless=True, seed=1)
         rec = run_adaptive(cfg)

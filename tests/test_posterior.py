@@ -96,6 +96,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="size must be a positive integer"):
             initial_grid(size=size)
 
+    @pytest.mark.parametrize("size", [2.5, 3.0, True, 0, -4])
+    def test_regrid_size_must_be_a_positive_integer(self, size):
+        with pytest.raises(ValueError, match="size must be a positive integer"):
+            regrid(initial_grid(size=20), size)
+
     @pytest.mark.parametrize("fill", [-np.inf, np.inf])
     def test_rejects_non_finite_maximum(self, fill):
         # All -inf leaves nothing to normalize; any +inf is the maximum.
@@ -328,7 +333,22 @@ def _query_axis(axis, window, rng, q):
 WINDOWS = ["inside", "on nodes", "partly outside", "wholly outside"]
 
 
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).smallest_subnormal
+
+
 class TestKernelsMatchScipy:
+    """The posterior's numpy kernels against scipy, to rounding.
+
+    Both interpolators form the same convex combination of four corner values
+    from the same cell fractions, in a different order: each result is within
+    about 7 roundings of the exact value, so 16 eps of the largest value
+    (plus 16 subnormal spacings where products underflow) bounds their gap.
+    Both log-sum-exps take the same exps of the same shifted values and differ
+    only in how they sum them (pairwise, a few tens of roundings for these
+    sizes) and take the log, so 64 eps of (1 + |result|) bounds their gap.
+    """
+
     @settings(max_examples=300, deadline=None)
     @given(
         sizes=st.tuples(st.integers(2, 260), st.integers(2, 260)),
@@ -346,7 +366,11 @@ class TestKernelsMatchScipy:
         got = _bilinear(gp, gm, values, new_gp, new_gm)
         want = scipy_regrid_weights(gp, gm, values, new_gp, new_gm)
         assert got.shape == want.shape and got.flags.c_contiguous
-        assert np.array_equal(got, want)
+        outside = ((new_gp < gp[0]) | (new_gp > gp[-1]))[:, None] | (new_gm < gm[0]) | (
+            new_gm > gm[-1]
+        )
+        assert np.all(got[outside] == 0.0) and np.all(want[outside] == 0.0)
+        assert np.all(np.abs(got - want) <= 16 * EPS * values.max() + 16 * TINY)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -373,8 +397,63 @@ class TestKernelsMatchScipy:
         drop.flat[np.argmax(a)] = False
         a[drop] = -np.inf
         before = a.copy()
-        assert _log_normalizer(a) == logsumexp(a)
+        want = logsumexp(a)
+        assert abs(_log_normalizer(a) - want) <= 64 * EPS * (1.0 + abs(want))
         assert np.array_equal(a, before)
+
+
+class TestKernelProperties:
+    """Properties of the posterior kernels that need no reference implementation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(2, 120), st.integers(2, 120)),
+        queries=st.tuples(st.integers(1, 60), st.integers(1, 60)),
+        windows=st.tuples(*[st.sampled_from(["inside", "on nodes"])] * 2),
+        coefficients=st.tuples(*[st.sampled_from([0.0, -3.0, 1.0, 1e3])] * 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bilinear_reproduces_bilinear_functions(
+        self, sizes, queries, windows, coefficients, seed
+    ):
+        # a + b x + c y + d x y is linear along each axis, so each separable
+        # step interpolates it exactly.  The cell fractions are rounded, which
+        # moves each point by a few ulp of its axis: 32 eps of the terms'
+        # magnitudes bounds the error.
+        rng = np.random.default_rng(seed)
+        gp, gm = (rng.uniform(-5.0, 5.0) + np.cumsum(rng.uniform(1e-3, 1.0, n)) for n in sizes)
+        a, b, c, d = coefficients
+
+        def f(x, y):
+            return a + b * x + c * y + d * x * y
+
+        new_gp = _query_axis(gp, windows[0], rng, queries[0])
+        new_gm = _query_axis(gm, windows[1], rng, queries[1])
+        got = _bilinear(gp, gm, f(gp[:, None], gm[None, :]), new_gp, new_gm)
+        x, y = np.abs(gp).max(), np.abs(gm).max()
+        bound = 32 * EPS * (abs(a) + abs(b) * x + abs(c) * y + abs(d) * x * y)
+        assert np.all(np.abs(got - f(new_gp[:, None], new_gm[None, :])) <= bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.one_of(st.tuples(st.integers(1, 500)), st.just((200, 200))),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        neg_inf_share=st.sampled_from([0.0, 0.5]),
+        shift=st.sampled_from([-1e3, -1.0, 0.5, 7.0, 1e3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_log_normalizer_shifts_with_its_input(self, shape, scale, neg_inf_share, shift, seed):
+        # The shifted copies of a and a + c differ by a few roundings of
+        # |a| + |c|, and the sums and logs round alike on both sides: 64 eps
+        # of (1 + max|a| + |c| + log(size)) bounds the gap.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=shape) * scale
+        drop = rng.random(shape) < neg_inf_share
+        drop.flat[np.argmax(a)] = False
+        a[drop] = -np.inf
+        got, want = _log_normalizer(a + shift), _log_normalizer(a) + shift
+        magnitude = 1.0 + np.abs(a[np.isfinite(a)]).max() + abs(shift) + np.log(a.size)
+        assert abs(got - want) <= 64 * EPS * magnitude
 
 
 class TestCalibration:
