@@ -36,9 +36,11 @@ so does a lower bound on the block's cost, and blocks bounded above a
 probed cell are skipped.  The rest are evaluated, and np.argmin's cell is
 returned, ties going to the smallest tau_plus, then tau_minus.  A
 stochastic particle-cloud optimizer, the alternative, maximizes a
-variance-proxy utility over the cloud.  Every width, cost and optimizer
-takes the protocol's BranchCurves (`protocols.measurement_curves`); none
-assumes a protocol.
+variance-proxy utility over the cloud: per block of candidate delays, one
+two-branch kernel call over the whole cloud gives both branches' values,
+and each branch's cloud variance is reduced from them before the next
+block.  Every width, cost and optimizer takes the protocol's BranchCurves
+(`protocols.measurement_curves`); none assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -178,7 +180,8 @@ class GaussianApprox:
 class BranchCurves:
     """A protocol's model curves: `value` and `gradient` take (tau, rates,
     branch); `pair_value` takes (tau_plus, tau_minus, rates) and returns both
-    branches' values as fresh (plus, minus) arrays from one kernel call."""
+    branches' values as (plus, minus) arrays from one kernel call, fresh
+    unless a private `out` workspace (rates._pair_values) is passed on."""
 
     value: callable
     gradient: callable
@@ -418,8 +421,9 @@ class ParticleCloud:
     @classmethod
     def from_grid(cls, grid, n, rng):
         """Draw n particles from a posterior grid with generator `rng`, jittered within cells."""
+        _check_positive_int(n, "n")
         w = grid.weights.ravel()
-        idx = rng.choice(w.size, size=int(n), p=w)
+        idx = rng.choice(w.size, size=n, p=w)
         i, j = np.unravel_index(idx, grid.weights.shape)
         cell_p = float(np.mean(np.diff(grid.gamma_plus_axis)))
         cell_m = float(np.mean(np.diff(grid.gamma_minus_axis)))
@@ -427,28 +431,39 @@ class ParticleCloud:
         gp = grid.gamma_plus_axis[i] + rng.uniform(-0.5, 0.5, i.size) * cell_p
         gm = grid.gamma_minus_axis[j] + rng.uniform(-0.5, 0.5, j.size) * cell_m
         gammas = np.clip(np.column_stack([gp, gm]), lo, hi)
-        return cls(gammas=gammas, weights=np.full(int(n), 1.0 / int(n)))
+        return cls(gammas=gammas, weights=np.full(n, 1.0 / n))
 
     def is_degenerate(self):
         return bool(np.all(np.ptp(self.gammas, axis=0) == 0.0))
 
 
-# Particles per block of the model calls that fill pf_select_delays' (particle, delay) array.
-_PARTICLES = 1024
+# Delays per block of _branch_variances: each block is one two-branch
+# kernel call over the whole cloud, computed in a (branch, 2, delay,
+# particle) workspace (10 MB at 20,000 particles) that every block reuses.
+# On fig2-pf 8 and 16 ran alike; 32 was no faster and raised peak RSS by 7 MB.
+_DELAYS = 16
 
 
 def _branch_variances(cloud, taus, curves):
-    """Cloud variance of each branch's predicted value at taus, over one (particle, delay) array."""
-    (gp, gm), w = cloud.gammas.T[:, :, None], cloud.weights
-    values = np.empty((w.size, taus.size))
-    variances = []
-    for branch in BRANCHES:
-        for start in range(0, w.size, _PARTICLES):
-            block = slice(start, start + _PARTICLES)
-            values[block] = curves.value(taus[None, :], (gp[block], gm[block]), branch)
-        values -= np.einsum("p,pd->d", w, values)
-        np.square(values, out=values)
-        variances.append(np.einsum("p,pd->d", w, values))
+    """Cloud variance of each branch's predicted value at taus, as a (2, delay) array.
+
+    Per block of delays, one pair_value call gives both branches' values
+    over the whole cloud as (delay, particle) arrays; each branch's weighted
+    mean, then its weighted squared deviations, are summed along the
+    particle axis.
+    """
+    (gp, gm), w = cloud.gammas.T, cloud.weights
+    variances = np.empty((len(BRANCHES), taus.size))
+    work = np.empty((len(BRANCHES), 2, min(_DELAYS, taus.size), w.size))
+    for start in range(0, taus.size, _DELAYS):
+        block = taus[start : start + _DELAYS, None]
+        pair = curves.pair_value(block, block, (gp, gm), out=work[:, :, : block.shape[0]])
+        for values, variance in zip(pair, variances):
+            # einsum without `optimize` makes no BLAS call, so the sums do
+            # not depend on the BLAS build or its threads.
+            values -= np.einsum("dp,p->d", values, w)[:, None]
+            np.square(values, out=values)
+            variance[start : start + _DELAYS] = np.einsum("dp,p->d", values, w)
     return variances
 
 
@@ -458,7 +473,10 @@ def pf_select_delays(cloud, timing, curves, grid=DEFAULT_GRID, subgrid=100):
     The utility of a delay pair is the cloud variance of the predicted
     measurement value per branch (how much the candidate measurement is
     expected to discriminate between posterior hypotheses), scaled by
-    1/sqrt(T).  `subgrid`, a positive integer, thins the scored delays to
+    1/sqrt(T).  The variances come in blocks of _DELAYS delays, each from
+    one two-branch `curves.pair_value` call over the whole cloud and an
+    exact two-pass weighted mean and variance along the particle axis.
+    `subgrid`, a positive integer, thins the scored delays to
     every (size // subgrid)-th delay of `grid`, or every delay when it
     exceeds the grid size.
     A degenerate cloud falls back to the deterministic optimizer at the

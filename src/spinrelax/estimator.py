@@ -209,8 +209,9 @@ def bias_study(
     m_true = None
     delta_unit = None
     for r in r_values:
-        r = int(r)
+        # SignalParams rejects a non-whole r and keeps a whole one as an int.
         params_r = replace(params, repetitions_R=r)
+        r = params_r.repetitions_R
         meas = ROBUST_PROTOCOL.plus.oriented(params_r)
         mean_1t, mean_2t, mean_10, mean_20 = expected_signals(meas, tau, rates, params_r)[0]
         delta_true = float(mean_10 - mean_20)

@@ -57,7 +57,7 @@ import numpy as np
 
 from .design import DEFAULT_GRID, BranchCurves, DelayPair, TimingModel, _bounded_argmin
 from .estimator import sigma_m_from_expectations
-from .rates import _gradient, _pair_values, _values
+from .rates import _FRESH, _gradient, _pair_values, _values
 from .signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
@@ -132,7 +132,9 @@ def measurement_curves(protocol):
     return BranchCurves(
         value=lambda tau, rates, branch: _values(tau, rates, *mix[branch]),
         gradient=lambda tau, rates, branch: _gradient(tau, rates, *mix[branch]),
-        pair_value=lambda tp, tm, rates: _pair_values(tp, tm, rates, mix["+"], mix["-"]),
+        pair_value=lambda tp, tm, rates, out=_FRESH: _pair_values(
+            tp, tm, rates, mix["+"], mix["-"], out
+        ),
     )
 
 

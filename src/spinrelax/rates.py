@@ -164,17 +164,20 @@ def _mixing_rate(gp, gm, p, q):
     return gp if (p, q) == (1, 0) else gm if (p, q) == (0, 1) else p * gp + q * gm
 
 
-def _decays(tau, total, g):
-    """Fresh arrays e_fast, e_slow = exp(-(gp + gm +/- g) tau), total = gp + gm."""
-    e_fast, e_slow = np.asarray(-(total + g) * tau), np.asarray(-(total - g) * tau)
+def _decays(tau, total, g, out=(None, None)):
+    """e_fast, e_slow = exp(-(gp + gm +/- g) tau), total = gp + gm, in fresh
+    arrays or in the two arrays of `out`."""
+    e_fast = np.asarray(np.multiply(-(total + g), tau, out=out[0]))
+    e_slow = np.asarray(np.multiply(-(total - g), tau, out=out[1]))
     return np.exp(e_fast, out=e_fast), np.exp(e_slow, out=e_slow)
 
 
-def _class_mix(e_fast, e_slow, tau, g, own, in_place):
-    """((g + own) e_fast + (g - own) e_slow) / 2g, in place on the decays or in fresh arrays."""
-    fast, slow = (e_fast, e_slow) if in_place else map(np.empty_like, (e_fast, e_slow))
-    np.multiply(g + own, e_fast, out=fast)
-    np.multiply(g - own, e_slow, out=slow)
+def _class_mix(e_fast, e_slow, tau, g, own, work=(None, None)):
+    """((g + own) e_fast + (g - own) e_slow) / 2g, computed in the two arrays
+    of `work` (the decays themselves for in place) or in fresh ones; the
+    value lands in the first."""
+    fast = np.asarray(np.multiply(g + own, e_fast, out=work[0]))
+    slow = np.multiply(g - own, e_slow, out=work[1])
     np.add(fast, slow, out=fast)
     np.divide(fast, 2.0 * g, out=fast)
     # 1 at tau = 0 by construction: pin away the roundoff of (g+own) + (g-own) vs 2g.
@@ -191,22 +194,33 @@ def _values(tau, rates, p, q):
     tau = _check_tau(tau)
     gp, gm = _unpack(rates)
     g = _spectral_split(gp, gm)
-    return _class_mix(*_decays(tau, gp + gm, g), tau, g, _mixing_rate(gp, gm, p, q), in_place=True)
+    decays = _decays(tau, gp + gm, g)
+    return _class_mix(*decays, tau, g, _mixing_rate(gp, gm, p, q), work=decays)
 
 
-def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus):
+# _pair_values' default `out`: fresh arrays for both branches.
+_FRESH = ((None, None), (None, None))
+
+
+def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus, out=_FRESH):
     """_values of both branches bit for bit, from one spectral split and, at
-    equal delays, one pair of decays."""
+    equal delays, one pair of decays.
+
+    `out` holds, per branch, two arrays of the broadcast shape that the
+    branch is computed in, its value landing in the first; a caller that
+    evaluates block after block reuses them instead of fresh arrays.
+    """
     tau_plus, tau_minus = _check_tau(tau_plus), _check_tau(tau_minus)
     gp, gm = _unpack(rates)
     g = _spectral_split(gp, gm)
     total = gp + gm
-    minus_decays = _decays(tau_minus, total, g)
+    out_plus, out_minus = out
+    minus_decays = _decays(tau_minus, total, g, out_minus)
     shared = np.array_equal(tau_plus, tau_minus)
-    plus_decays = minus_decays if shared else _decays(tau_plus, total, g)
+    plus_decays = minus_decays if shared else _decays(tau_plus, total, g, out_plus)
     own_plus, own_minus = _mixing_rate(gp, gm, *mix_plus), _mixing_rate(gp, gm, *mix_minus)
-    plus = _class_mix(*plus_decays, tau_plus, g, own_plus, in_place=not shared)
-    return plus, _class_mix(*minus_decays, tau_minus, g, own_minus, in_place=True)
+    plus = _class_mix(*plus_decays, tau_plus, g, own_plus, work=out_plus if shared else plus_decays)
+    return plus, _class_mix(*minus_decays, tau_minus, g, own_minus, work=minus_decays)
 
 
 def _gradient(tau, rates, p, q):
@@ -217,7 +231,7 @@ def _gradient(tau, rates, p, q):
     g = _spectral_split(gp, gm)
     own = _mixing_rate(gp, gm, p, q)
     e_fast, e_slow = _decays(tau, gp + gm, g)
-    value = _class_mix(e_fast, e_slow, tau, g, own, in_place=False)
+    value = _class_mix(e_fast, e_slow, tau, g, own)
 
     dg_dgp = (2.0 * gp - gm) / (2.0 * g)
     dg_dgm = (2.0 * gm - gp) / (2.0 * g)

@@ -54,6 +54,7 @@ from spinrelax.design import (
 )
 from spinrelax.estimator import sigma_m_from_expectations
 from spinrelax.rates import (
+    _FRESH,
     BRANCHES,
     _check_tau,
     _pair_values,
@@ -72,7 +73,7 @@ from spinrelax.signals import STATE_INDEX, _check_drift_fields, expected_counts
 ROBUST_CURVES = BranchCurves(
     value=model_m,
     gradient=model_gradient,
-    pair_value=lambda tp, tm, rates: _pair_values(tp, tm, rates, (1, 0), (0, 1)),
+    pair_value=lambda tp, tm, rates, out=_FRESH: _pair_values(tp, tm, rates, (1, 0), (0, 1), out),
 )
 
 

@@ -17,7 +17,7 @@ from spinrelax.design import (
     TimingModel,
     UninformativeDesign,
     _BLOCK,
-    _PARTICLES,
+    _DELAYS,
     _bounded_argmin,
     _branch_variances,
     _det_bound,
@@ -36,7 +36,13 @@ from oracles import (
     expected_measurement,
     jacobian_sigma,
 )
-from spinrelax.posterior import MeasurementPair, PosteriorGrid, bayes_update, moments
+from spinrelax.posterior import (
+    MeasurementPair,
+    PosteriorGrid,
+    bayes_update,
+    initial_grid,
+    moments,
+)
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
     _sigma_callable,
@@ -668,6 +674,18 @@ class TestParticleSelect:
         a = pf_select_delays(cloud, TIMING, ROBUST_CURVES, subgrid=np.int64(40))
         assert a == pf_select_delays(cloud, TIMING, ROBUST_CURVES, subgrid=40)
 
+    @pytest.mark.parametrize("n", [2.5, 0, True])
+    def test_from_grid_n_must_be_a_positive_integer(self, n):
+        # 2.5 drew 2 particles and True drew 1.
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            ParticleCloud.from_grid(initial_grid(), n, np.random.default_rng(3))
+
+    def test_from_grid_takes_numpy_integers(self):
+        a = ParticleCloud.from_grid(initial_grid(), np.int64(4), np.random.default_rng(3))
+        b = ParticleCloud.from_grid(initial_grid(), 4, np.random.default_rng(3))
+        assert np.array_equal(a.gammas, b.gammas) and np.array_equal(a.weights, b.weights)
+        assert a.gammas.shape == (4, 2)
+
     def test_cloud_validation(self):
         with pytest.raises(ValueError):
             ParticleCloud(gammas=np.zeros((0, 2)), weights=np.zeros(0))
@@ -676,7 +694,7 @@ class TestParticleSelect:
 
 
 class TestBlockedParticleSelect:
-    """The particle-blocked selector against the whole-array oracle, to rounding.
+    """The delay-blocked selector against the whole-array oracle, to rounding.
 
     Both sides sum n terms per delay, w x for the mean and w (x - mean)^2
     for the variance.  Summed in any order, n nonnegative terms carry at
@@ -687,36 +705,45 @@ class TestBlockedParticleSelect:
     oracle's or score within the two cells' bounds of the oracle's best.
     """
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.sampled_from(
-            [1, 2, _PARTICLES - 1, _PARTICLES, _PARTICLES + 1, 5 * _PARTICLES // 2]
-        ),
-        subgrid=st.sampled_from([1, 2, 100]),
-        protocol=st.sampled_from([ROBUST_PROTOCOL, OPTIMAL_PROTOCOL]),
-        spread=st.sampled_from([1e-3, 0.3, 2.0]),
-    )
-    def test_equals_dense_oracle(self, seed, n, subgrid, protocol, spread):
+    @staticmethod
+    def random_cloud(seed, n, spread):
         rng = np.random.default_rng(seed)
         center = np.exp(rng.uniform(np.log(0.1), np.log(20.0), 2))
         gammas = (center * np.exp(rng.normal(0.0, spread, (n, 2)))).clip(0.055, 100.0)
         weights = rng.exponential(1.0, n) * (rng.uniform(size=n) > 0.2)
         weights[rng.integers(n)] += 1.0
-        cloud = ParticleCloud(gammas=gammas, weights=weights)
+        return ParticleCloud(gammas=gammas, weights=weights)
+
+    @staticmethod
+    def variance_bounds(cloud, taus, curves):
+        """Per branch, the variances' rounding bound and the oracle's variances."""
+        want = dense_branch_variances(cloud, taus, curves)
+        gp, gm = cloud.gammas.T[:, :, None]
+        n = cloud.weights.size
+        bounds = []
+        for branch, w in zip(BRANCHES, want):
+            x = np.abs(curves.value(taus[None, :], (gp, gm), branch)).max()
+            bounds.append(2 * (n + 4) * EPS * w + (2 * (n + 2) * EPS * x) ** 2)
+        return bounds, want
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 2, 1023, 1024, 1025, 2560]),
+        subgrid=st.sampled_from([1, 2, 100]),
+        protocol=st.sampled_from([ROBUST_PROTOCOL, OPTIMAL_PROTOCOL]),
+        spread=st.sampled_from([1e-3, 0.3, 2.0]),
+    )
+    def test_equals_dense_oracle(self, seed, n, subgrid, protocol, spread):
+        cloud = self.random_cloud(seed, n, spread)
         curves = measurement_curves(protocol)
         grid = DelayGrid.default()
         taus = grid.taus[:: max(1, grid.taus.size // subgrid)]
         assert taus.size == subgrid
         got = _branch_variances(cloud, taus, curves)
-        want = dense_branch_variances(cloud, taus, curves)
-        gp, gm = cloud.gammas.T[:, :, None]
-        bounds = []
-        for branch, g, w in zip(BRANCHES, got, want):
-            x = np.abs(curves.value(taus[None, :], (gp, gm), branch)).max()
-            bound = 2 * (n + 4) * EPS * w + (2 * (n + 2) * EPS * x) ** 2
+        bounds, want = self.variance_bounds(cloud, taus, curves)
+        for g, w, bound in zip(got, want, bounds, strict=True):
             assert g.shape == w.shape and np.all(np.abs(g - w) <= bound)
-            bounds.append(bound)
         pick = pf_select_delays(cloud, TIMING, curves, grid, subgrid)
         oracle = dense_pf_select_delays(cloud, TIMING, curves, grid, subgrid)
         if pick != oracle:
@@ -727,9 +754,30 @@ class TestBlockedParticleSelect:
             best = np.unravel_index(np.argmax(utility), utility.shape)
             assert utility[i, j] + slack[i, j] >= utility[best] - slack[best]
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([1, 2, 1025]),
+        count=st.sampled_from([1, _DELAYS - 1, _DELAYS, _DELAYS + 1, 2 * _DELAYS + 1]),
+        start=st.integers(0, DEFAULT_GRID.taus.size - 2 * _DELAYS - 1),
+        protocol=st.sampled_from([ROBUST_PROTOCOL, OPTIMAL_PROTOCOL]),
+        spread=st.sampled_from([1e-3, 0.3, 2.0]),
+    )
+    def test_delay_block_edges_match_dense_oracle(self, seed, n, count, start, protocol, spread):
+        # Delay counts on both sides of one and two blocks, taken as
+        # consecutive grid delays: thinning the grid cannot reach them all.
+        cloud = self.random_cloud(seed, n, spread)
+        curves = measurement_curves(protocol)
+        taus = DEFAULT_GRID.taus[start : start + count]
+        got = _branch_variances(cloud, taus, curves)
+        bounds, want = self.variance_bounds(cloud, taus, curves)
+        for g, w, bound in zip(got, want, bounds, strict=True):
+            assert g.shape == (count,) and np.all(np.abs(g - w) <= bound)
+
     def test_peak_memory_stays_blocked(self):
-        # The whole-array selector peaks near 77 MB on this call; the blocked
-        # one holds one (particle, delay) value array of 16 MB.
+        # The selector holds one (branch, 2, delay, particle) kernel
+        # workspace of 10 MB on this call; a whole (particle, delay) value
+        # array of 16 MB would take the peak near 18 MB.
         rng = np.random.default_rng(5)
         gammas = np.column_stack([rng.uniform(0.5, 2.0, 20000), rng.uniform(2.0, 4.0, 20000)])
         cloud = ParticleCloud(gammas=gammas, weights=rng.uniform(0.1, 1.0, 20000))
@@ -740,4 +788,4 @@ class TestBlockedParticleSelect:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 32e6
+        assert peak < 16e6

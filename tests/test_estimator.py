@@ -236,6 +236,17 @@ class TestBiasStudy:
         b = bias_study(FIG_PARAMS, RATES, 0.4, [2000], replicates=2000, seed=21)
         assert a == b
 
+    def test_non_whole_repetitions_raise(self):
+        # int(1500.7) used to run R = 1500 and report it as asked.
+        with pytest.raises(ValueError, match="repetitions_R must be a positive integer"):
+            bias_study(FIG_PARAMS, RATES, 0.4, [1500.7], replicates=1000)
+
+    def test_whole_float_repetitions_equal_integers(self):
+        floats = bias_study(FIG_PARAMS, RATES, 0.4, [1e3, 1e4], replicates=2000, seed=3)
+        ints = bias_study(FIG_PARAMS, RATES, 0.4, [1000, 10000], replicates=2000, seed=3)
+        assert floats == ints
+        assert [type(row.repetitions) for row in floats.rows] == [int, int]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             bias_study(FIG_PARAMS, RATES, 0.4, [1000], replicates=10)

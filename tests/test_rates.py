@@ -264,6 +264,23 @@ class TestPairValues:
                 assert np.array_equal(g, w)
                 assert_same_values(g, w)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_out_equals_fresh_arrays(self, shared):
+        # Delays (delay, 1) against rates (particle,), block after block
+        # through one workspace that starts and stays dirty.
+        rng = np.random.default_rng(8)
+        gp, gm = np.exp(rng.uniform(np.log(0.05), np.log(50.0), (2, 300)))
+        taus = np.append(0.0, np.geomspace(1e-3, 5.0, 39))[:, None]
+        out = np.full((2, 2, 8, 300), np.nan)
+        for start in range(0, taus.size, 8):
+            tau_plus = taus[start : start + 8]
+            tau_minus = tau_plus if shared else tau_plus[::-1].copy()
+            for mix_plus, mix_minus in [((1, 0), (0, 1)), ((1, -1), (0, 0))]:
+                want = _pair_values(tau_plus, tau_minus, (gp, gm), mix_plus, mix_minus)
+                got = _pair_values(tau_plus, tau_minus, (gp, gm), mix_plus, mix_minus, out)
+                for g, w, first in zip(got, want, out[:, 0], strict=True):
+                    assert g.tobytes() == w.tobytes() and np.shares_memory(g, first)
+
     @pytest.mark.parametrize("tau_minus, expected", [(0.3, 1), (np.float64(0.3), 1), (0.5, 2)])
     def test_decays_once_per_distinct_delay(self, monkeypatch, tau_minus, expected):
         calls = []
