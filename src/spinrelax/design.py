@@ -178,12 +178,11 @@ class GaussianApprox:
 
 @dataclass(frozen=True)
 class BranchCurves:
-    """A protocol's model curves: `value` and `gradient` take (tau, rates,
-    branch); `pair_value` takes (tau_plus, tau_minus, rates) and returns both
+    """A protocol's model curves: `gradient` takes (tau, rates, branch);
+    `pair_value` takes (tau_plus, tau_minus, rates) and returns both
     branches' values as (plus, minus) arrays from one kernel call, fresh
     unless a private `out` workspace (rates._pair_values) is passed on."""
 
-    value: callable
     gradient: callable
     pair_value: callable
 

@@ -35,6 +35,7 @@ from .posterior import (
     MeasurementPair,
     PosteriorMoments,
     UpdateRejected,
+    _Workspace,
     bayes_update,
     initial_grid,
     moments,
@@ -48,6 +49,7 @@ from .signals import (
     SignalParams,
     _block_means,
     _check_drift_fields,
+    _draw,
     sample_signals,
 )
 
@@ -261,12 +263,25 @@ class RunRecord:
         }
 
 
-def _acquire_four(config, measurement, tau, rng, t_start, duration_s):
-    """One acquisition's four counts; a noiseless run takes the expected totals as counts."""
+def _acquire_four(config, measurement, tau, rng, t_start, duration_s, memo=None):
+    """One acquisition's four counts; a noiseless run takes the expected totals as counts.
+
+    `memo`, a dict a run without drift owns, keeps each (measurement, delay)'s
+    `_block_means` from its first acquisition, since they do not depend on
+    time; without it they are computed per acquisition, block by block.
+    """
     args = (measurement, tau, config.true_rates, config.params)
-    if config.noiseless:
-        return _block_means(*args, config.drifts, t_start, duration_s)[1]
-    return sample_signals(*args, rng, config.drifts, t_start, duration_s)
+    if memo is None:
+        if config.noiseless:
+            return _block_means(*args, config.drifts, t_start, duration_s)[1]
+        return sample_signals(*args, rng, config.drifts, t_start, duration_s)
+    key = (measurement, tau)
+    if key not in memo:
+        memo[key] = _block_means(*args, None, t_start, duration_s)
+        for a in memo[key]:
+            a.flags.writeable = False
+    means, totals = memo[key]
+    return totals if config.noiseless else _draw(means, rng)
 
 
 def _estimate_pair(counts_plus, counts_minus, delays):
@@ -301,18 +316,21 @@ class _Ledger:
         self.t_delay = 0.0
         self.flagged_count = 0
 
-    def acquire(self, config, plus, minus, delays, rng):
+    def acquire(self, config, plus, minus, delays, rng, memo=None):
         """Sample both branches back to back from the current physical time.
 
         Each branch takes its own delays plus half the fixed time.  Sampling
         happens for both branches before any estimation so the random stream
-        advances identically whether or not an estimate fails.
+        advances identically whether or not an estimate fails.  `memo` is
+        _acquire_four's.
         """
         start = self.t_physical
         d_plus = self.timing.branch_seconds(delays.tau_plus)
         d_minus = self.timing.branch_seconds(delays.tau_minus)
-        counts_plus = _acquire_four(config, plus, delays.tau_plus, rng, start, d_plus)
-        counts_minus = _acquire_four(config, minus, delays.tau_minus, rng, start + d_plus, d_minus)
+        counts_plus = _acquire_four(config, plus, delays.tau_plus, rng, start, d_plus, memo)
+        counts_minus = _acquire_four(
+            config, minus, delays.tau_minus, rng, start + d_plus, d_minus, memo
+        )
         return counts_plus, counts_minus
 
     def log(self, delays, pair, flagged, state, cpu=0.0):
@@ -384,6 +402,7 @@ def run_adaptive(config):
     minus = config.protocol.minus.oriented(config.params)
 
     ledger = _Ledger(timing)
+    fold = _Workspace()
     state = moments(posterior)
     for _ in range(config.iterations):
         if config.optimizer == "nob":
@@ -397,7 +416,8 @@ def run_adaptive(config):
         flagged = False
         try:
             pair = _estimate_pair(*counts, delays)
-            posterior = regrid(bayes_update(posterior, pair, curves.pair_value), config.grid_size)
+            updated = bayes_update(posterior, pair, curves.pair_value, workspace=fold)
+            posterior = regrid(updated, config.grid_size, workspace=fold)
         except (EstimationError, UpdateRejected):
             flagged = True
             ledger.flagged_count += 1
@@ -413,10 +433,12 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     """Fixed-list run: sweep, accumulate, recompute from aggregates.
 
     Each delay pair's counts accumulate in one (pairs, 2, 4) float array, a
-    row of four counts per branch.  After each sweep the posterior is rebuilt
-    from a fresh prior by folding in one aggregate measurement pair per
-    delay, in list order, through the same update and regrid calls as the
-    adaptive loop; with zero sweeps the prior is returned unchanged.  `stop_sigma` (pair) ends the run early
+    row of four counts per branch; without drift, each delay pair's expected
+    counts are computed once per run, at its first acquisition.  After each
+    sweep the posterior is rebuilt from the prior by folding in one
+    aggregate measurement pair per delay, in list order, through the same
+    update and regrid calls as the adaptive loop; with zero sweeps the prior
+    is returned unchanged.  `stop_sigma` (pair) ends the run early
     once both posterior widths drop below it; `max_physical_s` caps the
     accumulated acquisition time.  Delays carrying an unusable aggregate
     (zero counts) are skipped and counted as flagged for that sweep.
@@ -429,13 +451,15 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     minus = config.protocol.minus.oriented(config.params)
     pairs = config.nap_delay_pairs()
     totals = np.zeros((len(pairs), 2, 4))
+    memo = {} if config.drifts is None else None
 
-    posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
+    prior = posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
     ledger = _Ledger(config.resolved_timing())
+    fold = _Workspace()
     state = moments(posterior)
     for _ in range(config.iterations):
         for total, delays in zip(totals, pairs):
-            counts = ledger.acquire(config, plus, minus, delays, rng)
+            counts = ledger.acquire(config, plus, minus, delays, rng, memo)
             total += counts
             try:
                 probe = _estimate_pair(*counts, delays)
@@ -443,11 +467,12 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
                 probe = None
             ledger.log(delays, probe, probe is None, state)
 
-        rebuilt = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
+        rebuilt = prior
         for total, delays in zip(totals, pairs):
             try:
                 pair = _estimate_pair(*total, delays)
-                rebuilt = regrid(bayes_update(rebuilt, pair, curves.pair_value), config.grid_size)
+                updated = bayes_update(rebuilt, pair, curves.pair_value, workspace=fold)
+                rebuilt = regrid(updated, config.grid_size, workspace=fold)
             except (EstimationError, UpdateRejected):
                 ledger.flagged_count += 1
         posterior = rebuilt

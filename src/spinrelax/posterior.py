@@ -5,9 +5,9 @@ gamma_plus and gamma_minus (ms^-1) and a 2-D weight array, weights[i, j]
 belonging to (gamma_plus_axis[i], gamma_minus_axis[j]).  Weights are kept in
 log domain internally so hundreds of sequential updates cannot underflow,
 normalized by a max-shifted log-sum-exp; the public `weights` array is
-computed once per grid, read-only, and sums to 1.  A run starts from
-`initial_grid`: flat in rate over the prior bounds, which are also the hard
-support every later grid stays within.
+read-only and sums to 1.  A run starts from `initial_grid`: flat in rate
+over the prior bounds, which are also the hard support every later grid
+stays within.
 
 Measurement likelihood: each iteration yields a measurement value and
 uncertainty per branch, compared against the branch model curves (both
@@ -15,11 +15,20 @@ from one BranchCurves.pair_value call) through
 
     log L = -chi_plus^2 - chi_minus^2,   chi = (m - model) / (sqrt(2) sigma).
 
-Moments treat cell weights as point masses at the grid nodes.  `regrid`
-re-centers a fresh evenly spaced grid on the current mean, spanning 10
-standard deviations per axis (clamped to the hard prior support), and
-interpolates the old weights onto it by separable bilinear interpolation
-(along gamma_plus, then gamma_minus), zero outside the old support.
+A fold, `regrid(bayes_update(grid, pair, model))`, is one kernel in two
+halves.  `bayes_update` forms chi^2 in place in the arrays of the one
+`pair_value` call, subtracts it from the prior log weights, and normalizes
+them with one `exp`, which also gives the updated grid its weights.
+`regrid` takes the moments from the weight marginals, re-centers a fresh
+evenly spaced grid on the mean, spanning 10 standard deviations per axis
+(clamped to the hard prior support), interpolates the old linear weights
+onto it by separable bilinear interpolation (along gamma_plus, then
+gamma_minus; zero outside the old support), normalizes them once and takes
+one `log`.  A run passes both halves its `_Workspace`, so the chi^2 field,
+the updated grid and the interpolation scratch reuse the same arrays from
+fold to fold; each regridded grid still owns fresh weights and log weights,
+because it leaves the fold.  Moments treat cell weights as point masses at
+the grid nodes.
 """
 
 from __future__ import annotations
@@ -121,6 +130,21 @@ class PosteriorGrid:
         object.__setattr__(self, "gamma_minus_axis", gm)
         object.__setattr__(self, "log_weights", lw)
 
+    @classmethod
+    def _normalized(cls, gamma_plus_axis, gamma_minus_axis, log_weights, weights, hard_bounds):
+        """A fold's grid, unchecked: normalized log weights and their linear
+        weights, both made read-only, the weights filling the cached property."""
+        log_weights.flags.writeable = weights.flags.writeable = False
+        grid = object.__new__(cls)
+        grid.__dict__.update(
+            gamma_plus_axis=gamma_plus_axis,
+            gamma_minus_axis=gamma_minus_axis,
+            log_weights=log_weights,
+            hard_bounds=hard_bounds,
+            weights=weights,
+        )
+        return grid
+
     @cached_property
     def weights(self):
         """Normalized linear weights, read-only; sums to 1 within float accumulation."""
@@ -171,12 +195,27 @@ def initial_grid(bounds=DEFAULT_BOUNDS, size=GRID_SIZE):
     )
 
 
-def _chi_squared_field(pair, gamma_plus, gamma_minus, model):
+class _Workspace:
+    """Scratch arrays of one run's folds, by name and shape, reused fold after fold."""
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, name, shape):
+        key = (name, shape)
+        if key not in self._arrays:
+            self._arrays[key] = np.empty(shape)
+        return self._arrays[key]
+
+
+def _chi_squared_field(pair, gamma_plus, gamma_minus, model, out):
     """Sum of squared residuals chi+^2 + chi-^2 over broadcast rate arrays.
 
-    `model` is BranchCurves.pair_value; chi^2 is formed in place in its arrays.
+    `model` is BranchCurves.pair_value, computing both branches in `out`, a
+    (branch, 2, ...) array; chi^2 is formed in place in its value arrays,
+    and the sum lands in out[0, 0].
     """
-    chi = model(pair.tau_plus, pair.tau_minus, (gamma_plus, gamma_minus))
+    chi = model(pair.tau_plus, pair.tau_minus, (gamma_plus, gamma_minus), out=out)
     with np.errstate(over="ignore"):
         for c, m, s in zip(chi, (pair.m_plus, pair.m_minus), (pair.sigma_plus, pair.sigma_minus)):
             np.subtract(m, c, out=c)
@@ -185,37 +224,57 @@ def _chi_squared_field(pair, gamma_plus, gamma_minus, model):
         return np.add(*chi, out=chi[0])
 
 
-def bayes_update(grid, pair, model):
-    """Posterior after folding in one measurement pair.
+def bayes_update(grid, pair, model, *, workspace=None):
+    """Posterior after folding in one measurement pair: the fold's first half.
 
     Multiplies the prior weights by the likelihood (addition in log domain)
-    and renormalizes.  If every node's posterior log-weight is -inf the
-    measurement contradicts the whole support and the update is rejected.
-    `model` is the protocol's two-branch callable (BranchCurves.pair_value).
+    and normalizes by a max-shifted log-sum-exp, whose one `exp` also gives
+    the new grid its linear weights.  If every node's posterior log-weight
+    is -inf the measurement contradicts the whole support and the update is
+    rejected.  `model` is the protocol's two-branch callable
+    (BranchCurves.pair_value).  With a run's `workspace` the new grid holds
+    read-only views of workspace arrays, valid until the run's next fold,
+    which is why the runners pass it straight to `regrid`; without one its
+    arrays are fresh.
     """
-    lw = _chi_squared_field(pair, *grid.meshes(), model)
+    ws = _Workspace() if workspace is None else workspace
+    values = ws.array("values", (2, 2) + grid.shape)
+    lw = _chi_squared_field(pair, *grid.meshes(), model, values)
     np.subtract(grid.log_weights, lw, out=lw)
-    if not np.isfinite(np.max(lw)):
+    peak = lw.max()
+    if not np.isfinite(peak):
         raise UpdateRejected(
             "measurement is inconsistent with every point of the posterior support"
         )
-    return PosteriorGrid(
-        gamma_plus_axis=grid.gamma_plus_axis,
-        gamma_minus_axis=grid.gamma_minus_axis,
-        log_weights=lw,
-        hard_bounds=grid.hard_bounds,
+    # The scratch half of the plus branch's pair; its value array holds lw.
+    w = np.subtract(lw, peak, out=values[0, 1])
+    np.exp(w, out=w)
+    total = w.sum()
+    w /= total
+    lw -= peak + np.log(total)
+    # Views: the grid's are read-only, the workspace's stay writable.
+    return PosteriorGrid._normalized(
+        grid.gamma_plus_axis, grid.gamma_minus_axis, lw.view(), w.view(), grid.hard_bounds
     )
 
 
 def moments(grid):
-    """Point-mass means, standard deviations, and covariance of the grid."""
+    """Point-mass means, standard deviations, and covariance of the grid.
+
+    Taken from the marginals: each axis's mean and variance from its weight
+    sums, the covariance from the centred axes around the weights.  einsum
+    without `optimize` makes no BLAS call, so the sums do not depend on the
+    BLAS build or its threads.
+    """
     w = grid.weights
-    gp, gm = grid.meshes()
-    mean_p = float(np.sum(w * gp))
-    mean_m = float(np.sum(w * gm))
-    var_p = max(float(np.sum(w * (gp - mean_p) ** 2)), 0.0)
-    var_m = max(float(np.sum(w * (gm - mean_m) ** 2)), 0.0)
-    cov = float(np.sum(w * (gp - mean_p) * (gm - mean_m)))
+    gp, gm = grid.gamma_plus_axis, grid.gamma_minus_axis
+    p, q = w.sum(axis=1), w.sum(axis=0)
+    mean_p = float(np.einsum("i,i->", p, gp))
+    mean_m = float(np.einsum("j,j->", q, gm))
+    dp, dm = gp - mean_p, gm - mean_m
+    var_p = float(np.einsum("i,i,i->", p, dp, dp))
+    var_m = float(np.einsum("j,j,j->", q, dm, dm))
+    cov = float(np.einsum("i,ij,j->", dp, w, dm))
     return PosteriorMoments(mean_p, mean_m, np.sqrt(var_p), np.sqrt(var_m), cov)
 
 
@@ -249,27 +308,42 @@ def _axis_stencil(old, new):
     return i, (new - old[i]) / (old[i + 1] - old[i])
 
 
-def _bilinear(gp, gm, values, new_gp, new_gm):
+def _bilinear(gp, gm, values, new_gp, new_gm, workspace=None):
     """values on the gp x gm grid, bilinearly interpolated at new_gp x new_gm.
 
     Separable: the old rows are interpolated at new_gp, then their columns at
-    new_gm.  Points outside the old support get 0.  The result is C-ordered.
+    new_gm.  Points outside the old support get 0.  The result is a fresh
+    C-ordered array; the row pass and each pass's second term are scratch
+    arrays of `workspace` (fresh without one).
     """
+    ws = _Workspace() if workspace is None else workspace
     i0, y0 = _axis_stencil(gp, new_gp)
     i1, y1 = _axis_stencil(gm, new_gm)
     y0 = y0[:, None]
-    rows = values[i0] * (1 - y0) + values[i0 + 1] * y0
-    out = rows.take(i1, axis=1) * (1 - y1) + rows.take(i1 + 1, axis=1) * y1
+    # mode="clip" lets `take` write into `out` unbuffered; the stencils are in range.
+    rows = np.take(values, i0, axis=0, out=ws.array("rows", (new_gp.size, gm.size)), mode="clip")
+    rows *= 1 - y0
+    term = np.take(values, i0 + 1, axis=0, out=ws.array("term", rows.shape), mode="clip")
+    term *= y0
+    rows += term
+    out = rows.take(i1, axis=1, mode="clip")
+    out *= 1 - y1
+    term = np.take(rows, i1 + 1, axis=1, out=ws.array("term", out.shape), mode="clip")
+    term *= y1
+    out += term
     out[(new_gp < gp[0]) | (new_gp > gp[-1])] = 0.0
     out[:, (new_gm < gm[0]) | (new_gm > gm[-1])] = 0.0
     return out
 
 
-def regrid(grid, size=GRID_SIZE):
-    """Evenly spaced grid re-centered on the current mean, spanning 10 sigma.
+def regrid(grid, size=GRID_SIZE, *, workspace=None):
+    """Evenly spaced grid re-centered on the current mean, spanning 10 sigma:
+    the fold's second half.
 
     Weights are separably bilinearly interpolated from the old grid, zero
-    outside its support, then renormalized.  `size` is a positive integer.
+    outside its support, then normalized once; the one `log` gives the new
+    log weights.  `size` is a positive integer.  A run's `workspace` holds
+    the interpolation scratch; the new grid's arrays are always fresh.
     """
     _check_positive_int(size, "size")
     mom = moments(grid)
@@ -280,16 +354,13 @@ def regrid(grid, size=GRID_SIZE):
             (mom.mean_minus, mom.sigma_minus, grid.gamma_minus_axis),
         )
     )
-    w = _bilinear(grid.gamma_plus_axis, grid.gamma_minus_axis, grid.weights, new_gp, new_gm)
+    w = _bilinear(
+        grid.gamma_plus_axis, grid.gamma_minus_axis, grid.weights, new_gp, new_gm, workspace
+    )
     total = w.sum()
     if not total > 0.0:
         raise UpdateRejected("regrid produced an empty posterior")
+    w /= total
     with np.errstate(divide="ignore"):
-        lw = np.log(w / total)
-    return PosteriorGrid(
-        gamma_plus_axis=new_gp,
-        gamma_minus_axis=new_gm,
-        log_weights=lw,
-        hard_bounds=grid.hard_bounds,
-    )
-
+        lw = np.log(w)
+    return PosteriorGrid._normalized(new_gp, new_gm, lw, w, grid.hard_bounds)

@@ -130,7 +130,6 @@ def measurement_curves(protocol):
         "-": _CLASS_MIX[_measurement_class_key(protocol.minus)],
     }
     return BranchCurves(
-        value=lambda tau, rates, branch: _values(tau, rates, *mix[branch]),
         gradient=lambda tau, rates, branch: _gradient(tau, rates, *mix[branch]),
         pair_value=lambda tp, tm, rates, out=_FRESH: _pair_values(
             tp, tm, rates, mix["+"], mix["-"], out

@@ -324,6 +324,12 @@ def sample_signals(
     means, _ = _block_means(
         measurement, tau, rates, params, drifts, t_start, duration_s, block_reps
     )
+    return _draw(means, rng)
+
+
+def _draw(means, rng):
+    """One acquisition's four counts: one Poisson draw over its (blocks, 4)
+    expected counts, in block-major order, summed over the blocks."""
     return rng.poisson(means).sum(axis=0)
 
 

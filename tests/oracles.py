@@ -30,6 +30,16 @@ first written, one fresh array per operation, which the in-place model
 values must equal bit for bit.  `dense_pf_select_delays` is the particle
 selector with its variances summed over whole (particle, delay) arrays,
 which the selector's variances must match to rounding.
+`one_branch` reads one branch's model value out of a protocol's
+two-branch kernel, the one curve entry point the program keeps.
+`chain_bayes_update`, `chain_regrid` and `point_mass_moments` are the
+posterior fold as first written, in two steps: each step builds a validated
+`PosteriorGrid` from fresh arrays (its weights by a second `exp`), and the
+moments are full 2-D point-mass sums; the fused fold kernel must pick the
+same delays and match its moments to rounding.  `per_acquisition_four` is
+the runners' acquisition as first written, computing an acquisition's
+expected counts every time and drawing through `sample_signals`, which the
+fixed sweep's once-per-run expected counts must reproduce bit for bit.
 `entry_model_value` is a measurement's normalized model read the long way,
 as the bright minus the dark entry of the full (..., 3, 3) propagator stack,
 and `complex_step_gradient` its rate derivatives by complex-step
@@ -48,11 +58,20 @@ from spinrelax.design import (
     BranchCurves,
     DelayPair,
     UninformativeDesign,
+    _check_positive_int,
     _jacobian,
     gaussian_sigma,
     nob_select_delays,
 )
 from spinrelax.estimator import sigma_m_from_expectations
+from spinrelax.posterior import (
+    GRID_SIZE,
+    PosteriorGrid,
+    PosteriorMoments,
+    UpdateRejected,
+    _axis_window,
+    _bilinear,
+)
 from spinrelax.rates import (
     _FRESH,
     BRANCHES,
@@ -64,14 +83,19 @@ from spinrelax.rates import (
     model_m,
     propagator_entries,
 )
-from spinrelax.signals import STATE_INDEX, _check_drift_fields, expected_counts
+from spinrelax.signals import (
+    STATE_INDEX,
+    _block_means,
+    _check_drift_fields,
+    expected_counts,
+    sample_signals,
+)
 
 # Basis order (-, 0, +) -> indices (0, 1, 2).
 
 # The robust protocol's curves, the closed-form model_m and its gradient;
 # both branches' values at once are model_m's two-branch kernel.
 ROBUST_CURVES = BranchCurves(
-    value=model_m,
     gradient=model_gradient,
     pair_value=lambda tp, tm, rates, out=_FRESH: _pair_values(tp, tm, rates, (1, 0), (0, 1), out),
 )
@@ -387,7 +411,7 @@ def dense_branch_variances(cloud, taus, curves):
     w = cloud.weights[:, None]
     variances = []
     for branch in BRANCHES:
-        values = curves.value(taus[None, :], (gp, gm), branch)
+        values = one_branch(curves)(taus[None, :], (gp, gm), branch)
         mean = np.sum(w * values, axis=0)
         variances.append(np.sum(w * (values - mean) ** 2, axis=0))
     return variances
@@ -434,3 +458,75 @@ def complex_step_gradient(measurement, tau, rates):
     d_plus = entry_model_value(measurement, tau, (gp + 1j * h, gm)).imag / h
     d_minus = entry_model_value(measurement, tau, (gp, gm + 1j * h)).imag / h
     return d_plus, d_minus
+
+
+def one_branch(curves):
+    """(tau, rates, branch) -> that branch's model value, from curves.pair_value
+    with both branches at tau."""
+
+    def value(tau, rates, branch):
+        plus, minus = curves.pair_value(tau, tau, rates)
+        return plus if branch == "+" else minus
+
+    return value
+
+
+def chain_bayes_update(grid, pair, model, workspace=None):
+    """bayes_update as first written: chi^2 in the model's fresh arrays, the
+    prior minus it normalized by a validated PosteriorGrid.  `workspace` is
+    accepted and ignored, so a runner can call it in place of the kernel."""
+    chi = model(pair.tau_plus, pair.tau_minus, grid.meshes())
+    with np.errstate(over="ignore"):
+        for c, m, s in zip(chi, (pair.m_plus, pair.m_minus), (pair.sigma_plus, pair.sigma_minus)):
+            np.subtract(m, c, out=c)
+            np.divide(c, np.sqrt(2.0) * s, out=c)
+            np.square(c, out=c)
+        lw = grid.log_weights - (chi[0] + chi[1])
+    if not np.isfinite(np.max(lw)):
+        raise UpdateRejected(
+            "measurement is inconsistent with every point of the posterior support"
+        )
+    return PosteriorGrid(grid.gamma_plus_axis, grid.gamma_minus_axis, lw, grid.hard_bounds)
+
+
+def point_mass_moments(grid):
+    """moments as first written: full 2-D sums over the node weights."""
+    w = grid.weights
+    gp, gm = grid.meshes()
+    mean_p = float(np.sum(w * gp))
+    mean_m = float(np.sum(w * gm))
+    var_p = max(float(np.sum(w * (gp - mean_p) ** 2)), 0.0)
+    var_m = max(float(np.sum(w * (gm - mean_m) ** 2)), 0.0)
+    cov = float(np.sum(w * (gp - mean_p) * (gm - mean_m)))
+    return PosteriorMoments(mean_p, mean_m, np.sqrt(var_p), np.sqrt(var_m), cov)
+
+
+def chain_regrid(grid, size=GRID_SIZE, workspace=None):
+    """regrid as first written: window from point_mass_moments, the weights
+    interpolated, their log normalized again by a validated PosteriorGrid."""
+    _check_positive_int(size, "size")
+    mom = point_mass_moments(grid)
+    new_gp, new_gm = (
+        np.linspace(*_axis_window(mean, sigma, axis, grid.hard_bounds), size)
+        for mean, sigma, axis in (
+            (mom.mean_plus, mom.sigma_plus, grid.gamma_plus_axis),
+            (mom.mean_minus, mom.sigma_minus, grid.gamma_minus_axis),
+        )
+    )
+    w = _bilinear(grid.gamma_plus_axis, grid.gamma_minus_axis, grid.weights, new_gp, new_gm)
+    total = w.sum()
+    if not total > 0.0:
+        raise UpdateRejected("regrid produced an empty posterior")
+    with np.errstate(divide="ignore"):
+        lw = np.log(w / total)
+    return PosteriorGrid(new_gp, new_gm, lw, grid.hard_bounds)
+
+
+def per_acquisition_four(config, measurement, tau, rng, t_start, duration_s, memo=None):
+    """The runners' four counts of one acquisition as first written: expected
+    counts computed every time, noisy counts drawn by sample_signals.  `memo`
+    is accepted and ignored."""
+    args = (measurement, tau, config.true_rates, config.params)
+    if config.noiseless:
+        return _block_means(*args, config.drifts, t_start, duration_s)[1]
+    return sample_signals(*args, rng, config.drifts, t_start, duration_s)

@@ -35,6 +35,7 @@ from oracles import (
     exhaustive_argmin,
     expected_measurement,
     jacobian_sigma,
+    one_branch,
 )
 from spinrelax.posterior import (
     MeasurementPair,
@@ -127,7 +128,6 @@ class TestGaussianSigma:
         # A gradient with identical rows carries information about only one
         # rate combination.
         flat = BranchCurves(
-            value=model_m,
             gradient=lambda tau, rates, branch: (np.ones_like(tau), np.ones_like(tau)),
             pair_value=ROBUST_CURVES.pair_value,
         )
@@ -242,7 +242,6 @@ class TestCost:
 
     def test_uninformative_design_costs_infinity(self):
         flat = BranchCurves(
-            value=model_m,
             gradient=lambda tau, rates, branch: (np.ones_like(tau), np.ones_like(tau)),
             pair_value=ROBUST_CURVES.pair_value,
         )
@@ -309,7 +308,6 @@ GRID_KINDS = {
 }
 # Gradient components exchanged: the cross terms b, c dominate the determinant.
 SWAPPED_CURVES = BranchCurves(
-    value=model_m,
     gradient=lambda tau, rates, branch: model_gradient(tau, rates, branch)[::-1],
     pair_value=ROBUST_CURVES.pair_value,
 )
@@ -382,7 +380,6 @@ class TestBoundedArgmin:
         # Both slots measure the plus branch: det is antisymmetric, so the
         # diagonal is singular and at rates (2, 2) every cost has its mirror.
         mirrored = BranchCurves(
-            value=model_m,
             gradient=lambda tau, rates, branch: model_gradient(tau, rates, "+"),
             pair_value=ROBUST_CURVES.pair_value,
         )
@@ -394,7 +391,6 @@ class TestBoundedArgmin:
     @pytest.mark.parametrize("sigma_m", [None, (0.03, 0.03)])
     def test_all_infinite_surface_gives_first_cell(self, sigma_m):
         flat = BranchCurves(
-            value=model_m,
             gradient=lambda tau, rates, branch: (np.ones_like(tau), np.ones_like(tau)),
             pair_value=ROBUST_CURVES.pair_value,
         )
@@ -409,7 +405,7 @@ class TestBoundedArgmin:
             g_plus, g_minus = model_gradient(tau, rates, branch)
             return np.where(tau == poisoned, np.nan, g_plus), g_minus
 
-        curves = BranchCurves(value=model_m, gradient=gradient, pair_value=ROBUST_CURVES.pair_value)
+        curves = BranchCurves(gradient=gradient, pair_value=ROBUST_CURVES.pair_value)
         got, _ = kernel_and_exhaustive(grid, RATES, TIMING, curves)
         assert got[:2] == (0, 123) and np.isnan(got[2])
 
@@ -461,7 +457,7 @@ def table_curves(taus, tables):
         k = np.searchsorted(taus, tau)
         return (g_pp[k], g_pm[k]) if branch == "+" else (g_mp[k], g_mm[k])
 
-    return BranchCurves(value=model_m, gradient=gradient, pair_value=ROBUST_CURVES.pair_value)
+    return BranchCurves(gradient=gradient, pair_value=ROBUST_CURVES.pair_value)
 
 
 def synthetic_tables(rng, taus, kind):
@@ -722,7 +718,7 @@ class TestBlockedParticleSelect:
         n = cloud.weights.size
         bounds = []
         for branch, w in zip(BRANCHES, want):
-            x = np.abs(curves.value(taus[None, :], (gp, gm), branch)).max()
+            x = np.abs(one_branch(curves)(taus[None, :], (gp, gm), branch)).max()
             bounds.append(2 * (n + 4) * EPS * w + (2 * (n + 2) * EPS * x) ** 2)
         return bounds, want
 

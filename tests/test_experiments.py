@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from oracles import ROBUST_CURVES
+from oracles import ROBUST_CURVES, per_acquisition_four
+from spinrelax import experiments
 from spinrelax.design import DelayGrid, DelayPair, TimingModel, nob_select_delays
 from spinrelax.experiments import (
     ExperimentConfig,
@@ -22,7 +23,7 @@ from spinrelax.experiments import (
 from spinrelax.posterior import DEFAULT_BOUNDS, PosteriorMoments, initial_grid
 from spinrelax.protocols import IDEAL_RANKING_PARAMS, minimal_cost
 from spinrelax.rates import RatePair
-from spinrelax.signals import OPTIMAL_PROTOCOL, SignalParams
+from spinrelax.signals import OPTIMAL_PROTOCOL, SignalParams, sample_signals
 
 TRUTH = RatePair(1.0, 3.0)
 
@@ -249,6 +250,37 @@ class TestNapRun:
         np.testing.assert_array_equal(rec.posterior.log_weights, prior.log_weights)
         assert len(rec.iterations) == 0
         assert rec.total_time_s == 0.0
+
+    @pytest.mark.parametrize("case", ["noisy", "noiseless", "drifted"])
+    def test_counts_match_per_acquisition_oracle(self, monkeypatch, case):
+        # Without drift each delay pair's expected counts are computed once
+        # per run; with drift every acquisition still samples block by block.
+        def alpha(t):
+            return 0.8 - 0.1 * min(t / 100.0, 1.0)
+
+        cfg = fig_defaults(
+            optimizer="nap",
+            iterations=3,
+            nap_delays=NAP_DEFAULT_DELAYS[::4],
+            params=SignalParams(repetitions_R=10**4),
+            noiseless=case == "noiseless",
+            drifts={"alpha": alpha} if case == "drifted" else None,
+            seed=5,
+        )
+        sampled = []
+
+        def counted(*args, **kwargs):
+            sampled.append(args)
+            return sample_signals(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "sample_signals", counted)
+        got = run_nap(cfg)
+        monkeypatch.setattr(experiments, "_acquire_four", per_acquisition_four)
+        want = run_nap(cfg)
+        assert got.to_jsonl() == want.to_jsonl()
+        assert json.dumps(got.summary_dict()) == json.dumps(want.summary_dict())
+        acquisitions = 2 * len(cfg.nap_delays) * cfg.iterations
+        assert len(sampled) == (acquisitions if case == "drifted" else 0)
 
     def test_nap_with_nob_sequence_matches_adaptive_exactly(self):
         adaptive = run_adaptive(fig_defaults(iterations=8, seed=42))

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from oracles import ROBUST_CURVES, chi_squared_field, log_likelihood, scipy_regrid_weights
+from oracles import (
+    ROBUST_CURVES,
+    chi_squared_field,
+    log_likelihood,
+    one_branch,
+    scipy_regrid_weights,
+)
 from spinrelax.estimator import measurement_estimate
 from spinrelax.posterior import (
     DEFAULT_BOUNDS,
@@ -232,7 +238,7 @@ class TestBayesUpdate:
         tau_plus, tau_minus = (taus[0], taus[0]) if equal_delays else taus
         pair = MeasurementPair(*values, *sigmas, tau_plus, tau_minus)
         curves = measurement_curves(protocol)
-        lw = grid.log_weights - chi_squared_field(pair, *grid.meshes(), curves.value)
+        lw = grid.log_weights - chi_squared_field(pair, *grid.meshes(), one_branch(curves))
         if not np.isfinite(lw.max()):
             with pytest.raises(UpdateRejected):
                 bayes_update(grid, pair, model=curves.pair_value)

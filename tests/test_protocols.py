@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_step_gradient, entry_model_value, expm_propagator, model_m_optimal
+from oracles import (
+    complex_step_gradient,
+    entry_model_value,
+    expm_propagator,
+    model_m_optimal,
+    one_branch,
+)
 from spinrelax.design import DelayGrid
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
@@ -175,7 +181,7 @@ class TestClassStructure:
             p = expm_propagator(tau, gp, gm)
             complement = 1.0 - p[0, 1] - p[0, 2] - p[1, 2]
             for m in merged:
-                value = kernel(m).value(tau, (gp, gm), "+")
+                value = one_branch(kernel(m))(tau, (gp, gm), "+")
                 assert value == pytest.approx(complement, abs=1e-12)
 
     def test_model_value_matches_expm_oracle(self):
@@ -192,7 +198,7 @@ class TestClassStructure:
             a = state_index[bright[0]]
             c, d = state_index[dark[1]], state_index[dark[0]]
             expected = p[a, a] - p[c, d]
-            assert kernel(m).value(tau, (gp, gm), "+") == pytest.approx(expected, abs=1e-12)
+            assert one_branch(kernel(m))(tau, (gp, gm), "+") == pytest.approx(expected, abs=1e-12)
 
     def test_positive_zero_delay_denominator(self):
         # oriented denominator is bright minus dark at tau = 0
@@ -246,7 +252,7 @@ class TestMeasurementCurves:
         curves = measurement_curves(ROBUST_PROTOCOL)
         taus, gps, gms = _probe_lattice(9)
         for branch in "+-":
-            value = curves.value(taus, (gps, gms), branch)
+            value = one_branch(curves)(taus, (gps, gms), branch)
             assert np.array_equal(value, model_m(taus, (gps, gms), branch))
             got = curves.gradient(taus, (gps, gms), branch)
             want = model_gradient(taus, (gps, gms), branch)
@@ -268,7 +274,8 @@ class TestMeasurementCurves:
         for m in enumerate_measurements():
             curves = kernel(m)
             want = entry_model_value(m, taus, rates)
-            np.testing.assert_allclose(curves.value(taus, rates, "+"), want, rtol=0, atol=1e-12)
+            value = one_branch(curves)(taus, rates, "+")
+            np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
             oracle = complex_step_gradient(m, taus, rates)
             for got, want in zip(curves.gradient(taus, rates, "+"), oracle):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -280,7 +287,7 @@ class TestMeasurementCurves:
                 closed_value = model_m(taus, rates, branch)
                 closed_gradient = model_gradient(taus, rates, branch)
                 for slot in "+-":
-                    assert np.array_equal(curves.value(taus, rates, slot), closed_value)
+                    assert np.array_equal(one_branch(curves)(taus, rates, slot), closed_value)
                     for got, want in zip(curves.gradient(taus, rates, slot), closed_gradient):
                         assert np.array_equal(got, want)
         assert robust == 8
@@ -292,8 +299,9 @@ class TestMeasurementCurves:
         gp, gm = rates
         for m in enumerate_measurements():
             curves, mirror = kernel(m), kernel(mirrored(m))
-            want = mirror.value(taus, (gm, gp), "+")
-            np.testing.assert_allclose(curves.value(taus, (gp, gm), "+"), want, rtol=0, atol=1e-12)
+            want = one_branch(mirror)(taus, (gm, gp), "+")
+            value = one_branch(curves)(taus, (gp, gm), "+")
+            np.testing.assert_allclose(value, want, rtol=0, atol=1e-12)
             d_plus, d_minus = curves.gradient(taus, (gp, gm), "+")
             m_plus, m_minus = mirror.gradient(taus, (gm, gp), "+")
             np.testing.assert_allclose(d_plus, m_minus, rtol=1e-12, atol=1e-12)
@@ -308,7 +316,7 @@ class TestMeasurementCurves:
         curves = measurement_curves(OPTIMAL_PROTOCOL)
         for branch in "+-":
             np.testing.assert_allclose(
-                curves.value(taus, rates, branch),
+                one_branch(curves)(taus, rates, branch),
                 model_m_optimal(taus, rates, 0.0, branch),
                 rtol=0,
                 atol=1e-12,
