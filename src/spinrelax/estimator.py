@@ -187,7 +187,6 @@ def bias_study(
     r_values,
     replicates=10**4,
     seed=0,
-    variance_source="counts",
 ):
     """Monte Carlo of the reciprocal estimator bias across repetition counts.
 
@@ -196,14 +195,11 @@ def bias_study(
     reciprocal-mode estimate of Z = 1/Delta relative to the true
     1/E[Delta], next to the naive linear 1/Delta evaluated on the
     draws with a positive denominator; draws with Delta <= 0 are counted in
-    zero_denominator_count.  variance_source selects whether sigma_Delta is
-    estimated from the observed counts (the estimator's operating mode) or
-    plugged in exactly from the known expectations.
+    zero_denominator_count.  sigma_Delta is estimated from the observed
+    counts, as the estimator does in a run.
     """
     if replicates < 10**3:
         raise ValueError("replicates must be at least 1000 for stable tails")
-    if variance_source not in ("counts", "exact"):
-        raise ValueError("variance_source must be 'counts' or 'exact'")
     rng = np.random.default_rng(seed)
     rows = []
     m_true = None
@@ -223,11 +219,8 @@ def bias_study(
         s10 = rng.poisson(mean_10, size=replicates)
         s20 = rng.poisson(mean_20, size=replicates)
         delta = (s10 - s20).astype(float)
-        if variance_source == "counts":
-            var_delta = (s10 + s20).astype(float)
-            var_delta[var_delta == 0.0] = 1.0
-        else:
-            var_delta = np.full(replicates, mean_10 + mean_20)
+        var_delta = (s10 + s20).astype(float)
+        var_delta[var_delta == 0.0] = 1.0
         z_nl, _ = reciprocal_mode(delta, np.sqrt(var_delta))
         m_bar = (s1t - s2t) * z_nl
 

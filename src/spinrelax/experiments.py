@@ -9,6 +9,12 @@ estimator and inference calls.  The speedup study pairs replicate
 ensembles of the two arms and reports how much longer the fixed sweep
 needs to match the adaptive final uncertainty.
 
+Both runners build one run context, `_Run`, and share its two steps.
+`acquire` draws both branches' counts; without drift it computes each
+(measurement, delay)'s expected counts once per run and draws every
+acquisition at that delay from them.  `fold` estimates the measurement
+pair, updates the posterior and regrids it in the run's workspace.
+
 Delays are milliseconds, rates 1/ms, wall-clock seconds throughout.
 """
 
@@ -93,9 +99,10 @@ class ExperimentConfig:
     delay) or (tau_plus, tau_minus) pairs; scalar lists must be strictly
     increasing, pair lists are taken in the given acquisition order.
     `delay_grid` is the selectors' candidate grid; `prior_bounds` need 0 < lo < hi < inf.
-    `drifts` maps SignalParams field names to callables of wall-clock
-    seconds.  `selector_overhead_s` is the deterministic per-iteration CPU
-    charge recorded in the run.
+    `timing` (default: TimingModel at params' repetitions_R) must count
+    params' repetitions.  `drifts` maps SignalParams field names to
+    callables of wall-clock seconds.  `selector_overhead_s` is the
+    deterministic per-iteration CPU charge recorded in the run.
     """
 
     true_rates: RatePair
@@ -140,11 +147,8 @@ class ExperimentConfig:
         if not 0.0 <= self.selector_overhead_s < np.inf:
             raise ValueError("selector_overhead_s must be finite and nonnegative")
         _check_drift_fields(self.drifts)
-
-    def resolved_timing(self):
-        if self.timing is not None:
-            return self.timing
-        return TimingModel(repetitions_R=self.params.repetitions_R)
+        if self.timing is not None and self.timing.repetitions_R != self.params.repetitions_R:
+            raise ValueError("timing.repetitions_R must equal params.repetitions_R")
 
     def nap_delay_pairs(self):
         """One DelayPair per nap_delays entry; a scalar sets both branches."""
@@ -263,27 +267,6 @@ class RunRecord:
         }
 
 
-def _acquire_four(config, measurement, tau, rng, t_start, duration_s, memo=None):
-    """One acquisition's four counts; a noiseless run takes the expected totals as counts.
-
-    `memo`, a dict a run without drift owns, keeps each (measurement, delay)'s
-    `_block_means` from its first acquisition, since they do not depend on
-    time; without it they are computed per acquisition, block by block.
-    """
-    args = (measurement, tau, config.true_rates, config.params)
-    if memo is None:
-        if config.noiseless:
-            return _block_means(*args, config.drifts, t_start, duration_s)[1]
-        return sample_signals(*args, rng, config.drifts, t_start, duration_s)
-    key = (measurement, tau)
-    if key not in memo:
-        memo[key] = _block_means(*args, None, t_start, duration_s)
-        for a in memo[key]:
-            a.flags.writeable = False
-    means, totals = memo[key]
-    return totals if config.noiseless else _draw(means, rng)
-
-
 def _estimate_pair(counts_plus, counts_minus, delays):
     est_plus = measurement_estimate(counts_plus)
     est_minus = measurement_estimate(counts_minus)
@@ -297,18 +280,27 @@ def _estimate_pair(counts_plus, counts_minus, delays):
     )
 
 
-class _Ledger:
-    """Clocks and records of one run, shared by both runners.
+class _Run:
+    """One run's state, from its random generator to its records, and the
+    acquisition and fold steps both runners share.
 
     `t_physical` sums acquisition durations and `t_delay` their relaxation
     delays; `t_total` adds the selector CPU charged on top, per acquisition
-    through `log` or, in a fixed-sweep run, once per posterior rebuild.  The
-    runner keeps `flagged_count`: flagged iterations of an adaptive run,
+    through `log` or, in a fixed-sweep run, once per posterior rebuild.
+    `fold` counts `flagged_count`: flagged iterations of an adaptive run,
     unusable aggregates per sweep of a fixed-sweep run.
     """
 
-    def __init__(self, timing):
-        self.timing = timing
+    def __init__(self, config):
+        self.config = config
+        self.rng = np.random.default_rng(config.seed)
+        self.timing = config.timing or TimingModel(config.params.repetitions_R)
+        self.curves = measurement_curves(config.protocol)
+        self.prior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
+        self.plus = config.protocol.plus.oriented(config.params)
+        self.minus = config.protocol.minus.oriented(config.params)
+        self._workspace = _Workspace()
+        self._static = {}
         self.records = []
         self.trace = []
         self.t_total = 0.0
@@ -316,22 +308,59 @@ class _Ledger:
         self.t_delay = 0.0
         self.flagged_count = 0
 
-    def acquire(self, config, plus, minus, delays, rng, memo=None):
+    def acquire(self, delays):
         """Sample both branches back to back from the current physical time.
 
         Each branch takes its own delays plus half the fixed time.  Sampling
         happens for both branches before any estimation so the random stream
-        advances identically whether or not an estimate fails.  `memo` is
-        _acquire_four's.
+        advances identically whether or not an estimate fails.
         """
         start = self.t_physical
         d_plus = self.timing.branch_seconds(delays.tau_plus)
         d_minus = self.timing.branch_seconds(delays.tau_minus)
-        counts_plus = _acquire_four(config, plus, delays.tau_plus, rng, start, d_plus, memo)
-        counts_minus = _acquire_four(
-            config, minus, delays.tau_minus, rng, start + d_plus, d_minus, memo
+        return (
+            self.four(self.plus, delays.tau_plus, start, d_plus),
+            self.four(self.minus, delays.tau_minus, start + d_plus, d_minus),
         )
-        return counts_plus, counts_minus
+
+    def four(self, measurement, tau, t_start, duration_s):
+        """One acquisition's four counts; a noiseless run takes the expected totals as counts.
+
+        Without drift the expected counts do not depend on time, so each
+        (measurement, delay)'s `_block_means` are computed at its first
+        acquisition, kept read-only for the rest of the run, and drawn from
+        by `_draw`, as `sample_signals` draws.  With drift every acquisition
+        is computed block by block.
+        """
+        config = self.config
+        args = (measurement, tau, config.true_rates, config.params)
+        if config.drifts is None:
+            key = (measurement, tau)
+            if key not in self._static:
+                self._static[key] = _block_means(*args, None, t_start, duration_s)
+                for a in self._static[key]:
+                    a.flags.writeable = False
+            means, totals = self._static[key]
+        elif config.noiseless:
+            means, totals = _block_means(*args, config.drifts, t_start, duration_s)
+        else:
+            return sample_signals(*args, self.rng, config.drifts, t_start, duration_s)
+        return totals if config.noiseless else _draw(means, self.rng)
+
+    def fold(self, grid, counts, delays):
+        """Fold one acquisition's or aggregate's counts into `grid`: (pair, new grid).
+
+        A failed estimate (pair None) or a rejected update counts one flag
+        and returns `grid` itself.
+        """
+        pair = None
+        try:
+            pair = _estimate_pair(*counts, delays)
+            updated = bayes_update(grid, pair, self.curves.pair_value, workspace=self._workspace)
+            return pair, regrid(updated, self.config.grid_size, workspace=self._workspace)
+        except (EstimationError, UpdateRejected):
+            self.flagged_count += 1
+            return pair, grid
 
     def log(self, delays, pair, flagged, state, cpu=0.0):
         """Advance the clocks by one acquisition and record it with `state`."""
@@ -367,10 +396,10 @@ class _Ledger:
             )
         )
 
-    def run_record(self, optimizer, posterior, state):
+    def run_record(self, posterior, state):
         """The finished run; `state` is the moments of the final `posterior`."""
         return RunRecord(
-            optimizer=optimizer,
+            optimizer=self.config.optimizer,
             iterations=tuple(self.records),
             trace_points=tuple(self.trace),
             final=state,
@@ -394,98 +423,69 @@ def run_adaptive(config):
     """
     if config.optimizer not in ("nob", "pf"):
         raise ValueError("run_adaptive needs optimizer 'nob' or 'pf'")
-    rng = np.random.default_rng(config.seed)
-    timing = config.resolved_timing()
-    curves = measurement_curves(config.protocol)
-    posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
-    plus = config.protocol.plus.oriented(config.params)
-    minus = config.protocol.minus.oriented(config.params)
-
-    ledger = _Ledger(timing)
-    fold = _Workspace()
+    run = _Run(config)
+    posterior = run.prior
     state = moments(posterior)
     for _ in range(config.iterations):
         if config.optimizer == "nob":
-            delays = nob_select_delays(state, timing, curves, config.delay_grid)
+            delays = nob_select_delays(state, run.timing, run.curves, config.delay_grid)
         else:
-            cloud = ParticleCloud.from_grid(posterior, config.particle_count, rng)
-            delays = pf_select_delays(cloud, timing, curves, config.delay_grid)
+            cloud = ParticleCloud.from_grid(posterior, config.particle_count, run.rng)
+            delays = pf_select_delays(cloud, run.timing, run.curves, config.delay_grid)
 
-        counts = ledger.acquire(config, plus, minus, delays, rng)
-        pair = None
-        flagged = False
-        try:
-            pair = _estimate_pair(*counts, delays)
-            updated = bayes_update(posterior, pair, curves.pair_value, workspace=fold)
-            posterior = regrid(updated, config.grid_size, workspace=fold)
-        except (EstimationError, UpdateRejected):
-            flagged = True
-            ledger.flagged_count += 1
-
+        pair, folded = run.fold(posterior, run.acquire(delays), delays)
+        flagged = folded is posterior
+        posterior = folded
         state = moments(posterior)
-        ledger.log(delays, pair, flagged, state, cpu=config.selector_overhead_s)
+        run.log(delays, pair, flagged, state, cpu=config.selector_overhead_s)
         if not flagged:
-            ledger.mark(state)
-    return ledger.run_record(config.optimizer, posterior, state)
+            run.mark(state)
+    return run.run_record(posterior, state)
 
 
 def run_nap(config, stop_sigma=None, max_physical_s=None):
     """Fixed-list run: sweep, accumulate, recompute from aggregates.
 
     Each delay pair's counts accumulate in one (pairs, 2, 4) float array, a
-    row of four counts per branch; without drift, each delay pair's expected
-    counts are computed once per run, at its first acquisition.  After each
-    sweep the posterior is rebuilt from the prior by folding in one
-    aggregate measurement pair per delay, in list order, through the same
-    update and regrid calls as the adaptive loop; with zero sweeps the prior
-    is returned unchanged.  `stop_sigma` (pair) ends the run early
-    once both posterior widths drop below it; `max_physical_s` caps the
-    accumulated acquisition time.  Delays carrying an unusable aggregate
-    (zero counts) are skipped and counted as flagged for that sweep.
+    row of four counts per branch.  After each sweep the posterior is
+    rebuilt from the prior by folding in one aggregate measurement pair per
+    delay, in list order, through the same fold as the adaptive loop; with
+    zero sweeps the prior is returned unchanged.  `stop_sigma` (pair) ends
+    the run early once both posterior widths drop below it;
+    `max_physical_s` caps the accumulated acquisition time.  Delays
+    carrying an unusable aggregate (zero counts) are skipped and counted as
+    flagged for that sweep.
     """
     if config.optimizer != "nap":
         raise ValueError("run_nap needs optimizer 'nap'")
-    rng = np.random.default_rng(config.seed)
-    curves = measurement_curves(config.protocol)
-    plus = config.protocol.plus.oriented(config.params)
-    minus = config.protocol.minus.oriented(config.params)
+    run = _Run(config)
     pairs = config.nap_delay_pairs()
     totals = np.zeros((len(pairs), 2, 4))
-    memo = {} if config.drifts is None else None
-
-    prior = posterior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
-    ledger = _Ledger(config.resolved_timing())
-    fold = _Workspace()
+    posterior = run.prior
     state = moments(posterior)
     for _ in range(config.iterations):
         for total, delays in zip(totals, pairs):
-            counts = ledger.acquire(config, plus, minus, delays, rng, memo)
+            counts = run.acquire(delays)
             total += counts
             try:
                 probe = _estimate_pair(*counts, delays)
             except EstimationError:
                 probe = None
-            ledger.log(delays, probe, probe is None, state)
+            run.log(delays, probe, probe is None, state)
 
-        rebuilt = prior
+        posterior = run.prior
         for total, delays in zip(totals, pairs):
-            try:
-                pair = _estimate_pair(*total, delays)
-                updated = bayes_update(rebuilt, pair, curves.pair_value, workspace=fold)
-                rebuilt = regrid(updated, config.grid_size, workspace=fold)
-            except (EstimationError, UpdateRejected):
-                ledger.flagged_count += 1
-        posterior = rebuilt
-        ledger.t_total += config.selector_overhead_s
+            posterior = run.fold(posterior, total, delays)[1]
+        run.t_total += config.selector_overhead_s
         state = moments(posterior)
-        ledger.mark(state)
+        run.mark(state)
         if stop_sigma is not None and (
             state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
         ):
             break
-        if max_physical_s is not None and ledger.t_physical >= max_physical_s:
+        if max_physical_s is not None and run.t_physical >= max_physical_s:
             break
-    return ledger.run_record(config.optimizer, posterior, state)
+    return run.run_record(posterior, state)
 
 
 def replicate_seeds(base_seed, count):

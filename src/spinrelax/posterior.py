@@ -342,10 +342,12 @@ def regrid(grid, size=GRID_SIZE, *, workspace=None):
 
     Weights are separably bilinearly interpolated from the old grid, zero
     outside its support, then normalized once; the one `log` gives the new
-    log weights.  `size` is a positive integer.  A run's `workspace` holds
-    the interpolation scratch; the new grid's arrays are always fresh.
+    log weights.  `size` is an integer of at least 2.  A run's `workspace`
+    holds the interpolation scratch; the new grid's arrays are always fresh.
     """
     _check_positive_int(size, "size")
+    if size < 2:
+        raise ValueError("size must be at least 2, as each axis needs two points")
     mom = moments(grid)
     new_gp, new_gm = (
         np.linspace(*_axis_window(mean, sigma, axis, grid.hard_bounds), size)

@@ -38,8 +38,8 @@ posterior fold as first written, in two steps: each step builds a validated
 moments are full 2-D point-mass sums; the fused fold kernel must pick the
 same delays and match its moments to rounding.  `per_acquisition_four` is
 the runners' acquisition as first written, computing an acquisition's
-expected counts every time and drawing through `sample_signals`, which the
-fixed sweep's once-per-run expected counts must reproduce bit for bit.
+expected counts every time and drawing through `sample_signals`, which a
+run's once-per-run expected counts must reproduce bit for bit.
 `entry_model_value` is a measurement's normalized model read the long way,
 as the bright minus the dark entry of the full (..., 3, 3) propagator stack,
 and `complex_step_gradient` its rate derivatives by complex-step
@@ -522,11 +522,11 @@ def chain_regrid(grid, size=GRID_SIZE, workspace=None):
     return PosteriorGrid(new_gp, new_gm, lw, grid.hard_bounds)
 
 
-def per_acquisition_four(config, measurement, tau, rng, t_start, duration_s, memo=None):
-    """The runners' four counts of one acquisition as first written: expected
-    counts computed every time, noisy counts drawn by sample_signals.  `memo`
-    is accepted and ignored."""
+def per_acquisition_four(run, measurement, tau, t_start, duration_s):
+    """experiments._Run.four as first written: expected counts computed every
+    time, noisy counts drawn by sample_signals."""
+    config = run.config
     args = (measurement, tau, config.true_rates, config.params)
     if config.noiseless:
         return _block_means(*args, config.drifts, t_start, duration_s)[1]
-    return sample_signals(*args, rng, config.drifts, t_start, duration_s)
+    return sample_signals(*args, run.rng, config.drifts, t_start, duration_s)

@@ -1,5 +1,7 @@
 """Tests for the bias-reduced ratio estimator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -17,7 +19,7 @@ from spinrelax.estimator import (
     sigma_m_from_expectations,
 )
 from spinrelax.rates import RatePair
-from spinrelax.signals import ROBUST_PROTOCOL, SignalParams, sample_signals
+from spinrelax.signals import ROBUST_PROTOCOL, SignalParams, expected_signals, sample_signals
 
 FIG_PARAMS = SignalParams()
 RATES = RatePair(1.0, 3.0)
@@ -222,13 +224,17 @@ class TestBiasStudy:
         assert abs(row.mean_ratio_m - 1.0) < 0.01
 
     def test_variance_source_paths_agree(self):
-        kwargs = dict(replicates=20000, seed=13)
-        counts = bias_study(FIG_PARAMS, RATES, 0.4, [10000], **kwargs)
-        exact = bias_study(
-            FIG_PARAMS, RATES, 0.4, [10000], variance_source="exact", **kwargs
-        )
+        # sigma_Delta from the counts, as bias_study takes it, against the
+        # exact sigma_Delta of the known expectations on the same draws.
+        replicates, r = 20000, 10000
+        counts = bias_study(FIG_PARAMS, RATES, 0.4, [r], replicates=replicates, seed=13)
+        params = replace(FIG_PARAMS, repetitions_R=r)
+        means = expected_signals(ROBUST_PROTOCOL.plus.oriented(params), 0.4, RATES, params)[0]
+        rng = np.random.default_rng(13)
+        _, _, s10, s20 = (rng.poisson(mean, size=replicates) for mean in means)
+        z_exact, _ = reciprocal_mode((s10 - s20).astype(float), np.sqrt(means[2] + means[3]))
         a = counts.rows[0].mean_ratio_nonlinear
-        b = exact.rows[0].mean_ratio_nonlinear
+        b = float(z_exact.mean() * (means[2] - means[3]))
         assert abs(a - b) < 0.01 * abs(b)
 
     def test_seed_reproducibility(self):
@@ -250,5 +256,3 @@ class TestBiasStudy:
     def test_validation(self):
         with pytest.raises(ValueError):
             bias_study(FIG_PARAMS, RATES, 0.4, [1000], replicates=10)
-        with pytest.raises(ValueError):
-            bias_study(FIG_PARAMS, RATES, 0.4, [1000], variance_source="guess")

@@ -34,6 +34,43 @@ def fig_defaults(**overrides):
     return ExperimentConfig(**base)
 
 
+def assert_counts_match_oracle(monkeypatch, optimizer, case):
+    """A run's records equal those of per-acquisition counts, byte for byte.
+
+    Without drift each (measurement, delay)'s expected counts are computed
+    once per run and sample_signals is never called; with drift every
+    acquisition still samples block by block, once per call.
+    """
+
+    def alpha(t):
+        return 0.8 - 0.1 * min(t / 100.0, 1.0)
+
+    cfg = fig_defaults(
+        optimizer=optimizer,
+        iterations=3 if optimizer == "nap" else 6,
+        nap_delays=NAP_DEFAULT_DELAYS[::4] if optimizer == "nap" else (),
+        params=SignalParams(repetitions_R=10**4),
+        noiseless=case == "noiseless",
+        drifts={"alpha": alpha} if case == "drifted" else None,
+        particle_count=2000,
+        seed=5,
+    )
+    runner = run_nap if optimizer == "nap" else run_adaptive
+    sampled = []
+
+    def counted(*args, **kwargs):
+        sampled.append(args)
+        return sample_signals(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sample_signals", counted)
+    got = runner(cfg)
+    assert len(sampled) == (2 * len(got.iterations) if case == "drifted" else 0)
+    monkeypatch.setattr(experiments._Run, "four", per_acquisition_four)
+    want = runner(cfg)
+    assert got.to_jsonl() == want.to_jsonl()
+    assert json.dumps(got.summary_dict()) == json.dumps(want.summary_dict())
+
+
 class TestConfigValidation:
     def test_unknown_optimizer(self):
         with pytest.raises(ValueError):
@@ -99,6 +136,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             fig_defaults(optimizer=optimizer, nap_delays=((0.1, 0.2), entry))
 
+    def test_timing_must_count_params_repetitions(self):
+        # TimingModel(10) at R = 1e6 used to report 0.0105 s for 1,047 s of counts.
+        with pytest.raises(ValueError, match="timing.repetitions_R must equal"):
+            fig_defaults(timing=TimingModel(10))
+        cfg = fig_defaults(timing=TimingModel(SignalParams().repetitions_R, overhead_T0=1.0))
+        assert cfg.timing.overhead_T0 == 1.0
+
     def test_wrong_runner(self):
         with pytest.raises(ValueError):
             run_adaptive(fig_defaults(optimizer="nap", nap_delays=(0.1, 0.2)))
@@ -107,6 +151,11 @@ class TestConfigValidation:
 
 
 class TestAdaptiveRun:
+    @pytest.mark.parametrize("optimizer", ["nob", "pf"])
+    @pytest.mark.parametrize("case", ["noisy", "noiseless", "drifted"])
+    def test_counts_match_per_acquisition_oracle(self, monkeypatch, optimizer, case):
+        assert_counts_match_oracle(monkeypatch, optimizer, case)
+
     def test_whole_float_repetitions_run(self):
         # SignalParams accepts a whole-valued float R; TimingModel takes only ints.
         params = SignalParams(repetitions_R=1e5)
@@ -243,6 +292,10 @@ class TestAdaptiveRun:
 
 
 class TestNapRun:
+    @pytest.mark.parametrize("case", ["noisy", "noiseless", "drifted"])
+    def test_counts_match_per_acquisition_oracle(self, monkeypatch, case):
+        assert_counts_match_oracle(monkeypatch, "nap", case)
+
     def test_zero_sweeps_returns_prior(self):
         cfg = fig_defaults(optimizer="nap", iterations=0, nap_delays=NAP_DEFAULT_DELAYS)
         rec = run_nap(cfg)
@@ -251,36 +304,6 @@ class TestNapRun:
         assert len(rec.iterations) == 0
         assert rec.total_time_s == 0.0
 
-    @pytest.mark.parametrize("case", ["noisy", "noiseless", "drifted"])
-    def test_counts_match_per_acquisition_oracle(self, monkeypatch, case):
-        # Without drift each delay pair's expected counts are computed once
-        # per run; with drift every acquisition still samples block by block.
-        def alpha(t):
-            return 0.8 - 0.1 * min(t / 100.0, 1.0)
-
-        cfg = fig_defaults(
-            optimizer="nap",
-            iterations=3,
-            nap_delays=NAP_DEFAULT_DELAYS[::4],
-            params=SignalParams(repetitions_R=10**4),
-            noiseless=case == "noiseless",
-            drifts={"alpha": alpha} if case == "drifted" else None,
-            seed=5,
-        )
-        sampled = []
-
-        def counted(*args, **kwargs):
-            sampled.append(args)
-            return sample_signals(*args, **kwargs)
-
-        monkeypatch.setattr(experiments, "sample_signals", counted)
-        got = run_nap(cfg)
-        monkeypatch.setattr(experiments, "_acquire_four", per_acquisition_four)
-        want = run_nap(cfg)
-        assert got.to_jsonl() == want.to_jsonl()
-        assert json.dumps(got.summary_dict()) == json.dumps(want.summary_dict())
-        acquisitions = 2 * len(cfg.nap_delays) * cfg.iterations
-        assert len(sampled) == (acquisitions if case == "drifted" else 0)
 
     def test_nap_with_nob_sequence_matches_adaptive_exactly(self):
         adaptive = run_adaptive(fig_defaults(iterations=8, seed=42))

@@ -107,6 +107,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="size must be a positive integer"):
             regrid(initial_grid(size=20), size)
 
+    def test_regrid_size_must_be_at_least_two(self):
+        # Size 1 made a 1x1 grid at the lower prior bound that PosteriorGrid rejects.
+        with pytest.raises(ValueError, match="size must be at least 2"):
+            regrid(initial_grid(size=20), 1)
+
     @pytest.mark.parametrize("fill", [-np.inf, np.inf])
     def test_rejects_non_finite_maximum(self, fill):
         # All -inf leaves nothing to normalize; any +inf is the maximum.

@@ -16,7 +16,7 @@ from oracles import (
     model_m_optimal,
 )
 from spinrelax.design import DelayGrid
-from spinrelax.experiments import ExperimentConfig, _acquire_four
+from spinrelax.experiments import ExperimentConfig, _Run
 from spinrelax.rates import RatePair, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
@@ -481,7 +481,7 @@ class TestStackedSampler:
         )
         for protocol in (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL):
             for meas in (protocol.plus, protocol.minus):
-                got = _acquire_four(config, meas, 0.4, None, 1.0, 5.0)
+                got = _Run(config).four(meas, 0.4, 1.0, 5.0)
                 _, want = looped_sample_signals(
                     meas, 0.4, rates, params, np.random.default_rng(0),
                     drifts=SAMPLER_DRIFTS[drift], t_start=1.0, duration_s=5.0,
