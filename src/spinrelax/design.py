@@ -100,6 +100,9 @@ class DelayGrid:
         taus = np.array(self.taus, dtype=float)
         if taus.ndim != 1 or taus.size < 2:
             raise ValueError("delay grid needs at least two points")
+        # Finite first: NaN passes both `<= 0` tests.
+        if not np.all(np.isfinite(taus)):
+            raise ValueError("delay grid must be finite")
         if np.any(taus <= 0.0) or np.any(np.diff(taus) <= 0.0):
             raise ValueError("delay grid must be positive and strictly increasing")
         taus.flags.writeable = False
@@ -238,7 +241,7 @@ def _sigma_arrays(sigma_m, taus):
     for entry in sigma_m:
         values = np.asarray(entry(taus) if callable(entry) else entry, dtype=float)
         values = np.broadcast_to(values, taus.shape)
-        if np.any(values <= 0.0):
+        if not np.all(values > 0.0):
             raise ValueError("sigma_m entries must be positive")
         out.append(values)
     return out

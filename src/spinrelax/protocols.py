@@ -42,10 +42,13 @@ that branch, whatever the contrast, pumping and pulse errors.  The three
 collapsed classes give x = 0.  measurement_curves serves every slot from
 this one kernel and its analytic gradient, so no protocol is a special case.
 
-Ranking evaluates, for every independent protocol, the shot-noise
-uncertainty of M from expected photon counts, minimizes the
-time-normalized sensitivity cost over a delay grid, and reports each
-minimal cost relative to the best-known reference pair.
+Ranking evaluates the shot-noise uncertainty of M from expected photon
+counts over the delay grid once per distinct measurement (the 36
+protocols pair 9 measurements, so one ranking builds 9 sigma_M tables and
+each point of the ratio sweep 4), minimizes every independent protocol's
+time-normalized sensitivity cost over the grid with those tables, and
+reports each minimal cost relative to the best-known reference pair.
+Rates are checked by RatePair before any table is built.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ import numpy as np
 
 from .design import DEFAULT_GRID, BranchCurves, DelayPair, TimingModel, _bounded_argmin
 from .estimator import sigma_m_from_expectations
-from .rates import _FRESH, _gradient, _pair_values, _values
+from .rates import _FRESH, RatePair, _gradient, _pair_values, _unpack, _values
 from .signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
@@ -300,30 +303,40 @@ ROBUST_LABEL = ROBUST_PROTOCOL.label
 OPTIMAL_LABEL = OPTIMAL_PROTOCOL.label
 
 
-def _sigma_callable(measurement, rates, params):
-    def sigma(taus):
-        expectations = _bright_first_expectations(measurement, taus, rates, params)
-        _, s = sigma_m_from_expectations(*expectations)
-        return s
+def _sigma_tables(protocols, rates, params, grid):
+    """sigma_M over the grid's delays of every distinct measurement of
+    `protocols`, each computed once: {measurement: array}."""
+    tables = {}
+    for measurement in (m for p in protocols for m in (p.plus, p.minus)):
+        if measurement not in tables:
+            expectations = _bright_first_expectations(measurement, grid.taus, rates, params)
+            tables[measurement] = sigma_m_from_expectations(*expectations)[1]
+    return tables
 
-    return sigma
+
+def _checked_rates(rates):
+    """`rates` unchanged, once RatePair has accepted them as positive and finite."""
+    if not isinstance(rates, RatePair):
+        RatePair(*map(float, _unpack(rates)))
+    return rates
 
 
-def minimal_cost(protocol, rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID):
+def minimal_cost(protocol, rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID, *, _tables=None):
     """Lowest achievable cost and its delay pair for one protocol.
 
     An exact bounded argmin of cost_surface over `grid`, sigma_M being the
     protocol's shot noise per delay under `params` and the timing
     TimingModel(params.repetitions_R): the cell and value of np.argmin over
     the full surface, ties going to the smallest tau_plus, then tau_minus.
+    Rates outside RatePair's domain raise ValueError.  `_tables` is
+    rank_protocols' _sigma_tables for all protocols at the same rates,
+    params and grid; by default the protocol's own two are built.
     """
+    rates = _checked_rates(rates)
+    tables = _tables if _tables is not None else _sigma_tables([protocol], rates, params, grid)
     timing = TimingModel(repetitions_R=params.repetitions_R)
-    curves = measurement_curves(protocol)
-    sigma_m = (
-        _sigma_callable(protocol.plus, rates, params),
-        _sigma_callable(protocol.minus, rates, params),
-    )
-    i, j, value = _bounded_argmin(grid, rates, sigma_m, timing, curves)
+    sigma_m = (tables[protocol.plus], tables[protocol.minus])
+    i, j, value = _bounded_argmin(grid, rates, sigma_m, timing, measurement_curves(protocol))
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j])), value
 
 
@@ -335,10 +348,11 @@ def rank_protocols(rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID):
     get infinite cost and sort last.
     """
     protocols = enumerate_protocols()
+    tables = _sigma_tables(protocols, _checked_rates(rates), params, grid)
     results = []
     reference_cost = None
     for protocol in protocols:
-        delays, value = minimal_cost(protocol, rates, params, grid)
+        delays, value = minimal_cost(protocol, rates, params, grid, _tables=tables)
         results.append((protocol, delays, value))
         if protocol == OPTIMAL_PROTOCOL:
             reference_cost = value
@@ -361,11 +375,16 @@ def sensitivity_ratio_curve(ratios, params=IDEAL_RANKING_PARAMS):
 
     Rates are parameterized as (sqrt(r), 1/sqrt(r)) so the geometric mean
     stays 1; a common rate rescaling leaves every ratio unchanged.  Each
-    cost is minimal_cost's under `params` on the default grid.  Returns
-    rows of (rate_ratio, cost_robust, cost_optimal, cost_ratio).
+    cost is minimal_cost's under `params` on the default grid; the two
+    protocols share no measurement, so each ratio builds four sigma_M
+    tables.  A ratio that is not positive and finite raises ValueError.
+    Returns rows of (rate_ratio, cost_robust, cost_optimal, cost_ratio).
     """
+    ratios = np.asarray(ratios, dtype=float)
+    if not np.all((ratios > 0.0) & (ratios < np.inf)):
+        raise ValueError("rate ratios must be positive and finite")
     rows = []
-    for r in np.asarray(ratios, dtype=float):
+    for r in ratios:
         rates = (np.sqrt(r), 1.0 / np.sqrt(r))
         _, cost_robust = minimal_cost(ROBUST_PROTOCOL, rates, params)
         _, cost_optimal = minimal_cost(OPTIMAL_PROTOCOL, rates, params)

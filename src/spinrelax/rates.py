@@ -15,10 +15,17 @@ K has eigenvalues 0, -beta_fast, -beta_slow with
     beta_fast/slow = gp + gm +/- g,    g = sqrt(gp^2 + gm^2 - gp*gm),
 
 so every population observable is a mixture of two decaying exponentials on
-top of the uniform equilibrium (1/3, 1/3, 1/3).  This module evaluates the
-propagator exp(K tau) and the normalized relaxation model functions in
-closed form, together with their analytic derivatives with respect to both
-rates.  Every normalized four-signal measurement is one kernel,
+top of the uniform equilibrium (1/3, 1/3, 1/3):
+
+    exp(K tau) = J/3 + e_fast u u^T/|u|^2 + e_slow w w^T/|w|^2,
+
+with J the all-ones matrix and u, w the eigenvectors of _eigenvectors.
+This module evaluates the propagator and the normalized relaxation model
+functions in closed form, together with their analytic derivatives with
+respect to both rates, and it is the one source of tau-dependence: the
+expected photon counts (signals) are a constant plus the same two decays,
+their coefficients contracted with the same eigenvectors.  Every
+normalized four-signal measurement is one kernel,
 
     ((g + x) e_fast + (g - x) e_slow) / 2g,   x = p gp + q gm,
 
@@ -98,18 +105,28 @@ def _check_tau(tau):
     return tau
 
 
-def propagator_entries(tau, gp, gm):
-    """Spectral closed form of exp(K tau), broadcasting over all arguments.
-
-    Returns an array of shape broadcast(tau, gp, gm) + (3, 3).  The
-    decomposition uses the eigenvectors
+def _eigenvectors(gp, gm, g):
+    """(u, |u|^2) and (w, |w|^2): K's eigenvectors for -beta_fast and -beta_slow.
 
         u = (-gm (gm+g), (gp+g)(gm+g), -gp (gp+g))   for -beta_fast,
         w = (-(gp+g), gp-gm, gm+g)                   for -beta_slow,
 
-    which stay nonzero for all positive rates (the textbook eigenvector
-    formula degenerates at gp = gm; w above is its stable replacement,
-    obtained by crossing (1,1,1) with u).  No clipping or conjugation is
+    shape broadcast(gp, gm) + (3,).  Both stay nonzero for all positive
+    rates (the textbook eigenvector formula degenerates at gp = gm; w above
+    is its stable replacement, obtained by crossing (1,1,1) with u).  Plain
+    (non-conjugating) squared norms keep the expression analytic in gp and
+    gm.
+    """
+    u = np.stack([-gm * (gm + g), (gp + g) * (gm + g), -gp * (gp + g)], axis=-1)
+    w = np.stack([-(gp + g), gp - gm, gm + g], axis=-1)
+    return (u, np.sum(u * u, axis=-1)), (w, np.sum(w * w, axis=-1))
+
+
+def propagator_entries(tau, gp, gm):
+    """Spectral closed form of exp(K tau), broadcasting over all arguments.
+
+    Returns an array of shape broadcast(tau, gp, gm) + (3, 3), built from
+    the eigenprojectors of _eigenvectors.  No clipping or conjugation is
     performed here so the expression remains analytic in gp and gm, which
     the test oracles' complex-step derivatives rely on.
     """
@@ -118,12 +135,7 @@ def propagator_entries(tau, gp, gm):
     e_fast = np.exp(-(gp + gm + g) * tau)
     e_slow = np.exp(-(gp + gm - g) * tau)
 
-    u = np.stack([-gm * (gm + g), (gp + g) * (gm + g), -gp * (gp + g)], axis=-1)
-    w = np.stack([-(gp + g), gp - gm, gm + g], axis=-1)
-    # Plain (non-conjugating) squared norms keep the expression analytic.
-    u_norm2 = np.sum(u * u, axis=-1)
-    w_norm2 = np.sum(w * w, axis=-1)
-
+    (u, u_norm2), (w, w_norm2) = _eigenvectors(gp, gm, g)
     proj_u = u[..., :, None] * u[..., None, :] / u_norm2[..., None, None]
     proj_w = w[..., :, None] * w[..., None, :] / w_norm2[..., None, None]
 

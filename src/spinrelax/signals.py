@@ -8,7 +8,14 @@ Its expected photon sum over R repetitions is the five-factor chain
 
 with s the pumped populations, B the (imperfect) pulse operators, P(tau) the
 relaxation propagator, c the state-dependent photon yields, and b(tau) an
-optional background.  A measurement takes the difference of two such signals
+optional background.  For fixed rates P(tau) = J/3 + e_fast P_u + e_slow P_w
+(rates' eigenprojectors), so every bare count is a constant plus two
+decays, k0 + k1 e_fast(tau) + k2 e_slow(tau): the three coefficients come
+once per signal and parameter block from the pulse chain and the
+eigenvectors, and the decays from rates._decays, the same ones the
+normalized model uses.  The 3x3 propagator is not on the counts path; at
+tau = 0 a count is the chain through the identity, c B_read B_prep s,
+exactly.  A measurement takes the difference of two such signals
 at tau and again at tau = 0, and normalizes; every parameter except the
 pi-pulse errors cancels from that ratio for suitably chosen signal pairs,
 which is the whole point of the drift-insensitive protocol.
@@ -19,9 +26,9 @@ Poissons are Poisson); under a drift schedule the four signals are drawn
 interleaved in blocks of repetitions, mirroring how the pulse sequencer
 interleaves them in hardware, which is what makes slow drift cancel.  All
 blocks are evaluated together: each parameter field as one array, checked
-in one pass by SignalParams' own domain rules, the propagator once per
-delay, the four expected counts of every block in one stacked computation,
-and the counts in one Poisson draw over the (blocks, 4) means.  A
+in one pass by SignalParams' own domain rules, the decays once per delay,
+the four expected counts of every block in one stacked computation, and
+the counts in one Poisson draw over the (blocks, 4) means.  A
 measurement's four counts travel as one length-4 array, in the column order
 of `expected_signals`: first and second signal at tau, then at tau = 0.
 `expected_signals` is the one place that builds a measurement's four
@@ -36,7 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .rates import RatePair, propagator
+from .rates import RatePair, _check_tau, _decays, _eigenvectors, _spectral_split, _unpack
 
 __all__ = [
     "STATES",
@@ -222,11 +229,8 @@ OPTIMAL_PROTOCOL = ProtocolSpec(
 
 def expected_counts(prep, read, tau, rates, params):
     """Expected photon sum of signal S_{prep,read}(tau); vectorized over tau."""
-    entries = propagator(tau, rates)
-    start = pulse_matrix(prep, params) @ prep_vector(params)
-    finish = collection_vector(params) @ pulse_matrix(read, params)
-    bare = np.einsum("...ij,j->...i", entries, start) @ finish
-    return params.repetitions_R * (bare + params.background_at(tau))
+    [(at_tau, _)] = _signal_counts([(prep, read)], tau, rates, _stack_blocks(params))
+    return at_tau[..., 0][()]
 
 
 def _check_drift_fields(drifts):
@@ -267,29 +271,64 @@ def expected_signals(measurement, tau, rates, blocks):
     tau.shape + (blocks, 4), so a scalar delay gives (blocks, 4); the
     columns are the first and second signal at tau, then at tau = 0, whose
     values broadcast along the delay axes.  Over a delay array, the blocks'
-    backgrounds must be all constants or all callables.
-    The propagator is evaluated once per delay; the blocks' prep/collection
-    vectors and pulse matrices are stacked and combined with batched matmul,
-    which reproduces each scalar expected_counts call bit for bit.
+    backgrounds must be all constants or all callables.  Rates may be
+    arrays that broadcast against tau, which extends the delay axes.
+    Each block's value is the same however many delays and blocks are
+    evaluated with it, bit for bit.
     """
     if isinstance(blocks, SignalParams):
         blocks = _stack_blocks(blocks)
+    first, second = _signal_counts((measurement.first, measurement.second), tau, rates, blocks)
+    return np.stack(np.broadcast_arrays(first[0], second[0], first[1], second[1]), axis=-1)
+
+
+def _dot3(a, b):
+    """a . b over a last axis of length 3, term by term in index order, so
+    that each block's value does not depend on how many are stacked."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _signal_counts(signals, tau, rates, blocks):
+    """Per (prep, read) signal, its expected counts at tau and at tau = 0.
+
+    With P(tau) = J/3 + e_fast u u^T/|u|^2 + e_slow w w^T/|w|^2
+    (rates._eigenvectors), a signal's bare count c B_read P(tau) B_prep s
+    is k0 + k1 e_fast + k2 e_slow, with per-block coefficients
+    k1 = (c B_read . u)(u . B_prep s)/|u|^2, k2 likewise with w and k0 with
+    (1, 1, 1), whose squared norm is 3.  The tau = 0 count is the chain
+    through the identity, c B_read B_prep s, and delays equal to 0 take
+    that value.
+    Shapes: broadcast(tau, rates) + (blocks,) at tau, (blocks,) at 0.
+    """
+    delays = _check_tau(tau)
+    gp, gm = _unpack(rates)
+    g = _spectral_split(gp, gm)
+    e_fast, e_slow = (e[..., None] for e in _decays(delays, gp + gm, g))
+    # The three projectors' vectors and squared norms, J/3 being (1, 1, 1)'s;
+    # each rate pair's vector as one row against the blocks' rows.
+    modes = [(np.ones(3), 3.0)] + [
+        (v[..., None, :], norm2[..., None]) for v, norm2 in _eigenvectors(gp, gm, g)
+    ]
+    # One row per block, moved to the last axis beside the delay axes.
+    background_tau, background_zero = (
+        np.moveaxis(np.array([b(t) if callable(b) else b for b in blocks.background], float), 0, -1)
+        for t in (tau, 0.0)
+    )
     pumped = prep_vector(blocks)[:, :, None]
     yields = collection_vector(blocks)[:, None, :]
-    chains = [
-        ((pulse_matrix(prep, blocks) @ pumped)[:, :, 0], yields @ pulse_matrix(read, blocks))
-        for prep, read in (measurement.first, measurement.second)
-    ]
-    columns = []
-    # exp(K * 0) is the identity exactly, as propagator() pins it.
-    for t, entries in ((tau, propagator(tau, rates)), (0.0, np.eye(3))):
-        # One row per block, moved to the last axis beside the delay axes.
-        background = [b(t) if callable(b) else b for b in blocks.background]
-        background = np.moveaxis(np.array(background, dtype=float), 0, -1)
-        for start, finish in chains:
-            bare = finish @ np.einsum("...ij,bj->...bi", entries, start)[..., None]
-            columns.append(blocks.repetitions_R * (bare[..., 0, 0] + background))
-    return np.stack(np.broadcast_arrays(*columns), axis=-1)
+    zero = (delays == 0.0)[..., None]
+    out = []
+    for prep, read in signals:
+        start = (pulse_matrix(prep, blocks) @ pumped)[:, :, 0]
+        finish = yields @ pulse_matrix(read, blocks)
+        at_zero = blocks.repetitions_R * ((finish @ start[:, :, None])[:, 0, 0] + background_zero)
+        finish = finish[:, 0, :]
+        k0, k1, k2 = (_dot3(finish, v) * _dot3(start, v) / norm2 for v, norm2 in modes)
+        at_tau = blocks.repetitions_R * (k0 + k1 * e_fast + k2 * e_slow + background_tau)
+        if zero.any():
+            at_tau = np.where(zero, at_zero, at_tau)
+        out.append((at_tau, at_zero))
+    return out
 
 
 def sample_signals(

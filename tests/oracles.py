@@ -40,6 +40,11 @@ same delays and match its moments to rounding.  `per_acquisition_four` is
 the runners' acquisition as first written, computing an acquisition's
 expected counts every time and drawing through `sample_signals`, which a
 run's once-per-run expected counts must reproduce bit for bit.
+`chain_expected_signals` is `signals.expected_signals` as first written:
+each delay's full (3, 3) propagator, clipped, pushed through the stacked
+pulse and collection chain by batched matmul; the closed-form counts
+(a constant plus two decays) must match it to rounding, and its tau = 0
+columns bit for bit.
 `entry_model_value` is a measurement's normalized model read the long way,
 as the bright minus the dark entry of the full (..., 3, 3) propagator stack,
 and `complex_step_gradient` its rate derivatives by complex-step
@@ -81,13 +86,19 @@ from spinrelax.rates import (
     _unpack,
     model_gradient,
     model_m,
+    propagator,
     propagator_entries,
 )
 from spinrelax.signals import (
     STATE_INDEX,
+    SignalParams,
     _block_means,
     _check_drift_fields,
+    _stack_blocks,
+    collection_vector,
     expected_counts,
+    prep_vector,
+    pulse_matrix,
     sample_signals,
 )
 
@@ -432,6 +443,27 @@ def dense_pf_select_delays(cloud, timing, curves, grid, subgrid):
     flat = np.argmax(utility)
     i, j = np.unravel_index(flat, utility.shape)
     return DelayPair(tau_plus=float(taus[i]), tau_minus=float(taus[j]))
+
+
+def chain_expected_signals(measurement, tau, rates, blocks):
+    """expected_signals through the full propagator: shape tau.shape + (blocks, 4)."""
+    if isinstance(blocks, SignalParams):
+        blocks = _stack_blocks(blocks)
+    pumped = prep_vector(blocks)[:, :, None]
+    yields = collection_vector(blocks)[:, None, :]
+    chains = [
+        ((pulse_matrix(prep, blocks) @ pumped)[:, :, 0], yields @ pulse_matrix(read, blocks))
+        for prep, read in (measurement.first, measurement.second)
+    ]
+    columns = []
+    # exp(K * 0) is the identity exactly, as propagator() pins it.
+    for t, entries in ((tau, propagator(tau, rates)), (0.0, np.eye(3))):
+        background = [b(t) if callable(b) else b for b in blocks.background]
+        background = np.moveaxis(np.array(background, dtype=float), 0, -1)
+        for start, finish in chains:
+            bare = finish @ np.einsum("...ij,bj->...bi", entries, start)[..., None]
+            columns.append(blocks.repetitions_R * (bare[..., 0, 0] + background))
+    return np.stack(np.broadcast_arrays(*columns), axis=-1)
 
 
 def entry_model_value(measurement, tau, rates):

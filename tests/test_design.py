@@ -46,7 +46,7 @@ from spinrelax.posterior import (
 )
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
-    _sigma_callable,
+    _sigma_tables,
     measurement_curves,
     minimal_cost,
 )
@@ -57,6 +57,19 @@ from spinrelax.signals import OPTIMAL_PROTOCOL, ROBUST_PROTOCOL, SignalParams
 RATES = RatePair(1.0, 3.0)
 TIMING = TimingModel(repetitions_R=10**6)
 EPS = np.finfo(float).eps
+
+
+def sigma_callables(protocol, rates):
+    """The protocol's two ideal-parameter sigma_M tables, as callables of the delay array."""
+
+    def table(measurement):
+        def sigma(taus):
+            tables = _sigma_tables([protocol], rates, IDEAL_RANKING_PARAMS, DelayGrid(taus))
+            return tables[measurement]
+
+        return sigma
+
+    return table(protocol.plus), table(protocol.minus)
 
 
 class TestTimingModel:
@@ -201,6 +214,13 @@ class TestDelayGrid:
     def test_size_must_be_an_integer(self, make, size):
         with pytest.raises(ValueError, match="size must be a positive integer"):
             make(size)
+
+    @pytest.mark.parametrize(
+        "taus", [[0.1, np.nan, 1.0], [0.1, np.inf], [np.nan, 0.1], [-np.inf, 0.1]]
+    )
+    def test_non_finite_delays_rejected(self, taus):
+        with pytest.raises(ValueError, match="delay grid must be finite"):
+            DelayGrid(taus)
 
     def test_taus_are_a_read_only_copy(self):
         # Grids are shared (DEFAULT_GRID), so no caller may write into one.
@@ -360,9 +380,7 @@ class TestBoundedArgmin:
         sigma_m = {
             "approx": None,
             "scalar": scalars,
-            "callable": tuple(
-                _sigma_callable(m, rates, IDEAL_RANKING_PARAMS) for m in (protocol.plus, protocol.minus)
-            ),
+            "callable": sigma_callables(protocol, rates),
         }[sigma]
         kernel_and_exhaustive(grid, rates, timing, curves, sigma_m)
 
@@ -410,22 +428,24 @@ class TestBoundedArgmin:
         assert got[:2] == (0, 123) and np.isnan(got[2])
 
     def test_nan_sigma_table_matches_exhaustive(self):
+        # A NaN sigma_M is no uncertainty: the bounded argmin and the full
+        # surface both reject it, as they reject sigma_M <= 0.
         grid = DelayGrid.default()
 
         def sigma_plus(taus):
             return np.where(np.arange(taus.size) == 400, np.nan, 0.02)
 
-        kernel_and_exhaustive(grid, RATES, TIMING, sigma_m=(sigma_plus, 0.03))
+        for sigma_m in ((sigma_plus, 0.03), (0.03, np.nan)):
+            for search in (_bounded_argmin, cost_surface):
+                with pytest.raises(ValueError, match="sigma_m entries must be positive"):
+                    search(grid, RATES, sigma_m, TIMING, ROBUST_CURVES)
 
     def test_selectors_use_the_kernel(self):
         grid = DelayGrid.wide(size=640)
         i, j, _ = exhaustive_argmin(approx_cost_surface(grid, RATES, TIMING, ROBUST_CURVES))
         chosen = nob_select_delays(RATES, TIMING, ROBUST_CURVES, grid)
         assert chosen == DelayPair(grid.taus[i], grid.taus[j])
-        sigma_m = tuple(
-            _sigma_callable(m, RATES, IDEAL_RANKING_PARAMS)
-            for m in (OPTIMAL_PROTOCOL.plus, OPTIMAL_PROTOCOL.minus)
-        )
+        sigma_m = sigma_callables(OPTIMAL_PROTOCOL, RATES)
         timing = TimingModel(repetitions_R=IDEAL_RANKING_PARAMS.repetitions_R)
         surface = cost_surface(grid, RATES, sigma_m, timing, measurement_curves(OPTIMAL_PROTOCOL))
         i, j, value = exhaustive_argmin(surface)
@@ -436,10 +456,7 @@ class TestBoundedArgmin:
         # At the wide grid's long delays thousands of cells have a subnormal
         # information determinant: their cost overflows to inf, unwarned.
         grid = DelayGrid.wide(size=640)
-        sigma_m = tuple(
-            _sigma_callable(m, RATES, IDEAL_RANKING_PARAMS)
-            for m in (OPTIMAL_PROTOCOL.plus, OPTIMAL_PROTOCOL.minus)
-        )
+        sigma_m = sigma_callables(OPTIMAL_PROTOCOL, RATES)
         timing = TimingModel(repetitions_R=IDEAL_RANKING_PARAMS.repetitions_R)
         curves = measurement_curves(OPTIMAL_PROTOCOL)
         with warnings.catch_warnings():

@@ -30,7 +30,8 @@ from spinrelax.protocols import (
     sensitivity_ratio_curve,
 )
 from spinrelax.protocols import _CLASS_MIX, _probe_lattice  # white box: the class table
-from spinrelax.rates import model_gradient, model_m
+from spinrelax import protocols
+from spinrelax.rates import RatePair, model_gradient, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
@@ -407,3 +408,44 @@ class TestSensitivitySweep:
         robust = [p for p in enumerate_protocols() if p.label == ROBUST_LABEL][0]
         delays, _ = minimal_cost(robust, (1.0, 1.0))
         assert delays.tau_plus == delays.tau_minus
+
+
+class TestSigmaTables:
+    def test_one_table_per_distinct_measurement(self, monkeypatch):
+        calls = []
+        original = protocols.sigma_m_from_expectations
+
+        def counting(*expectations):
+            calls.append(len(expectations[0]))
+            return original(*expectations)
+
+        monkeypatch.setattr(protocols, "sigma_m_from_expectations", counting)
+        rank_protocols(RatePair(1.0, 3.0))
+        # 36 protocols pair 9 measurement classes: one grid-wide table each.
+        assert calls == [DelayGrid.default().taus.size] * 9
+        calls.clear()
+        sensitivity_ratio_curve([0.5, 2.0, 4.0])
+        assert len(calls) == 4 * 3
+
+    def test_tables_equal_per_protocol_tables(self):
+        rates = RatePair(0.7, 2.9)
+        ranked = rank_protocols(rates)
+        for entry in ranked.entries:
+            protocol = next(p for p in enumerate_protocols() if p.label == entry.label)
+            assert minimal_cost(protocol, rates) == (entry.delays, entry.cost)
+
+
+class TestRateDomain:
+    @pytest.mark.parametrize(
+        "rates", [(-1.0, 2.0), (np.nan, 1.0), (1.0, np.inf), (0.0, 1.0), (2.0, -0.0)]
+    )
+    def test_rates_outside_ratepair_raise(self, rates):
+        with pytest.raises(ValueError, match="rates must be"):
+            minimal_cost(ROBUST_PROTOCOL, rates)
+        with pytest.raises(ValueError, match="rates must be"):
+            rank_protocols(rates)
+
+    @pytest.mark.parametrize("ratio", [-1.0, 0.0, np.inf, -np.inf, np.nan])
+    def test_ratio_outside_domain_raises(self, ratio):
+        with pytest.raises(ValueError, match="rate ratios must be positive and finite"):
+            sensitivity_ratio_curve([2.0, ratio])

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_expected_counts,
+    chain_expected_signals,
     drift_schedule,
     expected_difference,
     looped_sample_signals,
@@ -17,6 +18,7 @@ from oracles import (
 )
 from spinrelax.design import DelayGrid
 from spinrelax.experiments import ExperimentConfig, _Run
+from spinrelax.protocols import enumerate_measurements
 from spinrelax.rates import RatePair, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
@@ -301,6 +303,74 @@ class TestExpectedSignals:
         e1t, e2t, e10, e20 = expected_signals(meas, tau, rates, params)[0]
         deviation = (e1t - e2t) - model_m(tau, rates, branch) * (e10 - e20)
         assert abs(deviation) <= 1e-13 * (e1t + e2t + e10 + e20)
+
+
+def drifted_stack(params, n_blocks):
+    """n_blocks parameter blocks at t = 0, 1, ...: f0 rising, contrast, pumping
+    and both pulse errors falling toward their domain edges, each block with
+    its own repetitions; a callable background stays callable per block."""
+    n = n_blocks
+    fall = lambda value, low: lambda t: low + (value - low) * (n - t) / n  # noqa: E731
+    drifts = {
+        "f0": lambda t: params.f0 * (1.0 + 0.1 * t),
+        "contrast_C": fall(params.contrast_C, 0.0),
+        "alpha": fall(params.alpha, 1.0 / 3.0),
+        "eta_plus": fall(params.eta_plus, 0.0),
+        "eta_minus": fall(params.eta_minus, 0.0),
+    }
+    if callable(params.background):
+        drifts["background"] = lambda t: lambda tau: params.background(tau) * (1.0 + t)
+    else:
+        drifts["background"] = lambda t: params.background * (1.0 + t)
+    reps = [params.repetitions_R + b for b in range(n)]
+    return _stack_blocks(params, drifts, list(range(n)), reps)
+
+
+class TestClosedFormCounts:
+    """expected_signals' counts, a constant plus two decays per signal and
+    block, against the propagator chain they replaced: to rounding at tau,
+    bit for bit at tau = 0."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        measurement=st.sampled_from(enumerate_measurements()),
+        f0=st.floats(min_value=1e-3, max_value=1.0),
+        contrast=st.floats(min_value=0.01, max_value=0.99),
+        alpha=st.floats(min_value=0.34, max_value=1.0),
+        etas=st.tuples(*[st.floats(min_value=0.0, max_value=0.49)] * 2),
+        level=st.floats(min_value=0.0, max_value=0.1),
+        callable_background=st.booleans(),
+        repetitions=st.integers(min_value=1, max_value=10**7),
+        n_blocks=st.one_of(st.none(), st.integers(min_value=1, max_value=6)),
+        log_rates=st.tuples(*[st.floats(np.log(0.05), np.log(50.0))] * 2),
+        taus=st.lists(
+            st.one_of(st.just(0.0), st.floats(min_value=1e-4, max_value=20.0)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_matches_propagator_chain(
+        self, measurement, f0, contrast, alpha, etas, level, callable_background,
+        repetitions, n_blocks, log_rates, taus,
+    ):
+        params = SignalParams(
+            f0=f0,
+            contrast_C=contrast,
+            alpha=alpha,
+            eta_plus=etas[0],
+            eta_minus=etas[1],
+            background=(lambda tau: level * (1.0 + tau)) if callable_background else level,
+            repetitions_R=repetitions,
+        )
+        blocks = params if n_blocks is None else drifted_stack(params, n_blocks)
+        rates = tuple(np.exp(log_rates))
+        taus = np.array(taus)
+        got = expected_signals(measurement, taus, rates, blocks)
+        want = chain_expected_signals(measurement, taus, rates, blocks)
+        assert got.shape == want.shape == taus.shape + (n_blocks or 1, 4)
+        assert np.array_equal(got[..., 2:], want[..., 2:])
+        assert np.array_equal(got[taus == 0.0][..., :2], want[taus == 0.0][..., :2])
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
 
 
 class TestMeasurementSpec:
