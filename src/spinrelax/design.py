@@ -39,14 +39,23 @@ stochastic particle-cloud optimizer, the alternative, maximizes a
 variance-proxy utility over the cloud: per block of candidate delays, one
 two-branch kernel call over the whole cloud gives both branches' values,
 and each branch's cloud variance is reduced from them before the next
-block.  Every width, cost and optimizer takes the protocol's BranchCurves
-(`protocols.measurement_curves`); none assumes a protocol.
+block.  The blocks split into two halves, cut at a block boundary: the
+caller computes the first while one worker thread computes the second
+(numpy releases the GIL inside the kernel's ufunc and einsum loops), each
+into its own workspace and its own slice of the variances.  Each block's
+arithmetic is the same on either thread, so the variances do not depend on
+which thread computed them; a process that may use only one CPU computes
+the second half inline after the first.  Every width, cost and optimizer
+takes the protocol's BranchCurves (`protocols.measurement_curves`); none
+assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -412,8 +421,11 @@ class ParticleCloud:
         weights = np.asarray(self.weights, dtype=float)
         if gammas.ndim != 2 or gammas.shape[1] != 2 or gammas.shape[0] == 0:
             raise ValueError("gammas must have shape (n, 2)")
-        if weights.shape != (gammas.shape[0],) or np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative with shape (n,)")
+        # RatePair's domain; NaN fails both comparisons.
+        if not np.all((gammas > 0.0) & (gammas < np.inf)):
+            raise ValueError("gammas must be positive and finite")
+        if weights.shape != (gammas.shape[0],) or not np.all((weights >= 0.0) & (weights < np.inf)):
+            raise ValueError("weights must be finite and nonnegative with shape (n,)")
         total = weights.sum()
         if not total > 0.0:
             raise ValueError("weights must not all vanish")
@@ -440,10 +452,21 @@ class ParticleCloud:
 
 
 # Delays per block of _branch_variances: each block is one two-branch
-# kernel call over the whole cloud, computed in a (branch, 2, delay,
-# particle) workspace (10 MB at 20,000 particles) that every block reuses.
-# On fig2-pf 8 and 16 ran alike; 32 was no faster and raised peak RSS by 7 MB.
-_DELAYS = 16
+# kernel call over the whole cloud, computed in its half's (branch, 2,
+# delay, particle) workspace (5 MB at 20,000 particles) that every block of
+# the half reuses.  The caller allocates both halves' workspaces as one
+# array, so the two threads together hold 10 MB; a worker allocating its
+# own raised fig2-pf's peak RSS by 12 MB.  On fig2-pf 8 and 16 ran alike;
+# 32 was no faster and raised peak RSS by 7 MB.
+_DELAYS = 8
+
+
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _branch_variances(cloud, taus, curves):
@@ -452,20 +475,48 @@ def _branch_variances(cloud, taus, curves):
     Per block of delays, one pair_value call gives both branches' values
     over the whole cloud as (delay, particle) arrays; each branch's weighted
     mean, then its weighted squared deviations, are summed along the
-    particle axis.
+    particle axis.  When the process may use two CPUs, the caller takes
+    the first half of the blocks and one worker thread the second; an
+    exception in either half is raised here, after the worker has ended.
+    With one CPU the caller takes every block in one workspace.
     """
     (gp, gm), w = cloud.gammas.T, cloud.weights
     variances = np.empty((len(BRANCHES), taus.size))
-    work = np.empty((len(BRANCHES), 2, min(_DELAYS, taus.size), w.size))
-    for start in range(0, taus.size, _DELAYS):
-        block = taus[start : start + _DELAYS, None]
-        pair = curves.pair_value(block, block, (gp, gm), out=work[:, :, : block.shape[0]])
-        for values, variance in zip(pair, variances):
-            # einsum without `optimize` makes no BLAS call, so the sums do
-            # not depend on the BLAS build or its threads.
-            values -= np.einsum("dp,p->d", values, w)[:, None]
-            np.square(values, out=values)
-            variance[start : start + _DELAYS] = np.einsum("dp,p->d", values, w)
+    starts = range(0, taus.size, _DELAYS)
+    threaded = len(starts) > 1 and _usable_cpus() > 1
+    work = np.empty((1 + threaded, len(BRANCHES), 2, min(_DELAYS, taus.size), w.size))
+
+    def run(part, space):
+        for start in part:
+            block = taus[start : start + _DELAYS, None]
+            pair = curves.pair_value(block, block, (gp, gm), out=space[:, :, : block.shape[0]])
+            for values, variance in zip(pair, variances):
+                # einsum without `optimize` makes no BLAS call, so the sums do
+                # not depend on the BLAS build or its threads.
+                values -= np.einsum("dp,p->d", values, w)[:, None]
+                np.square(values, out=values)
+                variance[start : start + _DELAYS] = np.einsum("dp,p->d", values, w)
+
+    if not threaded:
+        run(starts, work[0])
+        return variances
+    cut = (len(starts) + 1) // 2
+    errors = []
+
+    def worker():
+        try:
+            run(starts[cut:], work[1])
+        except BaseException as error:  # re-raised in the caller
+            errors.append(error)
+
+    thread = threading.Thread(target=worker, name="pf-variances")
+    thread.start()
+    try:
+        run(starts[:cut], work[0])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
     return variances
 
 
@@ -478,6 +529,10 @@ def pf_select_delays(cloud, timing, curves, grid=DEFAULT_GRID, subgrid=100):
     1/sqrt(T).  The variances come in blocks of _DELAYS delays, each from
     one two-branch `curves.pair_value` call over the whole cloud and an
     exact two-pass weighted mean and variance along the particle axis.
+    The caller computes the first half of the blocks and one worker thread
+    the second; both do the same arithmetic per block, so the choice is the
+    same bit for bit whichever thread computed a block, and with one usable
+    CPU the second half runs inline after the first.
     `subgrid`, a positive integer, thins the scored delays to
     every (size // subgrid)-th delay of `grid`, or every delay when it
     exceeds the grid size.

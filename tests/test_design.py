@@ -1,5 +1,8 @@
 """Tests for delay selection: Gaussian approximation, cost, optimizers."""
 
+import dataclasses
+import os
+import threading
 import tracemalloc
 import warnings
 
@@ -705,6 +708,20 @@ class TestParticleSelect:
         with pytest.raises(ValueError):
             ParticleCloud(gammas=np.ones((3, 2)), weights=np.array([1.0, -1.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, 0.0, -0.0, np.inf])
+    def test_rates_outside_the_rate_domain_rejected(self, bad):
+        # A NaN rate selected (0.003, 0.003) silently; -1 and 0 selected delays.
+        gammas = self.make_cloud(np.random.default_rng(4), n=50).gammas.copy()
+        gammas[7, 1] = bad
+        with pytest.raises(ValueError, match="gammas must be positive and finite"):
+            ParticleCloud(gammas=gammas, weights=np.full(50, 0.02))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_weights_rejected(self, bad):
+        # An infinite weight normalized to [nan, 0]; a NaN one claimed all vanished.
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            ParticleCloud(gammas=np.ones((2, 2)), weights=np.array([bad, 1.0]))
+
 
 class TestBlockedParticleSelect:
     """The delay-blocked selector against the whole-array oracle, to rounding.
@@ -788,7 +805,7 @@ class TestBlockedParticleSelect:
             assert g.shape == (count,) and np.all(np.abs(g - w) <= bound)
 
     def test_peak_memory_stays_blocked(self):
-        # The selector holds one (branch, 2, delay, particle) kernel
+        # The selector holds one (half, branch, 2, delay, particle) kernel
         # workspace of 10 MB on this call; a whole (particle, delay) value
         # array of 16 MB would take the peak near 18 MB.
         rng = np.random.default_rng(5)
@@ -802,3 +819,75 @@ class TestBlockedParticleSelect:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestThreadedVariances:
+    """The caller and one worker thread each take half the delay blocks.
+
+    Each block's arithmetic is the same on either thread and with one
+    usable CPU, so the variances must agree bit for bit.
+    """
+
+    @staticmethod
+    def cloud(n, seed=0):
+        return TestBlockedParticleSelect.random_cloud(seed, n, 0.3)
+
+    @staticmethod
+    def recording(curves, seen, fail_at=None):
+        """curves whose pair_value records its thread and raises at a delay."""
+
+        def pair_value(tau_plus, tau_minus, rates, out):
+            seen.append(threading.current_thread())
+            if fail_at is not None and np.any(tau_plus == fail_at):
+                raise FloatingPointError(f"no value at {fail_at}")
+            return curves.pair_value(tau_plus, tau_minus, rates, out=out)
+
+        return dataclasses.replace(curves, pair_value=pair_value)
+
+    @pytest.mark.parametrize("n", [1, 2, 1025])
+    @pytest.mark.parametrize(
+        "count",
+        [1, 2, _DELAYS - 1, _DELAYS + 1, 2 * _DELAYS - 1, 2 * _DELAYS + 1, 100, 1000],
+    )
+    def test_threaded_equals_one_thread(self, monkeypatch, count, n):
+        cloud = self.cloud(n, seed=count)
+        taus = DEFAULT_GRID.taus[:count]
+        curves = measurement_curves(ROBUST_PROTOCOL)
+        monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
+        threaded = _branch_variances(cloud, taus, curves)
+        monkeypatch.setattr(design, "_usable_cpus", lambda: 1)
+        inline = _branch_variances(cloud, taus, curves)
+        assert threaded.shape == (2, count)
+        assert np.array_equal(threaded, inline)
+
+    def test_one_cpu_starts_no_thread(self, monkeypatch):
+        cloud = self.cloud(1025)
+        taus = DEFAULT_GRID.taus[::10]
+        curves = measurement_curves(ROBUST_PROTOCOL)
+        threads = {}
+        for cpus in (1, 2):
+            seen = threads[cpus] = []
+            monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
+            got = _branch_variances(cloud, taus, self.recording(curves, seen))
+            assert np.array_equal(got, _branch_variances(cloud, taus, curves))
+        assert len(threads[1]) == len(threads[2]) == -(-taus.size // _DELAYS)
+        assert set(threads[1]) == {threading.current_thread()}
+        assert len(set(threads[2])) == 2
+
+    @pytest.mark.parametrize("half", ["first", "second"])
+    def test_exception_in_either_half_reaches_the_caller(self, monkeypatch, half):
+        monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
+        taus = DEFAULT_GRID.taus[::10]
+        fail_at = taus[0] if half == "first" else taus[-1]
+        seen = []
+        curves = self.recording(measurement_curves(ROBUST_PROTOCOL), seen, fail_at)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="no value at"):
+            pf_select_delays(self.cloud(1025), TIMING, curves, subgrid=100)
+        assert threading.active_count() == before
+        assert len(set(seen)) == 2
+
+    def test_usable_cpus(self, monkeypatch):
+        assert design._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert design._usable_cpus() == (os.cpu_count() or 1)
