@@ -452,12 +452,12 @@ class ParticleCloud:
 
 
 # Delays per block of _branch_variances: each block is one two-branch
-# kernel call over the whole cloud, computed in its half's (branch, 2,
-# delay, particle) workspace (5 MB at 20,000 particles) that every block of
-# the half reuses.  The caller allocates both halves' workspaces as one
-# array, so the two threads together hold 10 MB; a worker allocating its
-# own raised fig2-pf's peak RSS by 12 MB.  On fig2-pf 8 and 16 ran alike;
-# 32 was no faster and raised peak RSS by 7 MB.
+# kernel call over the whole cloud at equal delays, computed in its half's
+# three (delay, particle) scratch arrays (3.8 MB at 20,000 particles) that
+# every block of the half reuses.  The caller allocates both halves'
+# workspaces as one array, so the two threads together hold 7.7 MB; a
+# worker allocating its own raised fig2-pf's peak RSS by 12 MB.  On fig2-pf
+# 8 and 16 ran alike; 32 was no faster and raised peak RSS by 7 MB.
 _DELAYS = 8
 
 
@@ -478,24 +478,30 @@ def _branch_variances(cloud, taus, curves):
     particle axis.  When the process may use two CPUs, the caller takes
     the first half of the blocks and one worker thread the second; an
     exception in either half is raised here, after the worker has ended.
-    With one CPU the caller takes every block in one workspace.
+    With one CPU the caller takes every block in one workspace.  A lone
+    last delay is computed as a block of two, so each delay's variance has
+    the same bits wherever the block edges fall.
     """
     (gp, gm), w = cloud.gammas.T, cloud.weights
     variances = np.empty((len(BRANCHES), taus.size))
     starts = range(0, taus.size, _DELAYS)
     threaded = len(starts) > 1 and _usable_cpus() > 1
-    work = np.empty((1 + threaded, len(BRANCHES), 2, min(_DELAYS, taus.size), w.size))
+    work = np.empty((1 + threaded, 3, max(2, min(_DELAYS, taus.size)), w.size))
 
     def run(part, space):
         for start in part:
             block = taus[start : start + _DELAYS, None]
-            pair = curves.pair_value(block, block, (gp, gm), out=space[:, :, : block.shape[0]])
+            count = block.shape[0]
+            # einsum sums a lone row in another order than each row of a
+            # larger block, so a lone delay is computed as a block of two.
+            block = np.repeat(block, 2, axis=0) if count == 1 else block
+            pair = curves.pair_value(block, block, (gp, gm), out=space[:, : block.shape[0]])
             for values, variance in zip(pair, variances):
                 # einsum without `optimize` makes no BLAS call, so the sums do
                 # not depend on the BLAS build or its threads.
                 values -= np.einsum("dp,p->d", values, w)[:, None]
                 np.square(values, out=values)
-                variance[start : start + _DELAYS] = np.einsum("dp,p->d", values, w)
+                variance[start : start + count] = np.einsum("dp,p->d", values, w)[:count]
 
     if not threaded:
         run(starts, work[0])

@@ -22,8 +22,11 @@ maximum-likelihood estimate).
 A measurement's four counts arrive as one length-4 array in the column order
 of `signals.expected_signals`: first and second signal at tau, then at
 tau = 0.  One private kernel, `_ratio`, turns (A, sigma_A^2, Delta,
-sigma_Delta^2) into m and sigma_m, for sampled counts in
-measurement_estimate and for expected counts in sigma_m_from_expectations.
+sigma_Delta^2) into m and sigma_m, for sampled counts in _estimates and
+for expected counts in sigma_m_from_expectations.  _estimates takes a
+whole (..., 4) stack of count rows, as the runners estimate them, and
+marks the rows that cannot be estimated; measurement_estimate is its
+one-row case and raises EstimationError for such a row.
 """
 
 from __future__ import annotations
@@ -101,6 +104,32 @@ def _ratio(a, var_a, delta, var_delta):
     return a * z, np.sqrt(z * z * var_a + a * a * sigma_z * sigma_z), z, sigma_z
 
 
+def _estimates(counts):
+    """measurement_estimate over a (..., 4) count array, row by row.
+
+    Returns RatioEstimate's six fields as arrays of the row shape and the
+    rows' `usable` mask.  A row whose two tau = 0 counts are both zero (an
+    all-zero row among them) is the row measurement_estimate rejects with
+    EstimationError: it is not usable and its fields are NaN.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.shape[-1:] != (4,) or not np.all(counts >= 0):
+        raise ValueError("counts must be four nonnegative values per row")
+    s1t, s2t, s10, s20 = np.moveaxis(counts, -1, 0)
+    numerator = s1t - s2t
+    delta = s10 - s20
+    var_delta = s10 + s20
+    # Both tau = 0 signals empty means delta = 0 with no width: the
+    # reciprocal carries no information at any scale.
+    usable = var_delta != 0.0
+    # A tau pair that recorded no photons still carries shot-scale
+    # uncertainty; floor the variance at one count so sigma_m stays positive.
+    var_a = np.maximum(s1t + s2t, 1.0)
+    ratio = _ratio(numerator, var_a, delta, np.where(usable, var_delta, 1.0))
+    fields = (*ratio, numerator, delta)
+    return tuple(np.where(usable, f, np.nan) for f in fields), usable
+
+
 def measurement_estimate(counts):
     """RatioEstimate from the four photon counts of one measurement.
 
@@ -109,26 +138,17 @@ def measurement_estimate(counts):
     sample_signals returns them.  Expects the signal pair ordered so the
     expected tau = 0 difference is positive (see Measurement.oriented); a
     sampled nonpositive denominator is still estimated, and flagged via
-    RatioEstimate.delta_nonpositive.
+    RatioEstimate.delta_nonpositive.  The one-row case of _estimates.
     """
     counts = np.asarray(counts)
-    if counts.shape != (4,) or not np.all(counts >= 0):
+    if counts.shape != (4,):
         raise ValueError("counts must be four nonnegative values")
-    s1t, s2t, s10, s20 = counts.tolist()
-    if s1t == 0 and s2t == 0 and s10 == 0 and s20 == 0:
-        raise EstimationError("all four signals recorded zero counts")
-    numerator = float(s1t - s2t)
-    delta = float(s10 - s20)
-    var_delta = float(s10 + s20)
-    if var_delta == 0.0:
-        # Both tau = 0 signals empty means delta = 0 with no width: the
-        # reciprocal carries no information at any scale.
+    fields, usable = _estimates(counts)
+    if not usable:
+        if not np.any(counts):
+            raise EstimationError("all four signals recorded zero counts")
         raise EstimationError("denominator pair recorded zero counts")
-    # A tau pair that recorded no photons still carries shot-scale
-    # uncertainty; floor the variance at one count so sigma_m stays positive.
-    var_a = float(max(s1t + s2t, 1))
-    ratio = _ratio(numerator, var_a, delta, var_delta)
-    return RatioEstimate(*map(float, ratio), numerator_a=numerator, denominator_delta=delta)
+    return RatioEstimate(*map(float, fields))
 
 
 def sigma_m_from_expectations(e1_tau, e2_tau, e1_zero, e2_zero):

@@ -9,11 +9,15 @@ estimator and inference calls.  The speedup study pairs replicate
 ensembles of the two arms and reports how much longer the fixed sweep
 needs to match the adaptive final uncertainty.
 
-Both runners build one run context, `_Run`, and share its two steps.
+Both runners build one run context, `_Run`, and share its steps.
 `acquire` draws both branches' counts; without drift it computes each
 (measurement, delay)'s expected counts once per run and draws every
-acquisition at that delay from them.  `fold` estimates the measurement
-pair, updates the posterior and regrids it in the run's workspace.
+acquisition at that delay from them.  `_estimate_pairs` estimates a whole
+stack of acquisitions or aggregates in one vectorized call: an adaptive
+iteration's two branches, a fixed sweep's probes, a rebuild's aggregates.
+`fold` updates the posterior with one estimated pair and regrids it in the
+run's workspace; `tick` advances the clocks and `log` records an
+acquisition.
 
 Delays are milliseconds, rates 1/ms, wall-clock seconds throughout.
 """
@@ -34,7 +38,7 @@ from .design import (
     nob_select_delays,
     pf_select_delays,
 )
-from .estimator import EstimationError, measurement_estimate
+from .estimator import _estimates
 from .posterior import (
     DEFAULT_BOUNDS,
     GRID_SIZE,
@@ -267,17 +271,15 @@ class RunRecord:
         }
 
 
-def _estimate_pair(counts_plus, counts_minus, delays):
-    est_plus = measurement_estimate(counts_plus)
-    est_minus = measurement_estimate(counts_minus)
-    return MeasurementPair(
-        m_plus=est_plus.m_bar,
-        m_minus=est_minus.m_bar,
-        sigma_plus=est_plus.sigma_m,
-        sigma_minus=est_minus.sigma_m,
-        tau_plus=delays.tau_plus,
-        tau_minus=delays.tau_minus,
-    )
+def _estimate_pairs(counts, delays):
+    """One MeasurementPair per (2, 4) row of `counts` and its DelayPair, from
+    one _estimates call; None where either branch cannot be estimated."""
+    fields, usable = _estimates(counts)
+    m, sigma = (f.reshape(-1, 2).tolist() for f in fields[:2])
+    return [
+        MeasurementPair(*mi, *si, d.tau_plus, d.tau_minus) if ok else None
+        for mi, si, d, ok in zip(m, sigma, delays, usable.reshape(-1, 2).all(axis=1))
+    ]
 
 
 class _Run:
@@ -286,7 +288,7 @@ class _Run:
 
     `t_physical` sums acquisition durations and `t_delay` their relaxation
     delays; `t_total` adds the selector CPU charged on top, per acquisition
-    through `log` or, in a fixed-sweep run, once per posterior rebuild.
+    through `tick` or, in a fixed-sweep run, once per posterior rebuild.
     `fold` counts `flagged_count`: flagged iterations of an adaptive run,
     unusable aggregates per sweep of a fixed-sweep run.
     """
@@ -347,27 +349,32 @@ class _Run:
             return sample_signals(*args, self.rng, config.drifts, t_start, duration_s)
         return totals if config.noiseless else _draw(means, self.rng)
 
-    def fold(self, grid, counts, delays):
-        """Fold one acquisition's or aggregate's counts into `grid`: (pair, new grid).
+    def fold(self, grid, pair):
+        """Fold one estimated measurement pair into `grid`: the new grid.
 
-        A failed estimate (pair None) or a rejected update counts one flag
-        and returns `grid` itself.
+        A pair that could not be estimated (None) or a rejected update
+        counts one flag and returns `grid` itself.
         """
-        pair = None
-        try:
-            pair = _estimate_pair(*counts, delays)
-            updated = bayes_update(grid, pair, self.curves.pair_value, workspace=self._workspace)
-            return pair, regrid(updated, self.config.grid_size, workspace=self._workspace)
-        except (EstimationError, UpdateRejected):
-            self.flagged_count += 1
-            return pair, grid
+        if pair is not None:
+            try:
+                updated = bayes_update(grid, pair, self.curves.pair_value, workspace=self._workspace)
+                return regrid(updated, self.config.grid_size, workspace=self._workspace)
+            except UpdateRejected:
+                pass
+        self.flagged_count += 1
+        return grid
 
-    def log(self, delays, pair, flagged, state, cpu=0.0):
-        """Advance the clocks by one acquisition and record it with `state`."""
+    def tick(self, delays, cpu=0.0):
+        """Advance the clocks by one acquisition: (duration, cpu, total, physical)."""
         duration = float(self.timing.duration_seconds(delays.tau_plus, delays.tau_minus))
         self.t_physical += duration
         self.t_total += duration + cpu
         self.t_delay += float(self.timing.delay_seconds(delays.tau_plus, delays.tau_minus))
+        return duration, cpu, self.t_total, self.t_physical
+
+    def log(self, delays, pair, flagged, state, clocks):
+        """Record one acquisition with `state` and the `clocks` of its tick."""
+        duration, cpu, total, physical = clocks
         self.records.append(
             IterationRecord(
                 index=len(self.records),
@@ -380,8 +387,8 @@ class _Run:
                 sigma_minus=state.sigma_minus,
                 duration_s=duration,
                 cpu_overhead_s=cpu,
-                cumulative_time_s=self.t_total,
-                cumulative_physical_s=self.t_physical,
+                cumulative_time_s=total,
+                cumulative_physical_s=physical,
             )
         )
 
@@ -433,11 +440,12 @@ def run_adaptive(config):
             cloud = ParticleCloud.from_grid(posterior, config.particle_count, run.rng)
             delays = pf_select_delays(cloud, run.timing, run.curves, config.delay_grid)
 
-        pair, folded = run.fold(posterior, run.acquire(delays), delays)
+        (pair,) = _estimate_pairs(run.acquire(delays), [delays])
+        folded = run.fold(posterior, pair)
         flagged = folded is posterior
         posterior = folded
         state = moments(posterior)
-        run.log(delays, pair, flagged, state, cpu=config.selector_overhead_s)
+        run.log(delays, pair, flagged, state, run.tick(delays, config.selector_overhead_s))
         if not flagged:
             run.mark(state)
     return run.run_record(posterior, state)
@@ -446,8 +454,10 @@ def run_adaptive(config):
 def run_nap(config, stop_sigma=None, max_physical_s=None):
     """Fixed-list run: sweep, accumulate, recompute from aggregates.
 
-    Each delay pair's counts accumulate in one (pairs, 2, 4) float array, a
-    row of four counts per branch.  After each sweep the posterior is
+    Each sweep's counts land in one (pairs, 2, 4) float array, a row of four
+    counts per branch, and accumulate in another; the sweep's probes are
+    estimated in one call, and so are the aggregates of each rebuild.
+    After each sweep the posterior is
     rebuilt from the prior by folding in one aggregate measurement pair per
     delay, in list order, through the same fold as the adaptive loop; with
     zero sweeps the prior is returned unchanged.  `stop_sigma` (pair) ends
@@ -463,19 +473,19 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     totals = np.zeros((len(pairs), 2, 4))
     posterior = run.prior
     state = moments(posterior)
+    sweep = np.empty_like(totals)
     for _ in range(config.iterations):
-        for total, delays in zip(totals, pairs):
-            counts = run.acquire(delays)
-            total += counts
-            try:
-                probe = _estimate_pair(*counts, delays)
-            except EstimationError:
-                probe = None
-            run.log(delays, probe, probe is None, state)
+        clocks = []
+        for counts, delays in zip(sweep, pairs):
+            counts[:] = run.acquire(delays)
+            clocks.append(run.tick(delays))
+        totals += sweep
+        for delays, probe, tick in zip(pairs, _estimate_pairs(sweep, pairs), clocks):
+            run.log(delays, probe, probe is None, state, tick)
 
         posterior = run.prior
-        for total, delays in zip(totals, pairs):
-            posterior = run.fold(posterior, total, delays)[1]
+        for pair in _estimate_pairs(totals, pairs):
+            posterior = run.fold(posterior, pair)
         run.t_total += config.selector_overhead_s
         state = moments(posterior)
         run.mark(state)

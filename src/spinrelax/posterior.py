@@ -16,19 +16,23 @@ from one BranchCurves.pair_value call) through
     log L = -chi_plus^2 - chi_minus^2,   chi = (m - model) / (sqrt(2) sigma).
 
 A fold, `regrid(bayes_update(grid, pair, model))`, is one kernel in two
-halves.  `bayes_update` forms chi^2 in place in the arrays of the one
-`pair_value` call, subtracts it from the prior log weights, and normalizes
-them with one `exp`, which also gives the updated grid its weights.
+halves.  `bayes_update` has the one `pair_value` call compute both branch
+models in five workspace arrays, which also hold every temporary of the
+model kernel; it forms chi^2 in place in the two value arrays, scaling each
+residual by the reciprocal of sqrt(2) sigma, subtracts it from the prior
+log weights, and normalizes them with one `exp` and one multiply by the
+reciprocal of their sum, which also gives the updated grid its weights.
 `regrid` takes the moments from the weight marginals, re-centers a fresh
 evenly spaced grid on the mean, spanning 10 standard deviations per axis
 (clamped to the hard prior support), interpolates the old linear weights
 onto it by separable bilinear interpolation (along gamma_plus, then
-gamma_minus; zero outside the old support), normalizes them once and takes
-one `log`.  A run passes both halves its `_Workspace`, so the chi^2 field,
-the updated grid and the interpolation scratch reuse the same arrays from
-fold to fold; each regridded grid still owns fresh weights and log weights,
-because it leaves the fold.  Moments treat cell weights as point masses at
-the grid nodes.
+gamma_minus; zero outside the old support), normalizes them by one
+multiply and takes one `log`.  A run passes both halves its `_Workspace`,
+so the model kernel, the chi^2 field, the updated grid and the
+interpolation scratch reuse the same arrays from fold to fold; the only
+grid-sized arrays a fold allocates are the regridded grid's weights and
+log weights, which it owns because it leaves the fold.  Moments treat
+cell weights as point masses at the grid nodes.
 """
 
 from __future__ import annotations
@@ -212,14 +216,15 @@ def _chi_squared_field(pair, gamma_plus, gamma_minus, model, out):
     """Sum of squared residuals chi+^2 + chi-^2 over broadcast rate arrays.
 
     `model` is BranchCurves.pair_value, computing both branches in `out`, a
-    (branch, 2, ...) array; chi^2 is formed in place in its value arrays,
-    and the sum lands in out[0, 0].
+    stack of five scratch arrays; chi^2 is formed in place in the two value
+    arrays, each residual scaled by the reciprocal of sqrt(2) sigma, and
+    the sum lands in out[0].
     """
     chi = model(pair.tau_plus, pair.tau_minus, (gamma_plus, gamma_minus), out=out)
     with np.errstate(over="ignore"):
         for c, m, s in zip(chi, (pair.m_plus, pair.m_minus), (pair.sigma_plus, pair.sigma_minus)):
             np.subtract(m, c, out=c)
-            np.divide(c, np.sqrt(2.0) * s, out=c)
+            np.multiply(c, 1.0 / (np.sqrt(2.0) * s), out=c)
             np.square(c, out=c)
         return np.add(*chi, out=chi[0])
 
@@ -238,7 +243,7 @@ def bayes_update(grid, pair, model, *, workspace=None):
     arrays are fresh.
     """
     ws = _Workspace() if workspace is None else workspace
-    values = ws.array("values", (2, 2) + grid.shape)
+    values = ws.array("values", (5,) + grid.shape)
     lw = _chi_squared_field(pair, *grid.meshes(), model, values)
     np.subtract(grid.log_weights, lw, out=lw)
     peak = lw.max()
@@ -246,11 +251,11 @@ def bayes_update(grid, pair, model, *, workspace=None):
         raise UpdateRejected(
             "measurement is inconsistent with every point of the posterior support"
         )
-    # The scratch half of the plus branch's pair; its value array holds lw.
-    w = np.subtract(lw, peak, out=values[0, 1])
+    # A scratch array of the model's; its plus value array holds lw.
+    w = np.subtract(lw, peak, out=values[2])
     np.exp(w, out=w)
     total = w.sum()
-    w /= total
+    w *= 1.0 / total
     lw -= peak + np.log(total)
     # Views: the grid's are read-only, the workspace's stay writable.
     return PosteriorGrid._normalized(
@@ -264,7 +269,8 @@ def moments(grid):
     Taken from the marginals: each axis's mean and variance from its weight
     sums, the covariance from the centred axes around the weights.  einsum
     without `optimize` makes no BLAS call, so the sums do not depend on the
-    BLAS build or its threads.
+    BLAS build or its threads; the covariance contracts the weights with
+    one centred axis, then the result with the other.
     """
     w = grid.weights
     gp, gm = grid.gamma_plus_axis, grid.gamma_minus_axis
@@ -274,14 +280,14 @@ def moments(grid):
     dp, dm = gp - mean_p, gm - mean_m
     var_p = float(np.einsum("i,i,i->", p, dp, dp))
     var_m = float(np.einsum("j,j,j->", q, dm, dm))
-    cov = float(np.einsum("i,ij,j->", dp, w, dm))
+    cov = float(np.einsum("i,i->", dp, np.einsum("ij,j->i", w, dm)))
     return PosteriorMoments(mean_p, mean_m, np.sqrt(var_p), np.sqrt(var_m), cov)
 
 
 def _axis_window(mean, sigma, axis, bounds):
     """New axis span: mean +- 10 sigma, clamped, floored at 2 old cells."""
     lo_bound, hi_bound = bounds
-    cell = float(np.mean(np.diff(axis)))
+    cell = float(axis[-1] - axis[0]) / (axis.size - 1)
     lo = max(mean - 10.0 * sigma, lo_bound)
     hi = min(mean + 10.0 * sigma, hi_bound)
     min_span = 2.0 * cell
@@ -362,7 +368,7 @@ def regrid(grid, size=GRID_SIZE, *, workspace=None):
     total = w.sum()
     if not total > 0.0:
         raise UpdateRejected("regrid produced an empty posterior")
-    w /= total
+    w *= 1.0 / total
     with np.errstate(divide="ignore"):
         lw = np.log(w)
     return PosteriorGrid._normalized(new_gp, new_gm, lw, w, grid.hard_bounds)

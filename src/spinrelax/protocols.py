@@ -34,7 +34,7 @@ instead of merging them.
 
 Every class has the same closed form under ideal parameters:
 P_aa - P_cd = ((g + x) e_fast + (g - x) e_slow) / 2g, rates' two-exponential
-kernel, with x = p gamma_plus + q gamma_minus and (p, q) read off the
+kernel, with x = a gamma_plus + b gamma_minus and (a, b) read off the
 propagator's eigenprojectors (_CLASS_MIX).  The bright |0> signal against
 the transfer signal of one branch, keys ("0", ("+", "0")) and
 ("0", ("-", "0")), gives x = gamma_plus or gamma_minus: rates.model_m of
@@ -60,7 +60,7 @@ import numpy as np
 
 from .design import DEFAULT_GRID, BranchCurves, DelayPair, TimingModel, _bounded_argmin
 from .estimator import sigma_m_from_expectations
-from .rates import _FRESH, RatePair, _gradient, _pair_values, _unpack, _values
+from .rates import RatePair, _gradient, _pair_values, _unpack, _values
 from .signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
@@ -108,7 +108,7 @@ def _oriented_signals(measurement):
     return second, first
 
 
-# Class key -> (p, q) of the class's mixing rate x = p gamma_plus + q gamma_minus.
+# Class key -> (a, b) of the class's mixing rate x = a gamma_plus + b gamma_minus.
 _CLASS_MIX = {
     ("0", ("+", "0")): (1, 0),
     ("0", ("-", "0")): (0, 1),
@@ -134,7 +134,7 @@ def measurement_curves(protocol):
     }
     return BranchCurves(
         gradient=lambda tau, rates, branch: _gradient(tau, rates, *mix[branch]),
-        pair_value=lambda tp, tm, rates, out=_FRESH: _pair_values(
+        pair_value=lambda tp, tm, rates, out=None: _pair_values(
             tp, tm, rates, mix["+"], mix["-"], out
         ),
     )

@@ -27,13 +27,18 @@ expected photon counts (signals) are a constant plus the same two decays,
 their coefficients contracted with the same eigenvectors.  Every
 normalized four-signal measurement is one kernel,
 
-    ((g + x) e_fast + (g - x) e_slow) / 2g,   x = p gp + q gm,
+    ((g + x) e_fast + (g - x) e_slow) / 2g = (p + x q) / 2,
+    p = e_fast + e_slow,   q = (e_fast - e_slow) / g,   x = a gp + b gm,
 
-with e_fast/slow = exp(-beta_fast/slow tau) and p, q in {-1, 0, 1} fixed
-by the measurement class; model_m is its (1, 0) and (0, 1) case.  Its
-two-branch form shares g and, at equal delays, e_fast and e_slow between
-a protocol's two measurements.  The closed forms make grid-based inference
-and delay optimization cheap; a matrix exponential is only a test oracle.
+with e_fast/slow = exp(-beta_fast/slow tau) and a, b in {-1, 0, 1} fixed
+by the measurement class; model_m is its (1, 0) and (0, 1) case.  The
+kernel evaluates the right-hand, shared-sum form, which is exactly 1 at
+tau = 0 (p = 2, q = 0).  Its two-branch form shares g and gp + gm and, at
+equal delays, p and q between a protocol's two measurements, so each
+branch then costs one multiply, one add and one halving; given a caller's
+scratch arrays it allocates no array of the evaluation's shape.  The
+closed forms make grid-based inference and delay optimization cheap; a
+matrix exponential is only a test oracle.
 
 Conventions used throughout the package:
 
@@ -85,15 +90,19 @@ def _unpack(rates):
     return np.asarray(gp), np.asarray(gm)
 
 
-def _spectral_split(gp, gm):
+def _spectral_split(gp, gm, out=(None, None)):
     """Half-splitting g between the two decaying eigenvalues of K.
 
     Satisfies max(gp, gm)/2 <= g <= gp + gm for positive rates, so the
     plain formula is well conditioned at double precision even for gp = gm.
     Works for complex inputs (the test oracles' complex-step derivatives),
     where np.sqrt stays on the principal branch near the positive real axis.
+    g lands in the first array of `out`, the second is scratch (fresh for
+    None).
     """
-    return np.sqrt(gp * gp + gm * gm - gp * gm)
+    g = np.add(gp * gp, gm * gm, out=out[0])
+    g = np.subtract(g, np.multiply(gp, gm, out=out[1]), out=out[0])
+    return np.sqrt(g, out=out[0])
 
 
 def _check_tau(tau):
@@ -165,91 +174,115 @@ def propagator(tau, rates):
 
 
 def _branch_mix(branch):
-    """(p, q) of model_m's branch: x is gamma_plus for "+", gamma_minus for "-"."""
+    """(a, b) of model_m's branch: x is gamma_plus for "+", gamma_minus for "-"."""
     if branch not in BRANCHES:
         raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
     return (1, 0) if branch == "+" else (0, 1)
 
 
-def _mixing_rate(gp, gm, p, q):
-    """x = p gp + q gm; model_m's lone rates are passed through as is."""
-    return gp if (p, q) == (1, 0) else gm if (p, q) == (0, 1) else p * gp + q * gm
+def _mixing_rate(gp, gm, a, b):
+    """x = a gp + b gm; model_m's lone rates are passed through as is."""
+    return gp if (a, b) == (1, 0) else gm if (a, b) == (0, 1) else a * gp + b * gm
 
 
 def _decays(tau, total, g, out=(None, None)):
-    """e_fast, e_slow = exp(-(gp + gm +/- g) tau), total = gp + gm, in fresh
-    arrays or in the two arrays of `out`."""
-    e_fast = np.asarray(np.multiply(-(total + g), tau, out=out[0]))
-    e_slow = np.asarray(np.multiply(-(total - g), tau, out=out[1]))
-    return np.exp(e_fast, out=e_fast), np.exp(e_slow, out=e_slow)
+    """e_fast, e_slow = exp(-(gp + gm +/- g) tau), total = gp + gm, in the
+    two arrays of `out` (fresh for None).  When the rate sums have the
+    decays' own shape they are formed in those arrays and take the sign
+    with tau, so each decay costs one multiply by -tau."""
+    fast, slow = out
+    if fast is not None and fast.shape == np.shape(total):
+        neg_tau = np.negative(tau)
+        for e, rate_sum in ((fast, np.add), (slow, np.subtract)):
+            np.multiply(rate_sum(total, g, out=e), neg_tau, out=e)
+    else:
+        fast = np.asarray(np.multiply(-(total + g), tau, out=fast))
+        slow = np.asarray(np.multiply(-(total - g), tau, out=slow))
+    return np.exp(fast, out=fast), np.exp(slow, out=slow)
 
 
-def _class_mix(e_fast, e_slow, tau, g, own, work=(None, None)):
-    """((g + own) e_fast + (g - own) e_slow) / 2g, computed in the two arrays
-    of `work` (the decays themselves for in place) or in fresh ones; the
-    value lands in the first."""
-    fast = np.asarray(np.multiply(g + own, e_fast, out=work[0]))
-    slow = np.multiply(g - own, e_slow, out=work[1])
-    np.add(fast, slow, out=fast)
-    np.divide(fast, 2.0 * g, out=fast)
-    # 1 at tau = 0 by construction: pin away the roundoff of (g+own) + (g-own) vs 2g.
-    if np.any(tau == 0.0):
-        np.copyto(fast, 1.0, where=tau == 0.0)
-    return fast
+def _sums(e_fast, e_slow, g, p=None, q=None):
+    """p = e_fast + e_slow and q = (e_fast - e_slow) / g, in `p` and `q`
+    (fresh for None); `p` may be a decay's own array."""
+    q = np.asarray(np.subtract(e_fast, e_slow, out=q))
+    np.divide(q, g, out=q)
+    return np.add(e_fast, e_slow, out=p), q
 
 
-def _values(tau, rates, p, q):
-    """((g + x) e_fast + (g - x) e_slow) / 2g with x = p gamma_plus + q gamma_minus.
+def _mix(p, q, x, out=None):
+    """(p + x q) / 2 in `out` (fresh for None), which may be q itself."""
+    value = np.asarray(np.multiply(x, q, out=out))
+    np.add(p, value, out=value)
+    return np.multiply(value, 0.5, out=value)
 
-    Every measurement class's normalized model (protocols._CLASS_MIX).
+
+def _values(tau, rates, a, b):
+    """(p + x q) / 2 with p = e_fast + e_slow, q = (e_fast - e_slow) / g and
+    x = a gamma_plus + b gamma_minus.
+
+    Every measurement class's normalized model (protocols._CLASS_MIX); the
+    same as ((g + x) e_fast + (g - x) e_slow) / 2g, and exactly 1 at tau = 0,
+    where p = 2 and q = 0.
     """
     tau = _check_tau(tau)
     gp, gm = _unpack(rates)
     g = _spectral_split(gp, gm)
-    decays = _decays(tau, gp + gm, g)
-    return _class_mix(*decays, tau, g, _mixing_rate(gp, gm, p, q), work=decays)
-
-
-# _pair_values' default `out`: fresh arrays for both branches.
-_FRESH = ((None, None), (None, None))
-
-
-def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus, out=_FRESH):
-    """_values of both branches bit for bit, from one spectral split and, at
-    equal delays, one pair of decays.
-
-    `out` holds, per branch, two arrays of the broadcast shape that the
-    branch is computed in, its value landing in the first; a caller that
-    evaluates block after block reuses them instead of fresh arrays.
-    """
-    tau_plus, tau_minus = _check_tau(tau_plus), _check_tau(tau_minus)
-    gp, gm = _unpack(rates)
-    g = _spectral_split(gp, gm)
-    total = gp + gm
-    out_plus, out_minus = out
-    minus_decays = _decays(tau_minus, total, g, out_minus)
-    shared = np.array_equal(tau_plus, tau_minus)
-    plus_decays = minus_decays if shared else _decays(tau_plus, total, g, out_plus)
-    own_plus, own_minus = _mixing_rate(gp, gm, *mix_plus), _mixing_rate(gp, gm, *mix_minus)
-    plus = _class_mix(*plus_decays, tau_plus, g, own_plus, work=out_plus if shared else plus_decays)
-    return plus, _class_mix(*minus_decays, tau_minus, g, own_minus, work=minus_decays)
-
-
-def _gradient(tau, rates, p, q):
-    """Analytic (d/d gamma_plus, d/d gamma_minus) of _values by the product
-    rule, with d x / d gamma_plus = p and d x / d gamma_minus = q."""
-    tau = _check_tau(tau)
-    gp, gm = _unpack(rates)
-    g = _spectral_split(gp, gm)
-    own = _mixing_rate(gp, gm, p, q)
     e_fast, e_slow = _decays(tau, gp + gm, g)
-    value = _class_mix(e_fast, e_slow, tau, g, own)
+    p, q = _sums(e_fast, e_slow, g, p=e_slow)
+    return _mix(p, q, _mixing_rate(gp, gm, a, b), out=q)
+
+
+def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus, out=None):
+    """_values of both branches bit for bit, from one g and one gp + gm and,
+    at equal delays, one p and q.
+
+    `out` is a stack of scratch arrays of both branches' shape that holds
+    every temporary, so a caller that evaluates block after block or fold
+    after fold reuses it: the plus value lands in out[0], the minus value
+    in out[1].  gp + gm and g use out[2] and out[3] when the rates alone
+    have that shape, and are fresh, smaller arrays otherwise; only unequal
+    delays use out[4].  So five arrays always suffice, and three for equal
+    delays on rates of a smaller shape.  Without `out` every array is fresh.
+    """
+    tau_plus = _check_tau(tau_plus)
+    shared = np.array_equal(tau_plus, tau_minus)
+    tau_minus = tau_plus if shared else _check_tau(tau_minus)
+    gp, gm = _unpack(rates)
+    x_plus, x_minus = _mixing_rate(gp, gm, *mix_plus), _mixing_rate(gp, gm, *mix_minus)
+    s = (None,) * 5 if out is None else out
+    fits = out is not None and s[0].shape == np.broadcast(gp, gm).shape
+    rate_out = (s[3], s[2]) if fits else (None, None)
+    g = _spectral_split(gp, gm, rate_out)
+    total = np.add(gp, gm, out=rate_out[1])
+    if shared:
+        e_fast, e_slow = _decays(tau_minus, total, g, (s[1], s[2]))
+        p, q = _sums(e_fast, e_slow, g, e_slow, s[0])
+        minus = _mix(p, q, x_minus, s[1])
+        return _mix(p, q, x_plus, s[0]), minus
+    e_fast, e_slow = _decays(tau_minus, total, g, (s[1], s[4]))
+    p, q = _sums(e_fast, e_slow, g, e_slow, s[0])
+    minus = _mix(p, q, x_minus, s[1])
+    e_fast, e_slow = _decays(tau_plus, total, g, (s[0], s[4]))
+    p, q = _sums(e_fast, e_slow, g, e_slow, s[2])
+    return _mix(p, q, x_plus, s[0]), minus
+
+
+def _gradient(tau, rates, a, b):
+    """Analytic (d/d gamma_plus, d/d gamma_minus) of _values by the product
+    rule, with d x / d gamma_plus = a and d x / d gamma_minus = b."""
+    tau = _check_tau(tau)
+    gp, gm = _unpack(rates)
+    g = _spectral_split(gp, gm)
+    own = _mixing_rate(gp, gm, a, b)
+    e_fast, e_slow = _decays(tau, gp + gm, g)
+    value = _mix(*_sums(e_fast, e_slow, g), own)
 
     dg_dgp = (2.0 * gp - gm) / (2.0 * g)
     dg_dgm = (2.0 * gm - gp) / (2.0 * g)
 
     def one_derivative(dg, d_own):
-        # d/dx of the numerator, with dg = dg/dx and d_own = d(own)/dx.
+        # d/dx of the numerator of ((g + own) e_fast + (g - own) e_slow) / 2g,
+        # with dg = dg/dx and d_own = d(own)/dx.
         d_numer = (
             (dg + d_own) * e_fast
             - (g + own) * tau * (1.0 + dg) * e_fast
@@ -260,7 +293,7 @@ def _gradient(tau, rates, p, q):
         # M(0) = 1 identically, so both partials vanish there exactly.
         return np.where(np.asarray(tau) == 0.0, 0.0, d_value)
 
-    return one_derivative(dg_dgp, float(p)), one_derivative(dg_dgm, float(q))
+    return one_derivative(dg_dgp, float(a)), one_derivative(dg_dgm, float(b))
 
 
 def model_m(tau, rates, branch):

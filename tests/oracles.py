@@ -18,16 +18,20 @@ cost of one delay pair through `design.gaussian_sigma`, and
 bounded delay selection must match.
 `chi_squared_field` is the posterior's chi+^2 + chi-^2 as first written,
 one branch-model call per branch, that the two-branch likelihood must equal
-bit for bit; `log_likelihood` is its scalar-or-array likelihood of one rate
-hypothesis.
+bit for bit (each residual scaled by the reciprocal of sqrt(2) sigma, as
+the kernel scales it); `log_likelihood` is its scalar-or-array likelihood
+of one rate hypothesis.
 `scipy_regrid_weights` is scipy's linear RegularGridInterpolator over a
 product grid; it and scipy's `logsumexp` are what the posterior's numpy
 kernels must match to rounding.  `ROBUST_CURVES` spells out the robust
 protocol's closed-form curves for kernel tests that need no protocol, and
 `model_m_optimal` is the closed form of the highest-sensitivity pair that
-the generic four-count path must reproduce.  `dense_model_m` is model_m as
-first written, one fresh array per operation, which the in-place model
-values must equal bit for bit.  `dense_pf_select_delays` is the particle
+the generic four-count path must reproduce.  `dense_model_m` is model_m in
+the algebra it was first written in, ((g + x) e_fast + (g - x) e_slow) / 2g,
+one fresh array per operation, which the model values must match within a
+bound fixed from the rounding of both forms; `pq_model_m` is model_m in the
+kernel's own (p, q) form, (p + x q) / 2, on fresh arrays, which the
+in-place model values must equal bit for bit.  `dense_pf_select_delays` is the particle
 selector with its variances summed over whole (particle, delay) arrays,
 which the selector's variances must match to rounding.
 `one_branch` reads one branch's model value out of a protocol's
@@ -40,6 +44,9 @@ same delays and match its moments to rounding.  `per_acquisition_four` is
 the runners' acquisition as first written, computing an acquisition's
 expected counts every time and drawing through `sample_signals`, which a
 run's once-per-run expected counts must reproduce bit for bit.
+`per_row_estimate_pairs` is the runners' estimation as first written, one
+measurement_estimate call per branch, which the vectorized estimate of a
+whole stack of acquisitions must reproduce bit for bit.
 `chain_expected_signals` is `signals.expected_signals` as first written:
 each delay's full (3, 3) propagator, clipped, pushed through the stacked
 pulse and collection chain by batched matmul; the closed-form counts
@@ -68,9 +75,10 @@ from spinrelax.design import (
     gaussian_sigma,
     nob_select_delays,
 )
-from spinrelax.estimator import sigma_m_from_expectations
+from spinrelax.estimator import EstimationError, measurement_estimate, sigma_m_from_expectations
 from spinrelax.posterior import (
     GRID_SIZE,
+    MeasurementPair,
     PosteriorGrid,
     PosteriorMoments,
     UpdateRejected,
@@ -78,7 +86,6 @@ from spinrelax.posterior import (
     _bilinear,
 )
 from spinrelax.rates import (
-    _FRESH,
     BRANCHES,
     _check_tau,
     _pair_values,
@@ -108,7 +115,7 @@ from spinrelax.signals import (
 # both branches' values at once are model_m's two-branch kernel.
 ROBUST_CURVES = BranchCurves(
     gradient=model_gradient,
-    pair_value=lambda tp, tm, rates, out=_FRESH: _pair_values(tp, tm, rates, (1, 0), (0, 1), out),
+    pair_value=lambda tp, tm, rates, out=None: _pair_values(tp, tm, rates, (1, 0), (0, 1), out),
 )
 
 
@@ -352,7 +359,7 @@ def chi_squared_field(pair, gamma_plus, gamma_minus, model=model_m):
     ):
         predicted = model(tau, (gamma_plus, gamma_minus), branch)
         with np.errstate(over="ignore"):
-            total = total + ((m - predicted) / (np.sqrt(2.0) * sigma)) ** 2
+            total = total + ((m - predicted) * (1.0 / (np.sqrt(2.0) * sigma))) ** 2
     return total
 
 
@@ -402,7 +409,8 @@ def model_m_optimal(tau, rates, eta, branch):
 
 
 def dense_model_m(tau, rates, branch):
-    """model_m with every operation on a fresh array."""
+    """model_m as ((g + x) e_fast + (g - x) e_slow) / 2g, pinned to 1 at
+    tau = 0, with every operation on a fresh array."""
     tau = _check_tau(tau)
     gp, gm = _unpack(rates)
     if branch not in BRANCHES:
@@ -413,6 +421,22 @@ def dense_model_m(tau, rates, branch):
     e_slow = np.exp(-(gp + gm - g) * tau)
     value = ((g + own) * e_fast + (g - own) * e_slow) / (2.0 * g)
     return np.where(np.asarray(tau) == 0.0, 1.0, value)
+
+
+def pq_model_m(tau, rates, branch):
+    """model_m as (p + x q) / 2, p = e_fast + e_slow, q = (e_fast - e_slow) / g,
+    with every operation on a fresh array."""
+    tau = _check_tau(tau)
+    gp, gm = _unpack(rates)
+    if branch not in BRANCHES:
+        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    g = _spectral_split(gp, gm)
+    own = gp if branch == "+" else gm
+    e_fast = np.exp((gp + gm + g) * -tau)
+    e_slow = np.exp((gp + gm - g) * -tau)
+    p = e_fast + e_slow
+    q = (e_fast - e_slow) / g
+    return np.asarray((p + own * q) / 2.0)
 
 
 def dense_branch_variances(cloud, taus, curves):
@@ -504,14 +528,15 @@ def one_branch(curves):
 
 
 def chain_bayes_update(grid, pair, model, workspace=None):
-    """bayes_update as first written: chi^2 in the model's fresh arrays, the
-    prior minus it normalized by a validated PosteriorGrid.  `workspace` is
+    """bayes_update as first written: chi^2 in the model's fresh arrays (each
+    residual scaled by the reciprocal of sqrt(2) sigma, as the kernel scales
+    it), the prior minus it normalized by a validated PosteriorGrid.  `workspace` is
     accepted and ignored, so a runner can call it in place of the kernel."""
     chi = model(pair.tau_plus, pair.tau_minus, grid.meshes())
     with np.errstate(over="ignore"):
         for c, m, s in zip(chi, (pair.m_plus, pair.m_minus), (pair.sigma_plus, pair.sigma_minus)):
             np.subtract(m, c, out=c)
-            np.divide(c, np.sqrt(2.0) * s, out=c)
+            np.multiply(c, 1.0 / (np.sqrt(2.0) * s), out=c)
             np.square(c, out=c)
         lw = grid.log_weights - (chi[0] + chi[1])
     if not np.isfinite(np.max(lw)):
@@ -552,6 +577,29 @@ def chain_regrid(grid, size=GRID_SIZE, workspace=None):
     with np.errstate(divide="ignore"):
         lw = np.log(w / total)
     return PosteriorGrid(new_gp, new_gm, lw, grid.hard_bounds)
+
+
+def per_row_estimate_pairs(counts, delays):
+    """experiments._estimate_pairs as first written: one measurement_estimate
+    call per branch row, None where either branch raises EstimationError."""
+    pairs = []
+    for (plus, minus), d in zip(np.reshape(counts, (-1, 2, 4)), delays):
+        try:
+            est_plus, est_minus = measurement_estimate(plus), measurement_estimate(minus)
+        except EstimationError:
+            pairs.append(None)
+            continue
+        pairs.append(
+            MeasurementPair(
+                m_plus=est_plus.m_bar,
+                m_minus=est_minus.m_bar,
+                sigma_plus=est_plus.sigma_m,
+                sigma_minus=est_minus.sigma_m,
+                tau_plus=d.tau_plus,
+                tau_minus=d.tau_minus,
+            )
+        )
+    return pairs
 
 
 def per_acquisition_four(run, measurement, tau, t_start, duration_s):

@@ -805,9 +805,9 @@ class TestBlockedParticleSelect:
             assert g.shape == (count,) and np.all(np.abs(g - w) <= bound)
 
     def test_peak_memory_stays_blocked(self):
-        # The selector holds one (half, branch, 2, delay, particle) kernel
-        # workspace of 10 MB on this call; a whole (particle, delay) value
-        # array of 16 MB would take the peak near 18 MB.
+        # The selector holds one (half, 3, delay, particle) kernel workspace
+        # of 7.7 MB on this call; a whole (particle, delay) value array of
+        # 16 MB would take the peak near 18 MB.
         rng = np.random.default_rng(5)
         gammas = np.column_stack([rng.uniform(0.5, 2.0, 20000), rng.uniform(2.0, 4.0, 20000)])
         cloud = ParticleCloud(gammas=gammas, weights=rng.uniform(0.1, 1.0, 20000))
@@ -859,6 +859,19 @@ class TestThreadedVariances:
         inline = _branch_variances(cloud, taus, curves)
         assert threaded.shape == (2, count)
         assert np.array_equal(threaded, inline)
+
+    @pytest.mark.parametrize("count", [_DELAYS + 1, 2 * _DELAYS + 1])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_lone_last_delay_keeps_its_bits(self, monkeypatch, count, cpus):
+        # Above 8,192 particles einsum sums a one-row block in another order
+        # than each row of a larger block; a delay alone in the last block
+        # must get the bits it gets next to another delay.
+        monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
+        cloud = self.cloud(20000)
+        taus = DEFAULT_GRID.taus[::10][: count + 1]
+        curves = measurement_curves(ROBUST_PROTOCOL)
+        alone = _branch_variances(cloud, taus[:count], curves)
+        assert np.array_equal(alone, _branch_variances(cloud, taus, curves)[:, :count])
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         cloud = self.cloud(1025)

@@ -1,10 +1,11 @@
 """Tests for the bias-reduced ratio estimator."""
 
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -13,6 +14,7 @@ from spinrelax.estimator import (
     BiasStudyResult,
     EstimationError,
     RatioEstimate,
+    _estimates,
     bias_study,
     measurement_estimate,
     reciprocal_mode,
@@ -160,6 +162,37 @@ class TestMeasurementEstimate:
         est = measurement_estimate(np.array(counts))
         m, sigma_m = sigma_m_from_expectations(*counts)
         assert (est.m_bar, est.sigma_m) == (m, sigma_m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.one_of(
+                st.lists(st.integers(0, 10**7), min_size=4, max_size=4),
+                # Noiseless totals: zero, or far above the subnormal range.
+                st.lists(st.just(0.0) | st.floats(1e-3, 1e7), min_size=4, max_size=4),
+                st.lists(st.integers(0, 60), min_size=2, max_size=2).map(lambda a: a + [0, 0]),
+                st.just([0, 0, 0, 0]),
+            ),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @example(rows=[[0, 0, 0, 0], [40, 10, 300, 100], [7, 3, 0, 0], [0, 0, 5, 0], [2, 9, 0, 4]])
+    def test_rows_equal_one_estimate_each(self, rows):
+        # The vectorized estimate of an (n, 4) stack against n scalar calls,
+        # bit for bit; exactly the rows the scalar call rejects are flagged.
+        fields, usable = _estimates(np.array(rows))
+        assert usable.shape == (len(rows),)
+        for i, row in enumerate(rows):
+            try:
+                est = measurement_estimate(np.array(row))
+            except EstimationError:
+                assert not usable[i] and row[2] == row[3] == 0
+                assert all(np.isnan(f[i]) for f in fields)
+                continue
+            assert usable[i]
+            got = np.array([f[i] for f in fields])
+            assert got.tobytes() == np.array(dataclasses.astuple(est)).tobytes()
 
     def test_monte_carlo_mean_matches_model(self):
         # Sampled estimates at the reference configuration should average

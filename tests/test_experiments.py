@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import ROBUST_CURVES, per_acquisition_four
+from oracles import ROBUST_CURVES, per_acquisition_four, per_row_estimate_pairs
 from spinrelax import experiments
 from spinrelax.design import DelayGrid, DelayPair, TimingModel, nob_select_delays
 from spinrelax.experiments import (
@@ -304,6 +304,26 @@ class TestNapRun:
         assert len(rec.iterations) == 0
         assert rec.total_time_s == 0.0
 
+
+    def test_dark_delay_flagged_every_sweep_and_the_rest_fold_as_per_row(self, monkeypatch):
+        cfg = fig_defaults(optimizer="nap", iterations=4, nap_delays=NAP_DEFAULT_DELAYS, seed=9)
+        dark = DelayPair(NAP_DEFAULT_DELAYS[7], NAP_DEFAULT_DELAYS[7])
+        acquire = experiments._Run.acquire
+
+        def darkened(run, delays):
+            counts = acquire(run, delays)
+            return (np.zeros(4), np.zeros(4)) if delays == dark else counts
+
+        monkeypatch.setattr(experiments._Run, "acquire", darkened)
+        got = run_nap(cfg)
+        assert [r.delays for r in got.iterations if r.flagged] == [dark] * cfg.iterations
+        assert all(r.measurement is None for r in got.iterations if r.flagged)
+        assert got.flagged_count == cfg.iterations  # one unusable aggregate per rebuild
+        monkeypatch.setattr(experiments, "_estimate_pairs", per_row_estimate_pairs)
+        want = run_nap(cfg)
+        assert got.to_jsonl() == want.to_jsonl()
+        assert json.dumps(got.summary_dict()) == json.dumps(want.summary_dict())
+        assert got.posterior.log_weights.tobytes() == want.posterior.log_weights.tobytes()
 
     def test_nap_with_nob_sequence_matches_adaptive_exactly(self):
         adaptive = run_adaptive(fig_defaults(iterations=8, seed=42))

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_model_m, expm_propagator, fd_model_gradient, model_m_optimal
+from oracles import (
+    dense_model_m,
+    expm_propagator,
+    fd_model_gradient,
+    model_m_optimal,
+    pq_model_m,
+)
 from spinrelax import rates as rates_module
 from spinrelax.posterior import initial_grid
 from spinrelax.protocols import _CLASS_MIX
@@ -174,14 +180,15 @@ def assert_same_values(got, want):
 
 
 class TestModelMInPlace:
-    """model_m's in-place evaluation against the fresh-array oracle."""
+    """model_m's in-place evaluation against the fresh-array mirror of its
+    (p, q) algebra."""
 
     @settings(max_examples=200, deadline=None)
     @given(gp=rates_strategy, gm=rates_strategy, tau=st.floats(0.0, 1e3), pair=st.booleans())
     def test_scalar_inputs(self, gp, gm, tau, pair):
         rates = RatePair(gp, gm) if pair else (gp, gm)
         for branch in "+-":
-            assert_same_values(model_m(tau, rates, branch), dense_model_m(tau, rates, branch))
+            assert_same_values(model_m(tau, rates, branch), pq_model_m(tau, rates, branch))
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -197,7 +204,7 @@ class TestModelMInPlace:
         taus[0, 0] = 0.0
         for branch in "+-":
             got = model_m(taus, (gp, gm), branch)
-            assert_same_values(got, dense_model_m(taus, (gp, gm), branch))
+            assert_same_values(got, pq_model_m(taus, (gp, gm), branch))
 
     def test_posterior_mesh(self):
         gp, gm = initial_grid().meshes()
@@ -205,14 +212,14 @@ class TestModelMInPlace:
         for tau in (0.0, 3e-3, 0.37, 5.5):
             for branch in "+-":
                 got = model_m(tau, (gp, gm), branch)
-                assert_same_values(got, dense_model_m(tau, (gp, gm), branch))
+                assert_same_values(got, pq_model_m(tau, (gp, gm), branch))
 
     def test_tau_zero_pinned(self):
         gp = np.geomspace(0.01, 100.0, 50)[:, None]
         for rates in (RatePair(1.0, 3.0), (gp, gp.T), (0.3, 0.3)):
             for branch in "+-":
                 got = model_m(0.0, rates, branch)
-                assert_same_values(got, dense_model_m(0.0, rates, branch))
+                assert_same_values(got, pq_model_m(0.0, rates, branch))
                 assert np.all(got == 1.0)
 
     def test_underflowing_exponents(self):
@@ -221,8 +228,107 @@ class TestModelMInPlace:
         gp = np.geomspace(1.0, 50.0, 30)[:, None]
         for branch in "+-":
             got = model_m(taus, (gp, 2.0 * gp), branch)
-            assert_same_values(got, dense_model_m(taus, (gp, 2.0 * gp), branch))
+            assert_same_values(got, pq_model_m(taus, (gp, 2.0 * gp), branch))
             assert np.any(got == 0.0) and np.any((got != 0.0) & (np.abs(got) < 1e-300))
+
+
+class TestAgainstFirstAlgebra:
+    """The (p, q) kernel against ((g + x) e_fast + (g - x) e_slow) / 2g.
+
+    Both forms take the same decays and g, so they differ only in the
+    rounding of the few operations after them.  With |x| <= 2g for either
+    branch, (p + x q) / 2 carries at most 5 units of roundoff u = 2^-53 and
+    the first form at most 6; the bound is their sum plus one, fixed from
+    that count before the comparison was first run.
+    """
+
+    BOUND = 12 * 2.0**-53
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["scalars", "mesh", "cloud"]),
+        scale=st.sampled_from([1e-3, 1.0, 1e2]),
+    )
+    def test_within_rounding(self, seed, kind, scale):
+        rng = np.random.default_rng(seed)
+        if kind == "scalars":
+            gp, gm = np.exp(rng.uniform(np.log(0.05), np.log(100.0), 2))
+            tau = float(rng.uniform(0.0, scale))
+        elif kind == "mesh":
+            gp, gm = (np.sort(rng.uniform(0.05, 100.0, n)) for n in rng.integers(2, 60, 2))
+            gp, gm = gp[:, None], gm[None, :]
+            tau = float(rng.uniform(0.0, scale))
+        else:
+            gp, gm = np.exp(rng.uniform(np.log(0.05), np.log(100.0), (2, 300)))
+            tau = np.append(0.0, rng.uniform(0.0, scale, 11))[:, None]
+        for branch in "+-":
+            got = model_m(tau, (gp, gm), branch)
+            assert np.max(np.abs(got - dense_model_m(tau, (gp, gm), branch))) <= self.BOUND
+
+
+def swap_mix(mix):
+    return mix[::-1]
+
+
+def symmetry_rates(kind, rng):
+    """(tau, rates) on a posterior-style mesh or a particle cloud by delays."""
+    if kind == "mesh":
+        axes = (np.sort(rng.uniform(0.05, 50.0, 40)) for _ in range(2))
+        gp, gm = next(axes)[:, None], next(axes)[None, :]
+        return float(rng.uniform(0.0, 3.0)), (gp, gm)
+    gp, gm = np.exp(rng.uniform(np.log(0.05), np.log(50.0), (2, 257)))
+    return np.append(0.0, rng.uniform(0.0, 3.0, 7))[:, None], (gp, gm)
+
+
+class TestKernelSymmetries:
+    """Exchange symmetry and the tau = 0 value stay exact for every class mix,
+    on posterior meshes and on particle clouds, fresh and in a workspace."""
+
+    @pytest.mark.parametrize("kind", ["mesh", "cloud"])
+    def test_exchange_symmetry_of_values(self, kind):
+        rng = np.random.default_rng(31)
+        for _ in range(5):
+            tau, (gp, gm) = symmetry_rates(kind, rng)
+            for mix in _CLASS_MIX.values():
+                want = _values(tau, (gp, gm), *mix)
+                assert want.tobytes() == _values(tau, (gm, gp), *swap_mix(mix)).tobytes()
+
+    @pytest.mark.parametrize("kind", ["mesh", "cloud"])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_exchange_symmetry_of_pair_values(self, kind, shared):
+        rng = np.random.default_rng(32)
+        for _ in range(3):
+            tau_plus, (gp, gm) = symmetry_rates(kind, rng)
+            tau_minus = tau_plus if shared else tau_plus * 0.5
+            shape = np.broadcast_shapes(np.shape(tau_plus), gp.shape, gm.shape)
+            for mix_plus in _CLASS_MIX.values():
+                for mix_minus in ((1, 0), (0, 1), (1, -1)):
+                    for out in (None, np.full((5,) + shape, np.nan)):
+                        got = [
+                            a.copy()
+                            for a in _pair_values(tau_plus, tau_minus, (gp, gm), mix_plus, mix_minus, out)
+                        ]
+                        plus, minus = _pair_values(
+                            tau_minus, tau_plus, (gm, gp), swap_mix(mix_minus), swap_mix(mix_plus), out
+                        )
+                        assert got[0].tobytes() == minus.tobytes()
+                        assert got[1].tobytes() == plus.tobytes()
+
+    @pytest.mark.parametrize("kind", ["mesh", "cloud"])
+    def test_one_at_tau_zero(self, kind):
+        rng = np.random.default_rng(33)
+        _, rates = symmetry_rates(kind, rng)
+        tau = 0.0 if kind == "mesh" else np.zeros((3, 1))
+        shape = np.broadcast_shapes(np.shape(tau), *(r.shape for r in rates))
+        for mix in _CLASS_MIX.values():
+            assert np.all(_values(tau, rates, *mix) == 1.0)
+            for out in (None, np.full((5,) + shape, np.nan)):
+                for other in (tau, 0.2):
+                    plus, minus = _pair_values(tau, other, rates, mix, (0, 1), out)
+                    assert np.all(plus == 1.0)
+                    plus, minus = _pair_values(other, tau, rates, (1, 0), mix, out)
+                    assert np.all(minus == 1.0)
 
 
 tau_values = st.one_of(st.just(0.0), st.floats(0.0, 50.0))
@@ -271,15 +377,15 @@ class TestPairValues:
         rng = np.random.default_rng(8)
         gp, gm = np.exp(rng.uniform(np.log(0.05), np.log(50.0), (2, 300)))
         taus = np.append(0.0, np.geomspace(1e-3, 5.0, 39))[:, None]
-        out = np.full((2, 2, 8, 300), np.nan)
+        out = np.full((5, 8, 300), np.nan)
         for start in range(0, taus.size, 8):
             tau_plus = taus[start : start + 8]
             tau_minus = tau_plus if shared else tau_plus[::-1].copy()
             for mix_plus, mix_minus in [((1, 0), (0, 1)), ((1, -1), (0, 0))]:
                 want = _pair_values(tau_plus, tau_minus, (gp, gm), mix_plus, mix_minus)
                 got = _pair_values(tau_plus, tau_minus, (gp, gm), mix_plus, mix_minus, out)
-                for g, w, first in zip(got, want, out[:, 0], strict=True):
-                    assert g.tobytes() == w.tobytes() and np.shares_memory(g, first)
+                for g, w, slot in zip(got, want, out[:2], strict=True):
+                    assert g.tobytes() == w.tobytes() and np.shares_memory(g, slot)
 
     @pytest.mark.parametrize("tau_minus, expected", [(0.3, 1), (np.float64(0.3), 1), (0.5, 2)])
     def test_decays_once_per_distinct_delay(self, monkeypatch, tau_minus, expected):
