@@ -581,15 +581,15 @@ def cmd_speedup(config):
 
 
 _SHOW_COLUMNS = (
-    ("iteration", "iteration", "d"),
-    ("tau_plus_ms", "tau+_ms", "g"),
-    ("tau_minus_ms", "tau-_ms", "g"),
-    ("gamma_plus_mean_per_ms", "G+_mean_per_ms", "g"),
-    ("gamma_plus_sigma_per_ms", "G+_sigma_per_ms", "g"),
-    ("gamma_minus_mean_per_ms", "G-_mean_per_ms", "g"),
-    ("gamma_minus_sigma_per_ms", "G-_sigma_per_ms", "g"),
-    ("cumulative_time_s", "time_s", "g"),
-    ("flagged", "flagged", "s"),
+    ("iteration", "iteration"),
+    ("tau_plus_ms", "tau+_ms"),
+    ("tau_minus_ms", "tau-_ms"),
+    ("gamma_plus_mean_per_ms", "G+_mean_per_ms"),
+    ("gamma_plus_sigma_per_ms", "G+_sigma_per_ms"),
+    ("gamma_minus_mean_per_ms", "G-_mean_per_ms"),
+    ("gamma_minus_sigma_per_ms", "G-_sigma_per_ms"),
+    ("cumulative_time_s", "time_s"),
+    ("flagged", "flagged"),
 )
 
 
@@ -613,20 +613,10 @@ def cmd_show(args):
         print(f"{path}: empty record")
         return EXIT_OK
 
-    table = [[header for _, header, _ in _SHOW_COLUMNS]]
+    table = [[header for _, header in _SHOW_COLUMNS]]
     for row in rows:
-        rendered = []
-        for key, _, kind in _SHOW_COLUMNS:
-            value = row.get(key)
-            if value is None:
-                rendered.append("-")
-            elif kind == "d":
-                rendered.append(f"{value:d}")
-            elif kind == "g":
-                rendered.append(f"{value:.6g}")
-            else:
-                rendered.append(str(value))
-        table.append(rendered)
+        values = (row.get(key) for key, _ in _SHOW_COLUMNS)
+        table.append(["-" if value is None else _table_cell(value) for value in values])
     widths = [max(len(line[i]) for line in table) for i in range(len(table[0]))]
     for line in table:
         print("  ".join(cell.rjust(width) for cell, width in zip(line, widths)))

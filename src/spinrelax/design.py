@@ -40,7 +40,7 @@ variance-proxy utility over the cloud: per block of candidate delays, one
 two-branch kernel call over the whole cloud gives both branches' values,
 and each branch's cloud variance is reduced from them before the next
 block.  The blocks split into two halves, cut at a block boundary: the
-caller computes the first while one worker thread computes the second
+caller computes the first while a one-worker thread pool computes the second
 (numpy releases the GIL inside the kernel's ufunc and einsum loops), each
 into its own workspace and its own slice of the variances.  Each block's
 arithmetic is the same on either thread, so the variances do not depend on
@@ -55,7 +55,7 @@ Delays are in ms, rates in 1/ms, durations in seconds.
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,9 +83,13 @@ class UninformativeDesign(RuntimeError):
     """Raised when a delay pair cannot constrain both rates."""
 
 
+def _is_int(value):
+    """An int or numpy integer, but not a bool: True would pass as 1."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_positive_int(value, name):
-    # bool is an int; True would pass as 1.
-    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value > 0):
+    if not (_is_int(value) and value > 0):
         raise ValueError(f"{name} must be a positive integer")
 
 
@@ -302,12 +306,9 @@ def approx_cost_surface(grid, rates, timing, curves):
     """Common-sigma_M cost over the grid with the sigma factored out.
 
     For equal measurement uncertainties the full cost is sigma_M times the
-    cost at unit sigma_M, which this returns: cost_surface(grid, rates,
-    (1.0, 1.0), timing, curves), bit for bit.
+    cost at unit sigma_M, which this returns.
     """
-    *_, cells = _cost_kernel(grid, rates, (1.0, 1.0), timing, curves)
-    index = np.arange(grid.taus.size)
-    return cells(*np.ix_(index, index))
+    return cost_surface(grid, rates, (1.0, 1.0), timing, curves)
 
 
 # _bounded_argmin's block edge (the last block is clipped) and probe stride,
@@ -476,7 +477,7 @@ def _branch_variances(cloud, taus, curves):
     over the whole cloud as (delay, particle) arrays; each branch's weighted
     mean, then its weighted squared deviations, are summed along the
     particle axis.  When the process may use two CPUs, the caller takes
-    the first half of the blocks and one worker thread the second; an
+    the first half of the blocks and a one-worker pool the second; an
     exception in either half is raised here, after the worker has ended.
     With one CPU the caller takes every block in one workspace.  A lone
     last delay is computed as a block of two, so each delay's variance has
@@ -507,22 +508,10 @@ def _branch_variances(cloud, taus, curves):
         run(starts, work[0])
         return variances
     cut = (len(starts) + 1) // 2
-    errors = []
-
-    def worker():
-        try:
-            run(starts[cut:], work[1])
-        except BaseException as error:  # re-raised in the caller
-            errors.append(error)
-
-    thread = threading.Thread(target=worker, name="pf-variances")
-    thread.start()
-    try:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="pf-variances") as pool:
+        second = pool.submit(run, starts[cut:], work[1])
         run(starts[:cut], work[0])
-    finally:
-        thread.join()
-    if errors:
-        raise errors[0]
+        second.result()
     return variances
 
 

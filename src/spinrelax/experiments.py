@@ -35,6 +35,8 @@ from .design import (
     DelayPair,
     ParticleCloud,
     TimingModel,
+    _check_positive_int,
+    _is_int,
     nob_select_delays,
     pf_select_delays,
 )
@@ -90,10 +92,6 @@ NAP_DEFAULT_DELAYS = tuple(DelayGrid.default(20).taus)
 SPEEDUP_PARAMS = SignalParams(repetitions_R=10**5)
 
 
-def _is_integer(value):
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one simulated run depends on.
@@ -128,13 +126,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
-        if not (_is_integer(self.iterations) and self.iterations >= 0):
+        if not (_is_int(self.iterations) and self.iterations >= 0):
             raise ValueError("iterations must be a nonnegative integer")
-        if not (_is_integer(self.grid_size) and self.grid_size >= 2):
+        if not (_is_int(self.grid_size) and self.grid_size >= 2):
             raise ValueError("grid_size must be an integer of at least 2")
-        if not (_is_integer(self.particle_count) and self.particle_count >= 1):
-            raise ValueError("particle_count must be a positive integer")
-        if not (_is_integer(self.seed) and self.seed >= 0):
+        _check_positive_int(self.particle_count, "particle_count")
+        if not (_is_int(self.seed) and self.seed >= 0):
             raise ValueError("seed must be a nonnegative integer")
         lo, hi = self.prior_bounds
         if not (0.0 < lo < hi < np.inf):

@@ -3,11 +3,11 @@
 The posterior lives on a rectangular grid: strictly increasing axes for
 gamma_plus and gamma_minus (ms^-1) and a 2-D weight array, weights[i, j]
 belonging to (gamma_plus_axis[i], gamma_minus_axis[j]).  Weights are kept in
-log domain internally so hundreds of sequential updates cannot underflow,
-normalized by a max-shifted log-sum-exp; the public `weights` array is
-read-only and sums to 1.  A run starts from `initial_grid`: flat in rate
-over the prior bounds, which are also the hard support every later grid
-stays within.
+log domain internally so hundreds of sequential updates cannot underflow;
+one max-shifted log-sum-exp normalizes every grid the constructor or
+`bayes_update` builds, its one `exp` giving the read-only `weights` that
+sum to 1.  A run starts from `initial_grid`: flat in rate over the prior
+bounds, which are also the hard support every later grid stays within.
 
 Measurement likelihood: each iteration yields a measurement value and
 uncertainty per branch, compared against the branch model curves (both
@@ -37,8 +37,7 @@ cell weights as point masses at the grid nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -108,11 +107,13 @@ class PosteriorGrid:
     gamma_minus_axis: np.ndarray
     log_weights: np.ndarray
     hard_bounds: tuple = DEFAULT_BOUNDS
+    # Normalized linear weights, read-only; sums to 1 within float accumulation.
+    weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
         gp = np.asarray(self.gamma_plus_axis, dtype=float)
         gm = np.asarray(self.gamma_minus_axis, dtype=float)
-        lw = np.asarray(self.log_weights, dtype=float)
+        lw = np.array(self.log_weights, dtype=float)
         lo, hi = self.hard_bounds
         for axis in (gp, gm):
             if axis.ndim != 1 or axis.size < 2:
@@ -126,18 +127,19 @@ class PosteriorGrid:
             raise ValueError("log_weights shape must be (len(plus), len(minus))")
         if np.any(np.isnan(lw)):
             raise ValueError("log_weights must not contain NaN")
-        if not np.isfinite(lw.max()):
+        peak = lw.max()
+        if not np.isfinite(peak):
             raise ValueError("log_weights need a finite maximum")
-        lw = lw - _log_normalizer(lw)
-        lw.flags.writeable = False
-        object.__setattr__(self, "gamma_plus_axis", gp)
-        object.__setattr__(self, "gamma_minus_axis", gm)
-        object.__setattr__(self, "log_weights", lw)
+        w = np.empty_like(lw)
+        _normalize(lw, peak, w)
+        lw.flags.writeable = w.flags.writeable = False
+        # Frozen: the checked arrays replace the caller's through the instance dict.
+        vars(self).update(gamma_plus_axis=gp, gamma_minus_axis=gm, log_weights=lw, weights=w)
 
     @classmethod
     def _normalized(cls, gamma_plus_axis, gamma_minus_axis, log_weights, weights, hard_bounds):
         """A fold's grid, unchecked: normalized log weights and their linear
-        weights, both made read-only, the weights filling the cached property."""
+        weights, both made read-only."""
         log_weights.flags.writeable = weights.flags.writeable = False
         grid = object.__new__(cls)
         grid.__dict__.update(
@@ -148,14 +150,6 @@ class PosteriorGrid:
             weights=weights,
         )
         return grid
-
-    @cached_property
-    def weights(self):
-        """Normalized linear weights, read-only; sums to 1 within float accumulation."""
-        w = np.exp(self.log_weights)
-        w /= w.sum()
-        w.flags.writeable = False
-        return w
 
     @property
     def shape(self):
@@ -169,16 +163,21 @@ class PosteriorGrid:
         )
 
 
-def _log_normalizer(a):
-    """log(sum(exp(a))) of an array with a finite maximum, leaving `a` unchanged.
+def _normalize(lw, peak, w):
+    """Normalize log weights `lw` in place, given their finite maximum `peak`;
+    write their linear weights into `w` and return log(sum(exp(lw))).
 
     Max-shifted log-sum-exp (Blanchard, Higham & Higham, IMA J. Numer. Anal.
-    41(4), 2021), with the exp in place on the one shifted copy.
+    41(4), 2021): one `exp` of lw - peak in `w`, whose sum gives the
+    normalizer, and one multiply by the reciprocal of that sum.
     """
-    peak = a.max()
-    shifted = a - peak
-    np.exp(shifted, out=shifted)
-    return peak + np.log(shifted.sum())
+    np.subtract(lw, peak, out=w)
+    np.exp(w, out=w)
+    total = w.sum()
+    w *= 1.0 / total
+    log_total = peak + np.log(total)
+    lw -= log_total
+    return log_total
 
 
 def initial_grid(bounds=DEFAULT_BOUNDS, size=GRID_SIZE):
@@ -233,10 +232,10 @@ def bayes_update(grid, pair, model, *, workspace=None):
     """Posterior after folding in one measurement pair: the fold's first half.
 
     Multiplies the prior weights by the likelihood (addition in log domain)
-    and normalizes by a max-shifted log-sum-exp, whose one `exp` also gives
-    the new grid its linear weights.  If every node's posterior log-weight
-    is -inf the measurement contradicts the whole support and the update is
-    rejected.  `model` is the protocol's two-branch callable
+    and normalizes with the constructor's `_normalize`, whose one `exp`
+    also gives the new grid its linear weights.  If every node's posterior
+    log-weight is -inf the measurement contradicts the whole support and
+    the update is rejected.  `model` is the protocol's two-branch callable
     (BranchCurves.pair_value).  With a run's `workspace` the new grid holds
     read-only views of workspace arrays, valid until the run's next fold,
     which is why the runners pass it straight to `regrid`; without one its
@@ -251,15 +250,11 @@ def bayes_update(grid, pair, model, *, workspace=None):
         raise UpdateRejected(
             "measurement is inconsistent with every point of the posterior support"
         )
-    # A scratch array of the model's; its plus value array holds lw.
-    w = np.subtract(lw, peak, out=values[2])
-    np.exp(w, out=w)
-    total = w.sum()
-    w *= 1.0 / total
-    lw -= peak + np.log(total)
+    # The weights go to a scratch array of the model's; its plus value array holds lw.
+    _normalize(lw, peak, values[2])
     # Views: the grid's are read-only, the workspace's stay writable.
     return PosteriorGrid._normalized(
-        grid.gamma_plus_axis, grid.gamma_minus_axis, lw.view(), w.view(), grid.hard_bounds
+        grid.gamma_plus_axis, grid.gamma_minus_axis, lw.view(), values[2].view(), grid.hard_bounds
     )
 
 

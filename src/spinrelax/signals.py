@@ -43,6 +43,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .design import _check_positive_int
 from .rates import RatePair, _check_tau, _decays, _eigenvectors, _spectral_split, _unpack
 
 __all__ = [
@@ -129,9 +130,6 @@ class SignalParams:
             raise ValueError(violation[1])
         # A whole-valued R is kept as an int, the type TimingModel requires.
         object.__setattr__(self, "repetitions_R", int(self.repetitions_R))
-
-    def background_at(self, tau):
-        return self.background(tau) if callable(self.background) else self.background
 
 
 def pulse_matrix(label, params):
@@ -376,6 +374,7 @@ def _block_means(
     measurement, tau, rates, params, drifts, t_start, duration_s, block_reps=_BLOCK_REPS
 ):
     """sample_signals' (blocks, 4) expected counts, checked nonnegative, and their totals."""
+    _check_positive_int(block_reps, "block_reps")
     if drifts is None:
         times, blocks = [None], params
     else:

@@ -396,6 +396,46 @@ class TestShow:
         assert "tau+_ms" in out and "G+_mean_per_ms" in out and "time_s" in out
         assert "final: G+ =" in out and "/ms" in out
 
+    def test_pins_table(self, tmp_path, capsys):
+        # Floats as .6g, integer iterations as they are, flags as True/False,
+        # a missing shown value as "-"; an m of None is not shown.
+        shown = (
+            "iteration",
+            "tau_plus_ms",
+            "tau_minus_ms",
+            "gamma_plus_mean_per_ms",
+            "gamma_plus_sigma_per_ms",
+            "gamma_minus_mean_per_ms",
+            "gamma_minus_sigma_per_ms",
+            "cumulative_time_s",
+            "flagged",
+        )
+        means = (25.2387695768206, 21.544965799208036, 24.606397689935285)
+        rows = [
+            (0, 0.004782387330547353, 0.00478238733, *means, 19.94015362657201, 1.91295493, False),
+            (1, 0.5, 2.0, *means, None, 1234567.5, True),
+            (12, 1e-5, 3.25, 1.0000004, 0.0123456789, 3.0, 0.5, 7.0, False),
+        ]
+        ms = [(1.043, 0.838), (None, 0.822), (0.9, 0.8)]
+        with open(tmp_path / "records.jsonl", "w", encoding="utf-8") as fh:
+            for row, (m_plus, m_minus) in zip(rows, ms):
+                record = dict(zip(shown, row), m_plus=m_plus, m_minus=m_minus)
+                fh.write(json.dumps(record) + "\n")
+        assert main(["show", str(tmp_path)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "iteration     tau+_ms     tau-_ms  G+_mean_per_ms  G+_sigma_per_ms  G-_mean_per_ms"
+            "  G-_sigma_per_ms       time_s  flagged\n"
+            "        0  0.00478239  0.00478239         25.2388           21.545         24.6064"
+            "          19.9402      1.91295    False\n"
+            "        1         0.5           2         25.2388           21.545         24.6064"
+            "                -  1.23457e+06     True\n"
+            "       12       1e-05        3.25               1        0.0123457               3"
+            "              0.5            7    False\n"
+            "\n"
+            f"source: {tmp_path / 'records.jsonl'}\n"
+            "final: G+ = 1 +- 0.0123457 /ms, G- = 3 +- 0.5 /ms\n"
+        )
+
 
 class TestStudyCommands:
     @pytest.mark.parametrize(

@@ -20,7 +20,8 @@ from spinrelax.posterior import (
     PosteriorGrid,
     UpdateRejected,
     _bilinear,
-    _log_normalizer,
+    _chi_squared_field,
+    _normalize,
     bayes_update,
     initial_grid,
     moments,
@@ -45,6 +46,11 @@ def truth_pair(tau_plus=0.3, tau_minus=0.5, sigma=0.05):
         tau_plus=tau_plus,
         tau_minus=tau_minus,
     )
+
+
+def log_sum_exp(a):
+    """_normalize's log(sum(exp(a))), on a copy of `a`."""
+    return _normalize(a.copy(), a.max(), np.empty_like(a))
 
 
 def log_uniform_grid(size):
@@ -120,6 +126,15 @@ class TestGridConstruction:
         axis = np.linspace(1.0, 2.0, 5)
         with pytest.raises(ValueError, match="finite maximum"):
             PosteriorGrid(axis, axis.copy(), lw)
+
+    def test_leaves_the_callers_log_weights_unchanged(self):
+        rng = np.random.default_rng(5)
+        lw = rng.normal(size=(7, 9))
+        lw[0, 0] = -np.inf
+        before = lw.copy()
+        grid = PosteriorGrid(np.linspace(1.0, 2.0, 7), np.linspace(1.0, 2.0, 9), lw)
+        assert np.array_equal(lw, before) and lw.flags.writeable
+        assert not np.shares_memory(grid.log_weights, lw)
 
     def test_weights_are_read_only(self):
         grid = initial_grid(size=10)
@@ -251,6 +266,35 @@ class TestBayesUpdate:
         want = PosteriorGrid(grid.gamma_plus_axis, grid.gamma_minus_axis, lw)
         got = bayes_update(grid, pair, model=curves.pair_value)
         assert np.array_equal(got.log_weights, want.log_weights)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        size=st.one_of(st.integers(2, 80), st.just(200)),
+        prior=st.sampled_from(["flat", "random", "folded"]),
+        values=st.tuples(*[st.floats(-0.2, 1.0)] * 2),
+        sigmas=st.tuples(*[st.sampled_from([1e-3, 0.05, 1e12])] * 2),
+        taus=st.tuples(*[st.floats(1e-3, 10.0)] * 2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_constructor_has_the_update_bits(self, size, prior, values, sigmas, taus, seed):
+        # One normalizer: a grid built from the updated log weights carries
+        # the same log weights and weights, bit for bit, as the update's.
+        rng = np.random.default_rng(seed)
+        grid = initial_grid(size=size)
+        if prior == "random":
+            axes = grid.gamma_plus_axis, grid.gamma_minus_axis
+            grid = PosteriorGrid(*axes, rng.normal(size=grid.shape))
+        elif prior == "folded":
+            grid = regrid(bayes_update(grid, truth_pair(sigma=0.2), model=LIKELIHOOD), size)
+        pair = MeasurementPair(*values, *sigmas, *taus)
+        chi2 = _chi_squared_field(pair, *grid.meshes(), LIKELIHOOD, np.empty((5,) + grid.shape))
+        lw = grid.log_weights - chi2
+        if not np.isfinite(lw.max()):
+            return
+        want = PosteriorGrid(grid.gamma_plus_axis, grid.gamma_minus_axis, lw)
+        got = bayes_update(grid, pair, model=LIKELIHOOD)
+        assert np.array_equal(got.log_weights, want.log_weights)
+        assert np.array_equal(got.weights, want.weights)
 
 
 class TestMoments:
@@ -407,10 +451,13 @@ class TestKernelsMatchScipy:
         drop = rng.random(shape) < neg_inf_share
         drop.flat[np.argmax(a)] = False
         a[drop] = -np.inf
-        before = a.copy()
         want = logsumexp(a)
-        assert abs(_log_normalizer(a) - want) <= 64 * EPS * (1.0 + abs(want))
-        assert np.array_equal(a, before)
+        lw, w = a.copy(), np.empty_like(a)
+        got = _normalize(lw, a.max(), w)
+        assert abs(got - want) <= 64 * EPS * (1.0 + abs(want))
+        # In place: the log weights less the normalizer, their exps in w.
+        assert np.array_equal(lw, a - got)
+        assert abs(w.sum() - 1.0) <= 64 * EPS
 
 
 class TestKernelProperties:
@@ -462,7 +509,7 @@ class TestKernelProperties:
         drop = rng.random(shape) < neg_inf_share
         drop.flat[np.argmax(a)] = False
         a[drop] = -np.inf
-        got, want = _log_normalizer(a + shift), _log_normalizer(a) + shift
+        got, want = log_sum_exp(a + shift), log_sum_exp(a) + shift
         magnitude = 1.0 + np.abs(a[np.isfinite(a)]).max() + abs(shift) + np.log(a.size)
         assert abs(got - want) <= 64 * EPS * magnitude
 

@@ -76,10 +76,6 @@ class TestSignalParams:
         assert SignalParams(repetitions_R=np.int64(7)).repetitions_R == 7
         assert SignalParams(repetitions_R=1e6).repetitions_R == 10**6
 
-    def test_callable_background(self):
-        params = SignalParams(background=lambda tau: 0.01 * tau)
-        assert params.background_at(2.0) == 0.02
-
 
 class TestPulseMatrices:
     def test_involution_at_zero_error(self):
@@ -423,6 +419,20 @@ class TestSampling:
         expect = expected_signals(ROBUST_PROTOCOL.plus, 0.4, r, FIG_PARAMS)[0]
         sigma = np.sqrt(expect / n)
         assert np.all(np.abs(means - expect) < 5.0 * sigma)
+
+    @pytest.mark.parametrize("block_reps", [0, -5, 2.5, 1000.0, True])
+    @pytest.mark.parametrize("drifts", [None, {"alpha": lambda t: 0.8 - 0.02 * t}])
+    def test_block_reps_must_be_a_positive_integer(self, block_reps, drifts):
+        # Under drift -5 drew four zero counts and 2.5 raised a drift-domain error.
+        r = RatePair(1.0, 3.0)
+        schedule = (drifts, 0.0, 5.0, block_reps)
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="block_reps must be a positive integer"):
+            sample_signals(ROBUST_PROTOCOL.plus, 0.4, r, FIG_PARAMS, rng, *schedule)
+        assert rng.bit_generator.state == before
+        with pytest.raises(ValueError, match="block_reps must be a positive integer"):
+            _block_means(ROBUST_PROTOCOL.plus, 0.4, r, FIG_PARAMS, *schedule)
 
     def test_drift_blocks_reproducible_and_consistent(self):
         r = RatePair(1.0, 3.0)
