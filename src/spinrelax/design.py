@@ -39,15 +39,17 @@ stochastic particle-cloud optimizer, the alternative, maximizes a
 variance-proxy utility over the cloud: per block of candidate delays, one
 two-branch kernel call over the whole cloud gives both branches' values,
 and each branch's cloud variance is reduced from them before the next
-block.  The blocks split into two halves, cut at a block boundary: the
-caller computes the first while a one-worker thread pool computes the second
-(numpy releases the GIL inside the kernel's ufunc and einsum loops), each
-into its own workspace and its own slice of the variances.  Each block's
+block.  The blocks split into two halves, cut at a block boundary, each
+computed into its own workspace and its own slice of the variances by
+`_two_halves`, the one helper that also runs the fixed sweep's paired
+posterior rebuilds (`experiments.run_nap`): the caller runs the first half
+while a one-worker thread pool runs the second (numpy releases the GIL
+inside the kernel's ufunc and einsum loops), and a process that may use only
+one CPU runs the second half inline after the first.  Each block's
 arithmetic is the same on either thread, so the variances do not depend on
-which thread computed them; a process that may use only one CPU computes
-the second half inline after the first.  Every width, cost and optimizer
-takes the protocol's BranchCurves (`protocols.measurement_curves`); none
-assumes a protocol.
+which thread computed them.  Every width, cost and optimizer takes the
+protocol's BranchCurves (`protocols.measurement_curves`); none assumes a
+protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -470,18 +472,33 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+def _two_halves(first, second):
+    """(first(), second()), the two computed side by side when they can be.
+
+    When the process may use two CPUs (checked at each call), the caller
+    runs `first` while a one-worker pool runs `second`; an exception in
+    either is raised here, after the worker has ended, so no thread
+    outlives the call.  With one CPU `second` runs inline after `first`
+    and no thread starts.  The two must write no object in common.
+    """
+    if _usable_cpus() < 2:
+        return first(), second()
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="spinrelax") as pool:
+        pending = pool.submit(second)
+        return first(), pending.result()
+
+
 def _branch_variances(cloud, taus, curves):
     """Cloud variance of each branch's predicted value at taus, as a (2, delay) array.
 
     Per block of delays, one pair_value call gives both branches' values
     over the whole cloud as (delay, particle) arrays; each branch's weighted
     mean, then its weighted squared deviations, are summed along the
-    particle axis.  When the process may use two CPUs, the caller takes
-    the first half of the blocks and a one-worker pool the second; an
-    exception in either half is raised here, after the worker has ended.
-    With one CPU the caller takes every block in one workspace.  A lone
-    last delay is computed as a block of two, so each delay's variance has
-    the same bits wherever the block edges fall.
+    particle axis.  When the process may use two CPUs, more than one block
+    splits into two halves for `_two_halves`, each with its own workspace;
+    otherwise the caller takes every block in one workspace.  A lone last
+    delay is computed as a block of two, so each delay's variance has the
+    same bits wherever the block edges fall.
     """
     (gp, gm), w = cloud.gammas.T, cloud.weights
     variances = np.empty((len(BRANCHES), taus.size))
@@ -508,10 +525,7 @@ def _branch_variances(cloud, taus, curves):
         run(starts, work[0])
         return variances
     cut = (len(starts) + 1) // 2
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="pf-variances") as pool:
-        second = pool.submit(run, starts[cut:], work[1])
-        run(starts[:cut], work[0])
-        second.result()
+    _two_halves(lambda: run(starts[:cut], work[0]), lambda: run(starts[cut:], work[1]))
     return variances
 
 

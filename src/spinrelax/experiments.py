@@ -5,7 +5,10 @@ particle-cloud utility), four-signal acquisition per branch, ratio
 estimation, and a Bayesian grid update.  The non-adaptive baseline cycles a
 fixed delay list, accumulates counts per delay, and recomputes its
 posterior from the aggregates after every sweep using the very same
-estimator and inference calls.  The speedup study pairs replicate
+estimator and inference calls.  Each rebuild starts again from the prior,
+so the baseline rebuilds two sweeps' posteriors at once: the caller one,
+one worker thread the other (`design._two_halves`, the helper the particle
+selector splits its delay blocks with).  The speedup study pairs replicate
 ensembles of the two arms and reports how much longer the fixed sweep
 needs to match the adaptive final uncertainty.
 
@@ -16,8 +19,10 @@ acquisition at that delay from them.  `_estimate_pairs` estimates a whole
 stack of acquisitions or aggregates in one vectorized call: an adaptive
 iteration's two branches, a fixed sweep's probes, a rebuild's aggregates.
 `fold` updates the posterior with one estimated pair and regrids it in the
-run's workspace; `tick` advances the clocks and `log` records an
-acquisition.
+workspace it is given, and writes nothing else, so two threads can fold at
+once, each in its own workspace; the runner counts the flags.  `tick`
+advances the clocks, `log` records an acquisition and `mark` traces a
+completed update at the clocks it is given.
 
 Delays are milliseconds, rates 1/ms, wall-clock seconds throughout.
 """
@@ -37,6 +42,7 @@ from .design import (
     TimingModel,
     _check_positive_int,
     _is_int,
+    _two_halves,
     nob_select_delays,
     pf_select_delays,
 )
@@ -286,8 +292,9 @@ class _Run:
     `t_physical` sums acquisition durations and `t_delay` their relaxation
     delays; `t_total` adds the selector CPU charged on top, per acquisition
     through `tick` or, in a fixed-sweep run, once per posterior rebuild.
-    `fold` counts `flagged_count`: flagged iterations of an adaptive run,
-    unusable aggregates per sweep of a fixed-sweep run.
+    The runners count `flagged_count`: flagged iterations of an adaptive
+    run, unusable aggregates per sweep of a fixed-sweep run.  `workspace`
+    is the caller's fold workspace.
     """
 
     def __init__(self, config):
@@ -298,7 +305,7 @@ class _Run:
         self.prior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
         self.plus = config.protocol.plus.oriented(config.params)
         self.minus = config.protocol.minus.oriented(config.params)
-        self._workspace = _Workspace()
+        self.workspace = _Workspace()
         self._static = {}
         self.records = []
         self.trace = []
@@ -346,19 +353,18 @@ class _Run:
             return sample_signals(*args, self.rng, config.drifts, t_start, duration_s)
         return totals if config.noiseless else _draw(means, self.rng)
 
-    def fold(self, grid, pair):
-        """Fold one estimated measurement pair into `grid`: the new grid.
+    def fold(self, grid, pair, workspace):
+        """Fold one estimated measurement pair into `grid` in `workspace`: the new grid.
 
         A pair that could not be estimated (None) or a rejected update
-        counts one flag and returns `grid` itself.
+        returns `grid` itself, which the caller counts as a flag.
         """
         if pair is not None:
             try:
-                updated = bayes_update(grid, pair, self.curves.pair_value, workspace=self._workspace)
-                return regrid(updated, self.config.grid_size, workspace=self._workspace)
+                updated = bayes_update(grid, pair, self.curves.pair_value, workspace=workspace)
+                return regrid(updated, self.config.grid_size, workspace=workspace)
             except UpdateRejected:
                 pass
-        self.flagged_count += 1
         return grid
 
     def tick(self, delays, cpu=0.0):
@@ -389,12 +395,20 @@ class _Run:
             )
         )
 
-    def mark(self, state):
-        """Trace the posterior width of a completed update at both clocks."""
+    def clocks(self):
+        """(total, physical, delay) seconds so far, for `mark` and `restore`."""
+        return self.t_total, self.t_physical, self.t_delay
+
+    def restore(self, clocks):
+        """Set the clocks back to an earlier `clocks()`."""
+        self.t_total, self.t_physical, self.t_delay = clocks
+
+    def mark(self, state, clocks):
+        """Trace the posterior width of a completed update at `clocks()` taken after it."""
         self.trace.append(
             TracePoint(
-                time_s=self.t_total,
-                physical_s=self.t_physical,
+                time_s=clocks[0],
+                physical_s=clocks[1],
                 sigma_plus=state.sigma_plus,
                 sigma_minus=state.sigma_minus,
             )
@@ -438,13 +452,14 @@ def run_adaptive(config):
             delays = pf_select_delays(cloud, run.timing, run.curves, config.delay_grid)
 
         (pair,) = _estimate_pairs(run.acquire(delays), [delays])
-        folded = run.fold(posterior, pair)
+        folded = run.fold(posterior, pair, run.workspace)
         flagged = folded is posterior
+        run.flagged_count += flagged
         posterior = folded
         state = moments(posterior)
         run.log(delays, pair, flagged, state, run.tick(delays, config.selector_overhead_s))
         if not flagged:
-            run.mark(state)
+            run.mark(state, run.clocks())
     return run.run_record(posterior, state)
 
 
@@ -452,46 +467,109 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     """Fixed-list run: sweep, accumulate, recompute from aggregates.
 
     Each sweep's counts land in one (pairs, 2, 4) float array, a row of four
-    counts per branch, and accumulate in another; the sweep's probes are
-    estimated in one call, and so are the aggregates of each rebuild.
-    After each sweep the posterior is
-    rebuilt from the prior by folding in one aggregate measurement pair per
-    delay, in list order, through the same fold as the adaptive loop; with
-    zero sweeps the prior is returned unchanged.  `stop_sigma` (pair) ends
-    the run early once both posterior widths drop below it;
-    `max_physical_s` caps the accumulated acquisition time.  Delays
-    carrying an unusable aggregate (zero counts) are skipped and counted as
-    flagged for that sweep.
+    counts per branch, and accumulate into running totals; the sweep's
+    probes are estimated in one call, and so are the aggregates of each
+    rebuild.  After each sweep the posterior is rebuilt from the prior by
+    folding in one aggregate measurement pair per delay, in list order,
+    through the same fold as the adaptive loop; with zero sweeps the prior
+    is returned unchanged.  `stop_sigma` (pair) ends the run early once both
+    posterior widths drop below it; `max_physical_s` caps the accumulated
+    acquisition time.  Delays carrying an unusable aggregate (zero counts)
+    are skipped and counted as flagged for that sweep.
+
+    A rebuild reads only the prior and its own totals, so sweeps are
+    rebuilt in pairs.  Once sweep k is acquired, sweep k + 1 is drawn ahead
+    when `iterations` and the cap allow it, and `design._two_halves`
+    rebuilds k on the caller and k + 1 on one worker thread, in its own
+    fold workspace.  Sweep k is then committed (moments, trace point at its
+    own clocks, stop rule); only after that are sweep k + 1's probes logged,
+    carrying rebuild k's state.  If sweep k ends the run, sweep k + 1 is
+    discarded, its clock advance and any ValueError its drifted acquisition
+    raised with it; that error is raised only if the run goes on to sweep
+    k + 1.  Records, trace and posterior are those of one sweep after the
+    other, bit for bit, with one usable CPU or two.
     """
     if config.optimizer != "nap":
         raise ValueError("run_nap needs optimizer 'nap'")
     run = _Run(config)
     pairs = config.nap_delay_pairs()
-    totals = np.zeros((len(pairs), 2, 4))
+    # Row 0 holds sweep k and its running totals, row 1 sweep k + 1 drawn ahead.
+    sweeps = np.empty((2, len(pairs), 2, 4))
+    totals = np.zeros_like(sweeps)
+    # Allocated here, on the caller's thread: arrays the worker thread
+    # allocates itself raised fixed-sweep peak RSS by about 3 MB.
+    worker = _Workspace(config.grid_size)
     posterior = run.prior
     state = moments(posterior)
-    sweep = np.empty_like(totals)
-    for _ in range(config.iterations):
+
+    def draw(sweep):
+        """Acquire one sweep into `sweep`: the clocks of each acquisition."""
         clocks = []
         for counts, delays in zip(sweep, pairs):
             counts[:] = run.acquire(delays)
             clocks.append(run.tick(delays))
-        totals += sweep
+        return clocks
+
+    def log(sweep, clocks, state):
         for delays, probe, tick in zip(pairs, _estimate_pairs(sweep, pairs), clocks):
             run.log(delays, probe, probe is None, state, tick)
 
-        posterior = run.prior
-        for pair in _estimate_pairs(totals, pairs):
-            posterior = run.fold(posterior, pair)
-        run.t_total += config.selector_overhead_s
-        state = moments(posterior)
-        run.mark(state)
-        if stop_sigma is not None and (
+    def rebuild(aggregates, workspace):
+        """(posterior from the prior and the aggregates, unusable aggregates)."""
+        grid, flags = run.prior, 0
+        for pair in _estimate_pairs(aggregates, pairs):
+            folded = run.fold(grid, pair, workspace)
+            flags += folded is grid
+            grid = folded
+        return grid, flags
+
+    def capped(physical_s):
+        return max_physical_s is not None and physical_s >= max_physical_s
+
+    def commit(rebuilt, clocks):
+        """Count a rebuild's flags and trace it at `clocks`: (posterior, state,
+        whether the run stops after it)."""
+        grid, flags = rebuilt
+        run.flagged_count += flags
+        state = moments(grid)
+        run.mark(state, clocks)
+        stops = stop_sigma is not None and (
             state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
-        ):
+        )
+        return grid, state, stops or capped(clocks[1])
+
+    for first in range(0, config.iterations, 2):
+        log(sweeps[0], draw(sweeps[0]), state)
+        totals[0] += sweeps[0]
+        run.t_total += config.selector_overhead_s
+        clocks = run.clocks()
+        ahead = error = None
+        if first + 1 < config.iterations and not capped(run.t_physical):
+            try:
+                ahead = draw(sweeps[1])
+            except ValueError as exc:  # a drift leaving its domain, raised if sweep k + 1 is due
+                error = exc
+        if ahead is None:
+            rebuilt, later = rebuild(totals[0], run.workspace), None
+        else:
+            np.add(totals[0], sweeps[1], out=totals[1])
+            rebuilt, later = _two_halves(
+                lambda: rebuild(totals[0], run.workspace), lambda: rebuild(totals[1], worker)
+            )
+        posterior, state, stops = commit(rebuilt, clocks)
+        if stops:
+            run.restore(clocks)
             break
-        if max_physical_s is not None and run.t_physical >= max_physical_s:
+        if error is not None:
+            raise error
+        if later is None:
+            continue
+        log(sweeps[1], ahead, state)
+        run.t_total += config.selector_overhead_s
+        posterior, state, stops = commit(later, run.clocks())
+        if stops:
             break
+        totals[0] = totals[1]
     return run.run_record(posterior, state)
 
 
@@ -606,8 +684,10 @@ def speedup_study(
     the cap and counted as lower bounds.  Physical acquisition time only;
     selector CPU is excluded on both arms.
     """
-    if replicates < 2:
-        raise ValueError("need at least two replicates per arm")
+    if not (_is_int(replicates) and replicates >= 2):
+        raise ValueError("replicates must be an integer of at least 2")
+    if not 0.0 < budget_factor < np.inf:
+        raise ValueError("budget_factor must be finite and above 0")
     rate_pairs = [(float(a), float(b)) for a, b in rate_pairs]
     points = []
     seed_iter = iter(replicate_seeds(seed, 2 * replicates * len(rate_pairs)))

@@ -6,8 +6,11 @@ belonging to (gamma_plus_axis[i], gamma_minus_axis[j]).  Weights are kept in
 log domain internally so hundreds of sequential updates cannot underflow;
 one max-shifted log-sum-exp normalizes every grid the constructor or
 `bayes_update` builds, its one `exp` giving the read-only `weights` that
-sum to 1.  A run starts from `initial_grid`: flat in rate over the prior
-bounds, which are also the hard support every later grid stays within.
+sum to 1.  The constructor keeps read-only copies of the caller's axes and
+log weights, so a grid, the prior above all, may be read by two threads at
+once and changed by neither.  A run starts from `initial_grid`: flat in
+rate over the prior bounds, which are also the hard support every later
+grid stays within.
 
 Measurement likelihood: each iteration yields a measurement value and
 uncertainty per branch, compared against the branch model curves (both
@@ -111,8 +114,8 @@ class PosteriorGrid:
     weights: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        gp = np.asarray(self.gamma_plus_axis, dtype=float)
-        gm = np.asarray(self.gamma_minus_axis, dtype=float)
+        gp = np.array(self.gamma_plus_axis, dtype=float)
+        gm = np.array(self.gamma_minus_axis, dtype=float)
         lw = np.array(self.log_weights, dtype=float)
         lo, hi = self.hard_bounds
         for axis in (gp, gm):
@@ -132,8 +135,8 @@ class PosteriorGrid:
             raise ValueError("log_weights need a finite maximum")
         w = np.empty_like(lw)
         _normalize(lw, peak, w)
-        lw.flags.writeable = w.flags.writeable = False
-        # Frozen: the checked arrays replace the caller's through the instance dict.
+        gp.flags.writeable = gm.flags.writeable = lw.flags.writeable = w.flags.writeable = False
+        # Frozen: the checked copies replace the caller's through the instance dict.
         vars(self).update(gamma_plus_axis=gp, gamma_minus_axis=gm, log_weights=lw, weights=w)
 
     @classmethod
@@ -199,10 +202,19 @@ def initial_grid(bounds=DEFAULT_BOUNDS, size=GRID_SIZE):
 
 
 class _Workspace:
-    """Scratch arrays of one run's folds, by name and shape, reused fold after fold."""
+    """Scratch arrays of one run's folds, by name and shape, reused fold after fold.
 
-    def __init__(self):
+    Arrays are allocated at first use, or all at once, on the thread that
+    builds the workspace, when it is given the run's grid `size`.
+    """
+
+    def __init__(self, size=None):
         self._arrays = {}
+        if size is not None:
+            # bayes_update's model and chi^2 arrays, then _bilinear's two passes.
+            shapes = {"values": (5, size, size), "rows": (size, size), "term": (size, size)}
+            for name, shape in shapes.items():
+                self.array(name, shape)
 
     def array(self, name, shape):
         key = (name, shape)

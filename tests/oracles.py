@@ -47,6 +47,9 @@ run's once-per-run expected counts must reproduce bit for bit.
 `per_row_estimate_pairs` is the runners' estimation as first written, one
 measurement_estimate call per branch, which the vectorized estimate of a
 whole stack of acquisitions must reproduce bit for bit.
+`sequential_nap` is `experiments.run_nap` as first written, each sweep
+acquired, logged and rebuilt before the next is drawn, which the paired
+rebuilds must reproduce bit for bit, records, trace and posterior.
 `chain_expected_signals` is `signals.expected_signals` as first written:
 each delay's full (3, 3) propagator, clipped, pushed through the stacked
 pulse and collection chain by batched matmul; the closed-form counts
@@ -75,6 +78,7 @@ from spinrelax.design import (
     gaussian_sigma,
     nob_select_delays,
 )
+from spinrelax import experiments
 from spinrelax.estimator import EstimationError, measurement_estimate, sigma_m_from_expectations
 from spinrelax.posterior import (
     GRID_SIZE,
@@ -84,6 +88,7 @@ from spinrelax.posterior import (
     UpdateRejected,
     _axis_window,
     _bilinear,
+    moments,
 )
 from spinrelax.rates import (
     BRANCHES,
@@ -610,3 +615,37 @@ def per_acquisition_four(run, measurement, tau, t_start, duration_s):
     if config.noiseless:
         return _block_means(*args, config.drifts, t_start, duration_s)[1]
     return sample_signals(*args, run.rng, config.drifts, t_start, duration_s)
+
+
+def sequential_nap(config, stop_sigma=None, max_physical_s=None):
+    """experiments.run_nap as first written: one sweep at a time, acquired,
+    logged and rebuilt from the prior on the caller before the next is drawn."""
+    run = experiments._Run(config)
+    pairs = config.nap_delay_pairs()
+    totals = np.zeros((len(pairs), 2, 4))
+    posterior = run.prior
+    state = moments(posterior)
+    sweep = np.empty_like(totals)
+    for _ in range(config.iterations):
+        clocks = []
+        for counts, delays in zip(sweep, pairs):
+            counts[:] = run.acquire(delays)
+            clocks.append(run.tick(delays))
+        totals += sweep
+        for delays, probe, tick in zip(pairs, experiments._estimate_pairs(sweep, pairs), clocks):
+            run.log(delays, probe, probe is None, state, tick)
+        posterior = run.prior
+        for pair in experiments._estimate_pairs(totals, pairs):
+            folded = run.fold(posterior, pair, run.workspace)
+            run.flagged_count += folded is posterior
+            posterior = folded
+        run.t_total += config.selector_overhead_s
+        state = moments(posterior)
+        run.mark(state, run.clocks())
+        if stop_sigma is not None and (
+            state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
+        ):
+            break
+        if max_physical_s is not None and run.t_physical >= max_physical_s:
+            break
+    return run.run_record(posterior, state)

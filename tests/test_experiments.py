@@ -1,12 +1,14 @@
 """Adaptive loop, fixed-sweep baseline, timing, and speedup study."""
 
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import ROBUST_CURVES, per_acquisition_four, per_row_estimate_pairs
-from spinrelax import experiments
+from oracles import ROBUST_CURVES, per_acquisition_four, per_row_estimate_pairs, sequential_nap
+from spinrelax import design, experiments
 from spinrelax.design import DelayGrid, DelayPair, TimingModel, nob_select_delays
 from spinrelax.experiments import (
     ExperimentConfig,
@@ -427,6 +429,117 @@ class TestNapRun:
         assert med[1] < 2.0
 
 
+def outputs(record):
+    """A nap run's records, summary, trace and posterior, as bytes where they are written."""
+    summary = json.dumps(record.summary_dict())
+    return record.to_jsonl(), summary, record.trace_points, record.posterior.log_weights.tobytes()
+
+
+def stop_at(record, parity):
+    """(stop_sigma, sweep): a stop_sigma that first stops `record`'s run at a
+    sweep k of the given parity (0 first of a pair, 1 second) with k + 1 swept too."""
+    sigmas = [(p.sigma_plus, p.sigma_minus) for p in record.trace_points]
+    for k in range(parity, len(sigmas) - 1, 2):
+        (sp, sm) = sigmas[k]
+        if next(j for j, s in enumerate(sigmas) if s[0] <= sp and s[1] <= sm) == k:
+            return sigmas[k], k
+    raise AssertionError(f"no sweep of parity {parity} can stop this run")
+
+
+class TestPairedRebuilds:
+    """Sweeps k and k + 1 are rebuilt side by side on two CPUs and one
+    after the other on one; either way every output is that of the
+    sequential runner, one sweep rebuilt before the next is drawn."""
+
+    NAP = dict(optimizer="nap", nap_delays=NAP_DEFAULT_DELAYS)
+
+    def assert_sequential_on_one_and_two_cpus(self, monkeypatch, config, **stops):
+        want = outputs(sequential_nap(config, **stops))
+        for cpus in (1, 2):
+            monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
+            assert outputs(run_nap(config, **stops)) == want
+        return want
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_seeded_runs(self, monkeypatch, seed):
+        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
+            monkeypatch, fig_defaults(iterations=6, seed=seed, **self.NAP)
+        )
+        assert len(trace) == 6
+
+    def test_odd_iterations(self, monkeypatch):
+        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
+            monkeypatch, fig_defaults(iterations=5, seed=2, **self.NAP)
+        )
+        assert len(trace) == 5
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_stop_sigma_on_either_sweep_of_a_pair(self, monkeypatch, parity):
+        config = fig_defaults(iterations=12, seed=5, selector_overhead_s=0.25, **self.NAP)
+        stop_sigma, k = stop_at(sequential_nap(config), parity)
+        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
+            monkeypatch, config, stop_sigma=stop_sigma
+        )
+        assert len(trace) == k + 1
+
+    @pytest.mark.parametrize("sweep", [2, 3])
+    def test_max_physical_cap(self, monkeypatch, sweep):
+        config = fig_defaults(iterations=12, seed=6, **self.NAP)
+        cap = sequential_nap(config).trace_points[sweep].physical_s
+        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
+            monkeypatch, config, max_physical_s=cap
+        )
+        assert len(trace) == sweep + 1
+
+    def test_drift_leaving_its_domain_after_the_stop_sweep(self, monkeypatch):
+        # alpha holds 0.8 until `bad`, inside the sweep drawn ahead of the
+        # stop sweep, then leaves its domain; the run stops before that sweep.
+        config = fig_defaults(
+            iterations=12,
+            seed=8,
+            params=SignalParams(repetitions_R=10**4),
+            optimizer="nap",
+            nap_delays=NAP_DEFAULT_DELAYS[::4],
+            drifts={"alpha": lambda t: 0.8},
+        )
+        steady = sequential_nap(config)
+        stop_sigma, k = stop_at(steady, 0)
+        bad = steady.iterations[(k + 1) * len(config.nap_delays) + 2].cumulative_physical_s
+        stepped = replace(config, drifts={"alpha": lambda t: 0.8 if t < bad else 0.2})
+        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
+            monkeypatch, stepped, stop_sigma=stop_sigma
+        )
+        assert len(trace) == k + 1
+        for cpus in (1, 2):
+            monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ValueError, match="alpha must lie in"):
+                run_nap(stepped)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_exception_in_the_workers_rebuild_reaches_the_caller(self, monkeypatch, cpus):
+        # The second rebuild of a pair folds in the worker's workspace, on
+        # the worker thread with two CPUs and after the first with one.
+        fold = experiments._Run.fold
+        seen, failed = [], []
+
+        def failing(run, grid, pair, workspace):
+            seen.append(threading.current_thread())
+            if workspace is not run.workspace:
+                failed.append(threading.current_thread())
+                raise FloatingPointError("no fold")
+            return fold(run, grid, pair, workspace)
+
+        monkeypatch.setattr(experiments._Run, "fold", failing)
+        monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
+        before = threading.active_count()
+        with pytest.raises(FloatingPointError, match="no fold"):
+            run_nap(fig_defaults(iterations=4, seed=1, **self.NAP))
+        assert threading.active_count() == before
+        main = threading.current_thread()
+        assert len(failed) == 1 and (failed[0] is main) == (cpus == 1)
+        assert set(seen) == {main, failed[0]}
+
+
 class TestExchangeSymmetry:
     """A noiseless run at (b, a) mirrors the run at (a, b): the branches swap
     their delays, means and widths."""
@@ -579,6 +692,27 @@ class TestSpeedupStudy:
     def test_table_export(self, small_study):
         assert len(small_study.table) == 2
         assert all(len(row) == len(small_study.COLUMNS) for row in small_study.table)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("replicates", 1),
+            ("replicates", 2.5),
+            ("replicates", "3"),
+            ("replicates", True),
+            ("budget_factor", 0.0),
+            ("budget_factor", -2.0),
+            ("budget_factor", np.nan),
+            ("budget_factor", np.inf),
+        ],
+    )
+    def test_bad_arguments_name_the_parameter(self, monkeypatch, name, value):
+        def no_run(config):
+            raise AssertionError("ran before checking its arguments")
+
+        monkeypatch.setattr(experiments, "run_adaptive", no_run)
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            speedup_study([(1.0, 3.0)], **{name: value})
 
     def test_replicate_seeds_are_distinct(self):
         seeds = replicate_seeds(0, 64)

@@ -136,6 +136,17 @@ class TestGridConstruction:
         assert np.array_equal(lw, before) and lw.flags.writeable
         assert not np.shares_memory(grid.log_weights, lw)
 
+    def test_keeps_read_only_copies_of_the_callers_axes(self):
+        axis = np.linspace(1.0, 2.0, 5)
+        grid = PosteriorGrid(axis, axis.copy(), np.zeros((5, 5)))
+        before = moments(grid)
+        axis[:] = axis[::-1] * 50
+        assert moments(grid) == before and before.mean_plus == 1.5
+        for grid in (grid, initial_grid(size=10)):
+            for ax in (grid.gamma_plus_axis, grid.gamma_minus_axis):
+                with pytest.raises(ValueError):
+                    ax[0] = 1.0
+
     def test_weights_are_read_only(self):
         grid = initial_grid(size=10)
         assert grid.weights is grid.weights
