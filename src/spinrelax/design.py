@@ -45,11 +45,12 @@ computed into its own workspace and its own slice of the variances by
 posterior rebuilds (`experiments.run_nap`): the caller runs the first half
 while a one-worker thread pool runs the second (numpy releases the GIL
 inside the kernel's ufunc and einsum loops), and a process that may use only
-one CPU runs the second half inline after the first.  Each block's
-arithmetic is the same on either thread, so the variances do not depend on
-which thread computed them.  Every width, cost and optimizer takes the
-protocol's BranchCurves (`protocols.measurement_curves`); none assumes a
-protocol.
+one CPU runs the second half inline after the first, still holding both
+halves' scratch (7.7 MB instead of 3.8 MB at 20,000 particles).  Each
+block's arithmetic is the same on either thread, so the variances do not
+depend on which thread computed them.  Every width, cost and optimizer
+takes the protocol's BranchCurves (`protocols.measurement_curves`); none
+assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -458,7 +459,7 @@ class ParticleCloud:
 # kernel call over the whole cloud at equal delays, computed in its half's
 # three (delay, particle) scratch arrays (3.8 MB at 20,000 particles) that
 # every block of the half reuses.  The caller allocates both halves'
-# workspaces as one array, so the two threads together hold 7.7 MB; a
+# workspaces as one array, so a call holds 7.7 MB on one CPU or two; a
 # worker allocating its own raised fig2-pf's peak RSS by 12 MB.  On fig2-pf
 # 8 and 16 ran alike; 32 was no faster and raised peak RSS by 7 MB.
 _DELAYS = 8
@@ -494,17 +495,16 @@ def _branch_variances(cloud, taus, curves):
     Per block of delays, one pair_value call gives both branches' values
     over the whole cloud as (delay, particle) arrays; each branch's weighted
     mean, then its weighted squared deviations, are summed along the
-    particle axis.  When the process may use two CPUs, more than one block
-    splits into two halves for `_two_halves`, each with its own workspace;
-    otherwise the caller takes every block in one workspace.  A lone last
-    delay is computed as a block of two, so each delay's variance has the
-    same bits wherever the block edges fall.
+    particle axis.  The blocks always split into two halves for
+    `_two_halves`, each with its own workspace (7.7 MB for both at 20,000
+    particles, on one CPU too); one block leaves the second half empty.  A
+    lone last delay is computed as a block of two, so each delay's variance
+    has the same bits wherever the block edges fall.
     """
     (gp, gm), w = cloud.gammas.T, cloud.weights
     variances = np.empty((len(BRANCHES), taus.size))
     starts = range(0, taus.size, _DELAYS)
-    threaded = len(starts) > 1 and _usable_cpus() > 1
-    work = np.empty((1 + threaded, 3, max(2, min(_DELAYS, taus.size)), w.size))
+    work = np.empty((2, 3, max(2, min(_DELAYS, taus.size)), w.size))
 
     def run(part, space):
         for start in part:
@@ -521,9 +521,6 @@ def _branch_variances(cloud, taus, curves):
                 np.square(values, out=values)
                 variance[start : start + count] = np.einsum("dp,p->d", values, w)[:count]
 
-    if not threaded:
-        run(starts, work[0])
-        return variances
     cut = (len(starts) + 1) // 2
     _two_halves(lambda: run(starts[:cut], work[0]), lambda: run(starts[cut:], work[1]))
     return variances

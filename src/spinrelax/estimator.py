@@ -35,6 +35,7 @@ from dataclasses import astuple, dataclass, replace
 
 import numpy as np
 
+from .design import _is_int
 from .signals import ROBUST_PROTOCOL, expected_signals
 
 __all__ = [
@@ -216,10 +217,13 @@ def bias_study(
     1/E[Delta], next to the naive linear 1/Delta evaluated on the
     draws with a positive denominator; draws with Delta <= 0 are counted in
     zero_denominator_count.  sigma_Delta is estimated from the observed
-    counts, as the estimator does in a run.
+    counts, as the estimator does in a run.  Arguments are checked before
+    any draw.
     """
-    if replicates < 10**3:
-        raise ValueError("replicates must be at least 1000 for stable tails")
+    if not (_is_int(replicates) and replicates >= 10**3):
+        raise ValueError("replicates must be an integer of at least 1000 for stable tails")
+    if len(r_values) == 0:
+        raise ValueError("r_values must not be empty")
     rng = np.random.default_rng(seed)
     rows = []
     m_true = None

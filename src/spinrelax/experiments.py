@@ -686,6 +686,8 @@ def speedup_study(
     """
     if not (_is_int(replicates) and replicates >= 2):
         raise ValueError("replicates must be an integer of at least 2")
+    if not (_is_int(adaptive_iterations) and adaptive_iterations >= 1):
+        raise ValueError("adaptive_iterations must be an integer of at least 1")
     if not 0.0 < budget_factor < np.inf:
         raise ValueError("budget_factor must be finite and above 0")
     rate_pairs = [(float(a), float(b)) for a, b in rate_pairs]

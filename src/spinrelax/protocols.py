@@ -53,14 +53,14 @@ Rates are checked by RatePair before any table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 import numpy as np
 
 from .design import DEFAULT_GRID, BranchCurves, DelayPair, TimingModel, _bounded_argmin
 from .estimator import sigma_m_from_expectations
-from .rates import RatePair, _gradient, _pair_values, _unpack, _values
+from .rates import RatePair, _gradient, _pair_values, _unpack
 from .signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
@@ -84,18 +84,10 @@ __all__ = [
     "sensitivity_ratio_curve",
 ]
 
-# Ranking baseline: perfect pumping and pulses, representative collection.
-IDEAL_RANKING_PARAMS = SignalParams(
-    f0=0.02,
-    contrast_C=0.24,
-    alpha=1.0,
-    eta_plus=0.0,
-    eta_minus=0.0,
-    background=0.0,
-    repetitions_R=10**6,
-)
+# Ranking baseline: perfect pumping and pulses, the default collection.
+IDEAL_RANKING_PARAMS = replace(SignalParams(), alpha=1.0, eta_plus=0.0, eta_minus=0.0)
 
-# Probe lattice edge and tolerance of the census's class-kernel check.
+# Probe lattice edge of the census's checks and tolerance of its class-kernel check.
 _PROBE_SIZE = 5
 _KERNEL_TOL = 1e-12
 
@@ -214,11 +206,9 @@ def _normalized_expectation(measurement, tau, rates, params):
 
 def _eta_insensitive(measurement):
     """True when pulse errors cancel from the normalized expectation."""
-    base = SignalParams(f0=0.02, contrast_C=0.24, alpha=0.8, eta_plus=0.0, eta_minus=0.0)
-    perturbed = SignalParams(
-        f0=0.02, contrast_C=0.24, alpha=0.8, eta_plus=0.08, eta_minus=0.13
-    )
-    taus = np.geomspace(0.05, 2.0, 5)
+    base = replace(SignalParams(), eta_plus=0.0, eta_minus=0.0)
+    perturbed = replace(SignalParams(), eta_plus=0.08, eta_minus=0.13)
+    taus = _probe_lattice(_PROBE_SIZE)[0]
     for gp, gm in [(1.0, 3.0), (0.4, 0.7), (2.5, 1.2)]:
         a = _normalized_expectation(measurement, taus, (gp, gm), base)
         b = _normalized_expectation(measurement, taus, (gp, gm), perturbed)
@@ -244,7 +234,8 @@ def _check_class_kernels(measurements):
     taus, gps, gms = _probe_lattice(_PROBE_SIZE)
     for m in measurements:
         value = _normalized_expectation(m, taus, (gps, gms), IDEAL_RANKING_PARAMS)
-        kernel = _values(taus, (gps, gms), *_CLASS_MIX[_measurement_class_key(m)])
+        mix = _CLASS_MIX[_measurement_class_key(m)]
+        kernel = _pair_values(taus, taus, (gps, gms), mix, mix)[0]
         if np.max(np.abs(value - kernel)) > _KERNEL_TOL:
             raise RuntimeError(
                 f"measurement {m.label} deviates from its class kernel on the probe lattice"

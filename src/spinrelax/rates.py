@@ -33,12 +33,12 @@ normalized four-signal measurement is one kernel,
 with e_fast/slow = exp(-beta_fast/slow tau) and a, b in {-1, 0, 1} fixed
 by the measurement class; model_m is its (1, 0) and (0, 1) case.  The
 kernel evaluates the right-hand, shared-sum form, which is exactly 1 at
-tau = 0 (p = 2, q = 0).  Its two-branch form shares g and gp + gm and, at
-equal delays, p and q between a protocol's two measurements, so each
-branch then costs one multiply, one add and one halving; given a caller's
-scratch arrays it allocates no array of the evaluation's shape.  The
-closed forms make grid-based inference and delay optimization cheap; a
-matrix exponential is only a test oracle.
+tau = 0 (p = 2, q = 0), in one two-branch function that model_m reads one
+branch of: it shares g and gp + gm and, at equal delays, p and q between
+two measurements, so each branch then costs one multiply, one add and one
+halving; given scratch arrays it allocates no array of the evaluation's
+shape.  The closed forms make grid-based inference and delay optimization
+cheap; a matrix exponential is only a test oracle.
 
 Conventions used throughout the package:
 
@@ -216,25 +216,12 @@ def _mix(p, q, x, out=None):
     return np.multiply(value, 0.5, out=value)
 
 
-def _values(tau, rates, a, b):
-    """(p + x q) / 2 with p = e_fast + e_slow, q = (e_fast - e_slow) / g and
-    x = a gamma_plus + b gamma_minus.
-
-    Every measurement class's normalized model (protocols._CLASS_MIX); the
-    same as ((g + x) e_fast + (g - x) e_slow) / 2g, and exactly 1 at tau = 0,
-    where p = 2 and q = 0.
-    """
-    tau = _check_tau(tau)
-    gp, gm = _unpack(rates)
-    g = _spectral_split(gp, gm)
-    e_fast, e_slow = _decays(tau, gp + gm, g)
-    p, q = _sums(e_fast, e_slow, g, p=e_slow)
-    return _mix(p, q, _mixing_rate(gp, gm, a, b), out=q)
-
-
 def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus, out=None):
-    """_values of both branches bit for bit, from one g and one gp + gm and,
-    at equal delays, one p and q.
+    """Both branches' (p + x q) / 2, p = e_fast + e_slow and
+    q = (e_fast - e_slow) / g, with x = a gamma_plus + b gamma_minus for
+    each branch's class mix (a, b) (protocols._CLASS_MIX), from one g and
+    one gp + gm and, at equal delays, one p and q.  Each value is
+    ((g + x) e_fast + (g - x) e_slow) / 2g, exactly 1 at tau = 0.
 
     `out` is a stack of scratch arrays of both branches' shape that holds
     every temporary, so a caller that evaluates block after block or fold
@@ -268,8 +255,8 @@ def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus, out=None):
 
 
 def _gradient(tau, rates, a, b):
-    """Analytic (d/d gamma_plus, d/d gamma_minus) of _values by the product
-    rule, with d x / d gamma_plus = a and d x / d gamma_minus = b."""
+    """Analytic (d/d gamma_plus, d/d gamma_minus) of a _pair_values branch by
+    the product rule, with d x / d gamma_plus = a and d x / d gamma_minus = b."""
     tau = _check_tau(tau)
     gp, gm = _unpack(rates)
     g = _spectral_split(gp, gm)
@@ -308,7 +295,8 @@ def model_m(tau, rates, branch):
     `rates` may be a RatePair or a pair of broadcastable arrays, enabling
     vectorized evaluation over posterior grids.
     """
-    return _values(tau, rates, *_branch_mix(branch))
+    mix = _branch_mix(branch)
+    return _pair_values(tau, tau, rates, mix, mix)[0]
 
 
 def model_gradient(tau, rates, branch):

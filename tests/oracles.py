@@ -29,9 +29,10 @@ protocol's closed-form curves for kernel tests that need no protocol, and
 the generic four-count path must reproduce.  `dense_model_m` is model_m in
 the algebra it was first written in, ((g + x) e_fast + (g - x) e_slow) / 2g,
 one fresh array per operation, which the model values must match within a
-bound fixed from the rounding of both forms; `pq_model_m` is model_m in the
-kernel's own (p, q) form, (p + x q) / 2, on fresh arrays, which the
-in-place model values must equal bit for bit.  `dense_pf_select_delays` is the particle
+bound fixed from the rounding of both forms; `pq_model_m` is the kernel of
+any class mix (a, b) in its own (p, q) form, (p + x q) / 2, on fresh
+arrays, which model_m and both branches of the two-branch kernel must
+equal bit for bit.  `dense_pf_select_delays` is the particle
 selector with its variances summed over whole (particle, delay) arrays,
 which the selector's variances must match to rounding.
 `one_branch` reads one branch's model value out of a protocol's
@@ -428,15 +429,15 @@ def dense_model_m(tau, rates, branch):
     return np.where(np.asarray(tau) == 0.0, 1.0, value)
 
 
-def pq_model_m(tau, rates, branch):
-    """model_m as (p + x q) / 2, p = e_fast + e_slow, q = (e_fast - e_slow) / g,
-    with every operation on a fresh array."""
+def pq_model_m(tau, rates, mix):
+    """The kernel as (p + x q) / 2, p = e_fast + e_slow, q = (e_fast - e_slow) / g,
+    x = a gamma_plus + b gamma_minus, with every operation on a fresh array.
+    `mix` is a class mix (a, b) or a model_m branch: "+" is (1, 0), "-" is (0, 1)."""
     tau = _check_tau(tau)
     gp, gm = _unpack(rates)
-    if branch not in BRANCHES:
-        raise ValueError(f"branch must be one of {BRANCHES}, got {branch!r}")
+    a, b = {"+": (1, 0), "-": (0, 1)}.get(mix, mix)
     g = _spectral_split(gp, gm)
-    own = gp if branch == "+" else gm
+    own = a * gp + b * gm
     e_fast = np.exp((gp + gm + g) * -tau)
     e_slow = np.exp((gp + gm - g) * -tau)
     p = e_fast + e_slow

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from oracles import expected_difference
+from spinrelax import estimator
 from spinrelax.estimator import (
     BiasStudyResult,
     EstimationError,
@@ -289,3 +290,25 @@ class TestBiasStudy:
     def test_validation(self):
         with pytest.raises(ValueError):
             bias_study(FIG_PARAMS, RATES, 0.4, [1000], replicates=10)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("replicates", 999),
+            ("replicates", 1000.5),
+            ("replicates", "2000"),
+            ("replicates", True),
+            ("r_values", []),
+            ("r_values", np.array([], dtype=int)),
+        ],
+    )
+    def test_bad_arguments_name_the_parameter(self, monkeypatch, name, value):
+        # 1000.5 and "2000" used to reach numpy's TypeError, and an empty
+        # r_values returned None for m_true and delta_per_repetition.
+        def no_draw(*args):
+            raise AssertionError("drew before checking its arguments")
+
+        monkeypatch.setattr(estimator, "expected_signals", no_draw)
+        arguments = {"r_values": [1000], "replicates": 2000, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must"):
+            bias_study(FIG_PARAMS, RATES, 0.4, **arguments)

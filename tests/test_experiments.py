@@ -700,6 +700,9 @@ class TestSpeedupStudy:
             ("replicates", 2.5),
             ("replicates", "3"),
             ("replicates", True),
+            ("adaptive_iterations", 0),
+            ("adaptive_iterations", 2.5),
+            ("adaptive_iterations", True),
             ("budget_factor", 0.0),
             ("budget_factor", -2.0),
             ("budget_factor", np.nan),

@@ -19,7 +19,6 @@ from spinrelax.rates import (
     RatePair,
     _pair_values,
     _spectral_split,
-    _values,
     model_gradient,
     model_m,
     propagator,
@@ -291,8 +290,10 @@ class TestKernelSymmetries:
         for _ in range(5):
             tau, (gp, gm) = symmetry_rates(kind, rng)
             for mix in _CLASS_MIX.values():
-                want = _values(tau, (gp, gm), *mix)
-                assert want.tobytes() == _values(tau, (gm, gp), *swap_mix(mix)).tobytes()
+                want = pq_model_m(tau, (gp, gm), mix)
+                for rates, m in (((gp, gm), mix), ((gm, gp), swap_mix(mix))):
+                    for got in _pair_values(tau, tau, rates, m, m):
+                        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["mesh", "cloud"])
     @pytest.mark.parametrize("shared", [True, False])
@@ -322,7 +323,7 @@ class TestKernelSymmetries:
         tau = 0.0 if kind == "mesh" else np.zeros((3, 1))
         shape = np.broadcast_shapes(np.shape(tau), *(r.shape for r in rates))
         for mix in _CLASS_MIX.values():
-            assert np.all(_values(tau, rates, *mix) == 1.0)
+            assert np.all(pq_model_m(tau, rates, mix) == 1.0)
             for out in (None, np.full((5,) + shape, np.nan)):
                 for other in (tau, 0.2):
                     plus, minus = _pair_values(tau, other, rates, mix, (0, 1), out)
@@ -336,7 +337,7 @@ DELAY_KINDS = ["equal scalars", "scalars", "equal arrays", "arrays", "scalar and
 
 
 class TestPairValues:
-    """The two-branch kernel against two one-branch _values calls, bit for bit."""
+    """The two-branch kernel against two one-branch oracle calls, bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -363,8 +364,8 @@ class TestPairValues:
             mix_plus, mix_minus = _CLASS_MIX[plus_key], _CLASS_MIX[minus_key]
             got = _pair_values(tau_plus, tau_minus, (gp, gm), mix_plus, mix_minus)
             want = (
-                _values(tau_plus, (gp, gm), *mix_plus),
-                _values(tau_minus, (gp, gm), *mix_minus),
+                pq_model_m(tau_plus, (gp, gm), mix_plus),
+                pq_model_m(tau_minus, (gp, gm), mix_minus),
             )
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g, w)
