@@ -45,9 +45,11 @@ this one kernel and its analytic gradient, so no protocol is a special case.
 Ranking evaluates the shot-noise uncertainty of M from expected photon
 counts over the delay grid once per distinct measurement (the 36
 protocols pair 9 measurements, so one ranking builds 9 sigma_M tables and
-each point of the ratio sweep 4), minimizes every independent protocol's
-time-normalized sensitivity cost over the grid with those tables, and
-reports each minimal cost relative to the best-known reference pair.
+the ratio sweep 4, one row per ratio), minimizes every independent
+protocol's time-normalized sensitivity cost over the grid with those
+tables, and reports each minimal cost relative to the best-known
+reference pair.  Each set of tables, and each census probe, takes its
+counts from one _signal_counts call over the signals it needs.
 Rates are checked by RatePair before any table is built.
 """
 
@@ -68,7 +70,8 @@ from .signals import (
     Measurement,
     ProtocolSpec,
     SignalParams,
-    expected_signals,
+    _signal_counts,
+    _stack_blocks,
 )
 
 __all__ = [
@@ -191,30 +194,32 @@ def enumerate_protocols():
     return [ProtocolSpec(plus=a, minus=b) for a, b in combinations(reps, 2)]
 
 
-def _bright_first_expectations(measurement, tau, rates, params):
-    """Expected (bright at tau, dark at tau, bright at 0, dark at 0) counts."""
-    bright, dark = _oriented_signals(measurement)
-    counts = expected_signals(Measurement(bright, dark), tau, rates, params)
-    return np.moveaxis(counts[..., 0, :], -1, 0)
+def _expectations(measurements, tau, rates, params):
+    """Per measurement, (bright, dark) expected counts at tau, then at 0 (scalars), from
+    one _signal_counts call over the distinct signals; tau and rates may be arrays."""
+    oriented = [_oriented_signals(m) for m in measurements]
+    signals = list(dict.fromkeys(s for pair in oriented for s in pair))
+    counts = _signal_counts(signals, tau, rates, _stack_blocks(params))
+    counts = {s: (at_tau[..., 0], at_zero[0]) for s, (at_tau, at_zero) in zip(signals, counts)}
+    return [(counts[b][0], counts[d][0], counts[b][1], counts[d][1]) for b, d in oriented]
 
 
-def _normalized_expectation(measurement, tau, rates, params):
-    """Normalized measurement from full expected counts (any parameters)."""
-    e1t, e2t, e10, e20 = _bright_first_expectations(measurement, tau, rates, params)
-    return (e1t - e2t) / (e10 - e20)
+def _normalized(measurements, tau, rates, params):
+    """Each measurement's normalized expectation, from _expectations."""
+    expectations = _expectations(measurements, tau, rates, params)
+    return [(e1t - e2t) / (e10 - e20) for e1t, e2t, e10, e20 in expectations]
 
 
-def _eta_insensitive(measurement):
-    """True when pulse errors cancel from the normalized expectation."""
-    base = replace(SignalParams(), eta_plus=0.0, eta_minus=0.0)
-    perturbed = replace(SignalParams(), eta_plus=0.08, eta_minus=0.13)
-    taus = _probe_lattice(_PROBE_SIZE)[0]
-    for gp, gm in [(1.0, 3.0), (0.4, 0.7), (2.5, 1.2)]:
-        a = _normalized_expectation(measurement, taus, (gp, gm), base)
-        b = _normalized_expectation(measurement, taus, (gp, gm), perturbed)
-        if np.max(np.abs(a - b)) > 1e-10:
-            return False
-    return True
+def _eta_insensitive_keys():
+    """Class keys whose canonical measurement's normalized expectation loses
+    the pulse errors, probed at three rate pairs given as arrays."""
+    measurements = [_canonical_measurement(key) for key in _CLASS_MIX]
+    probe = _probe_lattice(_PROBE_SIZE)[0], (np.array([1.0, 0.4, 2.5]), np.array([3.0, 0.7, 1.2]))
+    base, perturbed = (
+        _normalized(measurements, *probe, replace(SignalParams(), eta_plus=ep, eta_minus=em))
+        for ep, em in ((0.0, 0.0), (0.08, 0.13))
+    )
+    return {k for k, a, b in zip(_CLASS_MIX, base, perturbed) if not np.max(np.abs(a - b)) > 1e-10}
 
 
 @dataclass(frozen=True)
@@ -232,8 +237,8 @@ class CensusReport:
 def _check_class_kernels(measurements):
     """Every measurement's normalized expectation from counts is its class kernel."""
     taus, gps, gms = _probe_lattice(_PROBE_SIZE)
-    for m in measurements:
-        value = _normalized_expectation(m, taus, (gps, gms), IDEAL_RANKING_PARAMS)
+    values = _normalized(measurements, taus, (gps, gms), IDEAL_RANKING_PARAMS)
+    for m, value in zip(measurements, values):
         mix = _CLASS_MIX[_measurement_class_key(m)]
         kernel = _pair_values(taus, taus, (gps, gms), mix, mix)[0]
         if np.max(np.abs(value - kernel)) > _KERNEL_TOL:
@@ -247,7 +252,7 @@ def census():
     measurements = enumerate_measurements()
     _check_class_kernels(measurements)
     protocols = enumerate_protocols()
-    insensitive = {key for key in _CLASS_MIX if _eta_insensitive(_canonical_measurement(key))}
+    insensitive = _eta_insensitive_keys()
     return CensusReport(
         raw_count=raw_protocol_count(),
         valid_count=len(measurements) ** 2,
@@ -296,13 +301,11 @@ OPTIMAL_LABEL = OPTIMAL_PROTOCOL.label
 
 def _sigma_tables(protocols, rates, params, grid):
     """sigma_M over the grid's delays of every distinct measurement of
-    `protocols`, each computed once: {measurement: array}."""
-    tables = {}
-    for measurement in (m for p in protocols for m in (p.plus, p.minus)):
-        if measurement not in tables:
-            expectations = _bright_first_expectations(measurement, grid.taus, rates, params)
-            tables[measurement] = sigma_m_from_expectations(*expectations)[1]
-    return tables
+    `protocols`, all from one _expectations call: {measurement: array of
+    shape broadcast(delays, rates)}."""
+    measurements = list(dict.fromkeys(m for p in protocols for m in (p.plus, p.minus)))
+    expectations = _expectations(measurements, grid.taus, rates, params)
+    return {m: sigma_m_from_expectations(*e)[1] for m, e in zip(measurements, expectations)}
 
 
 def _checked_rates(rates):
@@ -319,9 +322,10 @@ def minimal_cost(protocol, rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID
     protocol's shot noise per delay under `params` and the timing
     TimingModel(params.repetitions_R): the cell and value of np.argmin over
     the full surface, ties going to the smallest tau_plus, then tau_minus.
-    Rates outside RatePair's domain raise ValueError.  `_tables` is
-    rank_protocols' _sigma_tables for all protocols at the same rates,
-    params and grid; by default the protocol's own two are built.
+    Rates outside RatePair's domain raise ValueError.  `_tables` holds
+    the protocol's two sigma_M tables at the same rates, params and grid
+    (rank_protocols' _sigma_tables, or one ratio's row of the ratio
+    sweep's); by default the protocol's own two are built.
     """
     rates = _checked_rates(rates)
     tables = _tables if _tables is not None else _sigma_tables([protocol], rates, params, grid)
@@ -367,17 +371,23 @@ def sensitivity_ratio_curve(ratios, params=IDEAL_RANKING_PARAMS):
     Rates are parameterized as (sqrt(r), 1/sqrt(r)) so the geometric mean
     stays 1; a common rate rescaling leaves every ratio unchanged.  Each
     cost is minimal_cost's under `params` on the default grid; the two
-    protocols share no measurement, so each ratio builds four sigma_M
-    tables.  A ratio that is not positive and finite raises ValueError.
+    protocols share no measurement, so the sweep builds four sigma_M
+    tables, each with one row per ratio.  `ratios` that is not 1-D, or a
+    ratio that is not positive and finite, raises ValueError.
     Returns rows of (rate_ratio, cost_robust, cost_optimal, cost_ratio).
     """
     ratios = np.asarray(ratios, dtype=float)
+    if ratios.ndim != 1:
+        raise ValueError("ratios must be a 1-D sequence of rate ratios")
     if not np.all((ratios > 0.0) & (ratios < np.inf)):
         raise ValueError("rate ratios must be positive and finite")
+    roots = np.sqrt(ratios)[:, None]
+    protocols = (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL)
+    tables = _sigma_tables(protocols, (roots, 1.0 / roots), params, DEFAULT_GRID)
     rows = []
-    for r in ratios:
+    for k, r in enumerate(ratios):
         rates = (np.sqrt(r), 1.0 / np.sqrt(r))
-        _, cost_robust = minimal_cost(ROBUST_PROTOCOL, rates, params)
-        _, cost_optimal = minimal_cost(OPTIMAL_PROTOCOL, rates, params)
-        rows.append((float(r), cost_robust, cost_optimal, cost_robust / cost_optimal))
+        row = {m: table[k] for m, table in tables.items()}
+        robust, optimal = (minimal_cost(p, rates, params, _tables=row)[1] for p in protocols)
+        rows.append((float(r), robust, optimal, robust / optimal))
     return rows

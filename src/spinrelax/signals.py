@@ -31,8 +31,8 @@ the four expected counts of every block in one stacked computation, and
 the counts in one Poisson draw over the (blocks, 4) means.  A
 measurement's four counts travel as one length-4 array, in the column order
 of `expected_signals`: first and second signal at tau, then at tau = 0.
-`expected_signals` is the one place that builds a measurement's four
-expected counts; it also takes delay arrays, for ranking and census.
+`_signal_counts` builds every expected count: a measurement's four in
+`expected_signals`, whole sets of measurements in protocols.
 """
 
 from __future__ import annotations

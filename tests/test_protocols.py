@@ -29,7 +29,7 @@ from spinrelax.protocols import (
     raw_protocol_count,
     sensitivity_ratio_curve,
 )
-from spinrelax.protocols import _CLASS_MIX, _probe_lattice  # white box: the class table
+from spinrelax.protocols import _CLASS_MIX, _oriented_signals, _probe_lattice  # white box
 from spinrelax import protocols
 from spinrelax.rates import RatePair, model_gradient, model_m
 from spinrelax.signals import (
@@ -152,19 +152,25 @@ class TestClassStructure:
                 distinct.append(first)
         assert len(distinct) == 7 == census().distinct_function_count
 
-    def test_census_rejects_swapped_class_mix(self, monkeypatch):
+    @pytest.mark.parametrize("key", list(_CLASS_MIX), ids=lambda k: k[0] + "".join(k[1]))
+    def test_census_rejects_swapped_class_mix(self, key, monkeypatch):
+        # Only `key` is given another class's mix: the one-call check still
+        # tests each measurement on its own, so a member of `key` is named.
         table = dict(_CLASS_MIX)
-        a, b = ("0", ("+", "0")), ("+", ("+", "0"))
-        table[a], table[b] = table[b], table[a]
+        keys = list(_CLASS_MIX)
+        later = keys[keys.index(key) + 1 :] + keys
+        table[key] = next(_CLASS_MIX[k] for k in later if _CLASS_MIX[k] != _CLASS_MIX[key])
         monkeypatch.setattr("spinrelax.protocols._CLASS_MIX", table)
-        with pytest.raises(RuntimeError, match="deviates from its class kernel"):
+        with pytest.raises(RuntimeError, match="deviates from its class kernel") as raised:
             census()
+        named = str(raised.value).split()[1]
+        assert named in {m.label for m in enumerate_measurements() if class_key(m) == key}
 
     def test_enumeration_reads_no_counts(self, monkeypatch):
         def fail(*args, **kwargs):
             raise AssertionError("enumeration evaluated expected signals")
 
-        monkeypatch.setattr("spinrelax.protocols.expected_signals", fail)
+        monkeypatch.setattr("spinrelax.protocols._signal_counts", fail)
         assert len(enumerate_protocols()) == 36
 
     def test_row_sum_identity_merges_three_classes(self):
@@ -211,6 +217,26 @@ class TestClassStructure:
                 p1, r1, 0.0, RATES, IDEAL_RANKING_PARAMS
             ) - expected_counts(p2, r2, 0.0, RATES, IDEAL_RANKING_PARAMS)
             assert den > 0.0
+
+
+class TestOrientation:
+    def test_bright_first_is_the_positive_zero_delay_order(self):
+        # protocols puts the bright (self-reverting) signal first in every
+        # count it reads; Measurement.oriented orders by the tau = 0 counts.
+        # The two rules agree for every measurement across the domain.
+        rng = np.random.default_rng(66)
+        for _ in range(100):
+            params = SignalParams(
+                f0=float(np.exp(rng.uniform(np.log(1e-4), 0.0))),
+                contrast_C=float(rng.uniform(0.01, 0.99)),
+                alpha=float(1.0 - rng.uniform(0.0, 2.0 / 3.0 - 1e-9)),
+                eta_plus=float(rng.uniform(0.0, 0.4999)),
+                eta_minus=float(rng.uniform(0.0, 0.4999)),
+                background=float(rng.choice([0.0, np.exp(rng.uniform(np.log(1e-5), 0.0))])),
+                repetitions_R=int(rng.integers(1, 10**7)),
+            )
+            for m in enumerate_measurements():
+                assert m.oriented(params).first == _oriented_signals(m)[0], (m.label, params)
 
 
 class TestEtaCensus:
@@ -412,20 +438,55 @@ class TestSensitivitySweep:
 
 class TestSigmaTables:
     def test_one_table_per_distinct_measurement(self, monkeypatch):
-        calls = []
+        shapes = []
         original = protocols.sigma_m_from_expectations
 
         def counting(*expectations):
-            calls.append(len(expectations[0]))
+            shapes.append(np.shape(expectations[0]))
             return original(*expectations)
 
         monkeypatch.setattr(protocols, "sigma_m_from_expectations", counting)
         rank_protocols(RatePair(1.0, 3.0))
+        size = DelayGrid.default().taus.size
         # 36 protocols pair 9 measurement classes: one grid-wide table each.
-        assert calls == [DelayGrid.default().taus.size] * 9
-        calls.clear()
+        assert shapes == [(size,)] * 9
+        shapes.clear()
         sensitivity_ratio_curve([0.5, 2.0, 4.0])
-        assert len(calls) == 4 * 3
+        # The sweep's 4 measurements: one table each, one row per ratio.
+        assert shapes == [(3, size)] * 4
+
+    def test_one_counts_call_per_table_set(self, monkeypatch):
+        calls = []
+        original = protocols._signal_counts
+
+        def counting(signals, *args):
+            calls.append(len(signals))
+            return original(signals, *args)
+
+        monkeypatch.setattr(protocols, "_signal_counts", counting)
+        rank_protocols(RatePair(1.0, 3.0))
+        sensitivity_ratio_curve(np.geomspace(0.125, 8.0, 25))
+        census()
+        # One call each: the ranking (its 9 measurements use 6 signals), the
+        # sweep (5), the class check (all 9) and the two pulse-error probes.
+        assert calls == [6, 5, 9, 6, 6]
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            IDEAL_RANKING_PARAMS,
+            SignalParams(alpha=0.7, eta_plus=0.08, eta_minus=0.03, background=0.004),
+        ],
+        ids=["ideal", "errors"],
+    )
+    def test_sweep_rows_equal_per_ratio_minimal_cost(self, params):
+        ratios = [0.25, 1.0, 4.0, 0.37, 1 / 0.37, 11.0]
+        rows = sensitivity_ratio_curve(ratios, params)
+        for r, row in zip(ratios, rows):
+            rates = (np.sqrt(r), 1.0 / np.sqrt(r))
+            robust = minimal_cost(ROBUST_PROTOCOL, rates, params)[1]
+            optimal = minimal_cost(OPTIMAL_PROTOCOL, rates, params)[1]
+            assert row == (r, robust, optimal, robust / optimal)
 
     def test_tables_equal_per_protocol_tables(self):
         rates = RatePair(0.7, 2.9)
@@ -444,6 +505,15 @@ class TestRateDomain:
             minimal_cost(ROBUST_PROTOCOL, rates)
         with pytest.raises(ValueError, match="rates must be"):
             rank_protocols(rates)
+
+    @pytest.mark.parametrize("ratios", [2.0, [[0.5, 2.0]]], ids=["scalar", "2-D"])
+    def test_ratios_not_1d_raise(self, ratios, monkeypatch):
+        monkeypatch.setattr(protocols, "_sigma_tables", None)  # raises before any table
+        with pytest.raises(ValueError, match="ratios must be a 1-D"):
+            sensitivity_ratio_curve(ratios)
+
+    def test_empty_ratios_give_no_rows(self):
+        assert sensitivity_ratio_curve([]) == []
 
     @pytest.mark.parametrize("ratio", [-1.0, 0.0, np.inf, -np.inf, np.nan])
     def test_ratio_outside_domain_raises(self, ratio):
