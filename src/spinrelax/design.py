@@ -36,21 +36,21 @@ so does a lower bound on the block's cost, and blocks bounded above a
 probed cell are skipped.  The rest are evaluated, and np.argmin's cell is
 returned, ties going to the smallest tau_plus, then tau_minus.  A
 stochastic particle-cloud optimizer, the alternative, maximizes a
-variance-proxy utility over the cloud: per block of candidate delays, one
-two-branch kernel call over the whole cloud gives both branches' values,
-and each branch's cloud variance is reduced from them before the next
-block.  The blocks split into two halves, cut at a block boundary, each
-computed into its own workspace and its own slice of the variances by
-`_two_halves`, the one helper that also runs the fixed sweep's paired
-posterior rebuilds (`experiments.run_nap`): the caller runs the first half
-while a one-worker thread pool runs the second (numpy releases the GIL
-inside the kernel's ufunc and einsum loops), and a process that may use only
-one CPU runs the second half inline after the first, still holding both
-halves' scratch (7.7 MB instead of 3.8 MB at 20,000 particles).  Each
-block's arithmetic is the same on either thread, so the variances do not
-depend on which thread computed them.  Every width, cost and optimizer
-takes the protocol's BranchCurves (`protocols.measurement_curves`); none
-assumes a protocol.
+variance-proxy utility over the cloud: with the cloud's rate terms built
+once, per block of candidate delays one two-branch kernel call over the
+whole cloud gives both branches' values, and each branch's cloud variance
+is reduced from them before the next block.  The blocks split into two
+halves, cut at a block boundary, each computed into its own workspace and
+its own slice of the variances by `_two_halves`, the one helper that also
+runs the fixed sweep's paired posterior rebuilds (`experiments.run_nap`):
+the caller runs the first half while a one-worker thread pool runs the
+second (numpy releases the GIL inside the kernel's ufunc and einsum
+loops), and a process that may use only one CPU runs the second half
+inline after the first, still holding both halves' scratch (3.8 MB at
+20,000 particles).  Each block's arithmetic is the same on either thread,
+so the variances do not depend on which thread computed them.  Every
+width, cost and optimizer takes the protocol's BranchCurves
+(`protocols.measurement_curves`); none assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
 """
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rates import BRANCHES, _unpack
+from .rates import BRANCHES, _rate_terms, _unpack
 
 __all__ = [
     "UninformativeDesign",
@@ -200,7 +200,8 @@ class BranchCurves:
     """A protocol's model curves: `gradient` takes (tau, rates, branch);
     `pair_value` takes (tau_plus, tau_minus, rates) and returns both
     branches' values as (plus, minus) arrays from one kernel call, fresh
-    unless a private `out` workspace (rates._pair_values) is passed on."""
+    unless a private `out` workspace (rates._pair_values) is passed on;
+    `rates` may be a rate pair's private rates._rate_terms."""
 
     gradient: callable
     pair_value: callable
@@ -455,14 +456,14 @@ class ParticleCloud:
         return bool(np.all(np.ptp(self.gammas, axis=0) == 0.0))
 
 
-# Delays per block of _branch_variances: each block is one two-branch
-# kernel call over the whole cloud at equal delays, computed in its half's
-# three (delay, particle) scratch arrays (3.8 MB at 20,000 particles) that
-# every block of the half reuses.  The caller allocates both halves'
-# workspaces as one array, so a call holds 7.7 MB on one CPU or two; a
-# worker allocating its own raised fig2-pf's peak RSS by 12 MB.  On fig2-pf
-# 8 and 16 ran alike; 32 was no faster and raised peak RSS by 7 MB.
-_DELAYS = 8
+# Delays per block of _branch_variances: one two-branch kernel call over the
+# whole cloud in its half's three (delay, particle) scratch arrays, 1.92 MB
+# at 4 delays and 20,000 particles, within a core's 2 MiB of L2 (3.84 MB at
+# 8).  Both halves' workspaces are one array of the caller's; a worker
+# allocating its own raised fig2-pf's peak RSS by 12 MB.  Over the 30
+# selections of a seed-0 fig2-pf run, blocks of 2, 3, 4, 5 and 8 took 575,
+# 531, 510, 502 and 525 ms on two threads, 696, 697, 688, 729 and 789 on one.
+_DELAYS = 4
 
 
 def _usable_cpus():
@@ -492,16 +493,17 @@ def _two_halves(first, second):
 def _branch_variances(cloud, taus, curves):
     """Cloud variance of each branch's predicted value at taus, as a (2, delay) array.
 
-    Per block of delays, one pair_value call gives both branches' values
-    over the whole cloud as (delay, particle) arrays; each branch's weighted
-    mean, then its weighted squared deviations, are summed along the
-    particle axis.  The blocks always split into two halves for
-    `_two_halves`, each with its own workspace (7.7 MB for both at 20,000
-    particles, on one CPU too); one block leaves the second half empty.  A
-    lone last delay is computed as a block of two, so each delay's variance
-    has the same bits wherever the block edges fall.
+    Per block of delays, one pair_value call on the cloud's rate terms
+    (rates._rate_terms, built once) gives both branches' values over the
+    whole cloud as (delay, particle) arrays; each branch's weighted mean,
+    then its weighted squared deviations, are summed along the particle
+    axis.  The blocks always split into two halves for `_two_halves`, each
+    with its own workspace (3.8 MB for both at 20,000 particles, on one CPU
+    too); one block leaves the second half empty.  A lone last delay is
+    computed as a block of two, so each delay's variance has the same bits
+    wherever the block edges fall.
     """
-    (gp, gm), w = cloud.gammas.T, cloud.weights
+    terms, w = _rate_terms(cloud.gammas.T), cloud.weights
     variances = np.empty((len(BRANCHES), taus.size))
     starts = range(0, taus.size, _DELAYS)
     work = np.empty((2, 3, max(2, min(_DELAYS, taus.size)), w.size))
@@ -513,7 +515,7 @@ def _branch_variances(cloud, taus, curves):
             # einsum sums a lone row in another order than each row of a
             # larger block, so a lone delay is computed as a block of two.
             block = np.repeat(block, 2, axis=0) if count == 1 else block
-            pair = curves.pair_value(block, block, (gp, gm), out=space[:, : block.shape[0]])
+            pair = curves.pair_value(block, block, terms, out=space[:, : block.shape[0]])
             for values, variance in zip(pair, variances):
                 # einsum without `optimize` makes no BLAS call, so the sums do
                 # not depend on the BLAS build or its threads.
@@ -533,8 +535,9 @@ def pf_select_delays(cloud, timing, curves, grid=DEFAULT_GRID, subgrid=100):
     measurement value per branch (how much the candidate measurement is
     expected to discriminate between posterior hypotheses), scaled by
     1/sqrt(T).  The variances come in blocks of _DELAYS delays, each from
-    one two-branch `curves.pair_value` call over the whole cloud and an
-    exact two-pass weighted mean and variance along the particle axis.
+    one two-branch `curves.pair_value` call over the whole cloud, on rate
+    terms built once per call, and an exact two-pass weighted mean and
+    variance along the particle axis.
     The caller computes the first half of the blocks and one worker thread
     the second; both do the same arithmetic per block, so the choice is the
     same bit for bit whichever thread computed a block, and with one usable
@@ -542,19 +545,17 @@ def pf_select_delays(cloud, timing, curves, grid=DEFAULT_GRID, subgrid=100):
     `subgrid`, a positive integer, thins the scored delays to
     every (size // subgrid)-th delay of `grid`, or every delay when it
     exceeds the grid size.
-    A degenerate cloud falls back to the deterministic optimizer at the
-    point-mass rates.
+    A degenerate cloud, or a utility nowhere positive, falls back to the
+    deterministic optimizer at the cloud's mean rates, computed only then.
     """
     _check_positive_int(subgrid, "subgrid")
+    if not cloud.is_degenerate():
+        taus = grid.taus[:: max(1, grid.taus.size // subgrid)]
+        var_plus, var_minus = _branch_variances(cloud, taus, curves)
+        t = timing.duration_seconds(taus[:, None], taus[None, :])
+        utility = (var_plus[:, None] + var_minus[None, :]) / np.sqrt(t)
+        if np.any(utility > 0.0):
+            i, j = np.unravel_index(np.argmax(utility), utility.shape)
+            return DelayPair(tau_plus=float(taus[i]), tau_minus=float(taus[j]))
     mean_rates = tuple(np.average(cloud.gammas, axis=0, weights=cloud.weights))
-    if cloud.is_degenerate():
-        return nob_select_delays(mean_rates, timing, curves, grid)
-    step = max(1, grid.taus.size // subgrid)
-    taus = grid.taus[::step]
-    var_plus, var_minus = _branch_variances(cloud, taus, curves)
-    t = timing.duration_seconds(taus[:, None], taus[None, :])
-    utility = (var_plus[:, None] + var_minus[None, :]) / np.sqrt(t)
-    if not np.any(utility > 0.0):
-        return nob_select_delays(mean_rates, timing, curves, grid)
-    i, j = np.unravel_index(np.argmax(utility), utility.shape)
-    return DelayPair(tau_plus=float(taus[i]), tau_minus=float(taus[j]))
+    return nob_select_delays(mean_rates, timing, curves, grid)

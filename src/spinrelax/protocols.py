@@ -373,7 +373,8 @@ def sensitivity_ratio_curve(ratios, params=IDEAL_RANKING_PARAMS):
     cost is minimal_cost's under `params` on the default grid; the two
     protocols share no measurement, so the sweep builds four sigma_M
     tables, each with one row per ratio.  `ratios` that is not 1-D, or a
-    ratio that is not positive and finite, raises ValueError.
+    ratio that is not positive and finite, or whose sigma_M or costs are
+    not (the counts model leaving floating point), raises ValueError.
     Returns rows of (rate_ratio, cost_robust, cost_optimal, cost_ratio).
     """
     ratios = np.asarray(ratios, dtype=float)
@@ -383,11 +384,15 @@ def sensitivity_ratio_curve(ratios, params=IDEAL_RANKING_PARAMS):
         raise ValueError("rate ratios must be positive and finite")
     roots = np.sqrt(ratios)[:, None]
     protocols = (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL)
-    tables = _sigma_tables(protocols, (roots, 1.0 / roots), params, DEFAULT_GRID)
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = _sigma_tables(protocols, (roots, 1.0 / roots), params, DEFAULT_GRID)
     rows = []
     for k, r in enumerate(ratios):
         rates = (np.sqrt(r), 1.0 / np.sqrt(r))
         row = {m: table[k] for m, table in tables.items()}
-        robust, optimal = (minimal_cost(p, rates, params, _tables=row)[1] for p in protocols)
-        rows.append((float(r), robust, optimal, robust / optimal))
+        usable = all(np.all((t > 0.0) & (t < np.inf)) for t in row.values())
+        costs = [minimal_cost(p, rates, params, _tables=row)[1] for p in protocols if usable]
+        if not (usable and np.all(np.isfinite(costs))):
+            raise ValueError(f"rate ratio {r:g} is beyond the counts model's floating-point range")
+        rows.append((float(r), *costs, costs[0] / costs[1]))
     return rows

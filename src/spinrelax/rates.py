@@ -37,8 +37,10 @@ tau = 0 (p = 2, q = 0), in one two-branch function that model_m reads one
 branch of: it shares g and gp + gm and, at equal delays, p and q between
 two measurements, so each branch then costs one multiply, one add and one
 halving; given scratch arrays it allocates no array of the evaluation's
-shape.  The closed forms make grid-based inference and delay optimization
-cheap; a matrix exponential is only a test oracle.
+shape.  Its rate-only terms come from _rate_terms, once per call or, for
+a caller passing them in place of the rates, once per particle cloud.  The
+closed forms make grid-based inference and delay optimization cheap; a
+matrix exponential is only a test oracle.
 
 Conventions used throughout the package:
 
@@ -48,6 +50,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,19 +188,34 @@ def _mixing_rate(gp, gm, a, b):
     return gp if (a, b) == (1, 0) else gm if (a, b) == (0, 1) else a * gp + b * gm
 
 
-def _decays(tau, total, g, out=(None, None)):
-    """e_fast, e_slow = exp(-(gp + gm +/- g) tau), total = gp + gm, in the
-    two arrays of `out` (fresh for None).  When the rate sums have the
-    decays' own shape they are formed in those arrays and take the sign
-    with tau, so each decay costs one multiply by -tau."""
+# C-ordered gp and gm, g, total = gp + gm, decay rates -(total +/- g) or None.
+_RateTerms = namedtuple("_RateTerms", "gp gm g total fast slow")
+
+
+def _rate_terms(rates, out=None):
+    """A rate pair's _RateTerms.  Rates of the shape of `out`, _pair_values'
+    scratch stack (a fold's mesh), put g and total in out[3] and out[2] and
+    leave the decay rates to _decays; otherwise every term is fresh."""
+    gp, gm = (np.asarray(r, order="C") for r in _unpack(rates))
+    fits = out is not None and out[0].shape == np.broadcast(gp, gm).shape
+    g = _spectral_split(gp, gm, (out[3], out[2]) if fits else (None, None))
+    total = np.add(gp, gm, out=out[2] if fits else None)
+    return _RateTerms(gp, gm, g, total, *((None,) * 2 if fits else (-(total + g), -(total - g))))
+
+
+def _decays(tau, terms, out=(None, None)):
+    """e_fast, e_slow = exp(-(gp + gm +/- g) tau) from _RateTerms, in the
+    two arrays of `out` (fresh for None).  Terms without decay rates have
+    the decays' shape: the rate sums are formed in those arrays and take
+    the sign with tau, so each decay costs one multiply by -tau."""
     fast, slow = out
-    if fast is not None and fast.shape == np.shape(total):
+    if terms.fast is None:
         neg_tau = np.negative(tau)
         for e, rate_sum in ((fast, np.add), (slow, np.subtract)):
-            np.multiply(rate_sum(total, g, out=e), neg_tau, out=e)
+            np.multiply(rate_sum(terms.total, terms.g, out=e), neg_tau, out=e)
     else:
-        fast = np.asarray(np.multiply(-(total + g), tau, out=fast))
-        slow = np.asarray(np.multiply(-(total - g), tau, out=slow))
+        fast = np.asarray(np.multiply(terms.fast, tau, out=fast))
+        slow = np.asarray(np.multiply(terms.slow, tau, out=slow))
     return np.exp(fast, out=fast), np.exp(slow, out=slow)
 
 
@@ -223,34 +241,30 @@ def _pair_values(tau_plus, tau_minus, rates, mix_plus, mix_minus, out=None):
     one gp + gm and, at equal delays, one p and q.  Each value is
     ((g + x) e_fast + (g - x) e_slow) / 2g, exactly 1 at tau = 0.
 
-    `out` is a stack of scratch arrays of both branches' shape that holds
-    every temporary, so a caller that evaluates block after block or fold
-    after fold reuses it: the plus value lands in out[0], the minus value
-    in out[1].  gp + gm and g use out[2] and out[3] when the rates alone
-    have that shape, and are fresh, smaller arrays otherwise; only unequal
+    `rates` is a rate pair or its _RateTerms.  `out` is a stack of scratch
+    arrays of both branches' shape that holds every temporary, so a caller
+    that evaluates block after block or fold after fold reuses it: the plus
+    value lands in out[0], the minus value in out[1].  Rates of that shape
+    put gp + gm and g in out[2] and out[3] (_rate_terms); only unequal
     delays use out[4].  So five arrays always suffice, and three for equal
     delays on rates of a smaller shape.  Without `out` every array is fresh.
     """
     tau_plus = _check_tau(tau_plus)
     shared = np.array_equal(tau_plus, tau_minus)
     tau_minus = tau_plus if shared else _check_tau(tau_minus)
-    gp, gm = _unpack(rates)
-    x_plus, x_minus = _mixing_rate(gp, gm, *mix_plus), _mixing_rate(gp, gm, *mix_minus)
+    rates = rates if isinstance(rates, _RateTerms) else _rate_terms(rates, out)
     s = (None,) * 5 if out is None else out
-    fits = out is not None and s[0].shape == np.broadcast(gp, gm).shape
-    rate_out = (s[3], s[2]) if fits else (None, None)
-    g = _spectral_split(gp, gm, rate_out)
-    total = np.add(gp, gm, out=rate_out[1])
+    x_plus, x_minus = (_mixing_rate(rates.gp, rates.gm, *mix) for mix in (mix_plus, mix_minus))
     if shared:
-        e_fast, e_slow = _decays(tau_minus, total, g, (s[1], s[2]))
-        p, q = _sums(e_fast, e_slow, g, e_slow, s[0])
+        e_fast, e_slow = _decays(tau_minus, rates, (s[1], s[2]))
+        p, q = _sums(e_fast, e_slow, rates.g, e_slow, s[0])
         minus = _mix(p, q, x_minus, s[1])
         return _mix(p, q, x_plus, s[0]), minus
-    e_fast, e_slow = _decays(tau_minus, total, g, (s[1], s[4]))
-    p, q = _sums(e_fast, e_slow, g, e_slow, s[0])
+    e_fast, e_slow = _decays(tau_minus, rates, (s[1], s[4]))
+    p, q = _sums(e_fast, e_slow, rates.g, e_slow, s[0])
     minus = _mix(p, q, x_minus, s[1])
-    e_fast, e_slow = _decays(tau_plus, total, g, (s[0], s[4]))
-    p, q = _sums(e_fast, e_slow, g, e_slow, s[2])
+    e_fast, e_slow = _decays(tau_plus, rates, (s[0], s[4]))
+    p, q = _sums(e_fast, e_slow, rates.g, e_slow, s[2])
     return _mix(p, q, x_plus, s[0]), minus
 
 
@@ -258,10 +272,10 @@ def _gradient(tau, rates, a, b):
     """Analytic (d/d gamma_plus, d/d gamma_minus) of a _pair_values branch by
     the product rule, with d x / d gamma_plus = a and d x / d gamma_minus = b."""
     tau = _check_tau(tau)
-    gp, gm = _unpack(rates)
-    g = _spectral_split(gp, gm)
+    terms = _rate_terms(rates)
+    gp, gm, g = terms.gp, terms.gm, terms.g
     own = _mixing_rate(gp, gm, a, b)
-    e_fast, e_slow = _decays(tau, gp + gm, g)
+    e_fast, e_slow = _decays(tau, terms)
     value = _mix(*_sums(e_fast, e_slow, g), own)
 
     dg_dgp = (2.0 * gp - gm) / (2.0 * g)

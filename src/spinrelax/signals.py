@@ -44,7 +44,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .design import _check_positive_int
-from .rates import RatePair, _check_tau, _decays, _eigenvectors, _spectral_split, _unpack
+from .rates import RatePair, _check_tau, _decays, _eigenvectors, _rate_terms
 
 __all__ = [
     "STATES",
@@ -299,13 +299,12 @@ def _signal_counts(signals, tau, rates, blocks):
     Shapes: broadcast(tau, rates) + (blocks,) at tau, (blocks,) at 0.
     """
     delays = _check_tau(tau)
-    gp, gm = _unpack(rates)
-    g = _spectral_split(gp, gm)
-    e_fast, e_slow = (e[..., None] for e in _decays(delays, gp + gm, g))
+    terms = _rate_terms(rates)
+    e_fast, e_slow = (e[..., None] for e in _decays(delays, terms))
     # The three projectors' vectors and squared norms, J/3 being (1, 1, 1)'s;
     # each rate pair's vector as one row against the blocks' rows.
     modes = [(np.ones(3), 3.0)] + [
-        (v[..., None, :], norm2[..., None]) for v, norm2 in _eigenvectors(gp, gm, g)
+        (v[..., None, :], n2[..., None]) for v, n2 in _eigenvectors(terms.gp, terms.gm, terms.g)
     ]
     # One row per block, moved to the last axis beside the delay axes.
     background_tau, background_zero = (

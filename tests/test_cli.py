@@ -221,6 +221,12 @@ class TestExitCodes:
         assert f"ranking.{field}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ratio_beyond_the_counts_model_exits_3(self, tmp_path, capsys):
+        # It exited 0 and wrote inf and nan rows to ratio_sweep.csv.
+        argv = ["rank-protocols", "--preset", "fig7", "--ratio-sweep", "1e100:1e101:2"]
+        assert run_in(tmp_path / "runs", argv) == (EXIT_RUNTIME, None)
+        assert "rate ratio 1e+100 is beyond" in capsys.readouterr().err
+
     @pytest.mark.parametrize("given", [("ratio_hi",), ("ratio_lo", "ratio_points")])
     def test_partial_ratio_sweep_names_missing_fields(self, tmp_path, capsys, given):
         sweep = {"ratio_lo": 0.125, "ratio_hi": 4.0, "ratio_points": 25}

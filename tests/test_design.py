@@ -49,17 +49,26 @@ from spinrelax.posterior import (
 )
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
+    _CLASS_MIX,
+    _canonical_measurement,
     _sigma_tables,
     measurement_curves,
     minimal_cost,
 )
 from spinrelax import design
+from spinrelax import rates as rates_module
 from spinrelax.rates import BRANCHES, RatePair, model_gradient, model_m
-from spinrelax.signals import OPTIMAL_PROTOCOL, ROBUST_PROTOCOL, SignalParams
+from spinrelax.signals import OPTIMAL_PROTOCOL, ROBUST_PROTOCOL, ProtocolSpec, SignalParams
 
 RATES = RatePair(1.0, 3.0)
 TIMING = TimingModel(repetitions_R=10**6)
 EPS = np.finfo(float).eps
+# Nine protocols that put each of the 9 measurement classes once in the plus
+# slot and once in the minus slot, so the kernel runs every class mix.
+CLASS_PROTOCOLS = [
+    ProtocolSpec(_canonical_measurement(key), _canonical_measurement(nxt))
+    for key, nxt in zip(_CLASS_MIX, [*_CLASS_MIX][1:] + [*_CLASS_MIX][:1])
+]
 
 
 def sigma_callables(protocol, rates):
@@ -639,6 +648,14 @@ class TestParticleSelect:
         nob = nob_select_delays((1.0, 3.0), TIMING, ROBUST_CURVES)
         assert pf == nob
 
+    def test_zero_utility_falls_back_to_nob_at_the_mean_rates(self):
+        # All weight on one particle: every variance is exactly 0, so no
+        # delay pair has positive utility, although the cloud is not degenerate.
+        cloud = ParticleCloud(gammas=np.array([[1.0, 3.0], [2.0, 5.0]]), weights=np.array([1, 0]))
+        assert not cloud.is_degenerate()
+        pf = pf_select_delays(cloud, TIMING, ROBUST_CURVES)
+        assert pf == nob_select_delays((1.0, 3.0), TIMING, ROBUST_CURVES)
+
     def test_narrow_cloud_lands_near_nob(self):
         rng = np.random.default_rng(12)
         pf = pf_select_delays(self.make_cloud(rng), TIMING, ROBUST_CURVES)
@@ -761,7 +778,7 @@ class TestBlockedParticleSelect:
         seed=st.integers(0, 2**32 - 1),
         n=st.sampled_from([1, 2, 1023, 1024, 1025, 2560]),
         subgrid=st.sampled_from([1, 2, 100]),
-        protocol=st.sampled_from([ROBUST_PROTOCOL, OPTIMAL_PROTOCOL]),
+        protocol=st.sampled_from(CLASS_PROTOCOLS),
         spread=st.sampled_from([1e-3, 0.3, 2.0]),
     )
     def test_equals_dense_oracle(self, seed, n, subgrid, protocol, spread):
@@ -790,7 +807,7 @@ class TestBlockedParticleSelect:
         n=st.sampled_from([1, 2, 1025]),
         count=st.sampled_from([1, _DELAYS - 1, _DELAYS, _DELAYS + 1, 2 * _DELAYS + 1]),
         start=st.integers(0, DEFAULT_GRID.taus.size - 2 * _DELAYS - 1),
-        protocol=st.sampled_from([ROBUST_PROTOCOL, OPTIMAL_PROTOCOL]),
+        protocol=st.sampled_from(CLASS_PROTOCOLS),
         spread=st.sampled_from([1e-3, 0.3, 2.0]),
     )
     def test_delay_block_edges_match_dense_oracle(self, seed, n, count, start, protocol, spread):
@@ -806,7 +823,8 @@ class TestBlockedParticleSelect:
 
     def test_peak_memory_stays_blocked(self):
         # The selector holds one (half, 3, delay, particle) kernel workspace
-        # of 7.7 MB on this call; a whole (particle, delay) value array of
+        # of 3.8 MB and the cloud's six rate-term arrays of 0.96 MB on this
+        # call, a peak near 4.8 MB; a whole (particle, delay) value array of
         # 16 MB would take the peak near 18 MB.
         rng = np.random.default_rng(5)
         gammas = np.column_stack([rng.uniform(0.5, 2.0, 20000), rng.uniform(2.0, 4.0, 20000)])
@@ -846,21 +864,21 @@ class TestThreadedVariances:
 
     @pytest.mark.parametrize("n", [1, 2, 1025])
     @pytest.mark.parametrize(
-        "count",
-        [1, 2, _DELAYS - 1, _DELAYS + 1, 2 * _DELAYS - 1, 2 * _DELAYS + 1, 100, 1000],
+        "count", [1, 2, *(k * _DELAYS + d for k in (1, 2, 4) for d in (-1, 1)), 100, 1000]
     )
     def test_threaded_equals_one_thread(self, monkeypatch, count, n):
         cloud = self.cloud(n, seed=count)
         taus = DEFAULT_GRID.taus[:count]
-        curves = measurement_curves(ROBUST_PROTOCOL)
-        monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
-        threaded = _branch_variances(cloud, taus, curves)
-        monkeypatch.setattr(design, "_usable_cpus", lambda: 1)
-        inline = _branch_variances(cloud, taus, curves)
-        assert threaded.shape == (2, count)
-        assert np.array_equal(threaded, inline)
+        for protocol in CLASS_PROTOCOLS:
+            curves = measurement_curves(protocol)
+            monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
+            threaded = _branch_variances(cloud, taus, curves)
+            monkeypatch.setattr(design, "_usable_cpus", lambda: 1)
+            inline = _branch_variances(cloud, taus, curves)
+            assert threaded.shape == (2, count)
+            assert np.array_equal(threaded, inline)
 
-    @pytest.mark.parametrize("count", [_DELAYS + 1, 2 * _DELAYS + 1])
+    @pytest.mark.parametrize("count", [_DELAYS + 1, 2 * _DELAYS + 1, 4 * _DELAYS + 1])
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_lone_last_delay_keeps_its_bits(self, monkeypatch, count, cpus):
         # Above 8,192 particles einsum sums a one-row block in another order
@@ -869,9 +887,21 @@ class TestThreadedVariances:
         monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
         cloud = self.cloud(20000)
         taus = DEFAULT_GRID.taus[::10][: count + 1]
-        curves = measurement_curves(ROBUST_PROTOCOL)
-        alone = _branch_variances(cloud, taus[:count], curves)
-        assert np.array_equal(alone, _branch_variances(cloud, taus, curves)[:, :count])
+        for protocol in CLASS_PROTOCOLS:
+            curves = measurement_curves(protocol)
+            alone = _branch_variances(cloud, taus[:count], curves)
+            assert np.array_equal(alone, _branch_variances(cloud, taus, curves)[:, :count])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_rate_terms_built_once_per_selection(self, monkeypatch, cpus):
+        # Every block gets the cloud's terms; none rebuilds them from the rates.
+        monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
+        calls = []
+        build = rates_module._rate_terms
+        for module in (design, rates_module):
+            monkeypatch.setattr(module, "_rate_terms", lambda *a: calls.append(a) or build(*a))
+        pf_select_delays(self.cloud(1025), TIMING, measurement_curves(ROBUST_PROTOCOL))
+        assert len(calls) == 1
 
     def test_one_cpu_starts_no_thread(self, monkeypatch):
         cloud = self.cloud(1025)

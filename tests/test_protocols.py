@@ -1,6 +1,7 @@
 """Census and ranking of the four-signal measurement protocol family."""
 
 import json
+import re
 from itertools import combinations
 
 import numpy as np
@@ -519,3 +520,14 @@ class TestRateDomain:
     def test_ratio_outside_domain_raises(self, ratio):
         with pytest.raises(ValueError, match="rate ratios must be positive and finite"):
             sensitivity_ratio_curve([2.0, ratio])
+
+    @pytest.mark.parametrize("ratio", [1e100, 1e-200])
+    def test_ratio_beyond_the_counts_model_raises(self, ratio):
+        # 1e100 returned the row (1e100, inf, inf, nan); 1e-200 overflowed the
+        # eigenvectors and raised "sigma_m entries must be positive".
+        with pytest.raises(ValueError, match=re.escape(f"rate ratio {ratio:g} is beyond")):
+            sensitivity_ratio_curve([2.0, ratio])
+
+    def test_ratios_within_range_give_finite_rows(self):
+        rows = sensitivity_ratio_curve(np.geomspace(1e-8, 1e12, 6))
+        assert np.all(np.isfinite(rows)) and np.all(np.array(rows)[:, 1:] > 0.0)

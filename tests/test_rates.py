@@ -18,6 +18,7 @@ from spinrelax.protocols import _CLASS_MIX
 from spinrelax.rates import (
     RatePair,
     _pair_values,
+    _rate_terms,
     _spectral_split,
     model_gradient,
     model_m,
@@ -396,6 +397,34 @@ class TestPairValues:
         gp, gm = initial_grid(size=20).meshes()
         _pair_values(0.3, tau_minus, (gp, gm), (1, 0), (0, 1))
         assert len(calls) == expected
+
+
+class TestRateTerms:
+    """Terms built once by _rate_terms give the kernel the bits raw rates give
+    it, for every class pair, on a fold's mesh and on particle clouds."""
+
+    @pytest.mark.parametrize("kind", ["mesh", 1, 2, 1025, 20000])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_terms_equal_raw_rates(self, kind, shared):
+        rng = np.random.default_rng(41)
+        if kind == "mesh":
+            # The fold's rates, delays and workspace: the grid's broadcast axes.
+            rates, tau = initial_grid(size=200).meshes(), 0.7
+        else:
+            # A cloud's strided columns against a (delay, 1) block that starts at 0.
+            rates = np.exp(rng.uniform(np.log(0.055), np.log(100.0), (kind, 2))).T
+            tau = np.append(0.0, rng.uniform(0.0, 5.5, 3))[:, None]
+        other = tau if shared else tau * 0.5
+        shape = np.broadcast_shapes(np.shape(tau), *(np.shape(r) for r in rates))
+        terms = _rate_terms(rates)
+        for mix_plus in _CLASS_MIX.values():
+            for mix_minus in _CLASS_MIX.values():
+                want = _pair_values(tau, other, rates, mix_plus, mix_minus)
+                for given in (rates, terms):
+                    out = np.full((5,) + shape, np.nan)
+                    got = _pair_values(tau, other, given, mix_plus, mix_minus, out)
+                    for g, w in zip(got, want, strict=True):
+                        assert g.tobytes() == w.tobytes()
 
 
 class TestModelGradient:
