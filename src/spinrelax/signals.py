@@ -24,11 +24,14 @@ The simulator draws Poisson counts around the expected values.  With static
 parameters all repetitions collapse into a single draw (sums of independent
 Poissons are Poisson); under a drift schedule the four signals are drawn
 interleaved in blocks of repetitions, mirroring how the pulse sequencer
-interleaves them in hardware, which is what makes slow drift cancel.  All
-blocks are evaluated together: each parameter field as one array, checked
-in one pass by SignalParams' own domain rules, the decays once per delay,
-the four expected counts of every block in one stacked computation, and
-the counts in one Poisson draw over the (blocks, 4) means.  A
+interleaves them in hardware, which is what makes slow drift cancel.  The
+only code run once per block is the caller's: each drift callable, and a
+background that is a callable of tau, at tau and at 0.  Everything else is
+built as arrays: the block times and repetitions by arange arithmetic,
+each undrifted field in one fill, every field checked in one pass by
+SignalParams' own domain rules, the decays once per delay, the four
+expected counts of every block in one stacked computation, and the counts
+in one Poisson draw over the (blocks, 4) means.  A
 measurement's four counts travel as one length-4 array, in the column order
 of `expected_signals`: first and second signal at tau, then at tau = 0.
 `_signal_counts` builds every expected count: a measurement's four in
@@ -73,8 +76,10 @@ _BLOCK_REPS = 1000
 
 
 def _nonnegative_or_callable(values):
-    numbers = np.array([0.0 if callable(b) else b for b in values])
-    return (numbers >= 0.0) & np.isfinite(numbers)
+    # An object array holds some block's callable background; a float array none.
+    if values.dtype == object:
+        values = np.array([0.0 if callable(b) else b for b in values])
+    return (values >= 0.0) & np.isfinite(values)
 
 
 def _positive_whole(values):
@@ -240,18 +245,19 @@ def _check_drift_fields(drifts):
 def _stack_blocks(params, drifts=None, times=(None,), reps=None):
     """Parameter blocks at `times` as per-field arrays, checked in one pass.
 
-    A field in `drifts` takes its callable's value at each time, the block
-    repetitions are `reps` (default: params' own), and every other field is
-    params'.  Backgrounds stay a list, as each may be a callable of tau.  The
-    first drifted block out of the domain raises, naming its time and field.
+    A field in `drifts` takes its callable's value at each time, the only
+    call made once per block; the block repetitions are `reps` (default:
+    params' own), and every other field is params', filled in one call.
+    Backgrounds are a number array, or an object array when some block's
+    background is a callable of tau.  The first drifted block out of the
+    domain raises, naming its time and field.
     """
     drifts = drifts or {}
     _check_drift_fields(drifts)
-    columns = {name: [getattr(params, name)] * len(times) for name in _DRIFTABLE}
-    columns.update({name: [fn(t) for t in times] for name, fn in drifts.items()})
+    columns = {name: np.full(len(times), getattr(params, name)) for name in _DRIFTABLE}
+    columns.update({name: np.array([fn(t) for t in times]) for name, fn in drifts.items()})
     blocks = SimpleNamespace(
-        **{name: np.array(values) for name, values in columns.items() if name != "background"},
-        background=columns["background"],
+        **columns,
         repetitions_R=np.array([params.repetitions_R] if reps is None else reps),
     )
     violation = drifts and _domain_violation(vars(blocks))
@@ -307,10 +313,15 @@ def _signal_counts(signals, tau, rates, blocks):
         (v[..., None, :], n2[..., None]) for v, n2 in _eigenvectors(terms.gp, terms.gm, terms.g)
     ]
     # One row per block, moved to the last axis beside the delay axes.
-    background_tau, background_zero = (
-        np.moveaxis(np.array([b(t) if callable(b) else b for b in blocks.background], float), 0, -1)
-        for t in (tau, 0.0)
-    )
+    if blocks.background.dtype == object:
+        background_tau, background_zero = (
+            np.moveaxis(
+                np.array([b(t) if callable(b) else b for b in blocks.background], float), 0, -1
+            )
+            for t in (tau, 0.0)
+        )
+    else:
+        background_tau = background_zero = blocks.background.astype(float, copy=False)
     pumped = prep_vector(blocks)[:, :, None]
     yields = collection_vector(blocks)[:, None, :]
     zero = (delays == 0.0)[..., None]
@@ -348,10 +359,16 @@ def sample_signals(
     With a drift schedule the acquisition is split into interleaved blocks of
     `block_reps` repetitions, spread evenly over [t_start, t_start +
     duration_s]; all four signals within a block share the same instantaneous
-    parameters, which is the interleaving that cancels slow drift.
+    parameters, which is the interleaving that cancels slow drift.  A
+    non-finite t_start, or a negative or non-finite duration_s, raises a
+    ValueError before any draw, as a block_reps that is not a positive
+    integer does.
 
-    The drifted fields are evaluated at every block time into per-field
-    arrays and checked in one pass, before any draw: the first block outside
+    Block b's time is t_start + (b + 0.5) / n_blocks * duration_s, passed
+    to each drift callable as a Python float; those calls, and a callable
+    background's, are the only ones made once per block.  The block times,
+    repetitions and undrifted fields are built as arrays, and the drifted
+    values are checked in one pass, before any draw: the first block outside
     the parameter domain raises a ValueError naming its time and first
     failing field.  `expected_signals` then evaluates all blocks at once, and
     one Poisson draw over the (blocks, 4) means consumes the generator in
@@ -374,13 +391,18 @@ def _block_means(
 ):
     """sample_signals' (blocks, 4) expected counts, checked nonnegative, and their totals."""
     _check_positive_int(block_reps, "block_reps")
+    if not math.isfinite(t_start):
+        raise ValueError("t_start must be finite")
+    if not 0.0 <= duration_s < math.inf:
+        raise ValueError("duration_s must be nonnegative and finite")
     if drifts is None:
         times, blocks = [None], params
     else:
         total_r = params.repetitions_R
         n_blocks = math.ceil(total_r / block_reps)
-        times = [t_start + (b + 0.5) / n_blocks * duration_s for b in range(n_blocks)]
-        reps = [min(block_reps, total_r - b * block_reps) for b in range(n_blocks)]
+        b = np.arange(n_blocks)
+        times = (t_start + (b + 0.5) / n_blocks * duration_s).tolist()
+        reps = np.minimum(block_reps, total_r - b * block_reps)
         blocks = _stack_blocks(params, drifts, times, reps)
     means = expected_signals(measurement, tau, rates, blocks)
     negative = np.argwhere(means < 0.0)

@@ -48,6 +48,9 @@ run's once-per-run expected counts must reproduce bit for bit.
 `per_row_estimate_pairs` is the runners' estimation as first written, one
 measurement_estimate call per branch, which the vectorized estimate of a
 whole stack of acquisitions must reproduce bit for bit.
+`choice_from_grid` is `ParticleCloud.from_grid` as first written, its
+cell indices from `rng.choice`, which the sorted index search must
+reproduce bit for bit, cloud and generator state.
 `sequential_nap` is `experiments.run_nap` as first written, each sweep
 acquired, logged and rebuilt before the next is drawn, which the paired
 rebuilds must reproduce bit for bit, records, trace and posterior.
@@ -73,6 +76,7 @@ from scipy.linalg import expm
 from spinrelax.design import (
     BranchCurves,
     DelayPair,
+    ParticleCloud,
     UninformativeDesign,
     _check_positive_int,
     _jacobian,
@@ -531,6 +535,21 @@ def one_branch(curves):
         return plus if branch == "+" else minus
 
     return value
+
+
+def choice_from_grid(grid, n, rng):
+    """ParticleCloud.from_grid as first written: its cell indices from
+    rng.choice over the grid's weights, then the same jitter draws."""
+    w = grid.weights.ravel()
+    idx = rng.choice(w.size, size=n, p=w)
+    i, j = np.unravel_index(idx, grid.weights.shape)
+    cell_p = float(np.mean(np.diff(grid.gamma_plus_axis)))
+    cell_m = float(np.mean(np.diff(grid.gamma_minus_axis)))
+    lo, hi = grid.hard_bounds
+    gp = grid.gamma_plus_axis[i] + rng.uniform(-0.5, 0.5, i.size) * cell_p
+    gm = grid.gamma_minus_axis[j] + rng.uniform(-0.5, 0.5, j.size) * cell_m
+    gammas = np.clip(np.column_stack([gp, gm]), lo, hi)
+    return ParticleCloud(gammas=gammas, weights=np.full(n, 1.0 / n))
 
 
 def chain_bayes_update(grid, pair, model, workspace=None):

@@ -32,6 +32,7 @@ from spinrelax.design import (
 )
 from oracles import (
     ROBUST_CURVES,
+    choice_from_grid,
     cost,
     dense_branch_variances,
     dense_pf_select_delays,
@@ -46,6 +47,7 @@ from spinrelax.posterior import (
     bayes_update,
     initial_grid,
     moments,
+    regrid,
 )
 from spinrelax.protocols import (
     IDEAL_RANKING_PARAMS,
@@ -738,6 +740,50 @@ class TestParticleSelect:
         # An infinite weight normalized to [nan, 0]; a NaN one claimed all vanished.
         with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
             ParticleCloud(gammas=np.ones((2, 2)), weights=np.array([bad, 1.0]))
+
+
+def draw_grid(kind, rng):
+    """A flat prior, a grid after one fold, or one with zero-weight cells
+    (its first and last cell among them)."""
+    if kind == "flat":
+        return initial_grid()
+    if kind == "regridded":
+        rates = RatePair(*rng.uniform(0.3, 30.0, 2))
+        taus = rng.uniform(0.05, 2.0, 2)
+        pair = MeasurementPair(
+            m_plus=float(model_m(taus[0], rates, "+")) + rng.normal(0.0, 0.01),
+            m_minus=float(model_m(taus[1], rates, "-")) + rng.normal(0.0, 0.01),
+            sigma_plus=0.01,
+            sigma_minus=0.01,
+            tau_plus=taus[0],
+            tau_minus=taus[1],
+        )
+        return regrid(bayes_update(initial_grid(), pair, ROBUST_CURVES.pair_value))
+    lw = rng.normal(0.0, 3.0, (60, 50))
+    lw[rng.random(lw.shape) < rng.uniform(0.1, 0.99)] = -np.inf
+    lw.flat[[0, -1]] = -np.inf
+    lw.flat[rng.integers(1, lw.size - 1)] = 0.0
+    return PosteriorGrid(np.linspace(0.5, 5.0, 60), np.linspace(1.0, 9.0, 50), lw)
+
+
+class TestFromGridDraw:
+    """from_grid's sorted index search against rng.choice (oracles'
+    `choice_from_grid`): the same cloud and the same generator state."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["flat", "regridded", "zeros"]),
+        n=st.sampled_from([1, 2, 20_000]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_rng_choice(self, kind, n, seed):
+        grid = draw_grid(kind, np.random.default_rng(seed))
+        rng_new, rng_old = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        got = ParticleCloud.from_grid(grid, n, rng_new)
+        want = choice_from_grid(grid, n, rng_old)
+        assert np.array_equal(got.gammas, want.gammas)
+        assert np.array_equal(got.weights, want.weights)
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
 
 class TestBlockedParticleSelect:

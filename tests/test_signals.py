@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
 from spinrelax.design import DelayGrid
 from spinrelax.experiments import ExperimentConfig, _Run
 from spinrelax.protocols import enumerate_measurements
+from spinrelax import signals
 from spinrelax.rates import RatePair, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
@@ -434,6 +436,31 @@ class TestSampling:
         with pytest.raises(ValueError, match="block_reps must be a positive integer"):
             _block_means(ROBUST_PROTOCOL.plus, 0.4, r, FIG_PARAMS, *schedule)
 
+    @pytest.mark.parametrize(
+        "t_start, duration_s, message",
+        [
+            (math.nan, 5.0, "t_start must be finite"),
+            (math.inf, 5.0, "t_start must be finite"),
+            (-math.inf, 5.0, "t_start must be finite"),
+            (0.0, -5.0, "duration_s must be nonnegative and finite"),
+            (0.0, math.nan, "duration_s must be nonnegative and finite"),
+            (0.0, math.inf, "duration_s must be nonnegative and finite"),
+        ],
+    )
+    @pytest.mark.parametrize("drifts", [None, {"alpha": lambda t: max(0.8 - 0.02 * t, 0.5)}])
+    def test_block_times_must_be_finite_and_forward(self, t_start, duration_s, message, drifts):
+        # duration_s = -5 ran the blocks backward, t_start = nan was blamed on
+        # alpha, and t_start = inf under the clamped drift drew counts.
+        r = RatePair(1.0, 3.0)
+        schedule = (drifts, t_start, duration_s)
+        rng = np.random.default_rng(7)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            sample_signals(ROBUST_PROTOCOL.plus, 0.4, r, FIG_PARAMS, rng, *schedule)
+        assert rng.bit_generator.state == before
+        with pytest.raises(ValueError, match=message):
+            _block_means(ROBUST_PROTOCOL.plus, 0.4, r, FIG_PARAMS, *schedule)
+
     def test_drift_blocks_reproducible_and_consistent(self):
         r = RatePair(1.0, 3.0)
         drifts = {"alpha": lambda t: 0.8 - 0.02 * t}
@@ -583,6 +610,46 @@ class TestStackedSampler:
 
         few, many = SignalParams(repetitions_R=10**4), SignalParams(repetitions_R=10**6)
         assert count(few) == count(many) <= 1  # 10 and 1,000 blocks
+
+    def test_only_drift_callables_run_once_per_block(self):
+        # Calls made from signals' own frames: at most one per block per
+        # drift callable, plus a number that does not grow with the blocks.
+        def calls(params):
+            count = 0
+
+            def profile(frame, event, arg):
+                nonlocal count
+                caller = frame.f_back if event == "call" else frame
+                if event in ("call", "c_call") and caller.f_code.co_filename == signals.__file__:
+                    count += 1
+
+            sys.setprofile(profile)
+            try:
+                sample_signals(
+                    ROBUST_PROTOCOL.plus, 0.4, RatePair(1.0, 3.0), params,
+                    np.random.default_rng(2), drifts=SAMPLER_DRIFTS["eta"],
+                    t_start=1.0, duration_s=5.0,
+                )
+            finally:
+                sys.setprofile(None)
+            return count
+
+        few, many = SignalParams(repetitions_R=10**4), SignalParams(repetitions_R=10**6)
+        drift_callables = len(SAMPLER_DRIFTS["eta"])
+        assert calls(many) - drift_callables * 1000 <= calls(few) - drift_callables * 10
+
+    @pytest.mark.parametrize("duration_s", [1e-7, 123456.789])
+    def test_drift_callables_get_float_block_times(self, duration_s):
+        seen = []
+        drifts = {"alpha": lambda t: seen.append(t) or 0.8}
+        sample_signals(
+            ROBUST_PROTOCOL.plus, 0.4, RatePair(1.0, 3.0), SignalParams(repetitions_R=19997),
+            np.random.default_rng(2), drifts=drifts, t_start=0.1, duration_s=duration_s,
+            block_reps=997,
+        )
+        n_blocks = math.ceil(19997 / 997)
+        assert seen == [0.1 + (b + 0.5) / n_blocks * duration_s for b in range(n_blocks)]
+        assert {type(t) for t in seen} == {float}
 
 
 FIELD_ORDER = [f.name for f in dataclasses.fields(SignalParams)]
