@@ -30,11 +30,15 @@ rescales the cost, so the deterministic optimizer minimizes the cost at
 unit sigma_M.  The cost separates into 1-D tables over a log delay grid
 (a, b and the G-^2 b^2 + G+^2 a^2 term over tau_plus, the rest over
 tau_minus), so that optimizer, used between iterations, takes an exact
-bounded argmin.  Per block of grid cells, the tables' minima and maxima
-bound a d and b c by interval arithmetic; the bound on |a d - b c| follows,
-so does a lower bound on the block's cost, and blocks bounded above a
-probed cell are skipped.  The rest are evaluated, and np.argmin's cell is
-returned, ties going to the smallest tau_plus, then tau_minus.  A
+bounded argmin.  A branch's tables depend only on its measurement
+(_branch_tables), so a ranking builds them once per measurement.  Per
+block of grid cells, the tables' minima and maxima bound a d and b c by
+interval arithmetic; the bound on |a d - b c| follows, so does a lower
+bound on the block's cost, and blocks bounded above a probed cell are
+skipped.  The same two bounds prune twice: 24x24-cell blocks, then the
+6x6-cell blocks inside the coarse ones that survive.  The cells of the
+fine blocks left are evaluated, and np.argmin's cell is returned, ties
+going to the smallest tau_plus, then tau_minus.  A
 stochastic particle-cloud optimizer, the alternative, maximizes a
 variance-proxy utility over the cloud: with the cloud's rate terms built
 once, per block of candidate delays one two-branch kernel call over the
@@ -246,43 +250,46 @@ def gaussian_sigma(delays, rates, sigma_m, curves):
     )
 
 
-def _gradient_tables(taus, rates, curves):
-    """Per-branch gradients over a 1-D delay array."""
-    g_pp, g_pm = curves.gradient(taus, rates, "+")
-    g_mp, g_mm = curves.gradient(taus, rates, "-")
-    return (np.asarray(g_pp), np.asarray(g_pm)), (np.asarray(g_mp), np.asarray(g_mm))
+def _branch_tables(taus, rates, gradient, sigma):
+    """One branch's cost tables over `taus`, from its measurement's gradient there:
+    (x, y, G-^2 y^2 + G+^2 x^2) with (x, y) = (dM/dG+, dM/dG-) / sigma_M.
+
+    `sigma`, the branch's sigma_M, is a scalar, an array over taus or a
+    callable of the delay array.  The tables do not depend on the slot.
+    """
+    values = np.asarray(sigma(taus) if callable(sigma) else sigma, dtype=float)
+    values = np.broadcast_to(values, taus.shape)
+    if not np.all(values > 0.0):
+        raise ValueError("sigma_m entries must be positive")
+    gp, gm = map(float, _unpack(rates))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x, y = (np.asarray(g) / values for g in gradient)
+        return x, y, gm**2 * y**2 + gp**2 * x**2
 
 
-def _sigma_arrays(sigma_m, taus):
-    out = []
-    for entry in sigma_m:
-        values = np.asarray(entry(taus) if callable(entry) else entry, dtype=float)
-        values = np.broadcast_to(values, taus.shape)
-        if not np.all(values > 0.0):
-            raise ValueError("sigma_m entries must be positive")
-        out.append(values)
-    return out
+def _curve_tables(grid, rates, sigma_m, curves):
+    """Both branches' _branch_tables over the grid: the plus branch's, then the minus branch's."""
+    taus = grid.taus
+    return tuple(
+        _branch_tables(taus, rates, curves.gradient(taus, rates, branch), sigma)
+        for branch, sigma in zip(BRANCHES, sigma_m)
+    )
 
 
-def _cost_kernel(grid, rates, sigma_m, timing, curves):
+def _cost_kernel(grid, rates, timing, plus_branch, minus_branch):
     """The cost's 1-D tables and its cell function over a delay grid.
 
-    Returns ((a, b, c, d), (plus, minus), cells):
-    (a, b, c, d) = (dM+/dG+, dM+/dG-, dM-/dG+, dM-/dG-) / sigma_M, the plus
-    branch's gradients over the tau_plus axis and the minus branch's over
-    the tau_minus axis; plus = G-^2 b^2 + G+^2 a^2, minus = G-^2 d^2 + G+^2 c^2;
+    The two arguments are the branches' _branch_tables.  Returns
+    ((a, b, c, d), (plus, minus), cells): (a, b, c, d) =
+    (dM+/dG+, dM+/dG-, dM-/dG+, dM-/dG-) / sigma_M, the plus branch's
+    gradients over the tau_plus axis and the minus branch's over the
+    tau_minus axis; plus = G-^2 b^2 + G+^2 a^2, minus = G-^2 d^2 + G+^2 c^2;
     and cells(r, c), the cost at (tau_plus_r, tau_minus_c), infinite where
     the Jacobian is singular.
     """
     taus = grid.taus
-    (g_pp, g_pm), (g_mp, g_mm) = _gradient_tables(taus, rates, curves)
-    s_plus, s_minus = _sigma_arrays(sigma_m, taus)
+    (a, b, plus), (c, d, minus) = plus_branch, minus_branch
     gp, gm = map(float, _unpack(rates))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, b = g_pp / s_plus, g_pm / s_plus
-        c, d = g_mp / s_minus, g_mm / s_minus
-        plus = gm**2 * b**2 + gp**2 * a**2
-        minus = gm**2 * d**2 + gp**2 * c**2
 
     def cells(row, col):
         t = timing.duration_seconds(taus[row], taus[col])
@@ -301,7 +308,7 @@ def cost_surface(grid, rates, sigma_m, timing, curves):
     shot-noise uncertainties that vary with tau are supported.  Cells whose
     information matrix is singular get infinite cost.
     """
-    *_, cells = _cost_kernel(grid, rates, sigma_m, timing, curves)
+    *_, cells = _cost_kernel(grid, rates, timing, *_curve_tables(grid, rates, sigma_m, curves))
     index = np.arange(grid.taus.size)
     return cells(*np.ix_(index, index))
 
@@ -315,14 +322,23 @@ def approx_cost_surface(grid, rates, timing, curves):
     return cost_surface(grid, rates, (1.0, 1.0), timing, curves)
 
 
-# _bounded_argmin's block edge (the last block is clipped) and probe stride,
-# both measured on fig2 NOB states and the fig7 ranking.
-_BLOCK = 12
+# _bounded_argmin's coarse and fine block edges (the last block of each is
+# clipped; _FINE divides _BLOCK) and its probe stride.  Measured on the
+# fig7 ranking and sweep (in process, one CPU): one level of 6, 8, 12, 16
+# or 24-cell blocks took 2.9, 1.7, 1.3, 1.4 and 1.7 times as long as 24
+# refined to 6; coarse blocks of 30 or 36, or fine ones of 4, were within
+# noise of it, fine ones of 8 or 12 slower.
+_BLOCK = 24
+_FINE = 6
 _PROBE = 24
 
 
-def _det_bound(tables, starts):
+def _det_bound(tables, starts, rows, cols):
     """Per block pair, the largest |a[r] d[c] - b[r] c[c]| a cell can compute.
+
+    The blocks start at `starts` on both axes; `rows` and `cols` are the
+    pairs' block indices on the tau_plus and tau_minus axes, arrays that
+    broadcast to the result's shape.
 
     Interval arithmetic (Moore 1966): over a block pair a d spans the
     products of a's and d's block minima and maxima, b c likewise, and
@@ -339,19 +355,25 @@ def _det_bound(tables, starts):
     )
 
     def span(row, col):
-        """Block-pair minimum and maximum of the table products row[r] col[c]."""
-        ends_row, ends_col = ends[row][:, None, :, None], ends[col][None, :, None, :]
-        products = (ends_row * ends_col).reshape(4, starts.size, starts.size)
-        return products.min(axis=0), products.max(axis=0)
+        """Per block pair, the minimum and maximum of the table products row[r] col[c]."""
+        (row_lo, row_hi), (col_lo, col_hi) = ends[row][:, rows], ends[col][:, cols]
+        p = row_lo * col_lo, row_lo * col_hi, row_hi * col_lo, row_hi * col_hi
+        # Pairwise, not a reduction over a stacked axis of 4: several times faster.
+        return (
+            np.minimum(np.minimum(p[0], p[1]), np.minimum(p[2], p[3])),
+            np.maximum(np.maximum(p[0], p[1]), np.maximum(p[2], p[3])),
+        )
 
     (ad_lo, ad_hi), (bc_lo, bc_hi) = span(0, 3), span(1, 2)
     return np.maximum(np.abs(ad_lo - bc_hi), np.abs(ad_hi - bc_lo))
 
 
-def _bounded_argmin(grid, rates, sigma_m, timing, curves):
+def _bounded_argmin(grid, rates, sigma_m, timing, curves, branches=None):
     """np.argmin's (i, j, value) of cost_surface, bit for bit, by branch and bound.
 
-    With _cost_kernel's tables, up to rounding,
+    `branches`, both branches' _branch_tables prebuilt over the grid at
+    these rates, stands in for sigma_m and curves.  With _cost_kernel's
+    tables, up to rounding,
 
         cells(r, c) = sqrt(t(r, c) (plus[r] + minus[c])) / (G+ G- |a[r] d[c] - b[r] c[c]|),
 
@@ -360,44 +382,61 @@ def _bounded_argmin(grid, rates, sigma_m, timing, curves):
     on |a d - b c| (_det_bound) bound a block from below (Land and Doig
     1960).  The interval bound, unlike max|a| max|d| + max|b| max|c|, sees
     a d and b c cancel where the tables share a sign, as the robust
-    protocol's do.  Blocks bounded above the best probe cell are skipped;
-    the rest are evaluated in one cells call.  Every block is evaluated
-    when a table is not finite, G+ G- <= 0, or no probe cell is finite.
+    protocol's do.  The search prunes in two levels with this one bound:
+    first every pair of _BLOCK-cell blocks, then the pairs of _FINE-cell
+    blocks inside the coarse pairs that survive, each against the best
+    probe cell; the cells of the fine pairs that survive are evaluated in
+    one cells call.  Nothing is pruned when a table is not finite,
+    G+ G- <= 0, or no probe cell is finite.
     """
     taus = grid.taus
     n = taus.size
-    starts = np.arange(0, n, _BLOCK)
-    keep = np.ones((starts.size, starts.size), dtype=bool)
     gp, gm = map(float, _unpack(rates))
-    tables, (plus, minus), cells = _cost_kernel(grid, rates, sigma_m, timing, curves)
+    if branches is None:
+        branches = _curve_tables(grid, rates, sigma_m, curves)
+    tables, (plus, minus), cells = _cost_kernel(grid, rates, timing, *branches)
+    upper = np.inf  # prunes nothing
     if gp * gm > 0.0 and all(np.isfinite(x).all() for x in (plus, minus, *tables)):
         probe = np.arange(0, n, _PROBE)
         upper = cells(*np.ix_(probe, probe)).min()
-        if np.isfinite(upper):
-            plus, minus = (np.minimum.reduceat(x, starts) for x in (plus, minus))
-            t = timing.duration_seconds(*np.ix_(taus[starts], taus[starts]))
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                det = _det_bound(tables, starts)
-                bound = np.sqrt(t * np.add.outer(plus, minus)) / (gp * gm * det)
-            # The bound repeats the cells' rounded operations with t, plus and
-            # minus no larger and |det| no smaller than at any cell of its
-            # block, so it is below each of them (rounding is monotone); the
-            # slack is a margin on top.  A NaN bound keeps its block.
-            keep = ~(bound * (1.0 - 1e-9) > upper)
-    block_rows, block_cols = np.nonzero(keep)
-    offsets = np.arange(_BLOCK)
-    row = np.minimum(starts[block_rows, None] + offsets, n - 1)[:, :, None]
-    col = np.minimum(starts[block_cols, None] + offsets, n - 1)[:, None, :]
+
+    def survivors(edge, rows, cols):
+        """Of the block pairs (rows, cols), broadcast, the ones inside the
+        grid whose lower bound does not exceed `upper`, as flat arrays."""
+        starts = np.arange(0, n, edge)
+        inside = (rows < starts.size) & (cols < starts.size)
+        row, col = np.minimum(rows, starts.size - 1), np.minimum(cols, starts.size - 1)
+        low_plus, low_minus = (np.minimum.reduceat(x, starts) for x in (plus, minus))
+        t = timing.duration_seconds(taus[starts[row]], taus[starts[col]])
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            det = _det_bound(tables, starts, row, col)
+            bound = np.sqrt(t * (low_plus[row] + low_minus[col])) / (gp * gm * det)
+        # The bound repeats the cells' rounded operations with t, plus and
+        # minus no larger and |det| no smaller than at any cell of its block,
+        # so it is below each of them (rounding is monotone); the slack is a
+        # margin on top.  A NaN bound, or a NaN or infinite upper, keeps the block.
+        keep = ~(bound * (1.0 - 1e-9) > upper) & inside
+        return tuple(x[keep] for x in np.broadcast_arrays(rows, cols))
+
+    count, split = -(-n // _BLOCK), _BLOCK // _FINE
+    rows, cols = survivors(_BLOCK, np.arange(count)[:, None], np.arange(count))
+    # Each surviving coarse pair's fine pairs as (row, 1, pair) against
+    # (1, col, pair): the pair axis last keeps numpy's inner loops long.
+    sub = np.arange(split)[:, None]
+    rows, cols = survivors(_FINE, (rows * split + sub)[:, None], cols * split + sub)
+    # The surviving blocks' cells, laid out as their pairs are above.
+    offsets = np.arange(_FINE)[:, None]
+    row = np.minimum(rows * _FINE + offsets, n - 1)[:, None]
+    col = np.minimum(cols * _FINE + offsets, n - 1)
     values = cells(row, col)
     low = values.min()
     # A NaN minimum makes every NaN cell a hit, as in np.argmin; the first
     # hit in (tau_plus, tau_minus) order wins.
-    hits = np.flatnonzero(np.isnan(values) if np.isnan(low) else values == low)
-    k, r, c = np.unravel_index(hits, values.shape)
-    flat = row[k, r, 0] * n + col[k, 0, c]
+    hits = np.isnan(values) if np.isnan(low) else values == low
+    flat = (row * n + col)[hits]
     first = np.argmin(flat)
     i, j = divmod(int(flat[first]), n)
-    return i, j, float(values.flat[hits[first]])
+    return i, j, float(values[hits][first])
 
 
 def nob_select_delays(rates, timing, curves, grid=DEFAULT_GRID):

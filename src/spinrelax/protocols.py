@@ -45,12 +45,13 @@ this one kernel and its analytic gradient, so no protocol is a special case.
 Ranking evaluates the shot-noise uncertainty of M from expected photon
 counts over the delay grid once per distinct measurement (the 36
 protocols pair 9 measurements, so one ranking builds 9 sigma_M tables and
-the ratio sweep 4, one row per ratio), minimizes every independent
-protocol's time-normalized sensitivity cost over the grid with those
-tables, and reports each minimal cost relative to the best-known
-reference pair.  Each set of tables, and each census probe, takes its
-counts from one _signal_counts call over the signals it needs.
-Rates are checked by RatePair before any table is built.
+the ratio sweep 4, one row per ratio), builds each measurement's cost
+tables (design._branch_tables) from it once, minimizes every independent
+protocol's time-normalized sensitivity cost over the grid with its two
+measurements' tables, and reports each minimal cost relative to the
+best-known reference pair.  Each set of sigma_M tables, and each census
+probe, takes its counts from one _signal_counts call over the signals it
+needs.  Rates are checked by RatePair before any table is built.
 """
 
 from __future__ import annotations
@@ -60,7 +61,14 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .design import DEFAULT_GRID, BranchCurves, DelayPair, TimingModel, _bounded_argmin
+from .design import (
+    DEFAULT_GRID,
+    BranchCurves,
+    DelayPair,
+    TimingModel,
+    _bounded_argmin,
+    _branch_tables,
+)
 from .estimator import sigma_m_from_expectations
 from .rates import RatePair, _gradient, _pair_values, _unpack
 from .signals import (
@@ -308,6 +316,17 @@ def _sigma_tables(protocols, rates, params, grid):
     return {m: sigma_m_from_expectations(*e)[1] for m, e in zip(measurements, expectations)}
 
 
+def _cost_tables(sigma_tables, rates, grid):
+    """Each measurement's cost tables over the grid (design._branch_tables) from
+    its sigma_M table in `sigma_tables`: one _gradient call per measurement."""
+    taus = grid.taus
+    mixes = {m: _CLASS_MIX[_measurement_class_key(m)] for m in sigma_tables}
+    return {
+        m: _branch_tables(taus, rates, _gradient(taus, rates, *mixes[m]), sigma)
+        for m, sigma in sigma_tables.items()
+    }
+
+
 def _checked_rates(rates):
     """`rates` unchanged, once RatePair has accepted them as positive and finite."""
     if not isinstance(rates, RatePair):
@@ -323,15 +342,16 @@ def minimal_cost(protocol, rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID
     TimingModel(params.repetitions_R): the cell and value of np.argmin over
     the full surface, ties going to the smallest tau_plus, then tau_minus.
     Rates outside RatePair's domain raise ValueError.  `_tables` holds
-    the protocol's two sigma_M tables at the same rates, params and grid
-    (rank_protocols' _sigma_tables, or one ratio's row of the ratio
-    sweep's); by default the protocol's own two are built.
+    the cost tables (_cost_tables) of the protocol's two measurements at
+    the same rates, params and grid (rank_protocols', or one ratio's of
+    the ratio sweep); by default the protocol's own two are built.
     """
     rates = _checked_rates(rates)
-    tables = _tables if _tables is not None else _sigma_tables([protocol], rates, params, grid)
+    if _tables is None:
+        _tables = _cost_tables(_sigma_tables([protocol], rates, params, grid), rates, grid)
     timing = TimingModel(repetitions_R=params.repetitions_R)
-    sigma_m = (tables[protocol.plus], tables[protocol.minus])
-    i, j, value = _bounded_argmin(grid, rates, sigma_m, timing, measurement_curves(protocol))
+    branches = (_tables[protocol.plus], _tables[protocol.minus])
+    i, j, value = _bounded_argmin(grid, rates, None, timing, None, branches)
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j])), value
 
 
@@ -340,19 +360,23 @@ def rank_protocols(rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID):
 
     Ratios are relative to the reference pair probing both diagonal bright
     entries, which is expected to rank first; rate-insensitive protocols
-    get infinite cost and sort last.
+    get infinite cost and sort last.  A reference cost that is not finite
+    raises RuntimeError naming the rates, the grid's span and how many
+    protocols have a finite cost.
     """
     protocols = enumerate_protocols()
-    tables = _sigma_tables(protocols, _checked_rates(rates), params, grid)
-    results = []
-    reference_cost = None
-    for protocol in protocols:
-        delays, value = minimal_cost(protocol, rates, params, grid, _tables=tables)
-        results.append((protocol, delays, value))
-        if protocol == OPTIMAL_PROTOCOL:
-            reference_cost = value
-    if reference_cost is None or not np.isfinite(reference_cost):
-        raise RuntimeError("reference protocol missing or uninformative")
+    rates = _checked_rates(rates)
+    tables = _cost_tables(_sigma_tables(protocols, rates, params, grid), rates, grid)
+    results = [(p, *minimal_cost(p, rates, params, grid, _tables=tables)) for p in protocols]
+    reference_cost = next(value for p, _, value in results if p == OPTIMAL_PROTOCOL)
+    if not np.isfinite(reference_cost):
+        finite = sum(np.isfinite(value) for *_, value in results)
+        gp, gm = map(float, _unpack(rates))
+        raise RuntimeError(
+            f"reference protocol {OPTIMAL_LABEL} has no finite cost at rates "
+            f"({gp:g}, {gm:g}) /ms over delays {grid.taus[0]:g} to {grid.taus[-1]:g} ms; "
+            f"{finite} of {len(protocols)} protocols have a finite cost"
+        )
     entries = tuple(
         RankingEntry(
             label=protocol.label,
@@ -391,6 +415,8 @@ def sensitivity_ratio_curve(ratios, params=IDEAL_RANKING_PARAMS):
         rates = (np.sqrt(r), 1.0 / np.sqrt(r))
         row = {m: table[k] for m, table in tables.items()}
         usable = all(np.all((t > 0.0) & (t < np.inf)) for t in row.values())
+        if usable:
+            row = _cost_tables(row, rates, DEFAULT_GRID)
         costs = [minimal_cost(p, rates, params, _tables=row)[1] for p in protocols if usable]
         if not (usable and np.all(np.isfinite(costs))):
             raise ValueError(f"rate ratio {r:g} is beyond the counts model's floating-point range")

@@ -26,7 +26,8 @@ Poissons are Poisson); under a drift schedule the four signals are drawn
 interleaved in blocks of repetitions, mirroring how the pulse sequencer
 interleaves them in hardware, which is what makes slow drift cancel.  The
 only code run once per block is the caller's: each drift callable, and a
-background that is a callable of tau, at tau and at 0.  Everything else is
+drifted background that is a callable of tau, at tau and at 0; an
+undrifted callable background is called once at each.  Everything else is
 built as arrays: the block times and repetitions by arange arithmetic,
 each undrifted field in one fill, every field checked in one pass by
 SignalParams' own domain rules, the decays once per delay, the four
@@ -249,12 +250,16 @@ def _stack_blocks(params, drifts=None, times=(None,), reps=None):
     call made once per block; the block repetitions are `reps` (default:
     params' own), and every other field is params', filled in one call.
     Backgrounds are a number array, or an object array when some block's
-    background is a callable of tau.  The first drifted block out of the
-    domain raises, naming its time and field.
+    background is a callable of tau; an undrifted callable is one object
+    seen by every block (a stride-0 view), which _signal_counts calls once.
+    The first drifted block out of the domain raises, naming its time and
+    field.
     """
     drifts = drifts or {}
     _check_drift_fields(drifts)
     columns = {name: np.full(len(times), getattr(params, name)) for name in _DRIFTABLE}
+    if callable(params.background):
+        columns["background"] = np.broadcast_to(np.array(params.background), len(times))
     columns.update({name: np.array([fn(t) for t in times]) for name, fn in drifts.items()})
     blocks = SimpleNamespace(
         **columns,
@@ -312,12 +317,13 @@ def _signal_counts(signals, tau, rates, blocks):
     modes = [(np.ones(3), 3.0)] + [
         (v[..., None, :], n2[..., None]) for v, n2 in _eigenvectors(terms.gp, terms.gm, terms.g)
     ]
-    # One row per block, moved to the last axis beside the delay axes.
-    if blocks.background.dtype == object:
+    # One row per block, moved to the last axis beside the delay axes; a
+    # background every block shares (stride 0) is one row that broadcasts.
+    background = blocks.background
+    if background.dtype == object:
+        background = background[:1] if background.strides == (0,) else background
         background_tau, background_zero = (
-            np.moveaxis(
-                np.array([b(t) if callable(b) else b for b in blocks.background], float), 0, -1
-            )
+            np.moveaxis(np.array([b(t) if callable(b) else b for b in background], float), 0, -1)
             for t in (tau, 0.0)
         )
     else:

@@ -227,6 +227,15 @@ class TestExitCodes:
         assert run_in(tmp_path / "runs", argv) == (EXIT_RUNTIME, None)
         assert "rate ratio 1e+100 is beyond" in capsys.readouterr().err
 
+    def test_no_finite_cost_names_rates_grid_and_count(self, tmp_path, capsys):
+        # Every cost is infinite at these rates; the message was only
+        # "reference protocol missing or uninformative".
+        argv = ["rank-protocols", "--rates", "1e6,1e6"]
+        assert run_in(tmp_path / "runs", argv) == (EXIT_RUNTIME, None)
+        err = capsys.readouterr().err
+        assert "at rates (1e+06, 1e+06) /ms over delays 0.003 to 5.5 ms" in err
+        assert "0 of 36 protocols have a finite cost" in err
+
     @pytest.mark.parametrize("given", [("ratio_hi",), ("ratio_lo", "ratio_points")])
     def test_partial_ratio_sweep_names_missing_fields(self, tmp_path, capsys, given):
         sweep = {"ratio_lo": 0.125, "ratio_hi": 4.0, "ratio_points": 25}

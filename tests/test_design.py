@@ -21,6 +21,7 @@ from spinrelax.design import (
     UninformativeDesign,
     _BLOCK,
     _DELAYS,
+    _FINE,
     _bounded_argmin,
     _branch_variances,
     _det_bound,
@@ -561,18 +562,24 @@ class TestIntervalBound:
     def test_det_bound_covers_every_rounded_cell(self, size, kind, seed):
         # The cells compute a[r] * d[c] - b[r] * c[c] in this order.
         a, b, c, d = synthetic_tables(np.random.default_rng(seed), DelayGrid.default(size).taus, kind)
-        starts = np.arange(0, size, _BLOCK)
-        block = np.arange(size) // _BLOCK
         det = np.abs(np.multiply.outer(a, d) - np.multiply.outer(b, c))
-        assert np.all(det <= _det_bound((a, b, c, d), starts)[np.ix_(block, block)])
+        # Both pruning levels: every block pair of each level's edge.
+        for edge in (_BLOCK, _FINE):
+            starts = np.arange(0, size, edge)
+            block = np.arange(size) // edge
+            rows, cols = np.divmod(np.arange(starts.size**2), starts.size)
+            bound = _det_bound((a, b, c, d), starts, rows, cols).reshape(starts.size, starts.size)
+            assert np.all(det <= bound[np.ix_(block, block)])
 
 
 class TestPruning:
     """Cells the bounded argmin evaluates, probe included, at the fig2 and fig7 inputs.
 
     The ceilings sit 2 to 3% above the counts measured with the interval
-    bound (18,612 and 23,364); the triangle bound max|a| max|d| + max|b| max|c|
-    on 20-cell blocks evaluated 120,800 and 49,200.
+    bound pruning 24-cell blocks, then 6-cell blocks inside the survivors
+    (9,252 and 11,700, the probe's 1,764 included).  One level of 12-cell
+    blocks evaluated 18,612 and 23,364; the triangle bound
+    max|a| max|d| + max|b| max|c| on 20-cell blocks 120,800 and 49,200.
     """
 
     @pytest.fixture
@@ -594,11 +601,11 @@ class TestPruning:
 
     def test_fig2_truth(self, counted):
         nob_select_delays(RATES, TIMING, measurement_curves(ROBUST_PROTOCOL))
-        assert 0 < counted[0] <= 19_000
+        assert 0 < counted[0] <= 9_500
 
     def test_fig7_optimal_protocol(self, counted):
         minimal_cost(OPTIMAL_PROTOCOL, RATES)
-        assert 0 < counted[0] <= 24_000
+        assert 0 < counted[0] <= 12_000
 
 
 class TestNobSelect:

@@ -456,6 +456,19 @@ class TestSigmaTables:
         # The sweep's 4 measurements: one table each, one row per ratio.
         assert shapes == [(3, size)] * 4
 
+    def test_one_gradient_table_per_distinct_measurement(self, monkeypatch):
+        calls = []
+        original = protocols._gradient
+
+        def counting(tau, *args):
+            calls.append(np.shape(tau))
+            return original(tau, *args)
+
+        monkeypatch.setattr(protocols, "_gradient", counting)
+        rank_protocols(RatePair(1.0, 3.0))
+        # The 36 protocols' 72 slots hold 9 measurements: one grid-wide gradient each.
+        assert calls == [DelayGrid.default().taus.shape] * 9
+
     def test_one_counts_call_per_table_set(self, monkeypatch):
         calls = []
         original = protocols._signal_counts

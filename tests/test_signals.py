@@ -557,6 +557,26 @@ class TestStackedSampler:
         )
         self.assert_same_as_loop(meas, 0.4, FIG_PARAMS)
 
+    def test_shared_callable_background_is_called_once_per_delay(self):
+        # An undrifted callable background is the same object in every one of
+        # the 1,000 blocks: it is called once at tau and once at 0, and the
+        # counts and generator state are the block-by-block loop's.
+        calls = []
+
+        def background(tau):
+            calls.append(tau)
+            return 0.002 + 0.001 * tau
+
+        params = SignalParams(background=background)
+        meas, rates = ROBUST_PROTOCOL.plus, RatePair(1.0, 3.0)
+        schedule = (SAMPLER_DRIFTS["alpha"], 1.0, 5.0)
+        rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
+        got = sample_signals(meas, 0.4, rates, params, rng_new, *schedule)
+        assert calls == [0.4, 0.0]
+        want, _ = looped_sample_signals(meas, 0.4, rates, params, rng_old, *schedule)
+        assert got.tolist() == want
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
     def test_negative_background_names_signal_delay_and_block(self):
         meas = ROBUST_PROTOCOL.plus
         # Negative at tau > 0 from the third of four blocks on (t = 11, 13, 15, 17 s).
