@@ -136,8 +136,8 @@ def measurement_estimate(counts):
 
     `counts` is a length-4 array of nonnegative counts in expected_signals'
     column order: first and second signal at tau, then at tau = 0, as
-    sample_signals returns them.  Expects the signal pair ordered so the
-    expected tau = 0 difference is positive (see Measurement.oriented); a
+    sample_signals returns them.  Expects the self-reverting signal first
+    (Measurement.oriented), whose expected tau = 0 difference is positive; a
     sampled nonpositive denominator is still estimated, and flagged via
     RatioEstimate.delta_nonpositive.  The one-row case of _estimates.
     """
@@ -228,11 +228,11 @@ def bias_study(
     rows = []
     m_true = None
     delta_unit = None
+    meas = ROBUST_PROTOCOL.plus.oriented()
     for r in r_values:
         # SignalParams rejects a non-whole r and keeps a whole one as an int.
         params_r = replace(params, repetitions_R=r)
         r = params_r.repetitions_R
-        meas = ROBUST_PROTOCOL.plus.oriented(params_r)
         mean_1t, mean_2t, mean_10, mean_20 = expected_signals(meas, tau, rates, params_r)[0]
         delta_true = float(mean_10 - mean_20)
         z_true = 1.0 / delta_true

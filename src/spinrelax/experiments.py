@@ -303,8 +303,8 @@ class _Run:
         self.timing = config.timing or TimingModel(config.params.repetitions_R)
         self.curves = measurement_curves(config.protocol)
         self.prior = initial_grid(bounds=config.prior_bounds, size=config.grid_size)
-        self.plus = config.protocol.plus.oriented(config.params)
-        self.minus = config.protocol.minus.oriented(config.params)
+        self.plus = config.protocol.plus.oriented()
+        self.minus = config.protocol.minus.oriented()
         self.workspace = _Workspace()
         self._static = {}
         self.records = []

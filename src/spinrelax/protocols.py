@@ -50,8 +50,8 @@ tables (design._branch_tables) from it once, minimizes every independent
 protocol's time-normalized sensitivity cost over the grid with its two
 measurements' tables, and reports each minimal cost relative to the
 best-known reference pair.  Each set of sigma_M tables, and each census
-probe, takes its counts from one _signal_counts call over the signals it
-needs.  Rates are checked by RatePair before any table is built.
+probe, takes its counts from one signals._four_counts call over pairs put
+bright first by Measurement.oriented.  Rates are checked before any table.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ from .signals import (
     Measurement,
     ProtocolSpec,
     SignalParams,
-    _signal_counts,
-    _stack_blocks,
+    _four_counts,
 )
 
 __all__ = [
@@ -101,14 +100,6 @@ IDEAL_RANKING_PARAMS = replace(SignalParams(), alpha=1.0, eta_plus=0.0, eta_minu
 # Probe lattice edge of the census's checks and tolerance of its class-kernel check.
 _PROBE_SIZE = 5
 _KERNEL_TOL = 1e-12
-
-
-def _oriented_signals(measurement):
-    """Signals ordered bright (self-reverting) first."""
-    first, second = measurement.first, measurement.second
-    if first[0] == first[1]:
-        return first, second
-    return second, first
 
 
 # Class key -> (a, b) of the class's mixing rate x = a gamma_plus + b gamma_minus.
@@ -176,8 +167,8 @@ def _measurement_class_key(measurement):
     a dark prep/read transpose probes the mirror entry of a symmetric
     propagator, so neither changes the normalized model function.
     """
-    bright, dark = _oriented_signals(measurement)
-    return bright[0], tuple(sorted(dark))
+    oriented = measurement.oriented()
+    return oriented.first[0], tuple(sorted(oriented.second))
 
 
 def _canonical_measurement(key):
@@ -203,13 +194,10 @@ def enumerate_protocols():
 
 
 def _expectations(measurements, tau, rates, params):
-    """Per measurement, (bright, dark) expected counts at tau, then at 0 (scalars), from
-    one _signal_counts call over the distinct signals; tau and rates may be arrays."""
-    oriented = [_oriented_signals(m) for m in measurements]
-    signals = list(dict.fromkeys(s for pair in oriented for s in pair))
-    counts = _signal_counts(signals, tau, rates, _stack_blocks(params))
-    counts = {s: (at_tau[..., 0], at_zero[0]) for s, (at_tau, at_zero) in zip(signals, counts)}
-    return [(counts[b][0], counts[d][0], counts[b][1], counts[d][1]) for b, d in oriented]
+    """Per measurement, its oriented four counts (signals._four_counts) under one
+    SignalParams: (bright, dark) at tau, then at 0 (scalars); tau and rates may be arrays."""
+    fours = _four_counts([m.oriented() for m in measurements], tau, rates, params)
+    return [(b[..., 0], d[..., 0], b0[0], d0[0]) for b, d, b0, d0 in fours]
 
 
 def _normalized(measurements, tau, rates, params):

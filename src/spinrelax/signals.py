@@ -35,8 +35,8 @@ expected counts of every block in one stacked computation, and the counts
 in one Poisson draw over the (blocks, 4) means.  A
 measurement's four counts travel as one length-4 array, in the column order
 of `expected_signals`: first and second signal at tau, then at tau = 0.
-`_signal_counts` builds every expected count: a measurement's four in
-`expected_signals`, whole sets of measurements in protocols.
+`_signal_counts` builds every expected count, `_four_counts` assembles every
+measurement's four from one such call, and `Measurement.oriented` orders a pair.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .design import _check_positive_int
-from .rates import RatePair, _check_tau, _decays, _eigenvectors, _rate_terms
+from .rates import _check_tau, _decays, _eigenvectors, _rate_terms
 
 __all__ = [
     "STATES",
@@ -77,9 +77,10 @@ _BLOCK_REPS = 1000
 
 
 def _nonnegative_or_callable(values):
-    # An object array holds some block's callable background; a float array none.
+    # Object arrays hold callable backgrounds; an undrifted one (stride 0) is checked once.
     if values.dtype == object:
-        values = np.array([0.0 if callable(b) else b for b in values])
+        shared = values[:1] if values.strides == (0,) else values
+        values = np.broadcast_to([0.0 if callable(b) else b for b in shared], values.shape)
     return (values >= 0.0) & np.isfinite(values)
 
 
@@ -173,10 +174,10 @@ class Measurement:
     """A signal pair (first, second), each a (prep, read) label tuple.
 
     The normalized measurement is (first - second)(tau) / (first - second)(0);
-    it only carries information when exactly one of the two signals re-reads
-    the pumped |0> population at tau = 0 (readout pulse undoing the
-    preparation pulse), which is also what keeps the tau = 0 denominator
-    nonzero over the whole valid parameter domain.
+    it only carries information when exactly one of the two signals is
+    self-reverting (prep == read: the readout pulse undoes the preparation
+    pulse, so at tau = 0 it re-reads the pumped |0> population), which keeps
+    the tau = 0 denominator nonzero over the whole valid parameter domain.
     """
 
     first: tuple
@@ -200,11 +201,11 @@ class Measurement:
     def label(self):
         return f"({self.first[0]}{self.first[1]},{self.second[0]}{self.second[1]})"
 
-    def oriented(self, params):
-        """Order the pair so the expected tau = 0 difference is positive."""
-        anchor = RatePair(1.0, 1.0)  # tau = 0 expectations do not involve rates
-        first, second = expected_signals(self, 0.0, anchor, params)[0, 2:]
-        if first >= second:
+    def oriented(self):
+        """The pair with its self-reverting signal first, by the labels: at tau = 0
+        it returns more of the pumped |0> population to |0>, the brightest state,
+        than the transfer signal does, so (first - second)(0) > 0 over the domain."""
+        if self.first[0] == self.first[1]:
             return self
         return Measurement(self.second, self.first)
 
@@ -251,7 +252,7 @@ def _stack_blocks(params, drifts=None, times=(None,), reps=None):
     params' own), and every other field is params', filled in one call.
     Backgrounds are a number array, or an object array when some block's
     background is a callable of tau; an undrifted callable is one object
-    seen by every block (a stride-0 view), which _signal_counts calls once.
+    seen by every block (stride 0): checked once, called once at tau and at 0.
     The first drifted block out of the domain raises, naming its time and
     field.
     """
@@ -285,10 +286,20 @@ def expected_signals(measurement, tau, rates, blocks):
     Each block's value is the same however many delays and blocks are
     evaluated with it, bit for bit.
     """
+    [four] = _four_counts([measurement], tau, rates, blocks)
+    return np.stack(np.broadcast_arrays(*four), axis=-1)
+
+
+def _four_counts(measurements, tau, rates, blocks):
+    """Per measurement, its four counts in expected_signals' column order, from one
+    _signal_counts call over the distinct signals: shapes as _signal_counts'.
+    `blocks` is one SignalParams or a stack from `_stack_blocks`."""
     if isinstance(blocks, SignalParams):
         blocks = _stack_blocks(blocks)
-    first, second = _signal_counts((measurement.first, measurement.second), tau, rates, blocks)
-    return np.stack(np.broadcast_arrays(first[0], second[0], first[1], second[1]), axis=-1)
+    signals = list(dict.fromkeys(s for m in measurements for s in (m.first, m.second)))
+    counts = dict(zip(signals, _signal_counts(signals, tau, rates, blocks)))
+    pairs = ((counts[m.first], counts[m.second]) for m in measurements)
+    return [(first[0], second[0], first[1], second[1]) for first, second in pairs]
 
 
 def _dot3(a, b):

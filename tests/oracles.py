@@ -59,6 +59,13 @@ each delay's full (3, 3) propagator, clipped, pushed through the stacked
 pulse and collection chain by batched matmul; the closed-form counts
 (a constant plus two decays) must match it to rounding, and its tau = 0
 columns bit for bit.
+`zero_delay_oriented` is the orientation rule as first written: the pair
+ordered by its rounded tau = 0 counts, the larger first and the pair as
+given on a tie.  `Measurement.oriented` reads the same order off the
+labels, and must agree with it at interior parameters.  Near the domain's
+edges (alpha just above 1/3, eta just below 1/2, a tiny contrast) the two
+counts can round to a tie or invert, and this rule can put a dark signal
+first.
 `entry_model_value` is a measurement's normalized model read the long way,
 as the bright minus the dark entry of the full (..., 3, 3) propagator stack,
 and `complex_step_gradient` its rate derivatives by complex-step
@@ -97,6 +104,7 @@ from spinrelax.posterior import (
 )
 from spinrelax.rates import (
     BRANCHES,
+    RatePair,
     _check_tau,
     _pair_values,
     _spectral_split,
@@ -108,6 +116,7 @@ from spinrelax.rates import (
 )
 from spinrelax.signals import (
     STATE_INDEX,
+    Measurement,
     SignalParams,
     _block_means,
     _check_drift_fields,
@@ -243,13 +252,22 @@ def expected_measurement(measurement, tau, rates, params):
     Evaluates the four expected signals and propagates shot noise through
     the ratio; vectorized over tau.
     """
-    meas = measurement.oriented(params)
+    meas = measurement.oriented()
     args = (rates, params)
     e1t = expected_counts(meas.first[0], meas.first[1], tau, *args)
     e2t = expected_counts(meas.second[0], meas.second[1], tau, *args)
     e10 = expected_counts(meas.first[0], meas.first[1], 0.0, *args)
     e20 = expected_counts(meas.second[0], meas.second[1], 0.0, *args)
     return sigma_m_from_expectations(e1t, e2t, e10, e20)
+
+
+def zero_delay_oriented(measurement, params):
+    """The pair with the larger expected tau = 0 count first, the pair itself on a tie."""
+    first, second = (
+        expected_counts(prep, read, 0.0, RatePair(1.0, 1.0), params)
+        for prep, read in (measurement.first, measurement.second)
+    )
+    return measurement if first >= second else Measurement(measurement.second, measurement.first)
 
 
 _ROBUST_MEASUREMENTS = {

@@ -131,7 +131,7 @@ def test_criterion_2_drift_insensitivity():
             (ROBUST_PROTOCOL.plus, "+"),
             (ROBUST_PROTOCOL.minus, "-"),
         ):
-            meas = measurement.oriented(params)
+            meas = measurement.oriented()
             normalized = float(
                 expected_difference(meas, tau, rates, params)
                 / expected_difference(meas, 0.0, rates, params)

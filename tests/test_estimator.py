@@ -199,7 +199,7 @@ class TestMeasurementEstimate:
         # Sampled estimates at the reference configuration should average
         # to the noiseless normalized difference within the standard error.
         rng = np.random.default_rng(11)
-        meas = ROBUST_PROTOCOL.plus.oriented(FIG_PARAMS)
+        meas = ROBUST_PROTOCOL.plus.oriented()
         tau = 0.4
         truth = expected_difference(meas, tau, RATES, FIG_PARAMS) / expected_difference(
             meas, 0.0, RATES, FIG_PARAMS
@@ -263,7 +263,7 @@ class TestBiasStudy:
         replicates, r = 20000, 10000
         counts = bias_study(FIG_PARAMS, RATES, 0.4, [r], replicates=replicates, seed=13)
         params = replace(FIG_PARAMS, repetitions_R=r)
-        means = expected_signals(ROBUST_PROTOCOL.plus.oriented(params), 0.4, RATES, params)[0]
+        means = expected_signals(ROBUST_PROTOCOL.plus.oriented(), 0.4, RATES, params)[0]
         rng = np.random.default_rng(13)
         _, _, s10, s20 = (rng.poisson(mean, size=replicates) for mean in means)
         z_exact, _ = reciprocal_mode((s10 - s20).astype(float), np.sqrt(means[2] + means[3]))

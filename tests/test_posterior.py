@@ -533,8 +533,8 @@ class TestCalibration:
         n_runs, n_iter = 100, 12
         hits_p = hits_m = 0
         rng = np.random.default_rng(77)
-        meas_p = ROBUST_PROTOCOL.plus.oriented(params)
-        meas_m = ROBUST_PROTOCOL.minus.oriented(params)
+        meas_p = ROBUST_PROTOCOL.plus.oriented()
+        meas_m = ROBUST_PROTOCOL.minus.oriented()
         for _ in range(n_runs):
             grid = initial_grid(size=100)
             for _ in range(n_iter):
@@ -562,8 +562,8 @@ class TestCalibration:
     def test_sigma_shrinks_with_updates(self):
         params = SignalParams(repetitions_R=10**6)
         rng = np.random.default_rng(5)
-        meas_p = ROBUST_PROTOCOL.plus.oriented(params)
-        meas_m = ROBUST_PROTOCOL.minus.oriented(params)
+        meas_p = ROBUST_PROTOCOL.plus.oriented()
+        meas_m = ROBUST_PROTOCOL.minus.oriented()
         grid = initial_grid(size=100)
         sigmas = []
         for _ in range(8):

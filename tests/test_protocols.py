@@ -2,7 +2,8 @@
 
 import json
 import re
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from oracles import (
     expm_propagator,
     model_m_optimal,
     one_branch,
+    zero_delay_oriented,
 )
 from spinrelax.design import DelayGrid
 from spinrelax.protocols import (
@@ -30,12 +32,13 @@ from spinrelax.protocols import (
     raw_protocol_count,
     sensitivity_ratio_curve,
 )
-from spinrelax.protocols import _CLASS_MIX, _oriented_signals, _probe_lattice  # white box
-from spinrelax import protocols
+from spinrelax.protocols import _CLASS_MIX, _probe_lattice  # white box
+from spinrelax import protocols, signals
 from spinrelax.rates import RatePair, model_gradient, model_m
 from spinrelax.signals import (
     OPTIMAL_PROTOCOL,
     ROBUST_PROTOCOL,
+    STATE_INDEX,
     Measurement,
     ProtocolSpec,
     SignalParams,
@@ -76,6 +79,27 @@ def normalized_expectation(measurement, tau, rates, params):
         p2, r2, 0.0, rates, params
     )
     return num / den
+
+
+def exact_zero_delay_count(signal, params):
+    """c B_read B_prep s of one signal in rational arithmetic, per f0 and
+    repetition and without background: the exact value of the params' floats.
+
+    A pi pulse on level k exchanges the populations of |0> and |k> with
+    probability 1 - eta."""
+    eta = {"+": Fraction(params.eta_plus), "-": Fraction(params.eta_minus)}
+
+    def pulse(label, pops):
+        if label == "0":
+            return pops
+        k, e, out = STATE_INDEX[label], eta[label], list(pops)
+        out[1], out[k] = e * pops[1] + (1 - e) * pops[k], (1 - e) * pops[1] + e * pops[k]
+        return out
+
+    alpha, dim = Fraction(params.alpha), 1 - Fraction(params.contrast_C)
+    pumped = [(1 - alpha) / 2, alpha, (1 - alpha) / 2]
+    prep, read = signal
+    return sum(y * p for y, p in zip([dim, 1, dim], pulse(read, pulse(prep, pumped))))
 
 
 class TestCensusCounts:
@@ -171,7 +195,7 @@ class TestClassStructure:
         def fail(*args, **kwargs):
             raise AssertionError("enumeration evaluated expected signals")
 
-        monkeypatch.setattr("spinrelax.protocols._signal_counts", fail)
+        monkeypatch.setattr("spinrelax.signals._signal_counts", fail)
         assert len(enumerate_protocols()) == 36
 
     def test_row_sum_identity_merges_three_classes(self):
@@ -209,22 +233,29 @@ class TestClassStructure:
             assert one_branch(kernel(m))(tau, (gp, gm), "+") == pytest.approx(expected, abs=1e-12)
 
     def test_positive_zero_delay_denominator(self):
-        # oriented denominator is bright minus dark at tau = 0
-        for m in enumerate_measurements():
-            pair = [m.first, m.second]
-            pair.sort(key=lambda s: s[0] != s[1])
-            (p1, r1), (p2, r2) = pair
-            den = expected_counts(
-                p1, r1, 0.0, RATES, IDEAL_RANKING_PARAMS
-            ) - expected_counts(p2, r2, 0.0, RATES, IDEAL_RANKING_PARAMS)
-            assert den > 0.0
+        # The oriented denominator, first minus second signal at tau = 0, is
+        # positive in exact arithmetic at the edges of the parameter domain,
+        # where the rounded counts can tie or invert.
+        edges = product(
+            [np.nextafter(1 / 3, 1), 0.8, 1.0],
+            *[[0.0, 0.25, np.nextafter(0.5, 0)]] * 2,
+            [1e-300, 0.24, np.nextafter(1, 0)],
+        )
+        for alpha, eta_plus, eta_minus, contrast in edges:
+            params = SignalParams(
+                alpha=alpha, eta_plus=eta_plus, eta_minus=eta_minus, contrast_C=contrast
+            )
+            for m in enumerate_measurements():
+                pair = m.oriented()
+                first = exact_zero_delay_count(pair.first, params)
+                assert first > exact_zero_delay_count(pair.second, params), (m.label, params)
 
 
 class TestOrientation:
     def test_bright_first_is_the_positive_zero_delay_order(self):
-        # protocols puts the bright (self-reverting) signal first in every
-        # count it reads; Measurement.oriented orders by the tau = 0 counts.
-        # The two rules agree for every measurement across the domain.
+        # Measurement.oriented puts the bright (self-reverting) signal first
+        # by its labels; the oracle orders by the rounded tau = 0 counts.
+        # The two rules agree for every measurement inside the domain.
         rng = np.random.default_rng(66)
         for _ in range(100):
             params = SignalParams(
@@ -237,7 +268,7 @@ class TestOrientation:
                 repetitions_R=int(rng.integers(1, 10**7)),
             )
             for m in enumerate_measurements():
-                assert m.oriented(params).first == _oriented_signals(m)[0], (m.label, params)
+                assert m.oriented() == zero_delay_oriented(m, params), (m.label, params)
 
 
 class TestEtaCensus:
@@ -471,13 +502,13 @@ class TestSigmaTables:
 
     def test_one_counts_call_per_table_set(self, monkeypatch):
         calls = []
-        original = protocols._signal_counts
+        original = signals._signal_counts
 
-        def counting(signals, *args):
-            calls.append(len(signals))
-            return original(signals, *args)
+        def counting(signal_list, *args):
+            calls.append(len(signal_list))
+            return original(signal_list, *args)
 
-        monkeypatch.setattr(protocols, "_signal_counts", counting)
+        monkeypatch.setattr(signals, "_signal_counts", counting)
         rank_protocols(RatePair(1.0, 3.0))
         sensitivity_ratio_curve(np.geomspace(0.125, 8.0, 25))
         census()

@@ -164,7 +164,7 @@ class TestExpectedDifference:
 
     def test_zero_tau_ideal_value(self):
         params = SignalParams(alpha=1.0, background=0.0, repetitions_R=1000)
-        meas = ROBUST_PROTOCOL.plus.oriented(params)
+        meas = ROBUST_PROTOCOL.plus.oriented()
         got = expected_difference(meas, 0.0, RatePair(1.0, 1.0), params)
         want = 1000 * params.contrast_C * params.f0 * (1.0 - params.eta_plus)
         assert np.isclose(got, want, atol=1e-12)
@@ -387,11 +387,11 @@ class TestMeasurementSpec:
         assert OPTIMAL_PROTOCOL.label == "(+0,++),(-0,--)"
 
     def test_oriented_puts_bright_first(self):
-        meas = ROBUST_PROTOCOL.plus.oriented(FIG_PARAMS)
+        meas = ROBUST_PROTOCOL.plus.oriented()
         assert meas.first == ("0", "0")
         assert meas.second == ("+", "0")
         # Orientation is idempotent.
-        assert meas.oriented(FIG_PARAMS) == meas
+        assert meas.oriented() == meas
 
 
 class TestSampling:
@@ -551,7 +551,7 @@ class TestStackedSampler:
 
     def test_matches_block_loop_at_full_size(self):
         # 1000 blocks at the default R, as in a drifting adaptive run.
-        meas = ROBUST_PROTOCOL.plus.oriented(FIG_PARAMS)
+        meas = ROBUST_PROTOCOL.plus.oriented()
         self.assert_same_as_loop(
             meas, 0.4, FIG_PARAMS, drifts=SAMPLER_DRIFTS["alpha"], t_start=1.0, duration_s=5.0
         )
@@ -654,9 +654,11 @@ class TestStackedSampler:
                 sys.setprofile(None)
             return count
 
-        few, many = SignalParams(repetitions_R=10**4), SignalParams(repetitions_R=10**6)
         drift_callables = len(SAMPLER_DRIFTS["eta"])
-        assert calls(many) - drift_callables * 1000 <= calls(few) - drift_callables * 10
+        # An undrifted callable background is one object every block shares.
+        for background in (0.0, lambda tau: 0.002 + 0.001 * tau):
+            few, many = (SignalParams(background=background, repetitions_R=r) for r in (1e4, 1e6))
+            assert calls(many) - drift_callables * 1000 <= calls(few) - drift_callables * 10
 
     @pytest.mark.parametrize("duration_s", [1e-7, 123456.789])
     def test_drift_callables_get_float_block_times(self, duration_s):
