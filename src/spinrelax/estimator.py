@@ -23,10 +23,11 @@ A measurement's four counts arrive as one length-4 array in the column order
 of `signals.expected_signals`: first and second signal at tau, then at
 tau = 0.  One private kernel, `_ratio`, turns (A, sigma_A^2, Delta,
 sigma_Delta^2) into m and sigma_m, for sampled counts in _estimates and
-for expected counts in sigma_m_from_expectations.  _estimates takes a
-whole (..., 4) stack of count rows, as the runners estimate them, and
-marks the rows that cannot be estimated; measurement_estimate is its
-one-row case and raises EstimationError for such a row.
+bias_study and for expected counts in sigma_m_from_expectations.
+_estimates takes a whole (..., 4) stack of count rows, as the runners
+estimate them, and marks the rows that cannot be estimated;
+measurement_estimate is its one-row case and raises EstimationError for
+such a row.
 """
 
 from __future__ import annotations
@@ -245,8 +246,7 @@ def bias_study(
         delta = (s10 - s20).astype(float)
         var_delta = (s10 + s20).astype(float)
         var_delta[var_delta == 0.0] = 1.0
-        z_nl, _ = reciprocal_mode(delta, np.sqrt(var_delta))
-        m_bar = (s1t - s2t) * z_nl
+        m_bar, _, z_nl, _ = _ratio(s1t - s2t, s1t + s2t, delta, var_delta)
 
         positive = delta > 0.0
         nonpositive = int(replicates - positive.sum())

@@ -13,16 +13,16 @@ ensembles of the two arms and reports how much longer the fixed sweep
 needs to match the adaptive final uncertainty.
 
 Both runners build one run context, `_Run`, and share its steps.
-`acquire` draws both branches' counts; without drift it computes each
-(measurement, delay)'s expected counts once per run and draws every
-acquisition at that delay from them.  `_estimate_pairs` estimates a whole
-stack of acquisitions or aggregates in one vectorized call: an adaptive
-iteration's two branches, a fixed sweep's probes, a rebuild's aggregates.
-`fold` updates the posterior with one estimated pair and regrids it in the
-workspace it is given, and writes nothing else, so two threads can fold at
-once, each in its own workspace; the runner counts the flags.  `tick`
-advances the clocks, `log` records an acquisition and `mark` traces a
-completed update at the clocks it is given.
+`acquire` draws both branches' counts from the start time it is given;
+without drift it computes each (measurement, delay)'s expected counts once
+per run and draws every acquisition at that delay from them.
+`_estimate_pairs` estimates a whole stack of acquisitions or aggregates in
+one vectorized call: an adaptive iteration's two branches, a fixed sweep's
+probes, a rebuild's aggregates.  `fold` updates the posterior with one
+estimated pair and regrids it in the workspace it is given, and writes
+nothing else, so two threads can fold at once, each in its own workspace;
+the runner counts the flags.  `log` records an acquisition, the one step
+that advances the clocks, and `mark` traces a completed update at them.
 
 Delays are milliseconds, rates 1/ms, wall-clock seconds throughout.
 """
@@ -289,12 +289,12 @@ class _Run:
     """One run's state, from its random generator to its records, and the
     acquisition and fold steps both runners share.
 
-    `t_physical` sums acquisition durations and `t_delay` their relaxation
-    delays; `t_total` adds the selector CPU charged on top, per acquisition
-    through `tick` or, in a fixed-sweep run, once per posterior rebuild.
-    The runners count `flagged_count`: flagged iterations of an adaptive
-    run, unusable aggregates per sweep of a fixed-sweep run.  `workspace`
-    is the caller's fold workspace.
+    `t_physical` sums logged acquisition durations and `t_delay` their
+    relaxation delays; `t_total` adds the selector CPU charged on top, per
+    acquisition through `log` or, in a fixed-sweep run, once per posterior
+    rebuild; no clock is ever set back.  The runners count `flagged_count`:
+    flagged iterations of an adaptive run, unusable aggregates per sweep of
+    a fixed-sweep run.  `workspace` is the caller's fold workspace.
     """
 
     def __init__(self, config):
@@ -314,14 +314,13 @@ class _Run:
         self.t_delay = 0.0
         self.flagged_count = 0
 
-    def acquire(self, delays):
-        """Sample both branches back to back from the current physical time.
+    def acquire(self, delays, start):
+        """Sample both branches back to back from physical time `start`.
 
         Each branch takes its own delays plus half the fixed time.  Sampling
         happens for both branches before any estimation so the random stream
         advances identically whether or not an estimate fails.
         """
-        start = self.t_physical
         d_plus = self.timing.branch_seconds(delays.tau_plus)
         d_minus = self.timing.branch_seconds(delays.tau_minus)
         return (
@@ -367,17 +366,16 @@ class _Run:
                 pass
         return grid
 
-    def tick(self, delays, cpu=0.0):
-        """Advance the clocks by one acquisition: (duration, cpu, total, physical)."""
-        duration = float(self.timing.duration_seconds(delays.tau_plus, delays.tau_minus))
+    def duration(self, delays):
+        """Seconds one acquisition at `delays` takes."""
+        return float(self.timing.duration_seconds(delays.tau_plus, delays.tau_minus))
+
+    def log(self, delays, pair, flagged, state, cpu=0.0):
+        """Advance the clocks by one acquisition and `cpu`, and record it with `state`."""
+        duration = self.duration(delays)
         self.t_physical += duration
         self.t_total += duration + cpu
         self.t_delay += float(self.timing.delay_seconds(delays.tau_plus, delays.tau_minus))
-        return duration, cpu, self.t_total, self.t_physical
-
-    def log(self, delays, pair, flagged, state, clocks):
-        """Record one acquisition with `state` and the `clocks` of its tick."""
-        duration, cpu, total, physical = clocks
         self.records.append(
             IterationRecord(
                 index=len(self.records),
@@ -390,25 +388,17 @@ class _Run:
                 sigma_minus=state.sigma_minus,
                 duration_s=duration,
                 cpu_overhead_s=cpu,
-                cumulative_time_s=total,
-                cumulative_physical_s=physical,
+                cumulative_time_s=self.t_total,
+                cumulative_physical_s=self.t_physical,
             )
         )
 
-    def clocks(self):
-        """(total, physical, delay) seconds so far, for `mark` and `restore`."""
-        return self.t_total, self.t_physical, self.t_delay
-
-    def restore(self, clocks):
-        """Set the clocks back to an earlier `clocks()`."""
-        self.t_total, self.t_physical, self.t_delay = clocks
-
-    def mark(self, state, clocks):
-        """Trace the posterior width of a completed update at `clocks()` taken after it."""
+    def mark(self, state):
+        """Trace the posterior width of a completed update at the run's clocks."""
         self.trace.append(
             TracePoint(
-                time_s=clocks[0],
-                physical_s=clocks[1],
+                time_s=self.t_total,
+                physical_s=self.t_physical,
                 sigma_plus=state.sigma_plus,
                 sigma_minus=state.sigma_minus,
             )
@@ -451,15 +441,15 @@ def run_adaptive(config):
             cloud = ParticleCloud.from_grid(posterior, config.particle_count, run.rng)
             delays = pf_select_delays(cloud, run.timing, run.curves, config.delay_grid)
 
-        (pair,) = _estimate_pairs(run.acquire(delays), [delays])
+        (pair,) = _estimate_pairs(run.acquire(delays, run.t_physical), [delays])
         folded = run.fold(posterior, pair, run.workspace)
         flagged = folded is posterior
         run.flagged_count += flagged
         posterior = folded
         state = moments(posterior)
-        run.log(delays, pair, flagged, state, run.tick(delays, config.selector_overhead_s))
+        run.log(delays, pair, flagged, state, config.selector_overhead_s)
         if not flagged:
-            run.mark(state, run.clocks())
+            run.mark(state)
     return run.run_record(posterior, state)
 
 
@@ -472,25 +462,28 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     rebuild.  After each sweep the posterior is rebuilt from the prior by
     folding in one aggregate measurement pair per delay, in list order,
     through the same fold as the adaptive loop; with zero sweeps the prior
-    is returned unchanged.  `stop_sigma` (pair) ends the run early once both
-    posterior widths drop below it; `max_physical_s` caps the accumulated
-    acquisition time.  Delays carrying an unusable aggregate (zero counts)
+    is returned unchanged.  `stop_sigma` (None or two positive widths) ends
+    the run once both posterior widths drop below it; `max_physical_s` (None
+    or positive) caps the accumulated acquisition time; both are checked
+    before any draw.  Delays carrying an unusable aggregate (zero counts)
     are skipped and counted as flagged for that sweep.
 
     A rebuild reads only the prior and its own totals, so sweeps are
-    rebuilt in pairs.  Once sweep k is acquired, sweep k + 1 is drawn ahead
-    when `iterations` and the cap allow it, and `design._two_halves`
-    rebuilds k on the caller and k + 1 on one worker thread, in its own
-    fold workspace.  Sweep k is then committed (moments, trace point at its
-    own clocks, stop rule); only after that are sweep k + 1's probes logged,
-    carrying rebuild k's state.  If sweep k ends the run, sweep k + 1 is
-    discarded, its clock advance and any ValueError its drifted acquisition
-    raised with it; that error is raised only if the run goes on to sweep
-    k + 1.  Records, trace and posterior are those of one sweep after the
-    other, bit for bit, with one usable CPU or two.
+    rebuilt in pairs: once sweep k is acquired, sweep k + 1 is drawn ahead
+    from a local start time, moving no clock, when `iterations` and the cap
+    allow it, and `design._two_halves` rebuilds k on the caller and k + 1 on
+    one worker thread in its own fold workspace.  Each sweep then commits
+    in turn: its probes are logged, its rebuild traced, the stop rule read.
+    A drift error drawing sweep k + 1 is raised only if sweep k does not
+    stop the run.  Records, trace and posterior are those of one sweep after
+    the other, bit for bit, with one usable CPU or two.
     """
     if config.optimizer != "nap":
         raise ValueError("run_nap needs optimizer 'nap'")
+    if stop_sigma is not None and not (len(stop_sigma) == 2 and all(s > 0.0 for s in stop_sigma)):
+        raise ValueError(f"stop_sigma must be None or two positive numbers, got {stop_sigma!r}")
+    if max_physical_s is not None and not max_physical_s > 0.0:
+        raise ValueError(f"max_physical_s must be None or positive, got {max_physical_s!r}")
     run = _Run(config)
     pairs = config.nap_delay_pairs()
     # Row 0 holds sweep k and its running totals, row 1 sweep k + 1 drawn ahead.
@@ -502,17 +495,12 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     posterior = run.prior
     state = moments(posterior)
 
-    def draw(sweep):
-        """Acquire one sweep into `sweep`: the clocks of each acquisition."""
-        clocks = []
+    def draw(sweep, start):
+        """Acquire one sweep into `sweep` from physical time `start`: its end time."""
         for counts, delays in zip(sweep, pairs):
-            counts[:] = run.acquire(delays)
-            clocks.append(run.tick(delays))
-        return clocks
-
-    def log(sweep, clocks, state):
-        for delays, probe, tick in zip(pairs, _estimate_pairs(sweep, pairs), clocks):
-            run.log(delays, probe, probe is None, state, tick)
+            counts[:] = run.acquire(delays, start)
+            start += run.duration(delays)
+        return start
 
     def rebuild(aggregates, workspace):
         """(posterior from the prior and the aggregates, unusable aggregates)."""
@@ -526,49 +514,36 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     def capped(physical_s):
         return max_physical_s is not None and physical_s >= max_physical_s
 
-    def commit(rebuilt, clocks):
-        """Count a rebuild's flags and trace it at `clocks`: (posterior, state,
-        whether the run stops after it)."""
-        grid, flags = rebuilt
-        run.flagged_count += flags
-        state = moments(grid)
-        run.mark(state, clocks)
-        stops = stop_sigma is not None and (
-            state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
-        )
-        return grid, state, stops or capped(clocks[1])
-
     for first in range(0, config.iterations, 2):
-        log(sweeps[0], draw(sweeps[0]), state)
+        end = draw(sweeps[0], run.t_physical)
         totals[0] += sweeps[0]
-        run.t_total += config.selector_overhead_s
-        clocks = run.clocks()
         ahead = error = None
-        if first + 1 < config.iterations and not capped(run.t_physical):
+        if first + 1 < config.iterations and not capped(end):
             try:
-                ahead = draw(sweeps[1])
+                ahead = draw(sweeps[1], end)
             except ValueError as exc:  # a drift leaving its domain, raised if sweep k + 1 is due
                 error = exc
         if ahead is None:
-            rebuilt, later = rebuild(totals[0], run.workspace), None
+            rebuilt = [rebuild(totals[0], run.workspace)]
         else:
             np.add(totals[0], sweeps[1], out=totals[1])
-            rebuilt, later = _two_halves(
+            rebuilt = _two_halves(
                 lambda: rebuild(totals[0], run.workspace), lambda: rebuild(totals[1], worker)
             )
-        posterior, state, stops = commit(rebuilt, clocks)
-        if stops:
-            run.restore(clocks)
-            break
+        for sweep, (grid, flags) in zip(sweeps, rebuilt):
+            for delays, probe in zip(pairs, _estimate_pairs(sweep, pairs)):
+                run.log(delays, probe, probe is None, state)
+            run.t_total += config.selector_overhead_s
+            run.flagged_count += flags
+            posterior, state = grid, moments(grid)
+            run.mark(state)
+            stops = stop_sigma is not None and (
+                state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
+            )
+            if stops or capped(run.t_physical):
+                return run.run_record(posterior, state)
         if error is not None:
             raise error
-        if later is None:
-            continue
-        log(sweeps[1], ahead, state)
-        run.t_total += config.selector_overhead_s
-        posterior, state, stops = commit(later, run.clocks())
-        if stops:
-            break
         totals[0] = totals[1]
     return run.run_record(posterior, state)
 

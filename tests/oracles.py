@@ -51,9 +51,10 @@ whole stack of acquisitions must reproduce bit for bit.
 `choice_from_grid` is `ParticleCloud.from_grid` as first written, its
 cell indices from `rng.choice`, which the sorted index search must
 reproduce bit for bit, cloud and generator state.
-`sequential_nap` is `experiments.run_nap` as first written, each sweep
-acquired, logged and rebuilt before the next is drawn, which the paired
-rebuilds must reproduce bit for bit, records, trace and posterior.
+`sequential_nap` is `experiments.run_nap` as first written, each
+acquisition drawn at the run's clock and logged before the next, and each
+sweep rebuilt before the next is drawn, which the paired rebuilds must
+reproduce bit for bit, records, trace and posterior.
 `chain_expected_signals` is `signals.expected_signals` as first written:
 each delay's full (3, 3) propagator, clipped, pushed through the stacked
 pulse and collection chain by batched matmul; the closed-form counts
@@ -656,8 +657,9 @@ def per_acquisition_four(run, measurement, tau, t_start, duration_s):
 
 
 def sequential_nap(config, stop_sigma=None, max_physical_s=None):
-    """experiments.run_nap as first written: one sweep at a time, acquired,
-    logged and rebuilt from the prior on the caller before the next is drawn."""
+    """experiments.run_nap as first written: one acquisition at a time,
+    drawn at the run's clock, estimated and logged, and each sweep rebuilt
+    from the prior on the caller before the next is drawn."""
     run = experiments._Run(config)
     pairs = config.nap_delay_pairs()
     totals = np.zeros((len(pairs), 2, 4))
@@ -665,13 +667,11 @@ def sequential_nap(config, stop_sigma=None, max_physical_s=None):
     state = moments(posterior)
     sweep = np.empty_like(totals)
     for _ in range(config.iterations):
-        clocks = []
         for counts, delays in zip(sweep, pairs):
-            counts[:] = run.acquire(delays)
-            clocks.append(run.tick(delays))
+            counts[:] = run.acquire(delays, run.t_physical)
+            (probe,) = experiments._estimate_pairs(counts[None], [delays])
+            run.log(delays, probe, probe is None, state)
         totals += sweep
-        for delays, probe, tick in zip(pairs, experiments._estimate_pairs(sweep, pairs), clocks):
-            run.log(delays, probe, probe is None, state, tick)
         posterior = run.prior
         for pair in experiments._estimate_pairs(totals, pairs):
             folded = run.fold(posterior, pair, run.workspace)
@@ -679,7 +679,7 @@ def sequential_nap(config, stop_sigma=None, max_physical_s=None):
             posterior = folded
         run.t_total += config.selector_overhead_s
         state = moments(posterior)
-        run.mark(state, run.clocks())
+        run.mark(state)
         if stop_sigma is not None and (
             state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
         ):

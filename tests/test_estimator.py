@@ -271,6 +271,23 @@ class TestBiasStudy:
         b = float(z_exact.mean() * (means[2] - means[3]))
         assert abs(a - b) < 0.01 * abs(b)
 
+    def test_low_r_means_are_the_floored_reciprocal_mode_of_the_draws(self):
+        # At R = 50 both tau = 0 counts are often zero; such a draw's
+        # sigma_Delta^2 is floored at one count before the reciprocal mode.
+        replicates, r = 3000, 50
+        row = bias_study(FIG_PARAMS, RATES, 0.4, [r], replicates=replicates, seed=5).rows[0]
+        params = replace(FIG_PARAMS, repetitions_R=r)
+        means = expected_signals(ROBUST_PROTOCOL.plus.oriented(), 0.4, RATES, params)[0]
+        rng = np.random.default_rng(5)
+        s1t, s2t, s10, s20 = (rng.poisson(mean, size=replicates) for mean in means)
+        assert np.count_nonzero(s10 + s20 == 0) > 100
+        z, _ = reciprocal_mode((s10 - s20).astype(float), np.sqrt(np.maximum(s10 + s20, 1.0)))
+        delta_true = float(means[2] - means[3])
+        m_true = float(means[0] - means[1]) / delta_true
+        assert row.mean_ratio_nonlinear == float(z.mean() / (1.0 / delta_true))
+        assert row.std_nonlinear == float(z.std() / (1.0 / delta_true))
+        assert row.mean_ratio_m == float(((s1t - s2t) * z).mean() / m_true)
+
     def test_seed_reproducibility(self):
         a = bias_study(FIG_PARAMS, RATES, 0.4, [2000], replicates=2000, seed=21)
         b = bias_study(FIG_PARAMS, RATES, 0.4, [2000], replicates=2000, seed=21)

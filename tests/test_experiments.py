@@ -307,13 +307,37 @@ class TestNapRun:
         assert rec.total_time_s == 0.0
 
 
+    @pytest.mark.parametrize(
+        "stops",
+        [
+            dict(stop_sigma=(1e-9,)),
+            dict(stop_sigma=(float("nan"), float("nan"))),
+            dict(stop_sigma=(-1.0, 5.0)),
+            dict(max_physical_s=float("nan")),
+            dict(max_physical_s=-1.0),
+        ],
+    )
+    def test_bad_stop_arguments_raise_before_any_draw(self, monkeypatch, stops):
+        # Each of these used to run every sweep, or (-1.0) stop after one.
+        acquire, acquired = experiments._Run.acquire, []
+
+        def counted(run, *args):
+            acquired.append(args)
+            return acquire(run, *args)
+
+        monkeypatch.setattr(experiments._Run, "acquire", counted)
+        cfg = fig_defaults(optimizer="nap", iterations=2, nap_delays=NAP_DEFAULT_DELAYS)
+        with pytest.raises(ValueError, match=f"^{next(iter(stops))} must"):
+            run_nap(cfg, **stops)
+        assert acquired == []
+
     def test_dark_delay_flagged_every_sweep_and_the_rest_fold_as_per_row(self, monkeypatch):
         cfg = fig_defaults(optimizer="nap", iterations=4, nap_delays=NAP_DEFAULT_DELAYS, seed=9)
         dark = DelayPair(NAP_DEFAULT_DELAYS[7], NAP_DEFAULT_DELAYS[7])
         acquire = experiments._Run.acquire
 
-        def darkened(run, delays):
-            counts = acquire(run, delays)
+        def darkened(run, delays, start):
+            counts = acquire(run, delays, start)
             return (np.zeros(4), np.zeros(4)) if delays == dark else counts
 
         monkeypatch.setattr(experiments._Run, "acquire", darkened)
@@ -490,6 +514,20 @@ class TestPairedRebuilds:
             monkeypatch, config, max_physical_s=cap
         )
         assert len(trace) == sweep + 1
+
+    def test_drifted_noiseless_run_capped_on_the_second_sweep_of_a_pair(self, monkeypatch):
+        # Noiseless counts under drift depend only on each acquisition's start time.
+        config = fig_defaults(
+            iterations=12,
+            noiseless=True,
+            drifts={"alpha": lambda t: 0.8 + 0.1 * np.sin(t / 7.0)},
+            **self.NAP,
+        )
+        cap = sequential_nap(config).trace_points[3].physical_s
+        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
+            monkeypatch, config, max_physical_s=cap
+        )
+        assert len(trace) == 4
 
     def test_drift_leaving_its_domain_after_the_stop_sweep(self, monkeypatch):
         # alpha holds 0.8 until `bad`, inside the sweep drawn ahead of the
