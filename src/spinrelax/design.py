@@ -8,20 +8,16 @@ uncertainties sigma_M+- through the model Jacobian
     J = [[dM+/dG+ (tau+), dM+/dG- (tau+)],
          [dM-/dG+ (tau-), dM-/dG- (tau-)]]
 
-gives a Gaussian rate covariance, summarized by curvature coefficients
-
-    a_plus  = (dM+/dG+)^2/s+^2 + (dM-/dG+)^2/s-^2
-    a_minus = (dM+/dG-)^2/s+^2 + (dM-/dG-)^2/s-^2
-    a_zero  = (dM+/dG+)(dM+/dG-)/s+^2 + (dM-/dG+)(dM-/dG-)/s-^2
-
-with sigma_G+-^2 = a_-+/(a_+ a_- - a_0^2) and covariance -a_0/det.  The
-figure of merit for a delay pair is the time-normalized combined fractional
-sensitivity
+gives a Gaussian rate covariance J^-1 diag(sigma_M^2) J^-T.  With
+(a, b, c, d) the entries of J, each over its branch's sigma_M
+(_branch_tables), and det = a d - b c, the widths are
+sigma_G+ = sqrt(b^2 + d^2)/|det| and sigma_G- = sqrt(a^2 + c^2)/|det|, and
+the covariance is -(a b + c d)/det^2.  The figure of merit for a delay pair
+is the time-normalized combined fractional sensitivity
 
     cost = sqrt((sigma_G+/G+)^2 + (sigma_G-/G-)^2) * sqrt(T),
 
-where T is the wall-clock duration of the iteration.  With (a, b, c, d)
-the entries of J, each over its branch's sigma_M, this is
+where T is the wall-clock duration of the iteration, that is
 
     cost = sqrt(T (G-^2 (b^2 + d^2) + G+^2 (a^2 + c^2))) / (G+ G- |a d - b c|),
 
@@ -191,9 +187,6 @@ class TimingModel:
 
 @dataclass(frozen=True)
 class GaussianApprox:
-    a_plus: float
-    a_minus: float
-    a_zero: float
     sigma_gamma_plus: float
     sigma_gamma_minus: float
     covariance: float
@@ -209,45 +202,6 @@ class BranchCurves:
 
     gradient: callable
     pair_value: callable
-
-
-def _jacobian(delays, rates, curves):
-    """Rows: branch measured at its delay; columns: d/dG+, d/dG-."""
-    g_pp, g_pm = curves.gradient(delays.tau_plus, rates, "+")
-    g_mp, g_mm = curves.gradient(delays.tau_minus, rates, "-")
-    return np.array([[g_pp, g_pm], [g_mp, g_mm]], dtype=float)
-
-
-def gaussian_sigma(delays, rates, sigma_m, curves):
-    """Gaussian rate uncertainties for one delay pair.
-
-    sigma_m is the (sigma_M+, sigma_M-) pair of measurement uncertainties.
-    Raises UninformativeDesign when the information matrix is singular.
-    """
-    s_plus, s_minus = sigma_m
-    if not (s_plus > 0.0 and s_minus > 0.0):
-        raise ValueError("sigma_m entries must be positive")
-    jac = _jacobian(delays, rates, curves)
-    a_plus = (jac[0, 0] / s_plus) ** 2 + (jac[1, 0] / s_minus) ** 2
-    a_minus = (jac[0, 1] / s_plus) ** 2 + (jac[1, 1] / s_minus) ** 2
-    a_zero = jac[0, 0] * jac[0, 1] / s_plus**2 + jac[1, 0] * jac[1, 1] / s_minus**2
-    # a_plus a_minus - a_zero^2 exactly, but computed in factored form:
-    # the direct difference cancels catastrophically near singular designs.
-    det_j = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
-    det = (det_j / (s_plus * s_minus)) ** 2
-    if not (np.isfinite(det) and det > 0.0):
-        raise UninformativeDesign(
-            f"delay pair ({delays.tau_plus}, {delays.tau_minus}) cannot "
-            "constrain both rates (singular information matrix)"
-        )
-    return GaussianApprox(
-        a_plus=float(a_plus),
-        a_minus=float(a_minus),
-        a_zero=float(a_zero),
-        sigma_gamma_plus=float(np.sqrt(a_minus / det)),
-        sigma_gamma_minus=float(np.sqrt(a_plus / det)),
-        covariance=float(-a_zero / det),
-    )
 
 
 def _branch_tables(taus, rates, gradient, sigma):
@@ -274,6 +228,34 @@ def _curve_tables(grid, rates, sigma_m, curves):
         _branch_tables(taus, rates, curves.gradient(taus, rates, branch), sigma)
         for branch, sigma in zip(BRANCHES, sigma_m)
     )
+
+
+def gaussian_sigma(delays, rates, sigma_m, curves):
+    """Gaussian rate uncertainties for one delay pair.
+
+    sigma_m is the (sigma_M+, sigma_M-) pair of measurement uncertainties.
+    The Jacobian's entries over sigma_M are the cost kernel's tables
+    (_branch_tables) at the pair's two delays, and the widths and covariance
+    divide by its determinant a d - b c, unsquared, as the cost does.
+    Raises UninformativeDesign, without a warning, when that determinant
+    or a result is not finite.
+    """
+    (a, b, _), (c, d, _) = (
+        _branch_tables(tau, rates, curves.gradient(tau, rates, branch), sigma)
+        for tau, branch, sigma in zip(
+            np.array([[delays.tau_plus], [delays.tau_minus]]), BRANCHES, sigma_m, strict=True
+        )
+    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        det = a * d - b * c
+        widths = np.hypot(b, d) / np.abs(det), np.hypot(a, c) / np.abs(det)
+        covariance = -((a * b + c * d) / det) / det
+    if not all(np.isfinite(x).all() for x in (det, *widths, covariance)):
+        raise UninformativeDesign(
+            f"delay pair ({delays.tau_plus}, {delays.tau_minus}) cannot "
+            "constrain both rates (singular information matrix)"
+        )
+    return GaussianApprox(*(float(x[0]) for x in (*widths, covariance)))
 
 
 def _cost_kernel(grid, rates, timing, plus_branch, minus_branch):
@@ -368,12 +350,12 @@ def _det_bound(tables, starts, rows, cols):
     return np.maximum(np.abs(ad_lo - bc_hi), np.abs(ad_hi - bc_lo))
 
 
-def _bounded_argmin(grid, rates, sigma_m, timing, curves, branches=None):
+def _bounded_argmin(grid, rates, timing, branches):
     """np.argmin's (i, j, value) of cost_surface, bit for bit, by branch and bound.
 
-    `branches`, both branches' _branch_tables prebuilt over the grid at
-    these rates, stands in for sigma_m and curves.  With _cost_kernel's
-    tables, up to rounding,
+    `branches` holds both branches' _branch_tables over the grid at these
+    rates, as _curve_tables builds them.  With _cost_kernel's tables, up
+    to rounding,
 
         cells(r, c) = sqrt(t(r, c) (plus[r] + minus[c])) / (G+ G- |a[r] d[c] - b[r] c[c]|),
 
@@ -392,8 +374,6 @@ def _bounded_argmin(grid, rates, sigma_m, timing, curves, branches=None):
     taus = grid.taus
     n = taus.size
     gp, gm = map(float, _unpack(rates))
-    if branches is None:
-        branches = _curve_tables(grid, rates, sigma_m, curves)
     tables, (plus, minus), cells = _cost_kernel(grid, rates, timing, *branches)
     upper = np.inf  # prunes nothing
     if gp * gm > 0.0 and all(np.isfinite(x).all() for x in (plus, minus, *tables)):
@@ -449,7 +429,7 @@ def nob_select_delays(rates, timing, curves, grid=DEFAULT_GRID):
     """
     if hasattr(rates, "mean_plus"):
         rates = (rates.mean_plus, rates.mean_minus)
-    i, j, _ = _bounded_argmin(grid, rates, (1.0, 1.0), timing, curves)
+    i, j, _ = _bounded_argmin(grid, rates, timing, _curve_tables(grid, rates, (1.0, 1.0), curves))
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j]))
 
 

@@ -474,9 +474,10 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     allow it, and `design._two_halves` rebuilds k on the caller and k + 1 on
     one worker thread in its own fold workspace.  Each sweep then commits
     in turn: its probes are logged, its rebuild traced, the stop rule read.
-    A drift error drawing sweep k + 1 is raised only if sweep k does not
-    stop the run.  Records, trace and posterior are those of one sweep after
-    the other, bit for bit, with one usable CPU or two.
+    A drift error drawing sweep k + 1 ahead drops that draw: sweep k is
+    rebuilt alone, and sweep k + 1, when due, is drawn again from the same
+    start time and raises.  Records, trace and posterior are those of one
+    sweep after the other, bit for bit, with one usable CPU or two.
     """
     if config.optimizer != "nap":
         raise ValueError("run_nap needs optimizer 'nap'")
@@ -514,15 +515,16 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     def capped(physical_s):
         return max_physical_s is not None and physical_s >= max_physical_s
 
-    for first in range(0, config.iterations, 2):
+    committed = 0
+    while committed < config.iterations:
         end = draw(sweeps[0], run.t_physical)
         totals[0] += sweeps[0]
-        ahead = error = None
-        if first + 1 < config.iterations and not capped(end):
+        ahead = None
+        if committed + 1 < config.iterations and not capped(end):
             try:
                 ahead = draw(sweeps[1], end)
-            except ValueError as exc:  # a drift leaving its domain, raised if sweep k + 1 is due
-                error = exc
+            except ValueError:  # a drift leaving its domain: drawn again when due
+                pass
         if ahead is None:
             rebuilt = [rebuild(totals[0], run.workspace)]
         else:
@@ -537,14 +539,13 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
             run.flagged_count += flags
             posterior, state = grid, moments(grid)
             run.mark(state)
+            committed += 1
             stops = stop_sigma is not None and (
                 state.sigma_plus <= stop_sigma[0] and state.sigma_minus <= stop_sigma[1]
             )
             if stops or capped(run.t_physical):
                 return run.run_record(posterior, state)
-        if error is not None:
-            raise error
-        totals[0] = totals[1]
+        totals[0] = totals[len(rebuilt) - 1]
     return run.run_record(posterior, state)
 
 

@@ -339,7 +339,7 @@ def minimal_cost(protocol, rates, params=IDEAL_RANKING_PARAMS, grid=DEFAULT_GRID
         _tables = _cost_tables(_sigma_tables([protocol], rates, params, grid), rates, grid)
     timing = TimingModel(repetitions_R=params.repetitions_R)
     branches = (_tables[protocol.plus], _tables[protocol.minus])
-    i, j, value = _bounded_argmin(grid, rates, None, timing, None, branches)
+    i, j, value = _bounded_argmin(grid, rates, timing, branches)
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j])), value
 
 

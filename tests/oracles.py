@@ -13,7 +13,7 @@ four-count path (`signals.expected_signals`) is compared against.
 one block at a time, each block a SignalParams from `drift_schedule`, kept
 so that the stacked sampler and its one-pass domain check can be required
 to reproduce it bit for bit and error for error.  `cost` is the scalar
-cost of one delay pair through `design.gaussian_sigma`, and
+cost of one delay pair through `jacobian_sigma`, and
 `exhaustive_argmin` the plain np.argmin over a full surface that the
 bounded delay selection must match.
 `chi_squared_field` is the posterior's chi+^2 + chi-^2 as first written,
@@ -87,8 +87,6 @@ from spinrelax.design import (
     ParticleCloud,
     UninformativeDesign,
     _check_positive_int,
-    _jacobian,
-    gaussian_sigma,
     nob_select_delays,
 )
 from spinrelax import experiments
@@ -213,10 +211,17 @@ def brute_expected_counts(
 def jacobian_sigma(delays, rates, sigma_m, curves=ROBUST_CURVES):
     """Design covariance of the rates via the matrix route J^-1 diag(s^2) J^-T.
 
-    An independent algebraic path; tests pin its agreement with
-    design.gaussian_sigma to 1e-12.
+    An independent algebraic path: J's rows are each branch's
+    `curves.gradient` at its delay, unscaled.  Tests pin its agreement
+    with design.gaussian_sigma.
     """
-    jac = _jacobian(delays, rates, curves)
+    jac = np.array(
+        [
+            curves.gradient(delays.tau_plus, rates, "+"),
+            curves.gradient(delays.tau_minus, rates, "-"),
+        ],
+        dtype=float,
+    )
     det = jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0]
     if det == 0.0 or not np.isfinite(det):
         raise UninformativeDesign("singular Jacobian")
@@ -231,11 +236,11 @@ def cost(delays, rates, sigma_m, timing, curves=ROBUST_CURVES):
     An uninformative design costs infinity.
     """
     try:
-        approx = gaussian_sigma(delays, rates, sigma_m, curves)
+        cov = jacobian_sigma(delays, rates, sigma_m, curves)
     except UninformativeDesign:
         return float("inf")
     gp, gm = map(float, _unpack(rates))
-    fractional = (approx.sigma_gamma_plus / gp) ** 2 + (approx.sigma_gamma_minus / gm) ** 2
+    fractional = cov[0, 0] / gp**2 + cov[1, 1] / gm**2
     t = timing.duration_seconds(delays.tau_plus, delays.tau_minus)
     return float(np.sqrt(fractional) * np.sqrt(t))
 

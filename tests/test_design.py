@@ -24,6 +24,7 @@ from spinrelax.design import (
     _FINE,
     _bounded_argmin,
     _branch_variances,
+    _curve_tables,
     _det_bound,
     approx_cost_surface,
     cost_surface,
@@ -137,6 +138,32 @@ class TestGaussianSigma:
             assert approx.sigma_gamma_plus == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-12)
             assert approx.sigma_gamma_minus == pytest.approx(np.sqrt(cov[1, 1]), rel=1e-12)
             assert approx.covariance == pytest.approx(cov[0, 1], rel=1e-9, abs=1e-15)
+        # 2,000 designs across the default prior and delay span, where the
+        # determinant can be tiny, after a named one whose widths overflow:
+        # it must raise UninformativeDesign, not warn and return infinities.
+        designs = [(DelayPair(5.0, 0.01), RatePair(60.0, 100.0), (0.05, 0.05))]
+        rng = np.random.default_rng(1)
+        for _ in range(2000):
+            gp, gm = rng.uniform(0.06, 99, 2)
+            tau_plus, tau_minus = np.exp(rng.uniform(np.log(3e-3), np.log(5.5), 2))
+            sigma_m = rng.uniform(1e-3, 0.1, 2)
+            designs.append((DelayPair(tau_plus, tau_minus), RatePair(gp, gm), tuple(sigma_m)))
+        for delays, rates, sigma_m in designs:
+            try:
+                # An overflow in the oracle marks a design beyond float range.
+                with np.errstate(all="ignore"):
+                    cov = jacobian_sigma(delays, rates, sigma_m)
+                finite = np.isfinite(cov).all()
+            except UninformativeDesign:
+                finite = False
+            if not finite:
+                with pytest.raises(UninformativeDesign):
+                    gaussian_sigma(delays, rates, sigma_m, ROBUST_CURVES)
+                continue
+            approx = gaussian_sigma(delays, rates, sigma_m, ROBUST_CURVES)
+            assert approx.sigma_gamma_plus == pytest.approx(np.sqrt(cov[0, 0]), rel=1e-10)
+            assert approx.sigma_gamma_minus == pytest.approx(np.sqrt(cov[1, 1]), rel=1e-10)
+            assert approx.covariance == pytest.approx(cov[0, 1], rel=1e-9)
 
     def test_exchange_symmetry(self):
         delays = DelayPair(0.2, 0.7)
@@ -355,10 +382,10 @@ def kernel_and_exhaustive(grid, rates, timing, curves=ROBUST_CURVES, sigma_m=Non
     sigma_m None selects the sigma-free approximate cost.
     """
     if sigma_m is None:
-        got = _bounded_argmin(grid, rates, (1.0, 1.0), timing, curves)
+        got = _bounded_argmin(grid, rates, timing, _curve_tables(grid, rates, (1.0, 1.0), curves))
         surface = approx_cost_surface(grid, rates, timing, curves)
     else:
-        got = _bounded_argmin(grid, rates, sigma_m, timing, curves)
+        got = _bounded_argmin(grid, rates, timing, _curve_tables(grid, rates, sigma_m, curves))
         surface = cost_surface(grid, rates, sigma_m, timing, curves)
     want = exhaustive_argmin(surface)
     # repr tells NaN, -0.0 and every float bit pattern apart.
@@ -443,17 +470,18 @@ class TestBoundedArgmin:
         assert got[:2] == (0, 123) and np.isnan(got[2])
 
     def test_nan_sigma_table_matches_exhaustive(self):
-        # A NaN sigma_M is no uncertainty: the bounded argmin and the full
-        # surface both reject it, as they reject sigma_M <= 0.
+        # A NaN sigma_M is no uncertainty: the bounded argmin's tables and
+        # the full surface both reject it, as they reject sigma_M <= 0.
         grid = DelayGrid.default()
 
         def sigma_plus(taus):
             return np.where(np.arange(taus.size) == 400, np.nan, 0.02)
 
         for sigma_m in ((sigma_plus, 0.03), (0.03, np.nan)):
-            for search in (_bounded_argmin, cost_surface):
-                with pytest.raises(ValueError, match="sigma_m entries must be positive"):
-                    search(grid, RATES, sigma_m, TIMING, ROBUST_CURVES)
+            with pytest.raises(ValueError, match="sigma_m entries must be positive"):
+                _curve_tables(grid, RATES, sigma_m, ROBUST_CURVES)
+            with pytest.raises(ValueError, match="sigma_m entries must be positive"):
+                cost_surface(grid, RATES, sigma_m, TIMING, ROBUST_CURVES)
 
     def test_selectors_use_the_kernel(self):
         grid = DelayGrid.wide(size=640)
