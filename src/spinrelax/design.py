@@ -45,11 +45,9 @@ its own slice of the variances by `_two_halves`, the one helper that also
 runs the fixed sweep's paired posterior rebuilds (`experiments.run_nap`):
 the caller runs the first half while a one-worker thread pool runs the
 second (numpy releases the GIL inside the kernel's ufunc and einsum
-loops), and a process that may use only one CPU runs the second half
-inline after the first, still holding both halves' scratch (3.8 MB at
-20,000 particles).  Each block's arithmetic is the same on either thread,
-so the variances do not depend on which thread computed them.  Every
-width, cost and optimizer takes the protocol's BranchCurves
+loops).  Each block's arithmetic is the same on either thread, so the
+variances do not depend on which thread computed them.  Every width, cost
+and optimizer takes the protocol's BranchCurves
 (`protocols.measurement_curves`); none assumes a protocol.
 
 Delays are in ms, rates in 1/ms, durations in seconds.
@@ -57,7 +55,6 @@ Delays are in ms, rates in 1/ms, durations in seconds.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -221,12 +218,12 @@ def _branch_tables(taus, rates, gradient, sigma):
         return x, y, gm**2 * y**2 + gp**2 * x**2
 
 
-def _curve_tables(grid, rates, sigma_m, curves):
-    """Both branches' _branch_tables over the grid: the plus branch's, then the minus branch's."""
-    taus = grid.taus
+def _curve_tables(taus, rates, sigma_m, curves):
+    """Both branches' _branch_tables: the plus branch's over taus[0], then
+    the minus branch's over taus[1].  sigma_m must hold one entry per branch."""
     return tuple(
-        _branch_tables(taus, rates, curves.gradient(taus, rates, branch), sigma)
-        for branch, sigma in zip(BRANCHES, sigma_m)
+        _branch_tables(tau, rates, curves.gradient(tau, rates, branch), sigma)
+        for tau, branch, sigma in zip(taus, BRANCHES, sigma_m, strict=True)
     )
 
 
@@ -240,11 +237,8 @@ def gaussian_sigma(delays, rates, sigma_m, curves):
     Raises UninformativeDesign, without a warning, when that determinant
     or a result is not finite.
     """
-    (a, b, _), (c, d, _) = (
-        _branch_tables(tau, rates, curves.gradient(tau, rates, branch), sigma)
-        for tau, branch, sigma in zip(
-            np.array([[delays.tau_plus], [delays.tau_minus]]), BRANCHES, sigma_m, strict=True
-        )
+    (a, b, _), (c, d, _) = _curve_tables(
+        np.array([[delays.tau_plus], [delays.tau_minus]]), rates, sigma_m, curves
     )
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = a * d - b * c
@@ -290,7 +284,8 @@ def cost_surface(grid, rates, sigma_m, timing, curves):
     shot-noise uncertainties that vary with tau are supported.  Cells whose
     information matrix is singular get infinite cost.
     """
-    *_, cells = _cost_kernel(grid, rates, timing, *_curve_tables(grid, rates, sigma_m, curves))
+    tables = _curve_tables((grid.taus, grid.taus), rates, sigma_m, curves)
+    *_, cells = _cost_kernel(grid, rates, timing, *tables)
     index = np.arange(grid.taus.size)
     return cells(*np.ix_(index, index))
 
@@ -429,7 +424,8 @@ def nob_select_delays(rates, timing, curves, grid=DEFAULT_GRID):
     """
     if hasattr(rates, "mean_plus"):
         rates = (rates.mean_plus, rates.mean_minus)
-    i, j, _ = _bounded_argmin(grid, rates, timing, _curve_tables(grid, rates, (1.0, 1.0), curves))
+    tables = _curve_tables((grid.taus, grid.taus), rates, (1.0, 1.0), curves)
+    i, j, _ = _bounded_argmin(grid, rates, timing, tables)
     return DelayPair(tau_plus=float(grid.taus[i]), tau_minus=float(grid.taus[j]))
 
 
@@ -493,25 +489,13 @@ class ParticleCloud:
 _DELAYS = 4
 
 
-def _usable_cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _two_halves(first, second):
-    """(first(), second()), the two computed side by side when they can be.
+    """(first(), second()), the two computed side by side.
 
-    When the process may use two CPUs (checked at each call), the caller
-    runs `first` while a one-worker pool runs `second`; an exception in
-    either is raised here, after the worker has ended, so no thread
-    outlives the call.  With one CPU `second` runs inline after `first`
-    and no thread starts.  The two must write no object in common.
+    The caller runs `first` while a one-worker pool runs `second`; an
+    exception in either is raised here, after the worker has ended, so no
+    thread outlives the call.  The two must write no object in common.
     """
-    if _usable_cpus() < 2:
-        return first(), second()
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="spinrelax") as pool:
         pending = pool.submit(second)
         return first(), pending.result()
@@ -525,10 +509,10 @@ def _branch_variances(cloud, taus, curves):
     whole cloud as (delay, particle) arrays; each branch's weighted mean,
     then its weighted squared deviations, are summed along the particle
     axis.  The blocks always split into two halves for `_two_halves`, each
-    with its own workspace (3.8 MB for both at 20,000 particles, on one CPU
-    too); one block leaves the second half empty.  A lone last delay is
-    computed as a block of two, so each delay's variance has the same bits
-    wherever the block edges fall.
+    with its own workspace (3.8 MB for both at 20,000 particles); one block
+    leaves the second half empty.  A lone last delay is computed as a block
+    of two, so each delay's variance has the same bits wherever the block
+    edges fall.
     """
     terms, w = _rate_terms(cloud.gammas.T), cloud.weights
     variances = np.empty((len(BRANCHES), taus.size))
@@ -567,8 +551,7 @@ def pf_select_delays(cloud, timing, curves, grid=DEFAULT_GRID, subgrid=100):
     variance along the particle axis.
     The caller computes the first half of the blocks and one worker thread
     the second; both do the same arithmetic per block, so the choice is the
-    same bit for bit whichever thread computed a block, and with one usable
-    CPU the second half runs inline after the first.
+    same bit for bit whichever thread computed a block.
     `subgrid`, a positive integer, thins the scored delays to
     every (size // subgrid)-th delay of `grid`, or every delay when it
     exceeds the grid size.

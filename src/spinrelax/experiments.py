@@ -477,7 +477,7 @@ def run_nap(config, stop_sigma=None, max_physical_s=None):
     A drift error drawing sweep k + 1 ahead drops that draw: sweep k is
     rebuilt alone, and sweep k + 1, when due, is drawn again from the same
     start time and raises.  Records, trace and posterior are those of one
-    sweep after the other, bit for bit, with one usable CPU or two.
+    sweep after the other, bit for bit.
     """
     if config.optimizer != "nap":
         raise ValueError("run_nap needs optimizer 'nap'")

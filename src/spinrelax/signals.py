@@ -239,9 +239,13 @@ def expected_counts(prep, read, tau, rates, params):
 
 
 def _check_drift_fields(drifts):
+    """Every drift names a SignalParams field and is a callable of wall-clock seconds."""
     unknown = set(drifts or {}) - set(_DRIFTABLE)
     if unknown:
         raise ValueError(f"cannot drift unknown fields: {sorted(unknown)}")
+    for name, fn in (drifts or {}).items():
+        if not callable(fn):
+            raise ValueError(f"drift of {name} must be a callable of seconds, got {fn!r}")
 
 
 def _stack_blocks(params, drifts=None, times=(None,), reps=None):

@@ -1,7 +1,6 @@
 """Tests for delay selection: Gaussian approximation, cost, optimizers."""
 
 import dataclasses
-import os
 import threading
 import tracemalloc
 import warnings
@@ -276,6 +275,16 @@ class TestDelayGrid:
 
 
 class TestCost:
+    @pytest.mark.parametrize("sigma_m", [(0.1,), (0.1, 0.2, 0.3)])
+    def test_sigma_m_needs_one_entry_per_branch(self, sigma_m):
+        # zip would pair the branches with the first two of three entries,
+        # or leave the minus branch without tables for one.
+        grid = DelayGrid.from_bounds(0.01, 3.0, 10)
+        with pytest.raises(ValueError, match="zip"):
+            cost_surface(grid, RATES, sigma_m, TIMING, ROBUST_CURVES)
+        with pytest.raises(ValueError, match="zip"):
+            gaussian_sigma(DelayPair(0.3, 0.6), RATES, sigma_m, ROBUST_CURVES)
+
     def test_sigma_scaling_is_linear(self):
         delays = DelayPair(0.3, 0.6)
         base = cost(delays, RATES, (0.02, 0.03), TIMING)
@@ -381,11 +390,12 @@ def kernel_and_exhaustive(grid, rates, timing, curves=ROBUST_CURVES, sigma_m=Non
 
     sigma_m None selects the sigma-free approximate cost.
     """
+    taus = (grid.taus, grid.taus)
     if sigma_m is None:
-        got = _bounded_argmin(grid, rates, timing, _curve_tables(grid, rates, (1.0, 1.0), curves))
+        got = _bounded_argmin(grid, rates, timing, _curve_tables(taus, rates, (1.0, 1.0), curves))
         surface = approx_cost_surface(grid, rates, timing, curves)
     else:
-        got = _bounded_argmin(grid, rates, timing, _curve_tables(grid, rates, sigma_m, curves))
+        got = _bounded_argmin(grid, rates, timing, _curve_tables(taus, rates, sigma_m, curves))
         surface = cost_surface(grid, rates, sigma_m, timing, curves)
     want = exhaustive_argmin(surface)
     # repr tells NaN, -0.0 and every float bit pattern apart.
@@ -479,7 +489,7 @@ class TestBoundedArgmin:
 
         for sigma_m in ((sigma_plus, 0.03), (0.03, np.nan)):
             with pytest.raises(ValueError, match="sigma_m entries must be positive"):
-                _curve_tables(grid, RATES, sigma_m, ROBUST_CURVES)
+                _curve_tables((grid.taus, grid.taus), RATES, sigma_m, ROBUST_CURVES)
             with pytest.raises(ValueError, match="sigma_m entries must be positive"):
                 cost_surface(grid, RATES, sigma_m, TIMING, ROBUST_CURVES)
 
@@ -923,8 +933,8 @@ class TestBlockedParticleSelect:
 class TestThreadedVariances:
     """The caller and one worker thread each take half the delay blocks.
 
-    Each block's arithmetic is the same on either thread and with one
-    usable CPU, so the variances must agree bit for bit.
+    Each block's arithmetic is the same on either thread, so a delay's
+    variance must have the same bits whichever half computes it.
     """
 
     @staticmethod
@@ -947,25 +957,27 @@ class TestThreadedVariances:
     @pytest.mark.parametrize(
         "count", [1, 2, *(k * _DELAYS + d for k in (1, 2, 4) for d in (-1, 1)), 100, 1000]
     )
-    def test_threaded_equals_one_thread(self, monkeypatch, count, n):
+    def test_threaded_equals_one_thread(self, count, n):
+        # Block-aligned prefixes and suffixes move delays between the halves:
+        # the suffix from the whole call's own cut puts the worker's first
+        # block on the caller, and a one-block call runs on the caller alone.
         cloud = self.cloud(n, seed=count)
         taus = DEFAULT_GRID.taus[:count]
+        starts = range(0, count, _DELAYS)
+        cuts = {starts[1], starts[(len(starts) + 1) // 2], starts[-1]} if count > _DELAYS else ()
         for protocol in CLASS_PROTOCOLS:
             curves = measurement_curves(protocol)
-            monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
-            threaded = _branch_variances(cloud, taus, curves)
-            monkeypatch.setattr(design, "_usable_cpus", lambda: 1)
-            inline = _branch_variances(cloud, taus, curves)
-            assert threaded.shape == (2, count)
-            assert np.array_equal(threaded, inline)
+            whole = _branch_variances(cloud, taus, curves)
+            assert whole.shape == (2, count)
+            for s in sorted(cuts):
+                assert np.array_equal(whole[:, :s], _branch_variances(cloud, taus[:s], curves))
+                assert np.array_equal(whole[:, s:], _branch_variances(cloud, taus[s:], curves))
 
     @pytest.mark.parametrize("count", [_DELAYS + 1, 2 * _DELAYS + 1, 4 * _DELAYS + 1])
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_lone_last_delay_keeps_its_bits(self, monkeypatch, count, cpus):
+    def test_lone_last_delay_keeps_its_bits(self, count):
         # Above 8,192 particles einsum sums a one-row block in another order
         # than each row of a larger block; a delay alone in the last block
         # must get the bits it gets next to another delay.
-        monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
         cloud = self.cloud(20000)
         taus = DEFAULT_GRID.taus[::10][: count + 1]
         for protocol in CLASS_PROTOCOLS:
@@ -973,10 +985,8 @@ class TestThreadedVariances:
             alone = _branch_variances(cloud, taus[:count], curves)
             assert np.array_equal(alone, _branch_variances(cloud, taus, curves)[:, :count])
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_rate_terms_built_once_per_selection(self, monkeypatch, cpus):
+    def test_rate_terms_built_once_per_selection(self, monkeypatch):
         # Every block gets the cloud's terms; none rebuilds them from the rates.
-        monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
         calls = []
         build = rates_module._rate_terms
         for module in (design, rates_module):
@@ -984,23 +994,20 @@ class TestThreadedVariances:
         pf_select_delays(self.cloud(1025), TIMING, measurement_curves(ROBUST_PROTOCOL))
         assert len(calls) == 1
 
-    def test_one_cpu_starts_no_thread(self, monkeypatch):
+    def test_one_worker_thread(self):
         cloud = self.cloud(1025)
         taus = DEFAULT_GRID.taus[::10]
         curves = measurement_curves(ROBUST_PROTOCOL)
-        threads = {}
-        for cpus in (1, 2):
-            seen = threads[cpus] = []
-            monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
-            got = _branch_variances(cloud, taus, self.recording(curves, seen))
-            assert np.array_equal(got, _branch_variances(cloud, taus, curves))
-        assert len(threads[1]) == len(threads[2]) == -(-taus.size // _DELAYS)
-        assert set(threads[1]) == {threading.current_thread()}
-        assert len(set(threads[2])) == 2
+        seen = []
+        before = threading.active_count()
+        got = _branch_variances(cloud, taus, self.recording(curves, seen))
+        assert np.array_equal(got, _branch_variances(cloud, taus, curves))
+        assert threading.active_count() == before
+        assert len(seen) == -(-taus.size // _DELAYS)
+        assert len(set(seen)) == 2 and threading.current_thread() in seen
 
     @pytest.mark.parametrize("half", ["first", "second"])
-    def test_exception_in_either_half_reaches_the_caller(self, monkeypatch, half):
-        monkeypatch.setattr(design, "_usable_cpus", lambda: 2)
+    def test_exception_in_either_half_reaches_the_caller(self, half):
         taus = DEFAULT_GRID.taus[::10]
         fail_at = taus[0] if half == "first" else taus[-1]
         seen = []
@@ -1010,8 +1017,3 @@ class TestThreadedVariances:
             pf_select_delays(self.cloud(1025), TIMING, curves, subgrid=100)
         assert threading.active_count() == before
         assert len(set(seen)) == 2
-
-    def test_usable_cpus(self, monkeypatch):
-        assert design._usable_cpus() == len(os.sched_getaffinity(0))
-        monkeypatch.delattr(os, "sched_getaffinity")
-        assert design._usable_cpus() == (os.cpu_count() or 1)

@@ -1,6 +1,10 @@
 """Adaptive loop, fixed-sweep baseline, timing, and speedup study."""
 
 import json
+import os
+import pickle
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 
@@ -8,7 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import ROBUST_CURVES, per_acquisition_four, per_row_estimate_pairs, sequential_nap
-from spinrelax import design, experiments
+from spinrelax import experiments
 from spinrelax.design import DelayGrid, DelayPair, TimingModel, nob_select_delays
 from spinrelax.experiments import (
     ExperimentConfig,
@@ -90,6 +94,12 @@ class TestConfigValidation:
         # Rejected when the config is built, before any run can drop it.
         with pytest.raises(ValueError, match=r"cannot drift unknown fields: \['alhpa'\]"):
             fig_defaults(noiseless=True, drifts={"alhpa": lambda t: 0.8})
+
+    @pytest.mark.parametrize("value", [0.7, None, "0.7"], ids=["float", "none", "str"])
+    def test_drift_must_be_callable(self, value):
+        # A constant is not a schedule; the run would fail at its first acquisition.
+        with pytest.raises(ValueError, match="drift of alpha must be a callable"):
+            ExperimentConfig(true_rates=TRUTH, iterations=1, drifts={"alpha": value})
 
     @pytest.mark.parametrize(
         "field, value",
@@ -471,51 +481,40 @@ def stop_at(record, parity):
 
 
 class TestPairedRebuilds:
-    """Sweeps k and k + 1 are rebuilt side by side on two CPUs and one
-    after the other on one; either way every output is that of the
-    sequential runner, one sweep rebuilt before the next is drawn."""
+    """Sweeps k and k + 1 are rebuilt side by side, and every output is that
+    of the sequential runner, one sweep rebuilt before the next is drawn."""
 
     NAP = dict(optimizer="nap", nap_delays=NAP_DEFAULT_DELAYS)
 
-    def assert_sequential_on_one_and_two_cpus(self, monkeypatch, config, **stops):
+    def assert_sequential(self, config, **stops):
         want = outputs(sequential_nap(config, **stops))
-        for cpus in (1, 2):
-            monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
-            assert outputs(run_nap(config, **stops)) == want
+        assert outputs(run_nap(config, **stops)) == want
         return want
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_seeded_runs(self, monkeypatch, seed):
-        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
-            monkeypatch, fig_defaults(iterations=6, seed=seed, **self.NAP)
-        )
+    def test_seeded_runs(self, seed):
+        _, _, trace, _ = self.assert_sequential(fig_defaults(iterations=6, seed=seed, **self.NAP))
         assert len(trace) == 6
 
-    def test_odd_iterations(self, monkeypatch):
-        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
-            monkeypatch, fig_defaults(iterations=5, seed=2, **self.NAP)
-        )
+    def test_odd_iterations(self):
+        _, _, trace, _ = self.assert_sequential(fig_defaults(iterations=5, seed=2, **self.NAP))
         assert len(trace) == 5
 
     @pytest.mark.parametrize("parity", [0, 1])
-    def test_stop_sigma_on_either_sweep_of_a_pair(self, monkeypatch, parity):
+    def test_stop_sigma_on_either_sweep_of_a_pair(self, parity):
         config = fig_defaults(iterations=12, seed=5, selector_overhead_s=0.25, **self.NAP)
         stop_sigma, k = stop_at(sequential_nap(config), parity)
-        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
-            monkeypatch, config, stop_sigma=stop_sigma
-        )
+        _, _, trace, _ = self.assert_sequential(config, stop_sigma=stop_sigma)
         assert len(trace) == k + 1
 
     @pytest.mark.parametrize("sweep", [2, 3])
-    def test_max_physical_cap(self, monkeypatch, sweep):
+    def test_max_physical_cap(self, sweep):
         config = fig_defaults(iterations=12, seed=6, **self.NAP)
         cap = sequential_nap(config).trace_points[sweep].physical_s
-        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
-            monkeypatch, config, max_physical_s=cap
-        )
+        _, _, trace, _ = self.assert_sequential(config, max_physical_s=cap)
         assert len(trace) == sweep + 1
 
-    def test_drifted_noiseless_run_capped_on_the_second_sweep_of_a_pair(self, monkeypatch):
+    def test_drifted_noiseless_run_capped_on_the_second_sweep_of_a_pair(self):
         # Noiseless counts under drift depend only on each acquisition's start time.
         config = fig_defaults(
             iterations=12,
@@ -524,12 +523,10 @@ class TestPairedRebuilds:
             **self.NAP,
         )
         cap = sequential_nap(config).trace_points[3].physical_s
-        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
-            monkeypatch, config, max_physical_s=cap
-        )
+        _, _, trace, _ = self.assert_sequential(config, max_physical_s=cap)
         assert len(trace) == 4
 
-    def test_drift_leaving_its_domain_after_the_stop_sweep(self, monkeypatch):
+    def test_drift_leaving_its_domain_after_the_stop_sweep(self):
         # alpha holds 0.8 until `bad`, inside the sweep drawn ahead of the
         # stop sweep, then leaves its domain; the run stops before that sweep.
         config = fig_defaults(
@@ -544,19 +541,14 @@ class TestPairedRebuilds:
         stop_sigma, k = stop_at(steady, 0)
         bad = steady.iterations[(k + 1) * len(config.nap_delays) + 2].cumulative_physical_s
         stepped = replace(config, drifts={"alpha": lambda t: 0.8 if t < bad else 0.2})
-        _, _, trace, _ = self.assert_sequential_on_one_and_two_cpus(
-            monkeypatch, stepped, stop_sigma=stop_sigma
-        )
+        _, _, trace, _ = self.assert_sequential(stepped, stop_sigma=stop_sigma)
         assert len(trace) == k + 1
-        for cpus in (1, 2):
-            monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
-            with pytest.raises(ValueError, match="alpha must lie in"):
-                run_nap(stepped)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            run_nap(stepped)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_exception_in_the_workers_rebuild_reaches_the_caller(self, monkeypatch, cpus):
+    def test_exception_in_the_workers_rebuild_reaches_the_caller(self, monkeypatch):
         # The second rebuild of a pair folds in the worker's workspace, on
-        # the worker thread with two CPUs and after the first with one.
+        # the worker thread.
         fold = experiments._Run.fold
         seen, failed = [], []
 
@@ -568,14 +560,50 @@ class TestPairedRebuilds:
             return fold(run, grid, pair, workspace)
 
         monkeypatch.setattr(experiments._Run, "fold", failing)
-        monkeypatch.setattr(design, "_usable_cpus", lambda: cpus)
         before = threading.active_count()
         with pytest.raises(FloatingPointError, match="no fold"):
             run_nap(fig_defaults(iterations=4, seed=1, **self.NAP))
         assert threading.active_count() == before
         main = threading.current_thread()
-        assert len(failed) == 1 and (failed[0] is main) == (cpus == 1)
+        assert len(failed) == 1 and failed[0] is not main
         assert set(seen) == {main, failed[0]}
+
+
+# A short nap run and a short pf run, written to stdout as a pickle of the
+# CPUs the process may use and each run's records, trace and final moments.
+# An argument pins the process to that one CPU before numpy starts a thread.
+SHORT_RUNS = """
+import os, pickle, sys
+if len(sys.argv) > 1:
+    os.sched_setaffinity(0, {int(sys.argv[1])})
+from spinrelax.experiments import NAP_DEFAULT_DELAYS, ExperimentConfig, run_adaptive, run_nap
+from spinrelax.rates import RatePair
+base = dict(true_rates=RatePair(1.0, 3.0), iterations=4, seed=3)
+runs = (
+    run_nap(ExperimentConfig(optimizer="nap", nap_delays=NAP_DEFAULT_DELAYS[::4], **base)),
+    run_adaptive(ExperimentConfig(optimizer="pf", particle_count=1025, **base)),
+)
+outputs = [(r.to_jsonl(), r.trace_points, r.final) for r in runs]
+sys.stdout.buffer.write(pickle.dumps((len(os.sched_getaffinity(0)), outputs)))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_one_cpu_runs_equal_unpinned_runs():
+    # Both halves of the pf selector and both rebuilds of a nap pair then
+    # share the one CPU the process may use.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(experiments.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def short_runs(*pin):
+        command = [sys.executable, "-c", SHORT_RUNS, *map(str, pin)]
+        done = subprocess.run(command, env=env, capture_output=True, check=True)
+        return pickle.loads(done.stdout)
+
+    (cpus, pinned), (_, unpinned) = short_runs(min(os.sched_getaffinity(0))), short_runs()
+    assert cpus == 1
+    assert pinned == unpinned
 
 
 class TestExchangeSymmetry:
@@ -585,10 +613,24 @@ class TestExchangeSymmetry:
     @pytest.mark.parametrize("optimizer", ["nob", "nap"])
     @pytest.mark.parametrize("truth", [(1.0, 3.0), (0.3, 7.0), (2.0, 2.5)])
     def test_whole_run_mirrors(self, optimizer, truth):
+        self.assert_mirrors(optimizer, truth, iterations=2 if optimizer == "nap" else 10)
+
+    @pytest.mark.parametrize("optimizer", ["nob", "nap"])
+    @pytest.mark.parametrize("repetitions", [10**4, 10**6])
+    def test_full_length_runs_mirror(self, optimizer, repetitions):
+        # pf is left out: it draws its particles even when noiseless.
+        self.assert_mirrors(
+            optimizer,
+            (1.0, 3.0),
+            iterations=3 if optimizer == "nap" else 30,
+            params=SignalParams(repetitions_R=repetitions),
+        )
+
+    @staticmethod
+    def assert_mirrors(optimizer, truth, **extra):
+        runner = run_nap if optimizer == "nap" else run_adaptive
         if optimizer == "nap":
-            runner, extra = run_nap, dict(iterations=2, nap_delays=NAP_DEFAULT_DELAYS)
-        else:
-            runner, extra = run_adaptive, dict(iterations=10)
+            extra.update(nap_delays=NAP_DEFAULT_DELAYS)
         extra.update(optimizer=optimizer, noiseless=True)
         run, mirror = (
             runner(fig_defaults(true_rates=RatePair(*rates), **extra))
