@@ -34,7 +34,12 @@ bound on the block's cost, and blocks bounded above a probed cell are
 skipped.  The same two bounds prune twice: 24x24-cell blocks, then the
 6x6-cell blocks inside the coarse ones that survive.  The cells of the
 fine blocks left are evaluated, and np.argmin's cell is returned, ties
-going to the smallest tau_plus, then tau_minus.  A
+going to the smallest tau_plus, then tau_minus.  What the search needs of
+the grid and the timing alone (the probe cells, the block starts and the
+durations at them) is its search plan (_search_plan), built at a (grid,
+timing) pair's first search and kept in a small cache keyed on the
+DelayGrid object and the TimingModel's value; it holds only values the
+search would otherwise compute again, so no output depends on it.  A
 stochastic particle-cloud optimizer, the alternative, maximizes a
 variance-proxy utility over the cloud: with the cloud's rate terms built
 once, per block of candidate delays one two-branch kernel call over the
@@ -57,6 +62,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -260,15 +267,17 @@ def _cost_kernel(grid, rates, timing, plus_branch, minus_branch):
     (dM+/dG+, dM+/dG-, dM-/dG+, dM-/dG-) / sigma_M, the plus branch's
     gradients over the tau_plus axis and the minus branch's over the
     tau_minus axis; plus = G-^2 b^2 + G+^2 a^2, minus = G-^2 d^2 + G+^2 c^2;
-    and cells(r, c), the cost at (tau_plus_r, tau_minus_c), infinite where
-    the Jacobian is singular.
+    and cells(r, c, t), the cost at (tau_plus_r, tau_minus_c), infinite
+    where the Jacobian is singular; t, the cells' durations, is computed
+    when not given.
     """
     taus = grid.taus
     (a, b, plus), (c, d, minus) = plus_branch, minus_branch
     gp, gm = map(float, _unpack(rates))
 
-    def cells(row, col):
-        t = timing.duration_seconds(taus[row], taus[col])
+    def cells(row, col, t=None):
+        if t is None:
+            t = timing.duration_seconds(taus[row], taus[col])
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             det = a[row] * d[col] - b[row] * c[col]
             value = np.sqrt(t * (plus[row] + minus[col])) / (gp * gm * np.abs(det))
@@ -310,12 +319,75 @@ _FINE = 6
 _PROBE = 24
 
 
-def _det_bound(tables, starts, rows, cols):
+class _SearchPlan(NamedTuple):
+    """What _bounded_argmin needs of a grid and a timing alone, read-only.
+
+    probe: the probe cells' delay indices on either axis; probe_t: the
+    durations at every pair of them; fine: each _FINE-cell block's delays
+    (_block_cells); coarse: each _BLOCK-cell block's fine blocks, likewise;
+    coarse_t, fine_t: the durations at every pair of coarse and of fine
+    block starts.
+    """
+
+    probe: np.ndarray
+    probe_t: np.ndarray
+    fine: np.ndarray
+    coarse: np.ndarray
+    coarse_t: np.ndarray
+    fine_t: np.ndarray
+
+
+def _block_cells(n, edge):
+    """cells[offset, block]: the indices of each block of `edge` of n cells,
+    the last block clipped by repeating the last cell, which leaves its
+    extrema as they are."""
+    return np.minimum(np.arange(0, n, edge) + np.arange(edge)[:, None], n - 1)
+
+
+def _block_ends(table, cells):
+    """ends[..., e, block]: the minimum (e = 0) and maximum (e = 1) of each
+    block of `table` along its last axis, the blocks' cells[offset, block]
+    (_block_cells).  One gather, then two reductions over the offsets: about
+    a quarter of the time of np.minimum.reduceat and np.maximum.reduceat."""
+    blocks = table.take(cells, axis=-1)
+    return np.stack([np.minimum.reduce(blocks, axis=-2), np.maximum.reduce(blocks, axis=-2)], axis=-2)
+
+
+@lru_cache(maxsize=4)
+def _search_plan(grid, timing):
+    """The _SearchPlan of a DelayGrid (keyed on the object) and a TimingModel
+    (keyed on its value).  At 1,000 delays it holds 261 KB, most of it the
+    167x167 fine durations: about (size / _FINE)^2 doubles in all.  Each
+    duration is timing.duration_seconds at the same two delays, so a value
+    read here is the one the search would compute."""
+    taus = grid.taus
+    fine = _block_cells(taus.size, _FINE)
+    split = _BLOCK // _FINE
+
+    def durations(index):
+        return timing.duration_seconds(taus[index][:, None], taus[index])
+
+    probe = np.arange(0, taus.size, _PROBE)
+    plan = _SearchPlan(
+        probe,
+        durations(probe),
+        fine,
+        _block_cells(fine.shape[1], split),
+        durations(fine[0, ::split]),
+        durations(fine[0]),
+    )
+    for array in plan:
+        array.flags.writeable = False
+    return plan
+
+
+def _det_bound(ends, rows, cols):
     """Per block pair, the largest |a[r] d[c] - b[r] c[c]| a cell can compute.
 
-    The blocks start at `starts` on both axes; `rows` and `cols` are the
-    pairs' block indices on the tau_plus and tau_minus axes, arrays that
-    broadcast to the result's shape.
+    `ends` holds the blocks' extrema of the tables a, b, c, d, in that
+    order, as _block_ends lays them out; further tables are ignored.
+    `rows` and `cols` are the pairs' block indices on the tau_plus and
+    tau_minus axes, arrays that broadcast to the result's shape.
 
     Interval arithmetic (Moore 1966): over a block pair a d spans the
     products of a's and d's block minima and maxima, b c likewise, and
@@ -324,12 +396,6 @@ def _det_bound(tables, starts, rows, cols):
     the cells' rounded ones too, even where a d and b c cancel to the last
     ulp: no rounding term is needed.
     """
-    table = np.stack(tables)
-    # ends[k, e, block]: table k's block minimum (e = 0) and maximum (e = 1)
-    ends = np.stack(
-        [np.minimum.reduceat(table, starts, axis=1), np.maximum.reduceat(table, starts, axis=1)],
-        axis=1,
-    )
 
     def span(row, col):
         """Per block pair, the minimum and maximum of the table products row[r] col[c]."""
@@ -365,27 +431,43 @@ def _bounded_argmin(grid, rates, timing, branches):
     probe cell; the cells of the fine pairs that survive are evaluated in
     one cells call.  Nothing is pruned when a table is not finite,
     G+ G- <= 0, or no probe cell is finite.
-    """
-    taus = grid.taus
-    n = taus.size
-    gp, gm = map(float, _unpack(rates))
-    tables, (plus, minus), cells = _cost_kernel(grid, rates, timing, *branches)
-    upper = np.inf  # prunes nothing
-    if gp * gm > 0.0 and all(np.isfinite(x).all() for x in (plus, minus, *tables)):
-        probe = np.arange(0, n, _PROBE)
-        upper = cells(*np.ix_(probe, probe)).min()
 
-    def survivors(edge, rows, cols):
+    The six tables (a, b, c, d, plus, minus) are stacked once for one
+    finiteness check and one pass of block minima and maxima over the fine
+    blocks (_block_ends); the coarse blocks' extrema come from the fine
+    ones, a coarse block being _BLOCK // _FINE whole fine blocks.  The
+    probe cells, the blocks' cells and the durations at the probe and the
+    block starts come from the (grid, timing) search plan (_search_plan),
+    which holds the values computed here before it existed: the bounds,
+    the blocks kept and the cells evaluated are the same with it, and so
+    is every result.
+    """
+    n = grid.taus.size
+    gp, gm = map(float, _unpack(rates))
+    tables, sums, cells = _cost_kernel(grid, rates, timing, *branches)
+    plan = _search_plan(grid, timing)
+    table = np.stack((*tables, *sums))
+    # ends[k, e, block] of the tables (a, b, c, d, plus, minus), per level.
+    fine = _block_ends(table, plan.fine)
+    blocks = fine.take(plan.coarse, axis=-1)
+    coarse = np.stack(
+        [np.minimum.reduce(blocks[:, 0], axis=-2), np.maximum.reduce(blocks[:, 1], axis=-2)], axis=1
+    )
+    upper = np.inf  # prunes nothing
+    if gp * gm > 0.0 and np.isfinite(table).all():
+        upper = cells(plan.probe[:, None], plan.probe, plan.probe_t).min()
+
+    def survivors(ends, durations, rows, cols):
         """Of the block pairs (rows, cols), broadcast, the ones inside the
-        grid whose lower bound does not exceed `upper`, as flat arrays."""
-        starts = np.arange(0, n, edge)
-        inside = (rows < starts.size) & (cols < starts.size)
-        row, col = np.minimum(rows, starts.size - 1), np.minimum(cols, starts.size - 1)
-        low_plus, low_minus = (np.minimum.reduceat(x, starts) for x in (plus, minus))
-        t = timing.duration_seconds(taus[starts[row]], taus[starts[col]])
+        grid whose lower bound does not exceed `upper`, as flat arrays;
+        `ends` and `durations` are the level's block extrema and durations."""
+        count = ends.shape[-1]
+        inside = (rows < count) & (cols < count)
+        row, col = np.minimum(rows, count - 1), np.minimum(cols, count - 1)
+        low_plus, low_minus = ends[4, 0], ends[5, 0]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det = _det_bound(tables, starts, row, col)
-            bound = np.sqrt(t * (low_plus[row] + low_minus[col])) / (gp * gm * det)
+            det = _det_bound(ends, row, col)
+            bound = np.sqrt(durations[row, col] * (low_plus[row] + low_minus[col])) / (gp * gm * det)
         # The bound repeats the cells' rounded operations with t, plus and
         # minus no larger and |det| no smaller than at any cell of its block,
         # so it is below each of them (rounding is monotone); the slack is a
@@ -393,12 +475,12 @@ def _bounded_argmin(grid, rates, timing, branches):
         keep = ~(bound * (1.0 - 1e-9) > upper) & inside
         return tuple(x[keep] for x in np.broadcast_arrays(rows, cols))
 
-    count, split = -(-n // _BLOCK), _BLOCK // _FINE
-    rows, cols = survivors(_BLOCK, np.arange(count)[:, None], np.arange(count))
+    count, split = coarse.shape[-1], _BLOCK // _FINE
+    rows, cols = survivors(coarse, plan.coarse_t, np.arange(count)[:, None], np.arange(count))
     # Each surviving coarse pair's fine pairs as (row, 1, pair) against
     # (1, col, pair): the pair axis last keeps numpy's inner loops long.
     sub = np.arange(split)[:, None]
-    rows, cols = survivors(_FINE, (rows * split + sub)[:, None], cols * split + sub)
+    rows, cols = survivors(fine, plan.fine_t, (rows * split + sub)[:, None], cols * split + sub)
     # The surviving blocks' cells, laid out as their pairs are above.
     offsets = np.arange(_FINE)[:, None]
     row = np.minimum(rows * _FINE + offsets, n - 1)[:, None]

@@ -67,7 +67,10 @@ from .signals import (
     SignalParams,
     _block_means,
     _check_drift_fields,
+    _checked_means,
+    _count_terms,
     _draw,
+    _stack_blocks,
     sample_signals,
 )
 
@@ -306,6 +309,7 @@ class _Run:
         self.plus = config.protocol.plus.oriented()
         self.minus = config.protocol.minus.oriented()
         self.workspace = _Workspace()
+        self._terms = {}
         self._static = {}
         self.records = []
         self.trace = []
@@ -333,16 +337,23 @@ class _Run:
 
         Without drift the expected counts do not depend on time, so each
         (measurement, delay)'s `_block_means` are computed at its first
-        acquisition, kept read-only for the rest of the run, and drawn from
-        by `_draw`, as `sample_signals` draws.  With drift every acquisition
-        is computed block by block.
+        acquisition, from the measurement's count terms (built at its first
+        acquisition, once per run), kept read-only for the rest of the run, and drawn from by `_draw`, as
+        `sample_signals` draws.  With drift every acquisition is computed
+        block by block.
         """
         config = self.config
         args = (measurement, tau, config.true_rates, config.params)
         if config.drifts is None:
             key = (measurement, tau)
             if key not in self._static:
-                self._static[key] = _block_means(*args, None, t_start, duration_s)
+                if measurement not in self._terms:
+                    self._terms[measurement] = _count_terms(
+                        (measurement.first, measurement.second),
+                        config.true_rates,
+                        _stack_blocks(config.params),
+                    )
+                self._static[key] = _checked_means(measurement, tau, self._terms[measurement])
                 for a in self._static[key]:
                     a.flags.writeable = False
             means, totals = self._static[key]

@@ -37,6 +37,12 @@ measurement's four counts travel as one length-4 array, in the column order
 of `expected_signals`: first and second signal at tau, then at tau = 0.
 `_signal_counts` builds every expected count, `_four_counts` assembles every
 measurement's four from one such call, and `Measurement.oriented` orders a pair.
+`_signal_counts` is two steps: `_count_terms`, everything that does not
+depend on the delay (the rate terms, the modes, each signal's k0, k1, k2
+and count at tau = 0, and a constant background), then `_counts_at`, the
+decays and the sum at tau.  A run without drift builds its measurements'
+terms once (`experiments._Run.four`), so each new delay computes only its
+decays, and a callable background, at that delay.
 """
 
 from __future__ import annotations
@@ -321,12 +327,19 @@ def _signal_counts(signals, tau, rates, blocks):
     k1 = (c B_read . u)(u . B_prep s)/|u|^2, k2 likewise with w and k0 with
     (1, 1, 1), whose squared norm is 3.  The tau = 0 count is the chain
     through the identity, c B_read B_prep s, and delays equal to 0 take
-    that value.
+    that value.  The delay-independent part is _count_terms', the sum at
+    tau _counts_at's.
     Shapes: broadcast(tau, rates) + (blocks,) at tau, (blocks,) at 0.
     """
-    delays = _check_tau(tau)
+    return _counts_at(_count_terms(signals, rates, blocks), tau)
+
+
+def _count_terms(signals, rates, blocks):
+    """What _signal_counts computes before it sees a delay, in a namespace:
+    the rate terms, R per block, the background (a float row, or the object
+    row of callables to call at each tau), and per signal its (k0, k1, k2,
+    count at tau = 0).  A '0' pulse is the identity and is not applied."""
     terms = _rate_terms(rates)
-    e_fast, e_slow = (e[..., None] for e in _decays(delays, terms))
     # The three projectors' vectors and squared norms, J/3 being (1, 1, 1)'s;
     # each rate pair's vector as one row against the blocks' rows.
     modes = [(np.ones(3), 3.0)] + [
@@ -337,23 +350,41 @@ def _signal_counts(signals, tau, rates, blocks):
     background = blocks.background
     if background.dtype == object:
         background = background[:1] if background.strides == (0,) else background
-        background_tau, background_zero = (
-            np.moveaxis(np.array([b(t) if callable(b) else b for b in background], float), 0, -1)
-            for t in (tau, 0.0)
-        )
+        background_zero = _background_at(background, 0.0)
     else:
-        background_tau = background_zero = blocks.background.astype(float, copy=False)
-    pumped = prep_vector(blocks)[:, :, None]
+        background = background_zero = background.astype(float, copy=False)
+    pumped = prep_vector(blocks)
     yields = collection_vector(blocks)[:, None, :]
-    zero = (delays == 0.0)[..., None]
-    out = []
+    signal_terms = []
     for prep, read in signals:
-        start = (pulse_matrix(prep, blocks) @ pumped)[:, :, 0]
-        finish = yields @ pulse_matrix(read, blocks)
+        start = pumped if prep == "0" else (pulse_matrix(prep, blocks) @ pumped[:, :, None])[:, :, 0]
+        finish = yields if read == "0" else yields @ pulse_matrix(read, blocks)
         at_zero = blocks.repetitions_R * ((finish @ start[:, :, None])[:, 0, 0] + background_zero)
         finish = finish[:, 0, :]
-        k0, k1, k2 = (_dot3(finish, v) * _dot3(start, v) / norm2 for v, norm2 in modes)
-        at_tau = blocks.repetitions_R * (k0 + k1 * e_fast + k2 * e_slow + background_tau)
+        k = tuple(_dot3(finish, v) * _dot3(start, v) / norm2 for v, norm2 in modes)
+        signal_terms.append((*k, at_zero))
+    return SimpleNamespace(
+        rates=terms, reps=blocks.repetitions_R, background=background, signals=signal_terms
+    )
+
+
+def _background_at(background, tau):
+    """An object row of backgrounds, constants or callables, at tau: one row per block, last."""
+    return np.moveaxis(np.array([b(tau) if callable(b) else b for b in background], float), 0, -1)
+
+
+def _counts_at(terms, tau):
+    """_signal_counts at tau from its _count_terms: the decays, a callable
+    background's value at tau, and per signal R (k0 + k1 e_fast + k2 e_slow + b)."""
+    delays = _check_tau(tau)
+    e_fast, e_slow = (e[..., None] for e in _decays(delays, terms.rates))
+    background = terms.background
+    if background.dtype == object:
+        background = _background_at(background, tau)
+    zero = (delays == 0.0)[..., None]
+    out = []
+    for k0, k1, k2, at_zero in terms.signals:
+        at_tau = terms.reps * (k0 + k1 * e_fast + k2 * e_slow + background)
         if zero.any():
             at_tau = np.where(zero, at_zero, at_tau)
         out.append((at_tau, at_zero))
@@ -417,7 +448,7 @@ def _block_means(
     if not 0.0 <= duration_s < math.inf:
         raise ValueError("duration_s must be nonnegative and finite")
     if drifts is None:
-        times, blocks = [None], params
+        times, blocks = [None], _stack_blocks(params)
     else:
         total_r = params.repetitions_R
         n_blocks = math.ceil(total_r / block_reps)
@@ -425,7 +456,15 @@ def _block_means(
         times = (t_start + (b + 0.5) / n_blocks * duration_s).tolist()
         reps = np.minimum(block_reps, total_r - b * block_reps)
         blocks = _stack_blocks(params, drifts, times, reps)
-    means = expected_signals(measurement, tau, rates, blocks)
+    terms = _count_terms((measurement.first, measurement.second), rates, blocks)
+    return _checked_means(measurement, tau, terms, times)
+
+
+def _checked_means(measurement, tau, terms, times=(None,)):
+    """_block_means from `terms`, the _count_terms of the measurement's first
+    and second signal over blocks at `times` (None for static parameters)."""
+    (first, first_zero), (second, second_zero) = _counts_at(terms, tau)
+    means = np.stack(np.broadcast_arrays(first, second, first_zero, second_zero), axis=-1)
     negative = np.argwhere(means < 0.0)
     if negative.size:
         b, k = negative[0]

@@ -21,6 +21,8 @@ from spinrelax.design import (
     _BLOCK,
     _DELAYS,
     _FINE,
+    _block_cells,
+    _block_ends,
     _bounded_argmin,
     _branch_variances,
     _curve_tables,
@@ -603,11 +605,44 @@ class TestIntervalBound:
         det = np.abs(np.multiply.outer(a, d) - np.multiply.outer(b, c))
         # Both pruning levels: every block pair of each level's edge.
         for edge in (_BLOCK, _FINE):
-            starts = np.arange(0, size, edge)
+            cells = _block_cells(size, edge)
+            count = cells.shape[1]
             block = np.arange(size) // edge
-            rows, cols = np.divmod(np.arange(starts.size**2), starts.size)
-            bound = _det_bound((a, b, c, d), starts, rows, cols).reshape(starts.size, starts.size)
+            rows, cols = np.divmod(np.arange(count**2), count)
+            ends = _block_ends(np.stack((a, b, c, d)), cells)
+            # The clipped gather's extrema are the blocks' own.
+            starts = np.arange(0, size, edge)
+            assert np.array_equal(
+                ends,
+                np.stack(
+                    [f.reduceat(np.stack((a, b, c, d)), starts, axis=1) for f in (np.minimum, np.maximum)],
+                    axis=1,
+                ),
+            )
+            bound = _det_bound(ends, rows, cols).reshape(count, count)
             assert np.all(det <= bound[np.ix_(block, block)])
+
+
+class TestSearchPlan:
+    def test_timings_differing_only_in_per_shot_time(self):
+        # The longer fixed time moves the argmin to longer delays, so a plan
+        # shared between the two timings would prune the other's minimum.
+        grid = DelayGrid.default(400)
+        timings = [TimingModel(repetitions_R=10**4, per_shot_time=p) for p in (0.0, 1e-3)]
+        design._search_plan.cache_clear()
+        found = {}
+        for timing in timings * 3:
+            (i, j, _), _ = kernel_and_exhaustive(grid, RATES, timing)
+            assert found.setdefault(timing, (i, j)) == (i, j)
+        assert found[timings[0]] < found[timings[1]]
+        # An equal TimingModel is the same key.
+        assert design._search_plan(grid, dataclasses.replace(timings[1])) is design._search_plan(
+            grid, timings[1]
+        )
+
+    def test_plan_is_read_only(self):
+        plan = design._search_plan(DEFAULT_GRID, TIMING)
+        assert not any(array.flags.writeable for array in plan)
 
 
 class TestPruning:
@@ -628,9 +663,9 @@ class TestPruning:
         def counting_kernel(*args):
             tables, sums, cells = kernel(*args)
 
-            def counting_cells(row, col):
+            def counting_cells(row, col, *t):
                 count[0] += np.broadcast(row, col).size
-                return cells(row, col)
+                return cells(row, col, *t)
 
             return tables, sums, counting_cells
 

@@ -559,8 +559,9 @@ class TestStackedSampler:
 
     def test_shared_callable_background_is_called_once_per_delay(self):
         # An undrifted callable background is the same object in every one of
-        # the 1,000 blocks: it is called once at tau and once at 0, and the
-        # counts and generator state are the block-by-block loop's.
+        # the 1,000 blocks: it is called once at 0, with the delay-independent
+        # count terms, then once at tau, and the counts and generator state
+        # are the block-by-block loop's.
         calls = []
 
         def background(tau):
@@ -572,7 +573,7 @@ class TestStackedSampler:
         schedule = (SAMPLER_DRIFTS["alpha"], 1.0, 5.0)
         rng_new, rng_old = np.random.default_rng(5), np.random.default_rng(5)
         got = sample_signals(meas, 0.4, rates, params, rng_new, *schedule)
-        assert calls == [0.4, 0.0]
+        assert calls == [0.0, 0.4]
         want, _ = looped_sample_signals(meas, 0.4, rates, params, rng_old, *schedule)
         assert got.tolist() == want
         assert rng_new.bit_generator.state == rng_old.bit_generator.state
@@ -614,6 +615,32 @@ class TestStackedSampler:
                     drifts=SAMPLER_DRIFTS[drift], t_start=1.0, duration_s=5.0,
                 )
                 assert got.dtype == float and got.tolist() == want
+
+    @pytest.mark.parametrize("noiseless", [False, True], ids=["noisy", "noiseless"])
+    @pytest.mark.parametrize(
+        "background", [0.004, lambda tau: 0.002 + 0.001 * tau], ids=["constant", "callable"]
+    )
+    def test_static_run_counts_are_block_means(self, background, noiseless):
+        # A static run builds each measurement's count terms once and then only
+        # its decays per delay: the same bits as _block_means from scratch.
+        rates, params = RatePair(1.0, 3.0), SignalParams(background=background, repetitions_R=19997)
+        taus = DelayGrid.default().taus
+        delays = (0.0, float(taus[0]), float(taus[taus.size // 2]), float(taus[-1]))
+        for protocol in (ROBUST_PROTOCOL, OPTIMAL_PROTOCOL):
+            config = ExperimentConfig(
+                true_rates=rates, params=params, protocol=protocol, noiseless=noiseless, seed=4
+            )
+            run, rng = _Run(config), np.random.default_rng(4)
+            # Twice over: the second pass draws from the kept means.
+            for tau in delays * 2:
+                for meas in (protocol.plus, protocol.minus, run.plus, run.minus):
+                    got = run.four(meas, tau, 1.0, 5.0)
+                    means, totals = _block_means(meas, tau, rates, params, None, 1.0, 5.0)
+                    kept = run._static[(meas, tau)]
+                    assert [a.tobytes() for a in kept] == [means.tobytes(), totals.tobytes()]
+                    want = totals if noiseless else signals._draw(means, rng)
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert run.rng.bit_generator.state == rng.bit_generator.state
 
     def test_drifted_call_builds_constant_number_of_params(self, monkeypatch):
         built = []
