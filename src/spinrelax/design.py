@@ -381,13 +381,14 @@ def _search_plan(grid, timing):
     return plan
 
 
-def _det_bound(ends, rows, cols):
+def _det_bound(row_ends, col_ends):
     """Per block pair, the largest |a[r] d[c] - b[r] c[c]| a cell can compute.
 
-    `ends` holds the blocks' extrema of the tables a, b, c, d, in that
-    order, as _block_ends lays them out; further tables are ignored.
-    `rows` and `cols` are the pairs' block indices on the tau_plus and
-    tau_minus axes, arrays that broadcast to the result's shape.
+    `row_ends` and `col_ends` hold the extrema of the tables a, b, c, d, in
+    that order (further tables are ignored), of each pair's block on the
+    tau_plus and on the tau_minus axis: _block_ends' layout, indexed by
+    block along the last axis, so shaped [table, e, pairs...] with pair
+    shapes that broadcast to the result's shape.
 
     Interval arithmetic (Moore 1966): over a block pair a d spans the
     products of a's and d's block minima and maxima, b c likewise, and
@@ -399,7 +400,7 @@ def _det_bound(ends, rows, cols):
 
     def span(row, col):
         """Per block pair, the minimum and maximum of the table products row[r] col[c]."""
-        (row_lo, row_hi), (col_lo, col_hi) = ends[row][:, rows], ends[col][:, cols]
+        (row_lo, row_hi), (col_lo, col_hi) = row_ends[row], col_ends[col]
         p = row_lo * col_lo, row_lo * col_hi, row_hi * col_lo, row_hi * col_hi
         # Pairwise, not a reduction over a stacked axis of 4: several times faster.
         return (
@@ -458,29 +459,34 @@ def _bounded_argmin(grid, rates, timing, branches):
         upper = cells(plan.probe[:, None], plan.probe, plan.probe_t).min()
 
     def survivors(ends, durations, rows, cols):
-        """Of the block pairs (rows, cols), broadcast, the ones inside the
-        grid whose lower bound does not exceed `upper`, as flat arrays;
-        `ends` and `durations` are the level's block extrema and durations."""
+        """The mask, broadcast over the block pairs (rows, cols), of the ones
+        inside the grid whose lower bound does not exceed `upper`; `ends`
+        and `durations` are the level's block extrema and durations."""
         count = ends.shape[-1]
         inside = (rows < count) & (cols < count)
         row, col = np.minimum(rows, count - 1), np.minimum(cols, count - 1)
-        low_plus, low_minus = ends[4, 0], ends[5, 0]
+        # Every table's extrema at each pair's row block, then column block.
+        row_ends, col_ends = ends[..., row], ends[..., col]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det = _det_bound(ends, row, col)
-            bound = np.sqrt(durations[row, col] * (low_plus[row] + low_minus[col])) / (gp * gm * det)
+            det = _det_bound(row_ends, col_ends)
+            low = row_ends[4, 0] + col_ends[5, 0]
+            bound = np.sqrt(durations[row, col] * low) / (gp * gm * det)
         # The bound repeats the cells' rounded operations with t, plus and
         # minus no larger and |det| no smaller than at any cell of its block,
         # so it is below each of them (rounding is monotone); the slack is a
         # margin on top.  A NaN bound, or a NaN or infinite upper, keeps the block.
-        keep = ~(bound * (1.0 - 1e-9) > upper) & inside
-        return tuple(x[keep] for x in np.broadcast_arrays(rows, cols))
+        return ~(bound * (1.0 - 1e-9) > upper) & inside
 
     count, split = coarse.shape[-1], _BLOCK // _FINE
-    rows, cols = survivors(coarse, plan.coarse_t, np.arange(count)[:, None], np.arange(count))
+    rows, cols = np.nonzero(
+        survivors(coarse, plan.coarse_t, np.arange(count)[:, None], np.arange(count))
+    )
     # Each surviving coarse pair's fine pairs as (row, 1, pair) against
     # (1, col, pair): the pair axis last keeps numpy's inner loops long.
     sub = np.arange(split)[:, None]
-    rows, cols = survivors(fine, plan.fine_t, (rows * split + sub)[:, None], cols * split + sub)
+    keep = survivors(fine, plan.fine_t, (rows * split + sub)[:, None], cols * split + sub)
+    sub_row, sub_col, pair = np.nonzero(keep)
+    rows, cols = rows[pair] * split + sub_row, cols[pair] * split + sub_col
     # The surviving blocks' cells, laid out as their pairs are above.
     offsets = np.arange(_FINE)[:, None]
     row = np.minimum(rows * _FINE + offsets, n - 1)[:, None]
@@ -490,10 +496,12 @@ def _bounded_argmin(grid, rates, timing, branches):
     # A NaN minimum makes every NaN cell a hit, as in np.argmin; the first
     # hit in (tau_plus, tau_minus) order wins.
     hits = np.isnan(values) if np.isnan(low) else values == low
-    flat = (row * n + col)[hits]
+    # The hits' grid cells, from their (row offset, column offset, pair).
+    at = np.nonzero(hits)
+    flat = row[at[0], 0, at[2]] * n + col[at[1], at[2]]
     first = np.argmin(flat)
     i, j = divmod(int(flat[first]), n)
-    return i, j, float(values[hits][first])
+    return i, j, float(values[at][first])
 
 
 def nob_select_delays(rates, timing, curves, grid=DEFAULT_GRID):

@@ -70,7 +70,6 @@ from .signals import (
     _checked_means,
     _count_terms,
     _draw,
-    _stack_blocks,
     sample_signals,
 )
 
@@ -337,8 +336,8 @@ class _Run:
 
         Without drift the expected counts do not depend on time, so each
         (measurement, delay)'s `_block_means` are computed at its first
-        acquisition, from the measurement's count terms (built at its first
-        acquisition, once per run), kept read-only for the rest of the run, and drawn from by `_draw`, as
+        acquisition from the measurement's count terms, built once per run,
+        kept read-only for the rest of the run, and drawn from by `_draw`, as
         `sample_signals` draws.  With drift every acquisition is computed
         block by block.
         """
@@ -349,9 +348,7 @@ class _Run:
             if key not in self._static:
                 if measurement not in self._terms:
                     self._terms[measurement] = _count_terms(
-                        (measurement.first, measurement.second),
-                        config.true_rates,
-                        _stack_blocks(config.params),
+                        (measurement.first, measurement.second), config.true_rates, config.params
                     )
                 self._static[key] = _checked_means(measurement, tau, self._terms[measurement])
                 for a in self._static[key]:

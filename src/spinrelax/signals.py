@@ -240,7 +240,7 @@ OPTIMAL_PROTOCOL = ProtocolSpec(
 
 def expected_counts(prep, read, tau, rates, params):
     """Expected photon sum of signal S_{prep,read}(tau); vectorized over tau."""
-    [(at_tau, _)] = _signal_counts([(prep, read)], tau, rates, _stack_blocks(params))
+    [(at_tau, _)] = _signal_counts([(prep, read)], tau, rates, params)
     return at_tau[..., 0][()]
 
 
@@ -304,8 +304,6 @@ def _four_counts(measurements, tau, rates, blocks):
     """Per measurement, its four counts in expected_signals' column order, from one
     _signal_counts call over the distinct signals: shapes as _signal_counts'.
     `blocks` is one SignalParams or a stack from `_stack_blocks`."""
-    if isinstance(blocks, SignalParams):
-        blocks = _stack_blocks(blocks)
     signals = list(dict.fromkeys(s for m in measurements for s in (m.first, m.second)))
     counts = dict(zip(signals, _signal_counts(signals, tau, rates, blocks)))
     pairs = ((counts[m.first], counts[m.second]) for m in measurements)
@@ -338,7 +336,10 @@ def _count_terms(signals, rates, blocks):
     """What _signal_counts computes before it sees a delay, in a namespace:
     the rate terms, R per block, the background (a float row, or the object
     row of callables to call at each tau), and per signal its (k0, k1, k2,
-    count at tau = 0).  A '0' pulse is the identity and is not applied."""
+    count at tau = 0).  `blocks` is one SignalParams or a stack from
+    `_stack_blocks`.  A '0' pulse is the identity and is not applied."""
+    if isinstance(blocks, SignalParams):
+        blocks = _stack_blocks(blocks)
     terms = _rate_terms(rates)
     # The three projectors' vectors and squared norms, J/3 being (1, 1, 1)'s;
     # each rate pair's vector as one row against the blocks' rows.
@@ -448,7 +449,7 @@ def _block_means(
     if not 0.0 <= duration_s < math.inf:
         raise ValueError("duration_s must be nonnegative and finite")
     if drifts is None:
-        times, blocks = [None], _stack_blocks(params)
+        times, blocks = [None], params
     else:
         total_r = params.repetitions_R
         n_blocks = math.ceil(total_r / block_reps)

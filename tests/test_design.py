@@ -619,7 +619,7 @@ class TestIntervalBound:
                     axis=1,
                 ),
             )
-            bound = _det_bound(ends, rows, cols).reshape(count, count)
+            bound = _det_bound(ends[..., rows], ends[..., cols]).reshape(count, count)
             assert np.all(det <= bound[np.ix_(block, block)])
 
 
