@@ -439,9 +439,9 @@ def _bounded_argmin(grid, rates, timing, branches):
     ones, a coarse block being _BLOCK // _FINE whole fine blocks.  The
     probe cells, the blocks' cells and the durations at the probe and the
     block starts come from the (grid, timing) search plan (_search_plan),
-    which holds the values computed here before it existed: the bounds,
-    the blocks kept and the cells evaluated are the same with it, and so
-    is every result.
+    kept per DelayGrid object and TimingModel value.  Its values are the
+    ones the search would compute itself, so the bounds, the blocks kept,
+    the cells evaluated and every result do not depend on it.
     """
     n = grid.taus.size
     gp, gm = map(float, _unpack(rates))
@@ -488,9 +488,7 @@ def _bounded_argmin(grid, rates, timing, branches):
     sub_row, sub_col, pair = np.nonzero(keep)
     rows, cols = rows[pair] * split + sub_row, cols[pair] * split + sub_col
     # The surviving blocks' cells, laid out as their pairs are above.
-    offsets = np.arange(_FINE)[:, None]
-    row = np.minimum(rows * _FINE + offsets, n - 1)[:, None]
-    col = np.minimum(cols * _FINE + offsets, n - 1)
+    row, col = plan.fine.take(rows, axis=1)[:, None], plan.fine.take(cols, axis=1)
     values = cells(row, col)
     low = values.min()
     # A NaN minimum makes every NaN cell a hit, as in np.argmin; the first
