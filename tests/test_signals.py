@@ -622,7 +622,7 @@ class TestStackedSampler:
     )
     def test_static_run_counts_are_block_means(self, background, noiseless):
         # A static run builds each measurement's count terms once and then only
-        # its decays per delay: the same bits as _block_means from scratch.
+        # its decays per delay: the same bits as a fresh _block_means call.
         rates, params = RatePair(1.0, 3.0), SignalParams(background=background, repetitions_R=19997)
         taus = DelayGrid.default().taus
         delays = (0.0, float(taus[0]), float(taus[taus.size // 2]), float(taus[-1]))
